@@ -3,7 +3,9 @@
 One round: the server samples K clients from the candidate set by plan
 probability, each selected client takes one clipped-SGD step on its data,
 noises the step (and during stage one, two distorted loss values), and the
-server applies the mean update divided by the nominal K.
+server applies the mean update divided by the nominal K. `client_round`
+computes a round's client work as one batch over the responders' stacked
+rows, and per-client state lives in the arrays of `ClientArrays`.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -14,13 +16,12 @@ with the remaining budgets. Baselines run a single uniform stage.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, StateError
 from .mechanisms import (
     ClipConfig,
     MechanismKind,
@@ -57,6 +58,8 @@ ALGORITHMS = ("dpfl_bcs",) + BASELINE_KINDS
 
 # How often per-client remaining budgets are snapshotted into round records.
 BUDGET_SNAPSHOT_EVERY = 10
+# Absolute tolerance of the ledger checks run at the end of every run.
+LEDGER_TOL = 1e-9
 
 
 def _stream(seed: int, *key) -> np.random.Generator:
@@ -186,9 +189,6 @@ class RoundRecord:
     stage: int
     selected: tuple
     losses: dict | None
-    gradient_norms: dict
-    noise_scales: dict
-    counters: np.ndarray
     test_loss: float
     test_accuracy: float | None
     budget_remaining: dict | None
@@ -256,98 +256,177 @@ def local_gradient(model: ModelState, data: Dataset, learning_rate: float,
     return learning_rate * clipped.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class ClientRoundConfig:
-    """Per-round stage parameters one client needs."""
+class ClientArrays:
+    """Per-client training and privacy state of one run, one entry per client.
 
-    mechanism: MechanismKind
-    clip: ClipConfig
-    loss_cap: float
-    c2: float
-    learning_rate: float
-    planned_rounds: int
-    stage_epsilon: float
-    stage_delta: float
-    per_round_epsilon: float
-    per_round_delta: float
-    report_losses: bool
-    noise_enabled: bool = True
-
-
-@dataclass(frozen=True)
-class ClientRoundResult:
-    noisy_gradient: np.ndarray
-    noisy_loss_current: float | None
-    noisy_loss_updated: float | None
-    budget: PrivacyBudget
-    exhausted: bool
-    noise_scale: float
-    epsilon_charged: float
-    delta_charged: float
-
-
-def client_round(data: Dataset, budget: PrivacyBudget, model: ModelState, t: int,
-                 cfg: ClientRoundConfig, rng: np.random.Generator,
-                 gradient_override: np.ndarray | None = None) -> ClientRoundResult | None:
-    """One client's contribution to round t; None refuses when exhausted.
-
-    During a loss-reporting round the noise vector has d+2 coordinates drawn
-    at the joint (gradient + two losses) sensitivity; the last two distort
-    eta_t * F at the incoming and the locally updated model, then divide by
-    eta_t. Otherwise d coordinates at the gradient-only sensitivity.
+    `planned`, `stage_count`, the stage budgets and the slices describe the
+    current stage; `install` starts a stage from a plan. `slice_sum` adds up
+    the slices charged, clamped at the remaining budget, independently of
+    `consume_budget`, so the engine can check the ledger against it.
     """
-    if cfg.noise_enabled and budget.exhausted:
-        return None
-    if gradient_override is not None:
-        g = np.asarray(gradient_override, dtype=float)
-    else:
-        g = local_gradient(model, data, cfg.learning_rate, cfg.clip)
-    d = len(g)
-    sens = gradient_sensitivity(cfg.mechanism, cfg.learning_rate, cfg.clip.bound,
-                                data.num_samples, cfg.loss_cap, cfg.report_losses)
-    if cfg.noise_enabled:
-        if cfg.mechanism is MechanismKind.GAUSSIAN:
-            scale = gaussian_sigma(sens, cfg.stage_epsilon, cfg.stage_delta,
-                                   cfg.planned_rounds, cfg.c2)
-        else:
-            scale = laplace_scale(sens, cfg.stage_epsilon, cfg.planned_rounds)
-    else:
-        scale = 0.0
-    dim = d + 2 if cfg.report_losses else d
-    if scale > 0.0:
-        spec = NoiseSpec(cfg.mechanism, sens, scale, cfg.per_round_epsilon,
-                         cfg.per_round_delta, cfg.planned_rounds)
-        noise = sample_noise(spec, dim, rng)
-    else:
-        noise = np.zeros(dim)
-    noisy_gradient = g + noise[:d]
 
-    loss_current = loss_updated = None
-    if cfg.report_losses:
-        eta = cfg.learning_rate
+    def __init__(self, data: list, budgets: list):
+        n = len(data)
+        self.data = list(data)
+        self.num_samples = np.array([d.num_samples for d in data], dtype=int)
+        self.epsilon = np.array([b.epsilon for b in budgets], dtype=float)
+        self.delta = np.array([b.delta for b in budgets], dtype=float)
+        self.epsilon_remaining = np.array([b.epsilon_remaining for b in budgets], dtype=float)
+        self.delta_remaining = np.array([b.delta_remaining for b in budgets], dtype=float)
+        self.planned = np.zeros(n, dtype=int)
+        self.stage_count = np.zeros(n, dtype=int)
+        self.stage_epsilon = np.zeros(n)
+        self.stage_delta = np.zeros(n)
+        self.slice_epsilon = np.zeros(n)
+        self.slice_delta = np.zeros(n)
+        self.slice_sum = np.zeros(n)
+        self.exhausted = np.zeros(n, dtype=bool)
+        self.trained_after_exhaustion = np.zeros(n, dtype=bool)
+        # momentum velocities, (n, d); allocated by the first momentum round
+        self.velocity = None
+
+    def budget(self, ids: np.ndarray) -> PrivacyBudget:
+        return PrivacyBudget(self.epsilon[ids], self.delta[ids],
+                             self.epsilon_remaining[ids], self.delta_remaining[ids])
+
+    def install(self, counts, dp: bool) -> None:
+        """Start a stage: planned counts, and with DP the stage budgets and slices."""
+        self.planned = np.array(counts, dtype=int)
+        self.stage_count[:] = 0
+        if dp:
+            fresh = (self.planned > 0) & ~self.exhausted
+            self.stage_epsilon[fresh] = self.epsilon_remaining[fresh]
+            self.stage_delta[fresh] = self.delta_remaining[fresh]
+            self.slice_epsilon[fresh] = self.stage_epsilon[fresh] / self.planned[fresh]
+            self.slice_delta[fresh] = self.stage_delta[fresh] / self.planned[fresh]
+
+    def eligible(self, dp: bool) -> np.ndarray:
+        if not dp:
+            return np.arange(len(self.data))
+        return np.flatnonzero(~self.exhausted & (self.stage_count < self.planned))
+
+
+@dataclass(frozen=True)
+class RoundRelease:
+    """What the responders of one round release, row i for client ids[i].
+
+    losses[i] holds the distorted losses at the incoming and at the locally
+    updated model, in loss-reporting rounds only.
+    """
+
+    ids: np.ndarray
+    gradients: np.ndarray
+    losses: np.ndarray | None
+
+
+def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: float,
+                 rngs: list, settings: RunSettings, report_losses: bool,
+                 noise_enabled: bool = True) -> RoundRelease:
+    """The selected clients' contributions to one round, computed as one batch.
+
+    With noise enabled, clients whose budget is exhausted refuse and are left
+    out. Each responder's step is eta_t times the mean of its per-sample
+    clipped gradients (or eta_t times its momentum velocity), plus noise drawn
+    from its own generator in `rngs`. During a loss-reporting round the noise
+    vector has d+2 coordinates drawn at the joint (gradient + two losses)
+    sensitivity; the last two distort eta_t * F at the incoming and the
+    locally updated model, then divide by eta_t. Otherwise d coordinates at
+    the gradient-only sensitivity. Budgets, stage counts and velocities in
+    `clients` are updated in place.
+    """
+    ids = np.asarray(ids, dtype=int)
+    if noise_enabled:
+        refused = clients.budget(ids).exhausted
+        if np.any(refused):
+            for n in ids[refused]:
+                logger.warning("client %d refused (budget exhausted)", n)
+            rngs = [rng for rng, r in zip(rngs, refused) if not r]
+            ids = ids[~refused]
+    kind = model.model_kind
+    dim = kind.dim
+    if len(ids) == 0:
+        return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if report_losses else None)
+    data = [clients.data[n] for n in ids]
+    counts = clients.num_samples[ids]
+    if np.any(counts == 0):
+        raise ParameterError("empty dataset")
+    features = np.concatenate([d.features for d in data])
+    targets = np.concatenate([d.targets for d in data])
+    if features.shape[1] != kind.feature_dim:
+        raise ParameterError(
+            f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")
+    clipped = clip_gradient_matrix(
+        kind.per_sample_gradients(model.weights, features, targets), settings.clip)
+    ends = np.cumsum(counts).tolist()
+    means = np.empty((len(ids), dim))
+    for i, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
+        # add.reduce over each slice matches mean(axis=0) bit for bit
+        means[i] = np.add.reduce(clipped[a:b], axis=0) / (b - a)
+    if settings.momentum > 0 or settings.weight_decay > 0:
+        if clients.velocity is None:
+            clients.velocity = np.zeros((len(clients.data), dim))
+        base = means
+        if settings.weight_decay > 0:
+            base = base + settings.weight_decay * model.weights
+        velocity = settings.momentum * clients.velocity[ids] + base
+        clients.velocity[ids] = velocity
+        steps = learning_rate * velocity
+    else:
+        steps = learning_rate * means
+
+    mech = settings.mechanism
+    sens = gradient_sensitivity(mech, learning_rate, settings.clip_bound, counts,
+                                settings.loss_cap, report_losses)
+    planned = np.maximum(1, clients.planned[ids])
+    if not noise_enabled:
+        scale = np.zeros(len(ids))
+    elif mech is MechanismKind.GAUSSIAN:
+        scale = gaussian_sigma(sens, clients.stage_epsilon[ids], clients.stage_delta[ids],
+                               planned, settings.c2)
+    else:
+        scale = laplace_scale(sens, clients.stage_epsilon[ids], planned)
+    width = dim + 2 if report_losses else dim
+    noise = np.zeros((len(ids), width))
+    slice_eps = clients.slice_epsilon[ids]
+    slice_delta = clients.slice_delta[ids]
+    for i, rng in enumerate(rngs):
+        if scale[i] > 0.0:
+            spec = NoiseSpec(mech, sens[i], scale[i], slice_eps[i], slice_delta[i],
+                             planned[i])
+            noise[i] = sample_noise(spec, width, rng)
+    gradients = steps + noise[:, :dim]
+
+    losses = None
+    if report_losses:
+        eta = learning_rate
         if eta <= 0:
             raise ParameterError("loss distortion needs a positive learning rate")
-        f_current = local_loss(model, data, cfg.loss_cap)
-        local_state = model.replaced(model.weights - g)
-        f_updated = local_loss(local_state, data, cfg.loss_cap)
-        loss_current = (eta * f_current + noise[d]) / eta
-        loss_updated = (eta * f_updated + noise[d + 1]) / eta
+        losses = np.empty((len(ids), 2))
+        for i, d in enumerate(data):
+            f_current = local_loss(model, d, settings.loss_cap)
+            f_updated = local_loss(model.replaced(model.weights - steps[i]), d,
+                                   settings.loss_cap)
+            losses[i, 0] = (eta * f_current + noise[i, dim]) / eta
+            losses[i, 1] = (eta * f_updated + noise[i, dim + 1]) / eta
 
-    if cfg.noise_enabled:
-        new_budget, exhausted = consume_budget(budget, cfg.per_round_epsilon,
-                                               cfg.per_round_delta)
-        eps_charged = budget.epsilon_remaining - new_budget.epsilon_remaining
-        delta_charged = budget.delta_remaining - new_budget.delta_remaining
-    else:
-        new_budget, exhausted = budget, False
-        eps_charged = delta_charged = 0.0
-    return ClientRoundResult(noisy_gradient, loss_current, loss_updated, new_budget,
-                             exhausted, scale, eps_charged, delta_charged)
+    if noise_enabled:
+        before = clients.epsilon_remaining[ids]
+        budget, exhausted = consume_budget(clients.budget(ids), slice_eps, slice_delta)
+        clients.epsilon_remaining[ids] = budget.epsilon_remaining
+        clients.delta_remaining[ids] = budget.delta_remaining
+        clients.slice_sum[ids] += before - np.maximum(0.0, before - slice_eps)
+        clients.trained_after_exhaustion[ids] |= clients.exhausted[ids]
+        clients.exhausted[ids] |= exhausted
+    clients.stage_count[ids] += 1
+    return RoundRelease(ids, gradients, losses)
 
 
-def aggregate(gradients: list, k: int, divide_by_count: bool = False) -> np.ndarray:
-    """Sum of noisy gradients over the nominal K (or the responder count)."""
-    if not gradients:
+def aggregate(gradients, k: int, divide_by_count: bool = False) -> np.ndarray:
+    """Sum of noisy gradients over the nominal K (or the responder count).
+
+    `gradients` is a list of vectors or a stacked (responders, d) array.
+    """
+    if len(gradients) == 0:
         raise ParameterError("cannot aggregate an empty gradient list")
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -366,74 +445,34 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     if k < 1:
         raise ParameterError("k must be >= 1")
     probabilities = np.asarray(probabilities, dtype=float)
-    cand = sorted(int(n) for n in candidates)
-    if not cand:
-        return []
-    if len(cand) <= k:
-        return cand
-    ids = np.array(cand)
-    weights = probabilities[ids].astype(float).copy()
+    ids = np.sort(np.asarray(candidates, dtype=int))
+    if len(ids) <= k:
+        return ids.tolist()
+    weights = probabilities[ids]
     if np.any(weights < 0):
         raise ParameterError("selection probabilities must be nonnegative")
     positive = ids[weights > 0]
     if len(positive) <= k:
-        return sorted(int(n) for n in positive)
+        return positive.tolist()
     chosen = []
+    m = len(ids)
     for _ in range(k):
-        total = weights.sum()
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-        idx = min(idx, len(ids) - 1)
+        # ids[:m] and weights[:m] hold the candidates not yet drawn, in order;
+        # a draw shifts the tail left over the chosen entry.
+        live = weights[:m]
+        r = rng.random() * live.sum()
+        idx = min(int(np.searchsorted(np.cumsum(live), r, side="right")), m - 1)
         chosen.append(int(ids[idx]))
-        ids = np.delete(ids, idx)
-        weights = np.delete(weights, idx)
+        ids[idx:m - 1] = ids[idx + 1:m]
+        weights[idx:m - 1] = weights[idx + 1:m]
+        m -= 1
     return sorted(chosen)
-
-
-@dataclass
-class _ClientRuntime:
-    data: Dataset
-    budget: PrivacyBudget
-    velocity: np.ndarray | None = None
-    planned: int = 0
-    stage_epsilon: float = 0.0
-    stage_delta: float = 0.0
-    slice_epsilon: float = 0.0
-    slice_delta: float = 0.0
-    stage_participations: int = 0
-    stage1_participations: int = 0
-    stage2_participations: int = 0
-    stage1_planned: int = 0
-    stage2_planned: int | None = None
-    stage2_slice_epsilon: float | None = None
-    epsilon_at_replan: float | None = None
-    slice_sum: float = 0.0
-    exhausted: bool = False
-    trained_after_exhaustion: bool = False
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
     total = horizon * k
     counts = largest_remainder_round(np.full(num_clients, total / num_clients), total)
     return SelectionPlan.from_counts(counts, horizon, k)
-
-
-def _install_stage(runtimes: list, plan: SelectionPlan, dp: bool) -> None:
-    for rt, planned in zip(runtimes, plan.counts):
-        rt.planned = int(planned)
-        rt.stage_participations = 0
-        if dp and planned > 0 and not rt.exhausted:
-            rt.stage_epsilon = rt.budget.epsilon_remaining
-            rt.stage_delta = rt.budget.delta_remaining
-            rt.slice_epsilon = rt.stage_epsilon / planned
-            rt.slice_delta = rt.stage_delta / planned
-
-
-def _eligible(runtimes: list, dp: bool) -> list:
-    if not dp:
-        return list(range(len(runtimes)))
-    return [i for i, rt in enumerate(runtimes)
-            if not rt.exhausted and rt.stage_participations < rt.planned]
 
 
 def run_dpfl_bcs(problem: FederatedProblem, settings: RunSettings, seed: int,
@@ -471,10 +510,9 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
     dp = settings.dp_enabled and algorithm != "fedsgd"
     weighted_agg = algorithm == "weiavg"
     metas = problem.metas
-    clip = settings.clip
 
-    runtimes = [_ClientRuntime(data=d, budget=b)
-                for d, b in zip(problem.client_data, problem.budgets)]
+    clients = ClientArrays(problem.client_data, problem.budgets)
+    epsilon_at_start = clients.epsilon_remaining.copy()
 
     if two_stage and not settings.force_uniform_plan:
         _, phi_initial = compute_phi_lambda(mech, model.dim, settings.clip_bound,
@@ -487,26 +525,25 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         select_probs = plan1.probabilities
     else:
         select_probs = uniform_probs
-    _install_stage(runtimes, plan1, dp)
-    for rt in runtimes:
-        rt.stage1_planned = rt.planned
+    clients.install(plan1.counts, dp)
+    # (realised, planned) participations per stage, filled as stages end
+    stages = []
+    stage2_slices = epsilon_at_replan = None
 
     state = ModelState(model.init_weights(), model)
     trajectory = [state.weights.copy()] if settings.record_weights else None
     records: list = []
-    counters = np.zeros(num_clients, dtype=int)
     stage1_selected: list = []
     stage1_current: list = []
     stage1_updated: list = []
     plan2 = None
     est_params = None
     ended_early = False
-    use_momentum = settings.momentum > 0 or settings.weight_decay > 0
 
     for t in range(1, total_rounds + 1):
         stage = 1 if (not two_stage or t <= t0) else 2
-        eligible = _eligible(runtimes, dp)
-        if not eligible:
+        eligible = clients.eligible(dp)
+        if len(eligible) == 0:
             logger.info("round %d: candidate set empty, ending run early", t)
             ended_early = True
             break
@@ -518,52 +555,16 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         eta = settings.schedule.rate(t)
         report_losses = two_stage and t <= t0
 
-        round_results: dict[int, ClientRoundResult] = {}
-        for n in selected:
-            rt = runtimes[n]
-            was_exhausted = rt.exhausted
-            cfg = ClientRoundConfig(
-                mechanism=mech, clip=clip, loss_cap=settings.loss_cap, c2=settings.c2,
-                learning_rate=eta, planned_rounds=max(1, rt.planned),
-                stage_epsilon=rt.stage_epsilon, stage_delta=rt.stage_delta,
-                per_round_epsilon=rt.slice_epsilon, per_round_delta=rt.slice_delta,
-                report_losses=report_losses, noise_enabled=dp)
-            override = None
-            if use_momentum:
-                base = local_gradient(state, rt.data, 1.0, clip)
-                if settings.weight_decay > 0:
-                    base = base + settings.weight_decay * state.weights
-                if rt.velocity is None:
-                    rt.velocity = np.zeros_like(base)
-                rt.velocity = settings.momentum * rt.velocity + base
-                override = eta * rt.velocity
-            result = client_round(rt.data, rt.budget, state, t, cfg,
-                                  _stream(seed, 2, n, t), gradient_override=override)
-            if result is None:
-                logger.warning("round %d: client %d refused (budget exhausted)", t, n)
-                continue
-            if was_exhausted:
-                rt.trained_after_exhaustion = True
-            rt.budget = result.budget
-            if dp:
-                rt.exhausted = rt.exhausted or result.exhausted
-            rt.slice_sum += result.epsilon_charged
-            rt.stage_participations += 1
-            if stage == 1:
-                rt.stage1_participations += 1
-            else:
-                rt.stage2_participations += 1
-            counters[n] += 1
-            round_results[n] = result
-
-        responders = sorted(round_results)
+        release = client_round(clients, selected, state, eta,
+                               [_stream(seed, 2, n, t) for n in selected],
+                               settings, report_losses, noise_enabled=dp)
+        responders = tuple(release.ids.tolist())
         if responders:
-            grads = [round_results[n].noisy_gradient for n in responders]
             if weighted_agg:
-                eps = np.array([metas[n].epsilon for n in responders])
-                update = np.sum([w * g for w, g in zip(eps / eps.sum(), grads)], axis=0)
+                eps = clients.epsilon[release.ids]
+                update = np.sum((eps / eps.sum())[:, None] * release.gradients, axis=0)
             else:
-                update = aggregate(grads, k, settings.aggregate_by_count)
+                update = aggregate(release.gradients, k, settings.aggregate_by_count)
             state = state.replaced(state.weights - update)
         else:
             logger.warning("round %d: no responders, aggregation skipped", t)
@@ -574,21 +575,17 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             state.weights, problem.test_data.features, problem.test_data.targets)
         losses = None
         if report_losses:
-            stage1_selected.append(tuple(responders))
-            stage1_current.append({n: round_results[n].noisy_loss_current for n in responders})
-            stage1_updated.append({n: round_results[n].noisy_loss_updated for n in responders})
-            losses = {n: (round_results[n].noisy_loss_current,
-                          round_results[n].noisy_loss_updated) for n in responders}
+            current, updated = release.losses.T.tolist()
+            stage1_selected.append(responders)
+            stage1_current.append(dict(zip(responders, current)))
+            stage1_updated.append(dict(zip(responders, updated)))
+            losses = dict(zip(responders, zip(current, updated)))
         budget_remaining = None
         if dp and t % BUDGET_SNAPSHOT_EVERY == 0:
-            budget_remaining = {i: rt.budget.epsilon_remaining
-                                for i, rt in enumerate(runtimes)}
+            budget_remaining = dict(enumerate(clients.epsilon_remaining.tolist()))
         record = RoundRecord(
-            t=t, stage=stage, selected=tuple(responders), losses=losses,
-            gradient_norms={n: float(np.linalg.norm(round_results[n].noisy_gradient))
-                            for n in responders},
-            noise_scales={n: round_results[n].noise_scale for n in responders},
-            counters=counters.copy(), test_loss=test_loss, test_accuracy=test_accuracy,
+            t=t, stage=stage, selected=responders, losses=losses,
+            test_loss=test_loss, test_accuracy=test_accuracy,
             budget_remaining=budget_remaining)
         records.append(record)
         logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, stage,
@@ -597,8 +594,9 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             on_round(record)
 
         if two_stage and t == t0:
+            stages.append((clients.stage_count.copy(), clients.planned))
             plan2, est_params, select_probs = _replan(
-                problem, settings, runtimes, metas,
+                problem, settings, clients, metas,
                 StageOneLog(tuple(stage1_selected), tuple(stage1_current),
                             tuple(stage1_updated)),
                 dp, uniform_probs)
@@ -606,11 +604,13 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
                 logger.info("no client can fund stage two, ending run early")
                 ended_early = True
                 break
-            _install_stage(runtimes, plan2, dp)
-            for rt in runtimes:
-                rt.stage2_planned = rt.planned
-                rt.stage2_slice_epsilon = rt.slice_epsilon if rt.planned > 0 else None
-                rt.epsilon_at_replan = rt.budget.epsilon_remaining
+            clients.install(plan2.counts, dp)
+            stage2_slices = clients.slice_epsilon.copy()
+            epsilon_at_replan = clients.epsilon_remaining.copy()
+    if plan2 is not None or not stages:
+        # close the stage in progress; a replan that found no plan closed it
+        stages.append((clients.stage_count.copy(), clients.planned))
+    _check_ledger(clients, epsilon_at_start, stages if dp else [])
 
     if records:
         final_loss = records[-1].test_loss
@@ -619,21 +619,35 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         final_loss, final_accuracy = model.metrics(
             state.weights, problem.test_data.features, problem.test_data.targets)
 
-    ledger = []
-    for i, rt in enumerate(runtimes):
-        b = rt.budget
-        ledger.append(ClientLedger(
-            client_id=i, epsilon_total=b.epsilon, delta_total=b.delta,
-            epsilon_remaining=b.epsilon_remaining, delta_remaining=b.delta_remaining,
-            epsilon_consumed=b.epsilon - b.epsilon_remaining, slice_sum=rt.slice_sum,
-            participations=rt.stage1_participations + rt.stage2_participations,
-            stage1_participations=rt.stage1_participations,
-            stage2_participations=rt.stage2_participations,
-            stage1_planned=rt.stage1_planned, stage2_planned=rt.stage2_planned,
-            stage2_per_round_epsilon=rt.stage2_slice_epsilon,
-            epsilon_remaining_at_replan=rt.epsilon_at_replan,
-            exhausted=rt.exhausted,
-            trained_after_exhaustion=rt.trained_after_exhaustion))
+    stage1_realised, stage2_realised = ([r.tolist() for r, _ in stages]
+                                        + [[0] * num_clients])[:2]
+    if plan2 is not None:
+        stage2_planned = plan2.counts.tolist()
+        stage2_per_round = [e if p else None
+                            for e, p in zip(stage2_slices.tolist(), stage2_planned)]
+        at_replan = epsilon_at_replan.tolist()
+    else:
+        stage2_planned = stage2_per_round = at_replan = [None] * num_clients
+    ledger = [
+        ClientLedger(
+            client_id=i, epsilon_total=eps, delta_total=delta,
+            epsilon_remaining=eps_rem, delta_remaining=delta_rem,
+            epsilon_consumed=consumed, slice_sum=slice_sum,
+            participations=real1 + real2, stage1_participations=real1,
+            stage2_participations=real2, stage1_planned=plan1_count,
+            stage2_planned=plan2_count, stage2_per_round_epsilon=per_round,
+            epsilon_remaining_at_replan=replan_eps, exhausted=exhausted,
+            trained_after_exhaustion=after)
+        for i, (eps, delta, eps_rem, delta_rem, consumed, slice_sum, real1, real2,
+                plan1_count, plan2_count, per_round, replan_eps, exhausted, after)
+        in enumerate(zip(
+            clients.epsilon.tolist(), clients.delta.tolist(),
+            clients.epsilon_remaining.tolist(), clients.delta_remaining.tolist(),
+            (clients.epsilon - clients.epsilon_remaining).tolist(),
+            clients.slice_sum.tolist(), stage1_realised, stage2_realised,
+            plan1.counts.tolist(), stage2_planned, stage2_per_round, at_replan,
+            clients.exhausted.tolist(), clients.trained_after_exhaustion.tolist()))
+    ]
 
     return RunResult(
         algorithm=algorithm, seed=int(seed), rounds=records, final_state=state,
@@ -643,7 +657,34 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         weight_trajectory=np.array(trajectory) if trajectory is not None else None)
 
 
-def _replan(problem: FederatedProblem, settings: RunSettings, runtimes: list,
+def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,
+                  stages: list) -> None:
+    """Raise StateError unless the run's privacy ledger is consistent.
+
+    Consumption stays within the budget and equals the sum of the slices
+    charged; realised participation stays within each stage's plan (pass no
+    stages when the plan does not cap participation); no client trained
+    after its budget ran out.
+    """
+    consumed = epsilon_at_start - clients.epsilon_remaining
+    bad = np.flatnonzero(clients.epsilon - clients.epsilon_remaining
+                         > clients.epsilon + LEDGER_TOL)
+    if len(bad):
+        raise StateError(f"clients {bad.tolist()} consumed more than their budget")
+    bad = np.flatnonzero(np.abs(consumed - clients.slice_sum) > LEDGER_TOL)
+    if len(bad):
+        raise StateError(f"clients {bad.tolist()}: consumed epsilon differs from "
+                         f"the slices charged")
+    for stage, (realised, planned) in enumerate(stages, start=1):
+        bad = np.flatnonzero(realised > planned)
+        if len(bad):
+            raise StateError(f"clients {bad.tolist()} exceeded their stage-{stage} plan")
+    bad = np.flatnonzero(clients.trained_after_exhaustion)
+    if len(bad):
+        raise StateError(f"clients {bad.tolist()} trained after exhausting their budget")
+
+
+def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArrays,
             metas: list, log: StageOneLog, dp: bool, uniform_probs: np.ndarray):
     """Estimate bound parameters and solve the stage-two plan at t = T0."""
     model = problem.model
@@ -667,27 +708,26 @@ def _replan(problem: FederatedProblem, settings: RunSettings, runtimes: list,
         return plan2, est, uniform_probs
 
     if dp:
-        active = [i for i, rt in enumerate(runtimes)
-                  if not rt.exhausted
-                  and (mech is MechanismKind.LAPLACE or rt.budget.delta_remaining > 0)]
+        funded = mech is MechanismKind.LAPLACE or clients.delta_remaining > 0
+        active = np.flatnonzero(~clients.exhausted & funded)
     else:
-        active = list(range(num_clients))
-    if not active:
+        active = np.arange(num_clients)
+    if len(active) == 0:
         return None, est, uniform_probs
 
     if dp:
         remaining_metas = [
-            ClientMeta(i, runtimes[i].budget.epsilon_remaining,
-                       runtimes[i].budget.delta_remaining, runtimes[i].data.num_samples)
-            for i in active
+            ClientMeta(i, e, d, n) for i, e, d, n in zip(
+                active.tolist(), clients.epsilon_remaining[active].tolist(),
+                clients.delta_remaining[active].tolist(),
+                clients.num_samples[active].tolist())
         ]
         _, phi_active = compute_phi_lambda(mech, model.dim, settings.clip_bound,
                                            settings.c2, remaining_metas)
     else:
         phi_active = phi_initial[active]
     gamma_for_plan = winsorize_upper(gamma_hat, settings.winsorize_percentile)
-    from dataclasses import replace as _dc_replace
-    params_active = _dc_replace(est, phi_n=phi_active, gamma_hat_n=gamma_for_plan[active])
+    params_active = replace(est, phi_n=phi_active, gamma_hat_n=gamma_for_plan[active])
     sub = optimal_plan(params_active, horizon, k, z)
     counts = np.zeros(num_clients, dtype=int)
     counts[active] = sub.counts

@@ -81,9 +81,49 @@ def _check_rounds(name: str, value) -> int:
     return value
 
 
+# Array counterparts of the checks above, for the engine's per-round batches.
+# The scalar checks stay separate so per-client scalar calls keep their cost.
+
+def _any_array(*values) -> bool:
+    return any(isinstance(v, np.ndarray) for v in values)
+
+
+def _check_finite_array(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{name} must be finite")
+    return values
+
+
+def _check_positive_array(name: str, values) -> np.ndarray:
+    values = _check_finite_array(name, values)
+    if not np.all(values > 0):
+        raise ParameterError(f"{name} must be positive")
+    return values
+
+
+def _check_nonnegative_array(name: str, values) -> np.ndarray:
+    values = _check_finite_array(name, values)
+    if not np.all(values >= 0):
+        raise ParameterError(f"{name} must be nonnegative")
+    return values
+
+
+def _check_rounds_array(name: str, values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        if not np.all(values == np.round(values)):
+            raise ParameterError(f"{name} must be integers")
+        values = values.astype(int)
+    if not np.all(values >= 1):
+        raise ParameterError(f"{name} must be >= 1")
+    return values
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Total and remaining (epsilon, delta) for one client."""
+    """Total and remaining (epsilon, delta) for one client, or for several
+    clients when every field is an array of the same length."""
 
     epsilon: float
     delta: float
@@ -91,6 +131,9 @@ class PrivacyBudget:
     delta_remaining: float
 
     def __post_init__(self):
+        if isinstance(self.epsilon_remaining, np.ndarray):
+            self._check_arrays()
+            return
         _check_positive("epsilon", self.epsilon)
         _check_nonnegative("delta", self.delta)
         if self.delta >= 1:
@@ -100,6 +143,20 @@ class PrivacyBudget:
         if self.epsilon_remaining > self.epsilon * (1 + 1e-12):
             raise ParameterError("epsilon_remaining exceeds the total epsilon")
         if self.delta_remaining > self.delta * (1 + 1e-12) + 1e-300:
+            raise ParameterError("delta_remaining exceeds the total delta")
+
+    def _check_arrays(self) -> None:
+        eps = _check_positive_array("epsilon", self.epsilon)
+        delta = _check_nonnegative_array("delta", self.delta)
+        eps_rem = _check_nonnegative_array("epsilon_remaining", self.epsilon_remaining)
+        delta_rem = _check_nonnegative_array("delta_remaining", self.delta_remaining)
+        if not eps.shape == delta.shape == eps_rem.shape == delta_rem.shape:
+            raise ParameterError("budget arrays must have equal shapes")
+        if not np.all(delta < 1):
+            raise ParameterError("delta must be < 1")
+        if not np.all(eps_rem <= eps * (1 + 1e-12)):
+            raise ParameterError("epsilon_remaining exceeds the total epsilon")
+        if not np.all(delta_rem <= delta * (1 + 1e-12) + 1e-300):
             raise ParameterError("delta_remaining exceeds the total delta")
 
     @classmethod
@@ -156,8 +213,19 @@ def gaussian_sigma(sensitivity: float, total_epsilon: float, total_delta: float,
 
     sigma = c2 * sensitivity * sqrt(planned_rounds * ln(1/total_delta)) / total_epsilon.
     Calibrated as an equality; the classical c1-based precondition on the
-    per-release epsilon is intentionally not checked.
+    per-release epsilon is intentionally not checked. Array arguments give
+    one sigma per entry.
     """
+    if _any_array(sensitivity, total_epsilon, total_delta, planned_rounds):
+        sensitivity = _check_nonnegative_array("sensitivity", sensitivity)
+        total_epsilon = _check_positive_array("total_epsilon", total_epsilon)
+        total_delta = _check_finite_array("total_delta", total_delta)
+        if not np.all((total_delta > 0) & (total_delta < 1)):
+            raise ParameterError("total_delta must lie in (0, 1)")
+        planned_rounds = _check_rounds_array("planned_rounds", planned_rounds)
+        c2 = _check_positive("c2", c2)
+        return (c2 * sensitivity * np.sqrt(planned_rounds * np.log(1.0 / total_delta))
+                / total_epsilon)
     sensitivity = _check_nonnegative("sensitivity", sensitivity)
     total_epsilon = _check_positive("total_epsilon", total_epsilon)
     total_delta = _check_finite("total_delta", total_delta)
@@ -169,7 +237,15 @@ def gaussian_sigma(sensitivity: float, total_epsilon: float, total_delta: float,
 
 
 def laplace_scale(sensitivity: float, total_epsilon: float, planned_rounds) -> float:
-    """Per-coordinate Laplace scale b = planned_rounds * sensitivity / total_epsilon."""
+    """Per-coordinate Laplace scale b = planned_rounds * sensitivity / total_epsilon.
+
+    Array arguments give one scale per entry.
+    """
+    if _any_array(sensitivity, total_epsilon, planned_rounds):
+        sensitivity = _check_nonnegative_array("sensitivity", sensitivity)
+        total_epsilon = _check_positive_array("total_epsilon", total_epsilon)
+        planned_rounds = _check_rounds_array("planned_rounds", planned_rounds)
+        return planned_rounds * sensitivity / total_epsilon
     sensitivity = _check_nonnegative("sensitivity", sensitivity)
     total_epsilon = _check_positive("total_epsilon", total_epsilon)
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
@@ -184,13 +260,17 @@ def gradient_sensitivity(mechanism: MechanismKind, learning_rate: float, clip_bo
     The gradient-only release has sensitivity 2 * eta * clip_bound / num_samples
     (swapping one sample moves the clipped mean by at most 2 * clip_bound / D in
     the mechanism's norm). When the round also releases the two distorted loss
-    scalars, the joint release adds 2 * eta * loss_cap / num_samples.
+    scalars, the joint release adds 2 * eta * loss_cap / num_samples. An
+    array of sample counts gives one sensitivity per entry.
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
     learning_rate = _check_nonnegative("learning_rate", learning_rate)
     clip_bound = _check_positive("clip_bound", clip_bound)
-    num_samples = _check_rounds("num_samples", num_samples)
+    if isinstance(num_samples, np.ndarray):
+        num_samples = _check_rounds_array("num_samples", num_samples)
+    else:
+        num_samples = _check_rounds("num_samples", num_samples)
     loss_cap = _check_nonnegative("loss_cap", loss_cap)
     sens = 2.0 * learning_rate * clip_bound / num_samples
     if include_loss_terms:
@@ -299,17 +379,24 @@ def consume_budget(budget: PrivacyBudget, per_round_epsilon: float,
 
     Remaining values clamp at zero. The exhausted flag trips when the remaining
     epsilon falls to (or below) a 1e-9-relative floor, absorbing float dust
-    from repeated equal slices.
+    from repeated equal slices. A budget with array fields takes array slices
+    and deducts every entry at once; the flag is then an array too.
     """
-    per_round_epsilon = _check_nonnegative("per_round_epsilon", per_round_epsilon)
-    per_round_delta = _check_nonnegative("per_round_delta", per_round_delta)
+    if isinstance(budget.epsilon_remaining, np.ndarray):
+        per_round_epsilon = _check_nonnegative_array("per_round_epsilon", per_round_epsilon)
+        per_round_delta = _check_nonnegative_array("per_round_delta", per_round_delta)
+        clamp = np.maximum
+    else:
+        per_round_epsilon = _check_nonnegative("per_round_epsilon", per_round_epsilon)
+        per_round_delta = _check_nonnegative("per_round_delta", per_round_delta)
+        clamp = max
     new_eps = budget.epsilon_remaining - per_round_epsilon
     new_delta = budget.delta_remaining - per_round_delta
     floor = EXHAUSTION_REL_TOL * budget.epsilon + EXHAUSTION_ABS_TOL
     exhausted = new_eps <= floor
     out = replace(
         budget,
-        epsilon_remaining=max(0.0, new_eps),
-        delta_remaining=max(0.0, new_delta),
+        epsilon_remaining=clamp(0.0, new_eps),
+        delta_remaining=clamp(0.0, new_delta),
     )
     return out, exhausted

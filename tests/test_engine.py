@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import dpflsim.engine as engine
 from dpflsim.data import Dataset
 from dpflsim.engine import (
-    ClientRoundConfig,
+    ClientArrays,
     FederatedProblem,
     LearningRateSchedule,
     RunSettings,
+    _check_ledger,
+    _stream,
     aggregate,
     client_round,
     local_gradient,
@@ -19,8 +22,14 @@ from dpflsim.engine import (
     run_dpfl_bcs,
     sample_selection,
 )
-from dpflsim.errors import ParameterError
-from dpflsim.mechanisms import ClipConfig, MechanismKind, PrivacyBudget
+from dpflsim.errors import ParameterError, StateError
+from dpflsim.mechanisms import (
+    ClipConfig,
+    MechanismKind,
+    PrivacyBudget,
+    gaussian_sigma,
+    gradient_sensitivity,
+)
 from dpflsim.models import LinearRegression, LogisticRegression, ModelState
 from dpflsim.selection import objective_value
 
@@ -93,45 +102,57 @@ def test_local_gradient_boundary_norm():
 
 # ---------------------------------------------------------------- client round
 
-def _round_cfg(**kw):
-    defaults = dict(mechanism=GM, clip=ClipConfig(1.0, "l2"), loss_cap=10.0,
-                    c2=1.0, learning_rate=0.5, planned_rounds=4,
-                    stage_epsilon=1.0, stage_delta=1e-3, per_round_epsilon=0.25,
-                    per_round_delta=1e-3 / 4, report_losses=False,
-                    noise_enabled=True)
-    defaults.update(kw)
-    return ClientRoundConfig(**defaults)
+# Stage parameters of the one-client rounds below: clip bound 1 (L2), loss
+# cap 10, eta 0.5, a fresh (1, 1e-3) budget over 4 planned rounds, so the
+# slices are (0.25, 2.5e-4).
+ETA = 0.5
+PLANNED = 4
+
+
+def _one_client(data, budget=None, **settings_kw):
+    budget = budget if budget is not None else PrivacyBudget.fresh(1.0, 1e-3)
+    clients = ClientArrays([data], [budget])
+    clients.install([PLANNED], dp=True)
+    return clients, _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
 
 
 def test_client_round_zero_noise_exact():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
     state = _regression_state()
-    cfg = _round_cfg(noise_enabled=False, report_losses=True)
-    budget = PrivacyBudget.fresh(1.0, 1e-3)
-    out = client_round(data, budget, state, 1, cfg, np.random.default_rng(0))
-    g = local_gradient(state, data, 0.5, cfg.clip)
-    assert np.array_equal(out.noisy_gradient, g)
-    assert out.noisy_loss_current == pytest.approx(local_loss(state, data, 10.0))
-    assert out.budget == budget
-    assert out.epsilon_charged == 0.0
+    clients, settings = _one_client(data)
+    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+                       report_losses=True, noise_enabled=False)
+    g = local_gradient(state, data, ETA, settings.clip)
+    assert out.ids.tolist() == [0]
+    assert np.array_equal(out.gradients[0], g)
+    assert out.losses[0, 0] == local_loss(state, data, 10.0)
+    assert out.losses[0, 1] == local_loss(state.replaced(state.weights - g), data, 10.0)
+    assert clients.epsilon_remaining[0] == 1.0 and clients.delta_remaining[0] == 1e-3
+    assert clients.slice_sum[0] == 0.0
+    assert clients.stage_count[0] == 1
 
 
 def test_client_round_loss_distortion_rule():
     # F_hat must equal (eta * F + z) / eta with z the (d)-th noise coordinate.
     data = Dataset(np.array([[0.0]]), np.array([-math.sqrt(2.0)]))
     state = _regression_state()
-    cfg = _round_cfg(report_losses=True)
-    budget = PrivacyBudget.fresh(1.0, 1e-3)
-    out = client_round(data, budget, state, 1, cfg, np.random.default_rng(77))
+    clients, settings = _one_client(data)
+    out = client_round(clients, [0], state, ETA, [np.random.default_rng(77)], settings,
+                       report_losses=True)
     f = local_loss(state, data, 10.0)  # = 2.0
     assert f == pytest.approx(2.0)
     # replay the identical stream to recover the drawn noise
-    noise = np.random.default_rng(77).normal(0.0, out.noise_scale, size=4)
-    eta = cfg.learning_rate
-    assert out.noisy_loss_current == pytest.approx((eta * f + noise[2]) / eta)
-    g = local_gradient(state, data, eta, cfg.clip)
+    sens = gradient_sensitivity(GM, ETA, 1.0, 1, 10.0, include_loss_terms=True)
+    scale = gaussian_sigma(sens, 1.0, 1e-3, PLANNED, 1.0)
+    noise = np.random.default_rng(77).normal(0.0, scale, size=4)
+    g = local_gradient(state, data, ETA, settings.clip)
+    assert np.array_equal(out.gradients[0], g + noise[:2])
+    assert out.losses[0, 0] == (ETA * f + noise[2]) / ETA
     f_updated = local_loss(state.replaced(state.weights - g), data, 10.0)
-    assert out.noisy_loss_updated == pytest.approx((eta * f_updated + noise[3]) / eta)
+    assert out.losses[0, 1] == (ETA * f_updated + noise[3]) / ETA
+    # one slice charged
+    assert clients.epsilon_remaining[0] == 1.0 - 0.25
+    assert clients.slice_sum[0] == 0.25
 
 
 def test_client_round_distortion_hand_example():
@@ -143,30 +164,137 @@ def test_client_round_refuses_when_exhausted():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     state = _regression_state()
     spent = PrivacyBudget(1.0, 1e-3, 0.0, 0.0)
-    assert client_round(data, spent, state, 1, _round_cfg(),
-                        np.random.default_rng(0)) is None
+    clients, settings = _one_client(data, spent)
+    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+                       report_losses=False)
+    assert out.ids.tolist() == [] and out.gradients.shape == (0, 2)
+    assert clients.stage_count[0] == 0
     # diagnostics mode ignores the ledger
-    out = client_round(data, spent, state, 1, _round_cfg(noise_enabled=False),
-                       np.random.default_rng(0))
-    assert out is not None
+    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+                       report_losses=False, noise_enabled=False)
+    assert out.ids.tolist() == [0]
+    assert np.array_equal(out.gradients[0], local_gradient(state, data, ETA, settings.clip))
 
 
 def test_client_round_monte_carlo_unbiased():
+    # n copies of one client in a single batch, each with its own stream
     data = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
     state = _regression_state()
-    cfg = _round_cfg()
-    g = local_gradient(state, data, cfg.learning_rate, cfg.clip)
-    budget = PrivacyBudget.fresh(1.0, 1e-3)
     n = 10**4
-    total = np.zeros_like(g)
-    scale = None
-    for i in range(n):
-        out = client_round(data, budget, state, 1, cfg, np.random.default_rng(1000 + i))
-        total += out.noisy_gradient
-        scale = out.noise_scale
-    mean = total / n
+    clients = ClientArrays([data] * n, [PrivacyBudget.fresh(1.0, 1e-3)] * n)
+    clients.install(np.full(n, PLANNED), dp=True)
+    settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
+    out = client_round(clients, np.arange(n), state, ETA,
+                       [np.random.default_rng(1000 + i) for i in range(n)], settings,
+                       report_losses=False)
+    g = local_gradient(state, data, ETA, settings.clip)
+    scale = gaussian_sigma(gradient_sensitivity(GM, ETA, 1.0, 2), 1.0, 1e-3, PLANNED)
+    mean = out.gradients.mean(axis=0)
     tol = 3.0 * scale / math.sqrt(n)
     assert np.all(np.abs(mean - g) <= tol)
+    assert np.all(clients.epsilon_remaining == 0.75)
+
+
+def _batch_problem(mechanism):
+    rng = np.random.default_rng(31)
+    model = LogisticRegression(3, 4)
+    sizes = [1, 7, 3, 12, 5, 2]
+    data = [Dataset(rng.normal(size=(m, 3)), rng.integers(0, 4, size=m)) for m in sizes]
+    delta = 1e-4 if mechanism is GM else 0.0
+    budgets = [PrivacyBudget.fresh(e, delta) for e in (0.4, 1.0, 2.5, 0.7, 3.0, 1.5)]
+    state = ModelState(rng.normal(scale=0.5, size=model.dim), model)
+    return data, budgets, state
+
+
+@pytest.mark.parametrize("mechanism", [GM, LM])
+@pytest.mark.parametrize("report_losses", [False, True])
+@pytest.mark.parametrize("momentum", [0.0, 0.8])
+def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momentum):
+    data, budgets, state = _batch_problem(mechanism)
+    settings = _settings(mechanism=mechanism, clip_bound=0.8, loss_cap=2.0,
+                         momentum=momentum, weight_decay=0.01 if momentum else 0.0)
+    plan = [3, 2, 4, 1, 5, 2]
+    ids = [0, 1, 3, 4, 5]
+    dim = state.model_kind.dim
+
+    def fresh():
+        clients = ClientArrays(data, budgets)
+        clients.install(plan, dp=True)
+        return clients
+
+    batch_clients = fresh()
+    single_clients = fresh()
+    for t, eta in enumerate([0.3, 0.2], start=1):
+        batch = client_round(batch_clients, ids, state, eta,
+                             [_stream(9, 2, n, t) for n in ids], settings, report_losses)
+        singles = [client_round(single_clients, [n], state, eta, [_stream(9, 2, n, t)],
+                                settings, report_losses) for n in ids]
+        # client 3 plans one round, so it refuses in round two
+        responders = [n for n in ids if t == 1 or n != 3]
+        assert batch.ids.tolist() == responders
+        assert [s.ids.tolist() for s in singles] == [[n] if n in responders else []
+                                                     for n in ids]
+        singles = [s for s in singles if len(s.ids)]
+        for i, single in enumerate(singles):
+            np.testing.assert_allclose(batch.gradients[i], single.gradients[0],
+                                       rtol=1e-12, atol=0)
+            if report_losses:
+                np.testing.assert_allclose(batch.losses[i], single.losses[0],
+                                           rtol=1e-12, atol=0)
+            else:
+                assert batch.losses is None and single.losses is None
+        # identical noise draws: each responder's step plus its replayed noise
+        sens = gradient_sensitivity(mechanism, eta, 0.8,
+                                    batch_clients.num_samples[responders], 2.0,
+                                    report_losses)
+        for i, n in enumerate(responders):
+            rng = _stream(9, 2, n, t)
+            width = dim + 2 if report_losses else dim
+            if mechanism is GM:
+                scale = gaussian_sigma(sens[i], budgets[n].epsilon, budgets[n].delta,
+                                       plan[n], 1.0)
+                noise = rng.normal(0.0, scale, size=width)
+            else:
+                scale = plan[n] * sens[i] / budgets[n].epsilon
+                noise = rng.laplace(0.0, scale, size=width)
+            if momentum:
+                step = eta * single_clients.velocity[n]
+            else:
+                step = local_gradient(state, data[n], eta, settings.clip)
+            np.testing.assert_allclose(batch.gradients[i], step + noise[:dim],
+                                       rtol=1e-12, atol=0)
+    for name in ("epsilon_remaining", "delta_remaining", "slice_sum", "stage_count",
+                 "exhausted"):
+        assert np.array_equal(getattr(batch_clients, name), getattr(single_clients, name))
+    if momentum:
+        np.testing.assert_allclose(batch_clients.velocity, single_clients.velocity,
+                                   rtol=1e-12, atol=0)
+
+
+def test_momentum_weight_decay_run_matches_per_client_velocity():
+    # Reference loop: every selected client keeps its own velocity of clipped
+    # mean gradients plus weight decay, and releases eta_t times it.
+    problem = _problem(num_clients=4)
+    settings = _settings(momentum=0.9, weight_decay=0.05, dp_enabled=False,
+                         record_weights=True)
+    res = run_baseline("uniform_dp", problem, settings, seed=4)
+    k = settings.clients_per_round
+    probs = np.full(4, 0.25)
+    w = problem.model.init_weights()
+    velocity = {}
+    for t in range(1, settings.total_rounds + 1):
+        selected = sample_selection(probs, range(4), k, _stream(4, 1, t))
+        assert list(res.rounds[t - 1].selected) == selected
+        eta = settings.schedule.rate(t)
+        state = ModelState(w, problem.model)
+        steps = []
+        for n in selected:
+            base = local_gradient(state, problem.client_data[n], 1.0, settings.clip)
+            base = base + settings.weight_decay * w
+            velocity[n] = settings.momentum * velocity.get(n, 0.0) + base
+            steps.append(eta * velocity[n])
+        w = w - aggregate(steps, k)
+        np.testing.assert_allclose(res.weight_trajectory[t], w, rtol=1e-12, atol=1e-15)
 
 
 # ------------------------------------------------------------------ aggregation
@@ -183,6 +311,15 @@ def test_aggregate_examples():
     assert np.array_equal(by_count, np.array([3.0, 3.0]))
     with pytest.raises(ParameterError):
         aggregate([], 2)
+
+
+def test_aggregate_stacked_array_matches_list():
+    grads = np.random.default_rng(3).normal(size=(5, 4))
+    assert np.array_equal(aggregate(grads, 7), aggregate(list(grads), 7))
+    assert np.array_equal(aggregate(grads, 7, divide_by_count=True),
+                          aggregate(list(grads), 7, divide_by_count=True))
+    with pytest.raises(ParameterError):
+        aggregate(np.zeros((0, 4)), 2)
 
 
 # -------------------------------------------------------------------- sampling
@@ -205,6 +342,48 @@ def test_sample_selection_determinism_and_distinctness():
     b = sample_selection(p, range(5), 3, np.random.default_rng(11))
     assert a == b
     assert len(set(a)) == 3
+
+
+def _reference_sample_selection(probabilities, candidates, k, rng):
+    """The per-draw np.delete version sample_selection must reproduce exactly."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    cand = sorted(int(n) for n in candidates)
+    if not cand:
+        return []
+    if len(cand) <= k:
+        return cand
+    ids = np.array(cand)
+    weights = probabilities[ids].astype(float).copy()
+    positive = ids[weights > 0]
+    if len(positive) <= k:
+        return sorted(int(n) for n in positive)
+    chosen = []
+    for _ in range(k):
+        total = weights.sum()
+        r = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+        idx = min(idx, len(ids) - 1)
+        chosen.append(int(ids[idx]))
+        ids = np.delete(ids, idx)
+        weights = np.delete(weights, idx)
+    return sorted(chosen)
+
+
+def test_sample_selection_matches_reference_draws():
+    gen = np.random.default_rng(2024)
+    for case in range(1200):
+        n = int(gen.integers(1, 40))
+        p = gen.dirichlet(np.full(n, 0.5))
+        p[gen.random(n) < 0.2] = 0.0  # zero weights among the candidates
+        size = int(gen.integers(0, n + 1))  # includes empty candidate sets
+        candidates = gen.choice(n, size=size, replace=False).tolist()
+        k = int(gen.integers(1, n + 3))  # includes k >= len(candidates)
+        got_rng = np.random.default_rng(case)
+        ref_rng = np.random.default_rng(case)
+        got = sample_selection(p, candidates, k, got_rng)
+        assert got == _reference_sample_selection(p, candidates, k, ref_rng)
+        assert all(type(x) is int for x in got)
+        assert got_rng.random() == ref_rng.random()  # same number of draws
 
 
 def test_sample_selection_uniform_frequency():
@@ -409,3 +588,41 @@ def test_run_validation_errors():
         run_baseline("adamw", problem, _settings(), seed=0)
     with pytest.raises(ParameterError):
         _settings(total_rounds=3, estimation_rounds=3)
+
+
+# -------------------------------------------------------------- ledger checks
+
+def test_undercharging_ledger_fails_the_run(monkeypatch):
+    consume = engine.consume_budget
+
+    def undercharge(budget, per_round_epsilon, per_round_delta=0.0):
+        return consume(budget, per_round_epsilon / 2, per_round_delta)
+
+    monkeypatch.setattr(engine, "consume_budget", undercharge)
+    with pytest.raises(StateError, match="slices charged"):
+        run_baseline("uniform_dp", _problem(), _settings(), seed=0)
+
+
+def _spent_clients():
+    data = [Dataset(np.zeros((2, 1)), np.zeros(2))] * 3
+    clients = ClientArrays(data, [PrivacyBudget.fresh(1.0, 1e-3)] * 3)
+    clients.install([2, 2, 2], dp=True)
+    start = clients.epsilon_remaining.copy()
+    clients.epsilon_remaining -= clients.slice_epsilon
+    clients.slice_sum += clients.slice_epsilon
+    clients.stage_count += 1
+    return clients, start
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda c: c.slice_sum.__setitem__(1, 0.0), "slices charged"),
+    (lambda c: c.epsilon_remaining.__setitem__(0, -0.1), "more than their budget"),
+    (lambda c: c.stage_count.__setitem__(2, 3), "stage-1 plan"),
+    (lambda c: c.trained_after_exhaustion.__setitem__(0, True), "after exhausting"),
+])
+def test_ledger_check_names_the_broken_invariant(corrupt, message):
+    clients, start = _spent_clients()
+    _check_ledger(clients, start, [(clients.stage_count, clients.planned)])
+    corrupt(clients)
+    with pytest.raises(StateError, match=message):
+        _check_ledger(clients, start, [(clients.stage_count, clients.planned)])

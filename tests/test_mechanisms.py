@@ -264,3 +264,69 @@ def test_privacy_budget_validation():
     assert PrivacyBudget(1.0, 0.0, 0.0, 0.0).exhausted
     # remaining below the relative floor counts as exhausted
     assert PrivacyBudget(1.0, 0.0, 5e-10, 0.0).exhausted
+
+
+# ------------------------------------------------------- array (batch) forms
+
+def test_array_calibration_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    n = 200
+    samples = rng.integers(1, 50, size=n)
+    eps = rng.uniform(0.05, 5.0, size=n)
+    delta = rng.uniform(1e-6, 1e-2, size=n)
+    planned = rng.integers(1, 300, size=n)
+    sens = gradient_sensitivity(GM, 0.3, 1.2, samples, 0.7, include_loss_terms=True)
+    sigma = gaussian_sigma(sens, eps, delta, planned, 1.5)
+    scale = laplace_scale(sens, eps, planned)
+    for i in range(n):
+        s = gradient_sensitivity(GM, 0.3, 1.2, int(samples[i]), 0.7,
+                                 include_loss_terms=True)
+        assert sens[i] == s
+        assert laplace_scale(s, eps[i], int(planned[i])) == scale[i]
+        # numpy's vector log may round one ulp away from math.log
+        assert sigma[i] == pytest.approx(
+            gaussian_sigma(s, eps[i], delta[i], int(planned[i]), 1.5), rel=1e-15)
+
+
+def test_array_calibration_validation():
+    ok = np.array([1.0, 2.0])
+    with pytest.raises(ParameterError):
+        gaussian_sigma(ok, np.array([1.0, 0.0]), 1e-3, 2)
+    with pytest.raises(ParameterError):
+        gaussian_sigma(ok, ok, np.array([1e-3, 1.0]), 2)
+    with pytest.raises(ParameterError):
+        laplace_scale(ok, ok, np.array([1, 0]))
+    with pytest.raises(ParameterError):
+        laplace_scale(np.array([1.0, np.nan]), ok, 3)
+    with pytest.raises(ParameterError):
+        gradient_sensitivity(GM, 0.1, 1.0, np.array([3, 0]))
+
+
+def test_array_consume_budget_matches_scalar_calls():
+    eps = np.array([1.0, 0.5, 2.0, 1.0])
+    delta = np.array([1e-4, 1e-5, 0.0, 1e-3])
+    remaining = np.array([0.75, 0.1, 2.0, 1e-10])
+    budget = PrivacyBudget(eps, delta, remaining, delta / 2)
+    slices = np.array([0.25, 0.25, 0.5, 0.0])
+    after, exhausted = consume_budget(budget, slices, delta / 8)
+    for i in range(4):
+        one, flag = consume_budget(
+            PrivacyBudget(eps[i], delta[i], remaining[i], delta[i] / 2),
+            slices[i], delta[i] / 8)
+        assert after.epsilon_remaining[i] == one.epsilon_remaining
+        assert after.delta_remaining[i] == one.delta_remaining
+        assert exhausted[i] == flag
+    assert exhausted.tolist() == [False, True, False, True]
+    assert budget.exhausted.tolist() == [False, False, False, True]
+    with pytest.raises(ParameterError):
+        consume_budget(budget, np.array([0.1, -0.1, 0.1, 0.1]), delta / 8)
+
+
+def test_array_budget_validation():
+    ok = np.array([1.0, 1.0])
+    with pytest.raises(ParameterError):
+        PrivacyBudget(ok, np.zeros(2), np.array([1.0, 1.5]), np.zeros(2))
+    with pytest.raises(ParameterError):
+        PrivacyBudget(ok, np.array([0.0, 1.0]), ok, np.zeros(2))
+    with pytest.raises(ParameterError):
+        PrivacyBudget(ok, np.zeros(3), ok, np.zeros(2))
