@@ -320,19 +320,24 @@ class RoundRelease:
 
 
 def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: float,
-                 rngs: list, settings: RunSettings, report_losses: bool,
+                 rng: np.random.Generator, settings: RunSettings, report_losses: bool,
                  noise_enabled: bool = True) -> RoundRelease:
     """The selected clients' contributions to one round, computed as one batch.
 
     With noise enabled, clients whose budget is exhausted refuse and are left
-    out. Each responder's step is eta_t times the mean of its per-sample
-    clipped gradients (or eta_t times its momentum velocity), plus noise drawn
-    from its own generator in `rngs`. During a loss-reporting round the noise
+    out. A responder's base gradient is the mean of its per-sample clipped
+    gradients plus weight_decay * w, and its release is eta_t * base plus
+    noise. All responders' noise comes from one `sample_noise` call on `rng`,
+    row by row in the order of `ids`. During a loss-reporting round the noise
     vector has d+2 coordinates drawn at the joint (gradient + two losses)
     sensitivity; the last two distort eta_t * F at the incoming and the
     locally updated model, then divide by eta_t. Otherwise d coordinates at
-    the gradient-only sensitivity. Budgets, stage counts and velocities in
-    `clients` are updated in place.
+    the gradient-only sensitivity.
+
+    With momentum m the velocity is kept in gradient units over noised
+    gradients, v <- m * v + base + Z / eta_t, and the release is eta_t * v, so
+    momentum only post-processes earlier releases. Budgets, stage counts and
+    velocities in `clients` are updated in place.
     """
     ids = np.asarray(ids, dtype=int)
     if noise_enabled:
@@ -340,7 +345,6 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
         if np.any(refused):
             for n in ids[refused]:
                 logger.warning("client %d refused (budget exhausted)", n)
-            rngs = [rng for rng, r in zip(rngs, refused) if not r]
             ids = ids[~refused]
     kind = model.model_kind
     dim = kind.dim
@@ -362,39 +366,42 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     for i, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
         # add.reduce over each slice matches mean(axis=0) bit for bit
         means[i] = np.add.reduce(clipped[a:b], axis=0) / (b - a)
-    if settings.momentum > 0 or settings.weight_decay > 0:
+    # each responder's velocity before this round's noise, in gradient units
+    unnoised = means
+    if settings.weight_decay > 0:
+        unnoised = unnoised + settings.weight_decay * model.weights
+    if settings.momentum > 0:
+        if learning_rate <= 0:
+            raise ParameterError("momentum needs a positive learning rate")
         if clients.velocity is None:
             clients.velocity = np.zeros((len(clients.data), dim))
-        base = means
-        if settings.weight_decay > 0:
-            base = base + settings.weight_decay * model.weights
-        velocity = settings.momentum * clients.velocity[ids] + base
-        clients.velocity[ids] = velocity
-        steps = learning_rate * velocity
-    else:
-        steps = learning_rate * means
+        unnoised = settings.momentum * clients.velocity[ids] + unnoised
+    # the locally updated model of the loss report takes the unnoised step
+    steps = learning_rate * unnoised
 
     mech = settings.mechanism
     sens = gradient_sensitivity(mech, learning_rate, settings.clip_bound, counts,
                                 settings.loss_cap, report_losses)
     planned = np.maximum(1, clients.planned[ids])
-    if not noise_enabled:
-        scale = np.zeros(len(ids))
-    elif mech is MechanismKind.GAUSSIAN:
-        scale = gaussian_sigma(sens, clients.stage_epsilon[ids], clients.stage_delta[ids],
-                               planned, settings.c2)
-    else:
-        scale = laplace_scale(sens, clients.stage_epsilon[ids], planned)
-    width = dim + 2 if report_losses else dim
-    noise = np.zeros((len(ids), width))
     slice_eps = clients.slice_epsilon[ids]
     slice_delta = clients.slice_delta[ids]
-    for i, rng in enumerate(rngs):
-        if scale[i] > 0.0:
-            spec = NoiseSpec(mech, sens[i], scale[i], slice_eps[i], slice_delta[i],
-                             planned[i])
-            noise[i] = sample_noise(spec, width, rng)
-    gradients = steps + noise[:, :dim]
+    width = dim + 2 if report_losses else dim
+    if noise_enabled:
+        if mech is MechanismKind.GAUSSIAN:
+            scale = gaussian_sigma(sens, clients.stage_epsilon[ids],
+                                   clients.stage_delta[ids], planned, settings.c2)
+        else:
+            scale = laplace_scale(sens, clients.stage_epsilon[ids], planned)
+        noise = sample_noise(NoiseSpec(mech, sens, scale, slice_eps, slice_delta, planned),
+                             width, rng)
+    else:
+        noise = np.zeros((len(ids), width))
+    if settings.momentum > 0:
+        velocity = unnoised + noise[:, :dim] / learning_rate
+        clients.velocity[ids] = velocity
+        gradients = learning_rate * velocity
+    else:
+        gradients = steps + noise[:, :dim]
 
     losses = None
     if report_losses:
@@ -438,9 +445,15 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
                      rng: np.random.Generator) -> list:
     """Weighted sampling without replacement from the candidate set.
 
-    Weights renormalize over the candidates each draw. If the candidate set
-    has at most k members they are all returned; an empty set yields an empty
-    round. Returned ids are sorted.
+    Efraimidis-Spirakis: one uniform u_n per client id, key log(u_n) / w_n for
+    each positive-weight candidate, and the k largest keys win. This has the
+    distribution of k successive weighted draws that renormalize over the
+    candidates left (Efraimidis & Spirakis, IPL 97(5), 2006). A client's key
+    does not depend on the other candidates, so two runs sharing `rng` state
+    pick the same clients wherever their candidate sets agree. If the
+    candidate set has at most k members, or at most k positive weights, those
+    are returned without drawing; an empty set yields an empty round.
+    Returned ids are sorted.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -451,22 +464,14 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     weights = probabilities[ids]
     if np.any(weights < 0):
         raise ParameterError("selection probabilities must be nonnegative")
-    positive = ids[weights > 0]
-    if len(positive) <= k:
-        return positive.tolist()
-    chosen = []
-    m = len(ids)
-    for _ in range(k):
-        # ids[:m] and weights[:m] hold the candidates not yet drawn, in order;
-        # a draw shifts the tail left over the chosen entry.
-        live = weights[:m]
-        r = rng.random() * live.sum()
-        idx = min(int(np.searchsorted(np.cumsum(live), r, side="right")), m - 1)
-        chosen.append(int(ids[idx]))
-        ids[idx:m - 1] = ids[idx + 1:m]
-        weights[idx:m - 1] = weights[idx + 1:m]
-        m -= 1
-    return sorted(chosen)
+    positive = weights > 0
+    ids = ids[positive]
+    if len(ids) <= k:
+        return ids.tolist()
+    u = rng.random(len(probabilities))
+    keys = np.log(u[ids]) / weights[positive]
+    top = np.argpartition(keys, len(ids) - k)[len(ids) - k:]
+    return np.sort(ids[top]).tolist()
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
@@ -555,8 +560,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         eta = settings.schedule.rate(t)
         report_losses = two_stage and t <= t0
 
-        release = client_round(clients, selected, state, eta,
-                               [_stream(seed, 2, n, t) for n in selected],
+        release = client_round(clients, selected, state, eta, _stream(seed, 2, t),
                                settings, report_losses, noise_enabled=dp)
         responders = tuple(release.ids.tolist())
         if responders:

@@ -171,7 +171,8 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Resolved per-round noise parameters for one client in one stage."""
+    """Resolved per-round noise parameters for one client in one stage, or
+    for several clients when every numeric field is an array of one length."""
 
     mechanism: MechanismKind
     sensitivity: float
@@ -183,11 +184,23 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.mechanism, MechanismKind):
             raise ParameterError("mechanism must be a MechanismKind")
+        if isinstance(self.scale, np.ndarray):
+            self._check_arrays()
+            return
         _check_nonnegative("sensitivity", self.sensitivity)
         _check_nonnegative("scale", self.scale)
         _check_positive("per_round_epsilon", self.per_round_epsilon)
         _check_nonnegative("per_round_delta", self.per_round_delta)
         _check_rounds("planned_rounds", self.planned_rounds)
+
+    def _check_arrays(self) -> None:
+        fields = (_check_nonnegative_array("sensitivity", self.sensitivity),
+                  _check_nonnegative_array("scale", self.scale),
+                  _check_positive_array("per_round_epsilon", self.per_round_epsilon),
+                  _check_nonnegative_array("per_round_delta", self.per_round_delta),
+                  _check_rounds_array("planned_rounds", self.planned_rounds))
+        if len({f.shape for f in fields}) != 1 or fields[0].ndim != 1:
+            raise ParameterError("noise spec arrays must be 1-d with equal lengths")
 
 
 @dataclass(frozen=True)
@@ -282,8 +295,22 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     """Draw one i.i.d. noise vector for a round's release.
 
     A zero scale yields an exactly zero vector without touching the generator.
+    An array spec gives a (clients, dimension) matrix: zero-scale rows are
+    zero, and the other rows are drawn in row order with one generator call,
+    bit-identical to one scalar call per row.
     """
     dimension = _check_rounds("dimension", dimension)
+    if isinstance(spec.scale, np.ndarray):
+        out = np.zeros((len(spec.scale), dimension))
+        drawn = spec.scale > 0.0
+        if np.any(drawn):
+            scale = spec.scale[drawn][:, None]
+            size = (len(scale), dimension)
+            if spec.mechanism is MechanismKind.GAUSSIAN:
+                out[drawn] = rng.normal(0.0, scale, size=size)
+            else:
+                out[drawn] = rng.laplace(0.0, scale, size=size)
+        return out
     if spec.scale == 0.0:
         return np.zeros(dimension)
     if spec.mechanism is MechanismKind.GAUSSIAN:

@@ -1,5 +1,6 @@
 """Federated loop behavior: local steps, selection, stages, and budgets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -120,7 +121,7 @@ def test_client_round_zero_noise_exact():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
                        report_losses=True, noise_enabled=False)
     g = local_gradient(state, data, ETA, settings.clip)
     assert out.ids.tolist() == [0]
@@ -137,7 +138,7 @@ def test_client_round_loss_distortion_rule():
     data = Dataset(np.array([[0.0]]), np.array([-math.sqrt(2.0)]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = client_round(clients, [0], state, ETA, [np.random.default_rng(77)], settings,
+    out = client_round(clients, [0], state, ETA, np.random.default_rng(77), settings,
                        report_losses=True)
     f = local_loss(state, data, 10.0)  # = 2.0
     assert f == pytest.approx(2.0)
@@ -165,28 +166,27 @@ def test_client_round_refuses_when_exhausted():
     state = _regression_state()
     spent = PrivacyBudget(1.0, 1e-3, 0.0, 0.0)
     clients, settings = _one_client(data, spent)
-    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
                        report_losses=False)
     assert out.ids.tolist() == [] and out.gradients.shape == (0, 2)
     assert clients.stage_count[0] == 0
     # diagnostics mode ignores the ledger
-    out = client_round(clients, [0], state, ETA, [np.random.default_rng(0)], settings,
+    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
                        report_losses=False, noise_enabled=False)
     assert out.ids.tolist() == [0]
     assert np.array_equal(out.gradients[0], local_gradient(state, data, ETA, settings.clip))
 
 
 def test_client_round_monte_carlo_unbiased():
-    # n copies of one client in a single batch, each with its own stream
+    # n copies of one client in a single batch, noised from one generator
     data = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
     state = _regression_state()
     n = 10**4
     clients = ClientArrays([data] * n, [PrivacyBudget.fresh(1.0, 1e-3)] * n)
     clients.install(np.full(n, PLANNED), dp=True)
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
-    out = client_round(clients, np.arange(n), state, ETA,
-                       [np.random.default_rng(1000 + i) for i in range(n)], settings,
-                       report_losses=False)
+    out = client_round(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
+                       settings, report_losses=False)
     g = local_gradient(state, data, ETA, settings.clip)
     scale = gaussian_sigma(gradient_sensitivity(GM, ETA, 1.0, 2), 1.0, 1e-3, PLANNED)
     mean = out.gradients.mean(axis=0)
@@ -225,10 +225,15 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
     batch_clients = fresh()
     single_clients = fresh()
     for t, eta in enumerate([0.3, 0.2], start=1):
-        batch = client_round(batch_clients, ids, state, eta,
-                             [_stream(9, 2, n, t) for n in ids], settings, report_losses)
-        singles = [client_round(single_clients, [n], state, eta, [_stream(9, 2, n, t)],
-                                settings, report_losses) for n in ids]
+        velocity_before = (None if single_clients.velocity is None
+                           else single_clients.velocity.copy())
+        batch = client_round(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
+                             report_losses)
+        # the one-responder rounds draw in turn from one generator keyed like
+        # the batch's, so they see the batch's noise rows in order
+        rng = _stream(9, 2, t)
+        singles = [client_round(single_clients, [n], state, eta, rng, settings,
+                                report_losses) for n in ids]
         # client 3 plans one round, so it refuses in round two
         responders = [n for n in ids if t == 1 or n != 3]
         assert batch.ids.tolist() == responders
@@ -247,8 +252,8 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
         sens = gradient_sensitivity(mechanism, eta, 0.8,
                                     batch_clients.num_samples[responders], 2.0,
                                     report_losses)
+        rng = _stream(9, 2, t)
         for i, n in enumerate(responders):
-            rng = _stream(9, 2, n, t)
             width = dim + 2 if report_losses else dim
             if mechanism is GM:
                 scale = gaussian_sigma(sens[i], budgets[n].epsilon, budgets[n].delta,
@@ -258,7 +263,14 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
                 scale = plan[n] * sens[i] / budgets[n].epsilon
                 noise = rng.laplace(0.0, scale, size=width)
             if momentum:
-                step = eta * single_clients.velocity[n]
+                # the release is eta times the velocity, which holds the noise
+                np.testing.assert_allclose(batch.gradients[i],
+                                           eta * single_clients.velocity[n],
+                                           rtol=1e-12, atol=0)
+                previous = 0.0 if velocity_before is None else velocity_before[n]
+                base = (local_gradient(state, data[n], 1.0, settings.clip)
+                        + settings.weight_decay * state.weights)
+                step = eta * (momentum * previous + base)
             else:
                 step = local_gradient(state, data[n], eta, settings.clip)
             np.testing.assert_allclose(batch.gradients[i], step + noise[:dim],
@@ -295,6 +307,75 @@ def test_momentum_weight_decay_run_matches_per_client_velocity():
             steps.append(eta * velocity[n])
         w = w - aggregate(steps, k)
         np.testing.assert_allclose(res.weight_trajectory[t], w, rtol=1e-12, atol=1e-15)
+
+
+def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
+    # With DP on, every release is eta_t times the stored velocity, and the
+    # velocity moves only by this round's noised step: release minus
+    # eta_t * m * v_prev minus eta_t * base is the round's noise, replayed
+    # responder by responder from the (seed, 2, t) stream.
+    problem = _problem(num_clients=4)
+    settings = _settings(momentum=0.9, weight_decay=0.05, total_rounds=8)
+    seed = 6
+    real_round = engine.client_round
+    checked = []
+
+    def client_round_checked(clients, ids, model, eta, rng, round_settings, report_losses,
+                             noise_enabled=True):
+        t = len(checked) + 1
+        previous = (np.zeros((len(clients.data), model.model_kind.dim))
+                    if clients.velocity is None else clients.velocity.copy())
+        release = real_round(clients, ids, model, eta, rng, round_settings, report_losses,
+                             noise_enabled)
+        ids = release.ids
+        np.testing.assert_allclose(release.gradients, eta * clients.velocity[ids],
+                                   rtol=1e-12, atol=0)
+        sens = gradient_sensitivity(GM, eta, settings.clip_bound, clients.num_samples[ids])
+        scale = gaussian_sigma(sens, clients.stage_epsilon[ids], clients.stage_delta[ids],
+                               clients.planned[ids], settings.c2)
+        noise_rng = _stream(seed, 2, t)
+        for i, n in enumerate(ids):
+            base = (local_gradient(model, clients.data[n], 1.0, settings.clip)
+                    + settings.weight_decay * model.weights)
+            noise = noise_rng.normal(0.0, scale[i], size=model.model_kind.dim)
+            np.testing.assert_allclose(
+                release.gradients[i] - eta * settings.momentum * previous[n] - eta * base,
+                noise, rtol=1e-9, atol=1e-12)
+        checked.append(len(ids))
+        return release
+
+    monkeypatch.setattr(engine, "client_round", client_round_checked)
+    res = run_baseline("uniform_dp", problem, settings, seed=seed)
+    assert len(checked) == len(res.rounds) == settings.total_rounds
+    assert sum(checked) > settings.total_rounds  # some clients release twice or more
+
+
+def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
+    # at most one selection and one noise generator per round, and one noise
+    # draw call for all responders together
+    calls = {"stream": 0, "noise": 0}
+    real_stream, real_noise = engine._stream, engine.sample_noise
+
+    def counting_stream(*key):
+        calls["stream"] += 1
+        return real_stream(*key)
+
+    def counting_noise(*args):
+        calls["noise"] += 1
+        return real_noise(*args)
+
+    monkeypatch.setattr(engine, "_stream", counting_stream)
+    monkeypatch.setattr(engine, "sample_noise", counting_noise)
+    problem = _problem(num_clients=6)
+    settings = _settings(clients_per_round=3, total_rounds=10, estimation_rounds=3)
+    for run in (lambda: run_baseline("uniform_dp", problem, settings, seed=3),
+                lambda: run_dpfl_bcs(problem, settings, seed=3)):
+        calls.update(stream=0, noise=0)
+        res = run()
+        rounds = len(res.rounds)
+        assert not res.ended_early and rounds == settings.total_rounds
+        assert 0 < calls["noise"] <= rounds
+        assert calls["stream"] <= 2 * rounds
 
 
 # ------------------------------------------------------------------ aggregation
@@ -344,32 +425,59 @@ def test_sample_selection_determinism_and_distinctness():
     assert len(set(a)) == 3
 
 
-def _reference_sample_selection(probabilities, candidates, k, rng):
-    """The per-draw np.delete version sample_selection must reproduce exactly."""
-    probabilities = np.asarray(probabilities, dtype=float)
-    cand = sorted(int(n) for n in candidates)
-    if not cand:
-        return []
-    if len(cand) <= k:
-        return cand
-    ids = np.array(cand)
-    weights = probabilities[ids].astype(float).copy()
-    positive = ids[weights > 0]
-    if len(positive) <= k:
-        return sorted(int(n) for n in positive)
-    chosen = []
-    for _ in range(k):
-        total = weights.sum()
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-        idx = min(idx, len(ids) - 1)
-        chosen.append(int(ids[idx]))
-        ids = np.delete(ids, idx)
-        weights = np.delete(weights, idx)
-    return sorted(chosen)
+def _successive_subset_probabilities(p, candidates, k):
+    """Exact subset law of k successive weighted draws without replacement,
+    renormalizing over the candidates left, by enumerating ordered draws."""
+    law = {}
+    for order in itertools.permutations(candidates, k):
+        prob, left = 1.0, sum(p[c] for c in candidates)
+        for c in order:
+            prob *= p[c] / left
+            left -= p[c]
+        if prob > 0:
+            subset = tuple(sorted(order))
+            law[subset] = law.get(subset, 0.0) + prob
+    return law
 
 
-def test_sample_selection_matches_reference_draws():
+# (weights, candidates, k): some zero weights, some candidate sets that leave
+# clients out; every instance has more than k positive-weight candidates, and
+# every possible subset is expected at least 10 times in 10,000 draws, so the
+# normal approximation behind the tolerance holds
+SELECTION_INSTANCES = [
+    ([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], 1),
+    ([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], 2),
+    ([0.5, 0.1, 0.1, 0.2, 0.1], [0, 1, 2, 3, 4], 3),
+    ([0.3, 0.0, 0.2, 0.1, 0.0, 0.4], [0, 1, 2, 3, 4, 5], 2),
+    ([0.05, 0.05, 0.3, 0.3, 0.15, 0.15], [0, 2, 3, 5], 2),
+    ([0.6, 0.1, 0.0, 0.2, 0.1], [0, 1, 2, 4], 2),
+    ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 3, 4, 5], 3),
+    ([0.8, 0.15, 0.05], [0, 1, 2], 2),
+    ([0.07, 0.07, 0.07, 0.07, 0.07, 0.65], [0, 1, 2, 3, 4, 5], 3),
+    ([0.2, 0.0, 0.0, 0.3, 0.1, 0.4], [0, 1, 3, 4, 5], 3),
+]
+
+
+@pytest.mark.parametrize("weights, candidates, k", SELECTION_INSTANCES)
+def test_sample_selection_exact_subset_distribution(weights, candidates, k):
+    # each subset's frequency lies within 5 standard errors of its exact
+    # probability under successive sampling; impossible subsets never occur
+    draws = 10_000
+    p = np.array(weights)
+    law = _successive_subset_probabilities(p, candidates, k)
+    assert min(law.values()) * draws >= 10
+    rng = np.random.default_rng(sum(candidates) + 10 * k)
+    counts = {}
+    for _ in range(draws):
+        subset = tuple(sample_selection(p, candidates, k, rng))
+        counts[subset] = counts.get(subset, 0) + 1
+    assert set(counts) <= set(law)
+    for subset, prob in law.items():
+        se = math.sqrt(prob * (1 - prob) / draws)
+        assert abs(counts.get(subset, 0) / draws - prob) <= 5 * se, subset
+
+
+def test_sample_selection_structure_fuzz():
     gen = np.random.default_rng(2024)
     for case in range(1200):
         n = int(gen.integers(1, 40))
@@ -378,12 +486,34 @@ def test_sample_selection_matches_reference_draws():
         size = int(gen.integers(0, n + 1))  # includes empty candidate sets
         candidates = gen.choice(n, size=size, replace=False).tolist()
         k = int(gen.integers(1, n + 3))  # includes k >= len(candidates)
-        got_rng = np.random.default_rng(case)
-        ref_rng = np.random.default_rng(case)
-        got = sample_selection(p, candidates, k, got_rng)
-        assert got == _reference_sample_selection(p, candidates, k, ref_rng)
+        rng = np.random.default_rng(case)
+        before = rng.bit_generator.state
+        got = sample_selection(p, candidates, k, rng)
         assert all(type(x) is int for x in got)
-        assert got_rng.random() == ref_rng.random()  # same number of draws
+        assert got == sorted(set(got))
+        positive = sorted(c for c in candidates if p[c] > 0)
+        if len(candidates) <= k:
+            assert got == sorted(candidates)
+        else:
+            assert set(got) <= set(positive)
+            assert len(got) == min(k, len(positive))
+        if len(candidates) <= k or len(positive) <= k:
+            assert rng.bit_generator.state == before  # early returns draw nothing
+
+
+def test_sample_selection_unselected_removal_keeps_selection():
+    # keys are indexed by client id, so dropping a candidate that was not
+    # picked leaves the rest of the selection as it was (positive weights)
+    gen = np.random.default_rng(7)
+    for case in range(300):
+        n = int(gen.integers(2, 30))
+        p = gen.dirichlet(np.full(n, 0.5)) + 1e-6
+        candidates = gen.choice(n, size=int(gen.integers(2, n + 1)), replace=False)
+        k = int(gen.integers(1, len(candidates)))
+        got = sample_selection(p, candidates, k, np.random.default_rng(case))
+        for dropped in set(candidates.tolist()) - set(got):
+            rest = [c for c in candidates if c != dropped]
+            assert sample_selection(p, rest, k, np.random.default_rng(case)) == got
 
 
 def test_sample_selection_uniform_frequency():

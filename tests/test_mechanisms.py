@@ -330,3 +330,53 @@ def test_array_budget_validation():
         PrivacyBudget(ok, np.array([0.0, 1.0]), ok, np.zeros(2))
     with pytest.raises(ParameterError):
         PrivacyBudget(ok, np.zeros(3), ok, np.zeros(2))
+
+
+def _array_spec(mechanism, scale, **overrides):
+    n = len(scale)
+    fields = dict(sensitivity=np.full(n, 1.0), scale=np.asarray(scale, dtype=float),
+                  per_round_epsilon=np.full(n, 0.1), per_round_delta=np.zeros(n),
+                  planned_rounds=np.full(n, 3))
+    fields.update(overrides)
+    return NoiseSpec(mechanism=mechanism, **fields)
+
+
+@pytest.mark.parametrize("mechanism", [GM, LM])
+def test_array_sample_noise_matches_scalar_calls(mechanism):
+    scales = [0.5, 0.0, 2.0, 1.3, 0.0, 0.01]
+    got_rng = np.random.default_rng(8)
+    got = sample_noise(_array_spec(mechanism, scales), 5, got_rng)
+    ref_rng = np.random.default_rng(8)
+    ref = [sample_noise(_spec(mechanism, s), 5, ref_rng) for s in scales]
+    assert got.shape == (6, 5)
+    assert np.array_equal(got, np.array(ref))
+    assert got_rng.random() == ref_rng.random()  # same number of draws
+
+
+def test_array_sample_noise_zero_scale_rows():
+    rng = np.random.default_rng(5)
+    got = sample_noise(_array_spec(GM, [0.0, 0.0]), 3, rng)
+    assert np.array_equal(got, np.zeros((2, 3)))
+    assert rng.normal() == np.random.default_rng(5).normal()  # nothing drawn
+    got = sample_noise(_array_spec(LM, [0.0, 1.0, 0.0]), 3, np.random.default_rng(5))
+    assert np.array_equal(got[[0, 2]], np.zeros((2, 3)))
+    assert np.array_equal(got[1], np.random.default_rng(5).laplace(0.0, 1.0, size=3))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("scale", [1.0, -0.5]),
+    ("scale", [1.0, np.inf]),
+    ("sensitivity", [np.nan, 1.0]),
+    ("per_round_epsilon", [0.1, 0.0]),
+    ("per_round_epsilon", [-0.1, 0.1]),
+    ("per_round_epsilon", [0.1, np.inf]),
+    ("per_round_delta", [0.0, np.nan]),
+    ("planned_rounds", [1, 0]),
+    ("planned_rounds", [2.0, np.nan]),
+    ("per_round_delta", [0.0, 0.0, 0.0]),
+])
+def test_array_noise_spec_validation(field, values):
+    fields = {"scale": [1.0, 1.0], field: np.array(values)}
+    with pytest.raises(ParameterError):
+        _array_spec(GM, **fields)
+    _array_spec(GM, [1.0, 1.0])
