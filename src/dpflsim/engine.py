@@ -28,13 +28,14 @@ from .mechanisms import (
     NoiseSpec,
     PrivacyBudget,
     clip_gradient_matrix,
+    clip_outer_rows,
     consume_budget,
     gaussian_sigma,
     gradient_sensitivity,
     laplace_scale,
     sample_noise,
 )
-from .models import LinearRegression, LogisticRegression, ModelState
+from .models import LinearRegression, LogisticRegression, ModelState, with_intercept
 from .selection import (
     ClientMeta,
     EstimatedParams,
@@ -359,13 +360,11 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     if features.shape[1] != kind.feature_dim:
         raise ParameterError(
             f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")
-    clipped = clip_gradient_matrix(
-        kind.per_sample_gradients(model.weights, features, targets), settings.clip)
-    ends = np.cumsum(counts).tolist()
-    means = np.empty((len(ids), dim))
-    for i, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
-        # add.reduce over each slice matches mean(axis=0) bit for bit
-        means[i] = np.add.reduce(clipped[a:b], axis=0) / (b - a)
+    # per-sample gradients are rank one, so they are clipped from their factors
+    clipped = clip_outer_rows(kind.output_gradients(model.weights, features, targets),
+                              with_intercept(features), settings.clip)
+    starts = np.cumsum(counts) - counts
+    means = np.add.reduceat(clipped, starts, axis=0) / counts[:, None]
     # each responder's velocity before this round's noise, in gradient units
     unnoised = means
     if settings.weight_decay > 0:

@@ -48,7 +48,7 @@ from .selection import (
 
 logger = logging.getLogger(__name__)
 
-HISTORY_FORMAT_VERSION = 3
+HISTORY_FORMAT_VERSION = 4
 
 # Seed-derivation domains; selection and noise streams use 1 and 2 inside the
 # engine, data-side streams start at 10.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
+from .models import outer_rows
 
 # Remaining budget at or below this relative floor counts as exhausted; float
 # dust from summing T equal slices is ~1e-13 relative, real slices are >= 1/T.
@@ -352,7 +353,7 @@ def expected_noise_sq_norm(mechanism: MechanismKind, learning_rate: float, clip_
 
 def _row_norms(matrix: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "l2":
-        return np.sqrt(np.sum(matrix * matrix, axis=1))
+        return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     return np.sum(np.abs(matrix), axis=1)
 
 
@@ -388,15 +389,57 @@ def clip_gradient_matrix(gradients: np.ndarray, config: ClipConfig) -> np.ndarra
         raise ParameterError(f"gradients must be 2-d, got shape {gradients.shape}")
     if not np.all(np.isfinite(gradients)):
         raise ParameterError("gradients have non-finite entries")
-    norms = _row_norms(gradients, config.norm_kind)
+    out = gradients * _clip_factors(_row_norms(gradients, config.norm_kind), config)[:, None]
+    return _refine_clipped(out, config)
+
+
+def clip_outer_rows(factors: np.ndarray, inputs: np.ndarray, config: ClipConfig) -> np.ndarray:
+    """Row-wise clipping of `outer_rows(factors, inputs)`, from its factors.
+
+    The l1 and l2 norms of a rank-one row factor exactly,
+    ||a (x) u|| = ||a|| * ||u||, so each factor row a_i is scaled by
+    min(1, bound / (||a_i|| * ||u_i||)) and the clipped (rows, m * k) matrix
+    is built once. Rows inside the ball are bit-identical to
+    `clip_gradient_matrix` of the built matrix; clipped rows agree with it to
+    rounding and pass the same refinement, so no row's norm exceeds the bound.
+    """
+    factors = np.asarray(factors, dtype=float)
+    inputs = np.asarray(inputs, dtype=float)
+    if factors.ndim != 2 or inputs.ndim != 2 or len(factors) != len(inputs):
+        raise ParameterError(
+            f"factors and inputs must be 2-d with equal rows, got shapes "
+            f"{factors.shape} and {inputs.shape}")
+    if not (np.isfinite(factors).all() and np.isfinite(inputs).all()):
+        raise ParameterError("gradients have non-finite entries")
+    norms = _row_norms(factors, config.norm_kind) * _row_norms(inputs, config.norm_kind)
+    out = outer_rows(factors * _clip_factors(norms, config)[:, None], inputs)
+    return _refine_clipped(out, config)
+
+
+def _clip_factors(norms: np.ndarray, config: ClipConfig) -> np.ndarray:
+    """min(1, bound / norm) per row, exactly 1 inside the ball."""
     factors = np.ones_like(norms)
     over = norms > config.bound
     factors[over] = config.bound / norms[over]
-    out = gradients * factors[:, None]
-    norms2 = _row_norms(out, config.norm_kind)
-    over2 = norms2 > config.bound
-    if np.any(over2):
-        out[over2] *= (config.bound / norms2[over2])[:, None]
+    return factors
+
+
+def _refine_clipped(out: np.ndarray, config: ClipConfig) -> np.ndarray:
+    """Rescale, in place, the rows that rounding left just outside the ball.
+
+    A rescale can itself land an ulp outside, so the rows still over the
+    bound are rescaled again, at most four times, as in
+    `clip_per_sample_gradient`.
+    """
+    norms = _row_norms(out, config.norm_kind)
+    rows = np.arange(len(out))
+    for _ in range(4):
+        over = norms > config.bound
+        if not over.any():
+            break
+        rows = rows[over]
+        out[rows] *= (config.bound / norms[over])[:, None]
+        norms = _row_norms(out[rows], config.norm_kind)
     return out
 
 

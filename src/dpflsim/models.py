@@ -1,6 +1,12 @@
 """Convex model kinds: linear regression (squared error) and multinomial
 logistic regression. Both expose per-sample losses and per-sample gradients so
-the engine can clip each sample's gradient before averaging."""
+the engine can clip each sample's gradient before averaging.
+
+Both models have rank-one per-sample gradients: sample i's gradient is the
+outer product of its output gradient a_i (the derivative of the loss with
+respect to the model's outputs) with its input [x_i, 1], flattened row by
+row. `output_gradients` returns the factors a_i and `outer_rows` builds the
+gradients from them, so a gradient's norm is known before it is built."""
 
 from __future__ import annotations
 
@@ -11,6 +17,23 @@ import numpy as np
 from .errors import ParameterError
 
 _LOG_FLOOR = 1e-12
+
+
+def with_intercept(features: np.ndarray) -> np.ndarray:
+    """[x_i, 1] for every row: the input the weights (and their gradients) see."""
+    rows, width = features.shape
+    out = np.empty((rows, width + 1))
+    out[:, :-1] = features
+    out[:, -1] = 1.0
+    return out
+
+
+def outer_rows(factors: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """(rows, m * k) matrix whose row i is factors[i] (m) outer inputs[i] (k), flattened."""
+    # einsum writes the products in one pass; broadcasting a (rows, m, 1) by a
+    # (rows, 1, k) array runs a k-long inner loop and is about 1.4x slower
+    shape = (len(factors), factors.shape[1] * inputs.shape[1])
+    return np.einsum("ij,ik->ijk", factors, inputs).reshape(shape)
 
 
 class LinearRegression:
@@ -37,12 +60,13 @@ class LinearRegression:
         resid = self.predict(weights, features) - targets
         return resid * resid
 
+    def output_gradients(self, weights, features, targets) -> np.ndarray:
+        """(rows, 1): d loss / d prediction = 2 * residual."""
+        return 2.0 * (self.predict(weights, features) - targets)[:, None]
+
     def per_sample_gradients(self, weights, features, targets) -> np.ndarray:
-        resid = self.predict(weights, features) - targets
-        grads = np.empty((len(targets), self.dim))
-        grads[:, :-1] = 2.0 * resid[:, None] * features
-        grads[:, -1] = 2.0 * resid
-        return grads
+        return outer_rows(self.output_gradients(weights, features, targets),
+                          with_intercept(features))
 
     def metrics(self, weights, features, targets) -> tuple[float, float | None]:
         return float(np.mean(self.per_sample_losses(weights, features, targets))), None
@@ -83,24 +107,31 @@ class LogisticRegression:
     def predict(self, weights, features) -> np.ndarray:
         return np.argmax(self._probs(weights, features), axis=1)
 
-    def per_sample_losses(self, weights, features, targets) -> np.ndarray:
-        probs = self._probs(weights, features)
-        picked = probs[np.arange(len(targets)), targets.astype(int)]
+    @staticmethod
+    def _losses(probs, labels) -> np.ndarray:
+        picked = probs[np.arange(len(labels)), labels]
         return -np.log(np.maximum(picked, _LOG_FLOOR))
 
-    def per_sample_gradients(self, weights, features, targets) -> np.ndarray:
-        probs = self._probs(weights, features)
-        dlogits = probs.copy()
+    def per_sample_losses(self, weights, features, targets) -> np.ndarray:
+        return self._losses(self._probs(weights, features), targets.astype(int))
+
+    def output_gradients(self, weights, features, targets) -> np.ndarray:
+        """(rows, num_classes): d loss / d logits = softmax - one-hot(target)."""
+        dlogits = self._probs(weights, features)
         dlogits[np.arange(len(targets)), targets.astype(int)] -= 1.0
+        return dlogits
+
+    def per_sample_gradients(self, weights, features, targets) -> np.ndarray:
         # gradient wrt w[c] is dlogits[:, c] * [x, 1]
-        grads = np.empty((len(targets), self.num_classes, self.feature_dim + 1))
-        grads[:, :, :-1] = dlogits[:, :, None] * features[:, None, :]
-        grads[:, :, -1] = dlogits
-        return grads.reshape(len(targets), self.dim)
+        return outer_rows(self.output_gradients(weights, features, targets),
+                          with_intercept(features))
 
     def metrics(self, weights, features, targets) -> tuple[float, float]:
-        loss = float(np.mean(self.per_sample_losses(weights, features, targets)))
-        accuracy = float(np.mean(self.predict(weights, features) == targets.astype(int)))
+        # one softmax pass serves both the loss and the accuracy
+        probs = self._probs(weights, features)
+        labels = targets.astype(int)
+        loss = float(np.mean(self._losses(probs, labels)))
+        accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
         return loss, accuracy
 
 

@@ -28,6 +28,7 @@ from dpflsim.mechanisms import (
     ClipConfig,
     MechanismKind,
     PrivacyBudget,
+    _row_norms,
     gaussian_sigma,
     gradient_sensitivity,
 )
@@ -281,6 +282,69 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
     if momentum:
         np.testing.assert_allclose(batch_clients.velocity, single_clients.velocity,
                                    rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("classification", [False, True])
+@pytest.mark.parametrize("mechanism", [GM, LM])
+@pytest.mark.parametrize("bound_quantile", [0.0, 0.5, 1.0])
+def test_client_round_matches_local_gradient(classification, mechanism, bound_quantile):
+    # zero-noise multi-responder rounds against the materialized per-client
+    # path; the bound clips every row, about half of them, or none
+    rng = np.random.default_rng(41)
+    sizes = [1, 25, 4, 13, 2, 9, 17]
+    if classification:
+        model = LogisticRegression(4, 5)
+        data = [Dataset(rng.normal(size=(m, 4)), rng.integers(0, 5, size=m)) for m in sizes]
+    else:
+        model = LinearRegression(4)
+        data = [Dataset(rng.normal(size=(m, 4)), rng.normal(scale=3.0, size=m))
+                for m in sizes]
+    state = ModelState(rng.normal(size=model.dim), model)
+    features = np.concatenate([d.features for d in data])
+    targets = np.concatenate([d.targets for d in data])
+    norms = _row_norms(model.per_sample_gradients(state.weights, features, targets),
+                       mechanism.clip_norm)
+    bound = np.quantile(norms, bound_quantile) * (1.01 if bound_quantile == 1.0 else 0.99)
+    delta = 1e-4 if mechanism is GM else 0.0
+    clients = ClientArrays(data, [PrivacyBudget.fresh(1.0, delta)] * len(data))
+    clients.install([3] * len(data), dp=True)
+    settings = _settings(mechanism=mechanism, clip_bound=bound)
+    eta = 0.3
+    out = client_round(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
+                       settings, report_losses=False, noise_enabled=False)
+    assert out.ids.tolist() == list(range(len(data)))
+    for i, d in enumerate(data):
+        expected = local_gradient(state, d, eta, settings.clip)
+        assert np.all(np.abs(out.gradients[i] - expected) <= 1e-13 * eta * bound)
+
+
+def test_runs_never_materialize_per_sample_gradients(monkeypatch):
+    # the round path clips from rank-one factors: neither the materialized
+    # per-sample gradients nor the matrix clip may come back into a run
+    calls = {"gradients": 0, "clip": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "clip_gradient_matrix",
+                        counting("clip", engine.clip_gradient_matrix))
+    for kind in (LinearRegression, LogisticRegression):
+        monkeypatch.setattr(kind, "per_sample_gradients",
+                            counting("gradients", kind.per_sample_gradients))
+    problem = _problem(num_clients=6)
+    settings = _settings(clients_per_round=3, total_rounds=10, estimation_rounds=3)
+    for run in (lambda: run_baseline("uniform_dp", problem, settings, seed=3),
+                lambda: run_dpfl_bcs(problem, settings, seed=3)):
+        res = run()
+        assert sum(len(r.selected) for r in res.rounds) > 0
+    assert calls == {"gradients": 0, "clip": 0}
+    # the counters do count the materialized reference path
+    local_gradient(ModelState(problem.model.init_weights(), problem.model),
+                   problem.client_data[0], 0.1, settings.clip)
+    assert calls == {"gradients": 1, "clip": 1}
 
 
 def test_momentum_weight_decay_run_matches_per_client_velocity():

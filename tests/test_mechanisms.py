@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from dpflsim.errors import ParameterError
+from dpflsim.models import outer_rows, with_intercept
 from dpflsim.mechanisms import (
     ClipConfig,
     MechanismKind,
     NoiseSpec,
     PrivacyBudget,
+    _row_norms,
     clip_gradient_matrix,
+    clip_outer_rows,
     clip_per_sample_gradient,
     consume_budget,
     expected_noise_sq_norm,
@@ -213,6 +216,54 @@ def test_clip_matrix_matches_rowwise():
         clipped = clip_gradient_matrix(mat, cfg)
         rows = np.stack([clip_per_sample_gradient(row, cfg) for row in mat])
         assert np.allclose(clipped, rows, atol=1e-12)
+
+
+def test_clip_outer_rows_matches_materialized_clip():
+    # the factored clip against clip_gradient_matrix of the built outer
+    # products, with zero factor rows and rows rescaled onto the bound
+    rng = np.random.default_rng(14)
+    inside_rows = 0
+    for case in range(600):
+        norm_kind = ("l1", "l2")[case % 2]
+        width = 1 if case % 3 == 0 else int(rng.integers(2, 7))
+        rows = int(rng.integers(1, 30))
+        bound = rng.uniform(0.01, 10.0)
+        factors = rng.normal(scale=rng.uniform(0.01, 10.0), size=(rows, width))
+        inputs = with_intercept(rng.normal(scale=rng.uniform(0.1, 10.0),
+                                           size=(rows, int(rng.integers(1, 8)))))
+        factors[rng.random(rows) < 0.15] = 0.0
+        norms = _row_norms(factors, norm_kind) * _row_norms(inputs, norm_kind)
+        at_bound = (rng.random(rows) < 0.3) & (norms > 0)
+        factors[at_bound] *= (bound / norms[at_bound])[:, None]
+        cfg = ClipConfig(bound, norm_kind)
+        raw = outer_rows(factors, inputs)
+        expected = clip_gradient_matrix(raw, cfg)
+        got = clip_outer_rows(factors, inputs, cfg)
+        assert got.shape == raw.shape
+        inside = ((_row_norms(raw, norm_kind) <= bound)
+                  & (_row_norms(factors, norm_kind) * _row_norms(inputs, norm_kind) <= bound))
+        inside_rows += inside.sum()
+        assert np.array_equal(got[inside], raw[inside])
+        assert np.array_equal(expected[inside], raw[inside])
+        assert np.all(np.abs(got - expected) <= 1e-13 * bound)
+        assert np.all(_row_norms(got, norm_kind) <= bound)
+        assert np.all(_row_norms(expected, norm_kind) <= bound)
+    assert inside_rows > 1000
+
+
+def test_clip_outer_rows_validation():
+    cfg = ClipConfig(1.0, "l2")
+    inputs = with_intercept(np.ones((3, 2)))
+    with pytest.raises(ParameterError):
+        clip_outer_rows(np.ones((2, 1)), inputs, cfg)
+    with pytest.raises(ParameterError):
+        clip_outer_rows(np.ones(3), inputs, cfg)
+    with pytest.raises(ParameterError):
+        clip_outer_rows(np.array([[1.0], [np.nan], [0.0]]), inputs, cfg)
+    inputs[1, 0] = np.inf
+    with pytest.raises(ParameterError):
+        clip_outer_rows(np.ones((3, 1)), inputs, cfg)
+    assert clip_outer_rows(np.zeros((0, 2)), np.zeros((0, 3)), cfg).shape == (0, 6)
 
 
 def test_consume_budget_exact_division():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpflsim.errors import ParameterError
-from dpflsim.models import LinearRegression, LogisticRegression, ModelState
+from dpflsim.models import LinearRegression, LogisticRegression, ModelState, with_intercept
 
 
 def _fd_gradient(model, weights, features, targets, h=1e-6):
@@ -38,6 +38,72 @@ def test_gradients_match_finite_differences():
         numeric = _fd_gradient(model, weights, features, targets)
         scale = max(np.linalg.norm(numeric), 1.0)
         assert np.linalg.norm(analytic - numeric) / scale < 1e-5
+
+
+# The per-sample gradient fills the models used before their gradients were
+# built from output-gradient factors, kept as the bit-level reference.
+
+def _reference_linear_gradients(model, weights, features, targets):
+    resid = model.predict(weights, features) - targets
+    grads = np.empty((len(targets), model.dim))
+    grads[:, :-1] = 2.0 * resid[:, None] * features
+    grads[:, -1] = 2.0 * resid
+    return grads
+
+
+def _reference_logistic_gradients(model, weights, features, targets):
+    probs = model._probs(weights, features)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(targets)), targets.astype(int)] -= 1.0
+    grads = np.empty((len(targets), model.num_classes, model.feature_dim + 1))
+    grads[:, :, :-1] = dlogits[:, :, None] * features[:, None, :]
+    grads[:, :, -1] = dlogits
+    return grads.reshape(len(targets), model.dim)
+
+
+def test_gradients_are_outer_products_of_output_gradients():
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        rows = int(rng.integers(1, 30))
+        feature_dim = int(rng.integers(1, 8))
+        if case % 2 == 0:
+            model = LinearRegression(feature_dim)
+            targets = rng.normal(scale=3.0, size=rows)
+            reference = _reference_linear_gradients
+            width = 1
+        else:
+            width = int(rng.integers(2, 7))
+            model = LogisticRegression(feature_dim, width)
+            targets = rng.integers(0, width, size=rows)
+            reference = _reference_logistic_gradients
+        weights = rng.normal(scale=rng.uniform(0.1, 5.0), size=model.dim)
+        features = rng.normal(scale=rng.uniform(0.1, 10.0), size=(rows, feature_dim))
+        expected = reference(model, weights, features, targets)
+        factors = model.output_gradients(weights, features, targets)
+        assert factors.shape == (rows, width)
+        inputs = np.column_stack([features, np.ones(rows)])
+        assert np.array_equal(with_intercept(features), inputs)
+        outer = (factors[:, :, None] * inputs[:, None, :]).reshape(rows, model.dim)
+        assert np.array_equal(outer, expected)
+        assert np.array_equal(model.per_sample_gradients(weights, features, targets),
+                              expected)
+
+
+def test_metrics_equal_mean_loss_and_accuracy():
+    # one softmax pass in metrics gives exactly the separate computations
+    rng = np.random.default_rng(13)
+    for case in range(300):
+        rows = int(rng.integers(1, 60))
+        classes = int(rng.integers(2, 11))
+        model = LogisticRegression(int(rng.integers(1, 8)), classes)
+        # large weights push some picked probabilities under the log floor
+        weights = rng.normal(scale=[0.1, 1.0, 30.0][case % 3], size=model.dim)
+        features = rng.normal(size=(rows, model.feature_dim))
+        targets = rng.integers(0, classes, size=rows).astype(float if case % 2 else int)
+        loss, accuracy = model.metrics(weights, features, targets)
+        assert loss == float(np.mean(model.per_sample_losses(weights, features, targets)))
+        assert accuracy == float(np.mean(model.predict(weights, features)
+                                         == targets.astype(int)))
 
 
 def test_linear_regression_perfect_fit_has_zero_loss():
