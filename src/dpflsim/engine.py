@@ -57,8 +57,6 @@ logger = logging.getLogger(__name__)
 BASELINE_KINDS = ("fedsgd", "uniform_dp", "weiavg")
 ALGORITHMS = ("dpfl_bcs",) + BASELINE_KINDS
 
-# How often per-client remaining budgets are snapshotted into round records.
-BUDGET_SNAPSHOT_EVERY = 10
 # Absolute tolerance of the ledger checks run at the end of every run.
 LEDGER_TOL = 1e-9
 
@@ -192,7 +190,6 @@ class RoundRecord:
     losses: dict | None
     test_loss: float
     test_accuracy: float | None
-    budget_remaining: dict | None
 
 
 @dataclass
@@ -264,6 +261,8 @@ class ClientArrays:
     current stage; `install` starts a stage from a plan. `slice_sum` adds up
     the slices charged, clamped at the remaining budget, independently of
     `consume_budget`, so the engine can check the ledger against it.
+    `exhausted` starts from the incoming budgets, and an exhausted client is
+    never eligible again.
     """
 
     def __init__(self, data: list, budgets: list):
@@ -281,7 +280,7 @@ class ClientArrays:
         self.slice_epsilon = np.zeros(n)
         self.slice_delta = np.zeros(n)
         self.slice_sum = np.zeros(n)
-        self.exhausted = np.zeros(n, dtype=bool)
+        self.exhausted = np.array([b.exhausted for b in budgets], dtype=bool)
         self.trained_after_exhaustion = np.zeros(n, dtype=bool)
         # momentum velocities, (n, d); allocated by the first momentum round
         self.velocity = None
@@ -342,7 +341,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     """
     ids = np.asarray(ids, dtype=int)
     if noise_enabled:
-        refused = clients.budget(ids).exhausted
+        refused = clients.exhausted[ids]
         if np.any(refused):
             for n in ids[refused]:
                 logger.warning("client %d refused (budget exhausted)", n)
@@ -583,13 +582,9 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             stage1_current.append(dict(zip(responders, current)))
             stage1_updated.append(dict(zip(responders, updated)))
             losses = dict(zip(responders, zip(current, updated)))
-        budget_remaining = None
-        if dp and t % BUDGET_SNAPSHOT_EVERY == 0:
-            budget_remaining = dict(enumerate(clients.epsilon_remaining.tolist()))
         record = RoundRecord(
             t=t, stage=stage, selected=responders, losses=losses,
-            test_loss=test_loss, test_accuracy=test_accuracy,
-            budget_remaining=budget_remaining)
+            test_loss=test_loss, test_accuracy=test_accuracy)
         records.append(record)
         logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, stage,
                     len(responders), test_loss)

@@ -48,7 +48,7 @@ from .selection import (
 
 logger = logging.getLogger(__name__)
 
-HISTORY_FORMAT_VERSION = 4
+HISTORY_FORMAT_VERSION = 5
 
 # Seed-derivation domains; selection and noise streams use 1 and 2 inside the
 # engine, data-side streams start at 10.
@@ -282,8 +282,6 @@ def round_to_json(record: RoundRecord) -> dict:
     }
     if record.losses is not None:
         obj["losses"] = {str(n): [cur, upd] for n, (cur, upd) in sorted(record.losses.items())}
-    if record.budget_remaining is not None:
-        obj["budget_remaining"] = {str(n): v for n, v in sorted(record.budget_remaining.items())}
     return obj
 
 

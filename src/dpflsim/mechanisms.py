@@ -52,73 +52,61 @@ class MechanismKind(enum.Enum):
             ) from None
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+# kind -> (lowest allowed value, whether that value itself is excluded,
+# exclusive upper limit); a finite lowest value and the exclusive upper limit
+# also reject NaN and infinities
+_RANGES = {
+    "positive": (0.0, True, math.inf),
+    "nonnegative": (0.0, False, math.inf),
+    "at least 1": (1.0, False, math.inf),
+    "in (0, 1)": (0.0, True, 1.0),
+    "in [0, 1)": (0.0, False, 1.0),
+}
+_ndarray = np.ndarray  # bound once: the scalar branch of `_check` runs per budget built
+
+
+def _check(name: str, value, kind: str, like=None, at_most=None):
+    """`value` as a float, or as a float array if it is an array, after
+    checking that every entry is finite, `kind` (a key of `_RANGES`) and, if
+    given, at most the matching entry of `at_most`.
+
+    With `like` given, `value` must have the shape of `like`. This is the one
+    place that tells scalars from arrays; the scalar branch stays on plain
+    floats because budgets are built one client at a time.
+    """
+    low, strict, high = _RANGES[kind]
+    if isinstance(value, _ndarray) or isinstance(like, _ndarray):
+        value = np.asarray(value, dtype=float)
+        if like is not None and np.shape(like) != value.shape:
+            raise ParameterError(f"{name} must have shape {np.shape(like)}, "
+                                 f"got {value.shape}")
+        ok = ((value > low) if strict else (value >= low)) & (value < high)
+        if at_most is not None:
+            ok &= value <= at_most
+        ok = ok.all()
+    else:
+        value = float(value)
+        ok = ((low < value < high) if strict else (low <= value < high)) and (
+            at_most is None or value <= at_most)
+    if not ok:
+        bound = "" if at_most is None else f" and at most {at_most!r}"
+        raise ParameterError(f"{name} must be {kind}{bound}, got {value!r}")
     return value
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = _check_finite(name, value)
-    if value <= 0:
-        raise ParameterError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _check_nonnegative(name: str, value: float) -> float:
-    value = _check_finite(name, value)
-    if value < 0:
-        raise ParameterError(f"{name} must be nonnegative, got {value!r}")
-    return value
-
-
-def _check_rounds(name: str, value) -> int:
-    if value != int(value):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-# Array counterparts of the checks above, for the engine's per-round batches.
-# The scalar checks stay separate so per-client scalar calls keep their cost.
-
-def _any_array(*values) -> bool:
-    return any(isinstance(v, np.ndarray) for v in values)
-
-
-def _check_finite_array(name: str, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ParameterError(f"{name} must be finite")
-    return values
-
-
-def _check_positive_array(name: str, values) -> np.ndarray:
-    values = _check_finite_array(name, values)
-    if not np.all(values > 0):
-        raise ParameterError(f"{name} must be positive")
-    return values
-
-
-def _check_nonnegative_array(name: str, values) -> np.ndarray:
-    values = _check_finite_array(name, values)
-    if not np.all(values >= 0):
-        raise ParameterError(f"{name} must be nonnegative")
-    return values
-
-
-def _check_rounds_array(name: str, values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        if not np.all(values == np.round(values)):
-            raise ParameterError(f"{name} must be integers")
-        values = values.astype(int)
-    if not np.all(values >= 1):
-        raise ParameterError(f"{name} must be >= 1")
-    return values
+def _check_rounds(name: str, value, like=None):
+    """`value` as an int, or as an int array if it is an array, after
+    checking that every entry is a whole number >= 1."""
+    checked = _check(name, value, "at least 1", like)
+    if isinstance(value, _ndarray):
+        if value.dtype.kind not in "iu":
+            if not np.all(checked == np.round(checked)):
+                raise ParameterError(f"{name} must be whole numbers")
+            value = checked.astype(int)
+        return value
+    if checked != int(checked):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(checked)
 
 
 @dataclass(frozen=True)
@@ -132,33 +120,13 @@ class PrivacyBudget:
     delta_remaining: float
 
     def __post_init__(self):
-        if isinstance(self.epsilon_remaining, np.ndarray):
-            self._check_arrays()
-            return
-        _check_positive("epsilon", self.epsilon)
-        _check_nonnegative("delta", self.delta)
-        if self.delta >= 1:
-            raise ParameterError(f"delta must be < 1, got {self.delta}")
-        _check_nonnegative("epsilon_remaining", self.epsilon_remaining)
-        _check_nonnegative("delta_remaining", self.delta_remaining)
-        if self.epsilon_remaining > self.epsilon * (1 + 1e-12):
-            raise ParameterError("epsilon_remaining exceeds the total epsilon")
-        if self.delta_remaining > self.delta * (1 + 1e-12) + 1e-300:
-            raise ParameterError("delta_remaining exceeds the total delta")
-
-    def _check_arrays(self) -> None:
-        eps = _check_positive_array("epsilon", self.epsilon)
-        delta = _check_nonnegative_array("delta", self.delta)
-        eps_rem = _check_nonnegative_array("epsilon_remaining", self.epsilon_remaining)
-        delta_rem = _check_nonnegative_array("delta_remaining", self.delta_remaining)
-        if not eps.shape == delta.shape == eps_rem.shape == delta_rem.shape:
-            raise ParameterError("budget arrays must have equal shapes")
-        if not np.all(delta < 1):
-            raise ParameterError("delta must be < 1")
-        if not np.all(eps_rem <= eps * (1 + 1e-12)):
-            raise ParameterError("epsilon_remaining exceeds the total epsilon")
-        if not np.all(delta_rem <= delta * (1 + 1e-12) + 1e-300):
-            raise ParameterError("delta_remaining exceeds the total delta")
+        eps = _check("epsilon", self.epsilon, "positive")
+        delta = _check("delta", self.delta, "in [0, 1)", like=eps)
+        # the remaining budget may not exceed the total
+        _check("epsilon_remaining", self.epsilon_remaining, "nonnegative", like=eps,
+               at_most=eps * (1 + 1e-12))
+        _check("delta_remaining", self.delta_remaining, "nonnegative", like=eps,
+               at_most=delta * (1 + 1e-12) + 1e-300)
 
     @classmethod
     def fresh(cls, epsilon: float, delta: float = 0.0) -> "PrivacyBudget":
@@ -185,23 +153,11 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.mechanism, MechanismKind):
             raise ParameterError("mechanism must be a MechanismKind")
-        if isinstance(self.scale, np.ndarray):
-            self._check_arrays()
-            return
-        _check_nonnegative("sensitivity", self.sensitivity)
-        _check_nonnegative("scale", self.scale)
-        _check_positive("per_round_epsilon", self.per_round_epsilon)
-        _check_nonnegative("per_round_delta", self.per_round_delta)
-        _check_rounds("planned_rounds", self.planned_rounds)
-
-    def _check_arrays(self) -> None:
-        fields = (_check_nonnegative_array("sensitivity", self.sensitivity),
-                  _check_nonnegative_array("scale", self.scale),
-                  _check_positive_array("per_round_epsilon", self.per_round_epsilon),
-                  _check_nonnegative_array("per_round_delta", self.per_round_delta),
-                  _check_rounds_array("planned_rounds", self.planned_rounds))
-        if len({f.shape for f in fields}) != 1 or fields[0].ndim != 1:
-            raise ParameterError("noise spec arrays must be 1-d with equal lengths")
+        scale = _check("scale", self.scale, "nonnegative")
+        _check("sensitivity", self.sensitivity, "nonnegative", like=scale)
+        _check("per_round_epsilon", self.per_round_epsilon, "positive", like=scale)
+        _check("per_round_delta", self.per_round_delta, "nonnegative", like=scale)
+        _check_rounds("planned_rounds", self.planned_rounds, like=scale)
 
 
 @dataclass(frozen=True)
@@ -212,7 +168,7 @@ class ClipConfig:
     norm_kind: str
 
     def __post_init__(self):
-        _check_positive("bound", self.bound)
+        _check("bound", self.bound, "positive")
         if self.norm_kind not in ("l1", "l2"):
             raise ParameterError(f"norm_kind must be 'l1' or 'l2', got {self.norm_kind!r}")
 
@@ -230,24 +186,13 @@ def gaussian_sigma(sensitivity: float, total_epsilon: float, total_delta: float,
     per-release epsilon is intentionally not checked. Array arguments give
     one sigma per entry.
     """
-    if _any_array(sensitivity, total_epsilon, total_delta, planned_rounds):
-        sensitivity = _check_nonnegative_array("sensitivity", sensitivity)
-        total_epsilon = _check_positive_array("total_epsilon", total_epsilon)
-        total_delta = _check_finite_array("total_delta", total_delta)
-        if not np.all((total_delta > 0) & (total_delta < 1)):
-            raise ParameterError("total_delta must lie in (0, 1)")
-        planned_rounds = _check_rounds_array("planned_rounds", planned_rounds)
-        c2 = _check_positive("c2", c2)
-        return (c2 * sensitivity * np.sqrt(planned_rounds * np.log(1.0 / total_delta))
-                / total_epsilon)
-    sensitivity = _check_nonnegative("sensitivity", sensitivity)
-    total_epsilon = _check_positive("total_epsilon", total_epsilon)
-    total_delta = _check_finite("total_delta", total_delta)
-    if not 0 < total_delta < 1:
-        raise ParameterError(f"total_delta must lie in (0, 1), got {total_delta}")
+    sensitivity = _check("sensitivity", sensitivity, "nonnegative")
+    total_epsilon = _check("total_epsilon", total_epsilon, "positive")
+    total_delta = _check("total_delta", total_delta, "in (0, 1)")
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
-    c2 = _check_positive("c2", c2)
-    return c2 * sensitivity * math.sqrt(planned_rounds * math.log(1.0 / total_delta)) / total_epsilon
+    c2 = _check("c2", c2, "positive")
+    return (c2 * sensitivity * np.sqrt(planned_rounds * np.log(1.0 / total_delta))
+            / total_epsilon)
 
 
 def laplace_scale(sensitivity: float, total_epsilon: float, planned_rounds) -> float:
@@ -255,13 +200,8 @@ def laplace_scale(sensitivity: float, total_epsilon: float, planned_rounds) -> f
 
     Array arguments give one scale per entry.
     """
-    if _any_array(sensitivity, total_epsilon, planned_rounds):
-        sensitivity = _check_nonnegative_array("sensitivity", sensitivity)
-        total_epsilon = _check_positive_array("total_epsilon", total_epsilon)
-        planned_rounds = _check_rounds_array("planned_rounds", planned_rounds)
-        return planned_rounds * sensitivity / total_epsilon
-    sensitivity = _check_nonnegative("sensitivity", sensitivity)
-    total_epsilon = _check_positive("total_epsilon", total_epsilon)
+    sensitivity = _check("sensitivity", sensitivity, "nonnegative")
+    total_epsilon = _check("total_epsilon", total_epsilon, "positive")
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
     return planned_rounds * sensitivity / total_epsilon
 
@@ -279,13 +219,10 @@ def gradient_sensitivity(mechanism: MechanismKind, learning_rate: float, clip_bo
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
-    learning_rate = _check_nonnegative("learning_rate", learning_rate)
-    clip_bound = _check_positive("clip_bound", clip_bound)
-    if isinstance(num_samples, np.ndarray):
-        num_samples = _check_rounds_array("num_samples", num_samples)
-    else:
-        num_samples = _check_rounds("num_samples", num_samples)
-    loss_cap = _check_nonnegative("loss_cap", loss_cap)
+    learning_rate = _check("learning_rate", learning_rate, "nonnegative")
+    clip_bound = _check("clip_bound", clip_bound, "positive")
+    num_samples = _check_rounds("num_samples", num_samples)
+    loss_cap = _check("loss_cap", loss_cap, "nonnegative")
     sens = 2.0 * learning_rate * clip_bound / num_samples
     if include_loss_terms:
         sens += 2.0 * learning_rate * loss_cap / num_samples
@@ -293,30 +230,22 @@ def gradient_sensitivity(mechanism: MechanismKind, learning_rate: float, clip_bo
 
 
 def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.ndarray:
-    """Draw one i.i.d. noise vector for a round's release.
+    """Draw the i.i.d. noise of a round's release.
 
-    A zero scale yields an exactly zero vector without touching the generator.
-    An array spec gives a (clients, dimension) matrix: zero-scale rows are
-    zero, and the other rows are drawn in row order with one generator call,
-    bit-identical to one scalar call per row.
+    A scalar spec gives one (dimension,) vector, an array spec a (clients,
+    dimension) matrix. Zero-scale rows are exactly zero and draw nothing; the
+    other rows are drawn in row order with one generator call, bit-identical
+    to one call per row.
     """
     dimension = _check_rounds("dimension", dimension)
-    if isinstance(spec.scale, np.ndarray):
-        out = np.zeros((len(spec.scale), dimension))
-        drawn = spec.scale > 0.0
-        if np.any(drawn):
-            scale = spec.scale[drawn][:, None]
-            size = (len(scale), dimension)
-            if spec.mechanism is MechanismKind.GAUSSIAN:
-                out[drawn] = rng.normal(0.0, scale, size=size)
-            else:
-                out[drawn] = rng.laplace(0.0, scale, size=size)
-        return out
-    if spec.scale == 0.0:
-        return np.zeros(dimension)
-    if spec.mechanism is MechanismKind.GAUSSIAN:
-        return rng.normal(0.0, spec.scale, size=dimension)
-    return rng.laplace(0.0, spec.scale, size=dimension)
+    scale = np.asarray(spec.scale, dtype=float)
+    out = np.zeros(scale.shape + (dimension,))
+    drawn = scale > 0.0
+    if np.any(drawn):
+        scale = scale[drawn][:, None]
+        draw = rng.normal if spec.mechanism is MechanismKind.GAUSSIAN else rng.laplace
+        out[drawn] = draw(0.0, scale, size=(len(scale), dimension))
+    return out
 
 
 def expected_noise_sq_norm(mechanism: MechanismKind, learning_rate: float, clip_bound: float,
@@ -332,12 +261,12 @@ def expected_noise_sq_norm(mechanism: MechanismKind, learning_rate: float, clip_
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
-    learning_rate = _check_nonnegative("learning_rate", learning_rate)
-    clip_bound = _check_positive("clip_bound", clip_bound)
+    learning_rate = _check("learning_rate", learning_rate, "nonnegative")
+    clip_bound = _check("clip_bound", clip_bound, "positive")
     dimension = _check_rounds("dimension", dimension)
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
     num_samples = _check_rounds("num_samples", num_samples)
-    c2 = _check_positive("c2", c2)
+    c2 = _check("c2", c2, "positive")
     eps = budget.epsilon
     if mechanism is MechanismKind.GAUSSIAN:
         if not 0 < budget.delta < 1:
@@ -452,21 +381,15 @@ def consume_budget(budget: PrivacyBudget, per_round_epsilon: float,
     from repeated equal slices. A budget with array fields takes array slices
     and deducts every entry at once; the flag is then an array too.
     """
-    if isinstance(budget.epsilon_remaining, np.ndarray):
-        per_round_epsilon = _check_nonnegative_array("per_round_epsilon", per_round_epsilon)
-        per_round_delta = _check_nonnegative_array("per_round_delta", per_round_delta)
-        clamp = np.maximum
-    else:
-        per_round_epsilon = _check_nonnegative("per_round_epsilon", per_round_epsilon)
-        per_round_delta = _check_nonnegative("per_round_delta", per_round_delta)
-        clamp = max
+    per_round_epsilon = _check("per_round_epsilon", per_round_epsilon, "nonnegative")
+    per_round_delta = _check("per_round_delta", per_round_delta, "nonnegative")
     new_eps = budget.epsilon_remaining - per_round_epsilon
     new_delta = budget.delta_remaining - per_round_delta
     floor = EXHAUSTION_REL_TOL * budget.epsilon + EXHAUSTION_ABS_TOL
     exhausted = new_eps <= floor
     out = replace(
         budget,
-        epsilon_remaining=clamp(0.0, new_eps),
-        delta_remaining=clamp(0.0, new_delta),
+        epsilon_remaining=np.maximum(0.0, new_eps),
+        delta_remaining=np.maximum(0.0, new_delta),
     )
     return out, exhausted

@@ -202,24 +202,6 @@ class EstimatedParams:
             "residual_history": [float(r) for r in self.residual_history],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimatedParams":
-        return cls(
-            gamma_hat_n=np.asarray(d["gamma_hat_n"], dtype=float),
-            rho_min_hat=float(d["rho_min_hat"]),
-            Lambda=float(d["Lambda"]),
-            phi_n=np.asarray(d["phi_n"], dtype=float),
-            gamma=float(d["gamma"]),
-            L_smooth=float(d["L_smooth"]),
-            mu_convex=float(d["mu_convex"]),
-            sigma_sq=float(d["sigma_sq"]),
-            init_dist_sq=float(d["init_dist_sq"]),
-            omega_a=float(d["omega_a"]),
-            omega_b=float(d["omega_b"]),
-            fit_residual=float(d.get("fit_residual", math.nan)),
-            residual_history=tuple(d.get("residual_history", ())),
-        )
-
 
 def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
     """Round a nonnegative vector to integers preserving its (integer) sum.
