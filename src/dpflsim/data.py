@@ -34,9 +34,9 @@ class Dataset:
             raise ParameterError("targets must be 1-d and match the feature rows")
         if len(features) < 1:
             raise ParameterError("dataset must hold at least one sample")
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ParameterError("features must be finite")
-        if not np.all(np.isfinite(targets.astype(float))):
+        if not np.isfinite(targets.astype(float)).all():
             raise ParameterError("targets must be finite")
 
     @property

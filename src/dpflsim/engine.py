@@ -342,7 +342,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     ids = np.asarray(ids, dtype=int)
     if noise_enabled:
         refused = clients.exhausted[ids]
-        if np.any(refused):
+        if refused.any():
             for n in ids[refused]:
                 logger.warning("client %d refused (budget exhausted)", n)
             ids = ids[~refused]
@@ -352,7 +352,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
         return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if report_losses else None)
     data = [clients.data[n] for n in ids]
     counts = clients.num_samples[ids]
-    if np.any(counts == 0):
+    if (counts == 0).any():
         raise ParameterError("empty dataset")
     features = np.concatenate([d.features for d in data])
     targets = np.concatenate([d.targets for d in data])
@@ -460,7 +460,7 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     if len(ids) <= k:
         return ids.tolist()
     weights = probabilities[ids]
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise ParameterError("selection probabilities must be nonnegative")
     positive = weights > 0
     ids = ids[positive]

@@ -387,6 +387,13 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
     t0 = int(h["estimation_rounds"])
     k = int(h["clients_per_round"])
     num_clients = int(h["num_clients"])
+    # phi_n is built in list order and gamma_hat_n by client id, so the two
+    # agree only when the list holds ids 0..num_clients-1 in order
+    ids = [c.get("client_id") for c in h["clients"]]
+    if ids != list(range(num_clients)):
+        raise ConfigError(
+            f"history header lists {len(ids)} clients starting {ids[:5]}; expected ids "
+            f"0..{num_clients - 1} in order, one per client of num_clients = {num_clients}")
     by_t = {int(r["t"]): r for r in parsed.rounds}
     selected, current, updated = [], [], []
     for t in range(1, t0 + 1):

@@ -241,7 +241,7 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     scale = np.asarray(spec.scale, dtype=float)
     out = np.zeros(scale.shape + (dimension,))
     drawn = scale > 0.0
-    if np.any(drawn):
+    if drawn.any():
         scale = scale[drawn][:, None]
         draw = rng.normal if spec.mechanism is MechanismKind.GAUSSIAN else rng.laplace
         out[drawn] = draw(0.0, scale, size=(len(scale), dimension))

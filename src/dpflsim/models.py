@@ -148,7 +148,7 @@ class ModelState:
         if weights.shape != (self.model_kind.dim,):
             raise ParameterError(
                 f"weights have shape {weights.shape}, model needs ({self.model_kind.dim},)")
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise ParameterError("weights must be finite")
 
     def replaced(self, weights: np.ndarray) -> "ModelState":

@@ -348,22 +348,31 @@ def estimate_rho_min(log: StageOneLog, K: int, T0: int) -> float:
     return numerator / (K * (T0 - 1) * f_bar)
 
 
+def _client_sums(counts: np.ndarray, gamma_hat_n: np.ndarray, phi_n: np.ndarray,
+                 z: int) -> tuple[float, float, float]:
+    """The bound's three client sums: sum gamma_hat_n, sum C_n^{z+1} Phi_n and
+    sum C_n gamma_hat_n. None depends on the fitted parameters, so a fit
+    computes them once."""
+    return (float(np.sum(gamma_hat_n)), float(np.sum(counts ** (z + 1) * phi_n)),
+            float(np.sum(counts * gamma_hat_n)))
+
+
 def _bound_terms(init_dist_sq: float, gamma: float, sigma_sq: float, L: float, mu: float,
-                 *, counts: np.ndarray, gamma_hat_n: np.ndarray, rho_min_hat: float,
-                 Lambda: float, phi_n: np.ndarray, elapsed: int, K: int, z: int,
-                 num_clients: int) -> float:
-    """Predicted global-loss bound after `elapsed` rounds; inf when undefined."""
+                 *, sums: tuple[float, float, float], rho_min_hat: float, Lambda: float,
+                 elapsed: int, K: int, num_clients: int) -> float:
+    """Predicted global-loss bound after `elapsed` rounds from `_client_sums`;
+    inf when undefined."""
     if mu <= 0 or L <= 0:
         return math.inf
     g_tau = gamma + elapsed
     if g_tau <= 0:
         return math.inf
+    gamma_sum, noise_sum, bias_sum = sums
     init_term = L * gamma / (2.0 * g_tau) * init_dist_sq
-    skew_term = -3.0 * L * rho_min_hat / (2.0 * mu * num_clients) * float(np.sum(gamma_hat_n))
+    skew_term = -3.0 * L * rho_min_hat / (2.0 * mu * num_clients) * gamma_sum
     sgd_term = 4.0 * L * sigma_sq / (mu * mu * K * g_tau)
-    noise_term = (float(np.sum(counts ** (z + 1) * phi_n))
-                  * 4.0 * L * Lambda / (K * K * mu * mu * g_tau * elapsed))
-    bias_term = (float(np.sum(counts * gamma_hat_n)) / elapsed
+    noise_term = noise_sum * 4.0 * L * Lambda / (K * K * mu * mu * g_tau * elapsed)
+    bias_term = (bias_sum / elapsed
                  * (4.0 * L * L / (K * mu * mu * g_tau) + 3.0 * L / (2.0 * K * mu)))
     return init_term + skew_term + sgd_term + noise_term + bias_term
 
@@ -382,10 +391,10 @@ def predicted_loss_bound(params: EstimatedParams, counts: np.ndarray,
         raise EvaluationError("bound is undefined at gamma + elapsed_rounds <= 0")
     value = _bound_terms(
         params.init_dist_sq, params.gamma, params.sigma_sq, params.L_smooth,
-        params.mu_convex, counts=counts, gamma_hat_n=params.gamma_hat_n,
-        rho_min_hat=params.rho_min_hat, Lambda=params.Lambda, phi_n=params.phi_n,
-        elapsed=int(elapsed_rounds), K=int(K), z=int(z),
-        num_clients=params.num_clients)
+        params.mu_convex,
+        sums=_client_sums(counts, params.gamma_hat_n, params.phi_n, int(z)),
+        rho_min_hat=params.rho_min_hat, Lambda=params.Lambda,
+        elapsed=int(elapsed_rounds), K=int(K), num_clients=params.num_clients)
     if math.isinf(value):
         raise EvaluationError("bound evaluation degenerate for the given parameters")
     return value
@@ -569,6 +578,7 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
     elapsed = T0 - 1
     num_clients = len(phi_n)
     counts = log.counters(elapsed, num_clients).astype(float)
+    sums = _client_sums(counts, gamma_hat_n, phi_n, z)
 
     point = {"init_dist_sq": 1.0, "gamma": 1.0, "sigma_sq": 0.0,
              "L_smooth": 1.0, "mu_convex": 0.5}
@@ -576,8 +586,7 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
     def residual_at(p: dict) -> float:
         value = _bound_terms(
             p["init_dist_sq"], p["gamma"], p["sigma_sq"], p["L_smooth"], p["mu_convex"],
-            counts=counts, gamma_hat_n=gamma_hat_n, rho_min_hat=rho_min_hat,
-            Lambda=Lambda, phi_n=phi_n, elapsed=elapsed, K=K, z=z,
+            sums=sums, rho_min_hat=rho_min_hat, Lambda=Lambda, elapsed=elapsed, K=K,
             num_clients=num_clients)
         return abs(observed_loss - value)
 

@@ -8,7 +8,8 @@ import pytest
 
 from dpflsim.cli import main
 from dpflsim.config import ExperimentConfig
-from dpflsim.harness import build_problem, read_history
+from dpflsim.errors import ConfigError
+from dpflsim.harness import build_problem, estimate_from_history, read_history
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import ClientMeta, EstimatedParams, compute_phi_lambda, \
     predicted_loss_bound
@@ -216,6 +217,33 @@ def test_estimate_missing_file_exits_one(tmp_path, capsys):
     assert main(["estimate", "--history", str(tmp_path / "none.jsonl"),
                  "--out", str(tmp_path / "e")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_rejects_header_clients_out_of_id_order(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", algorithm="dpfl_bcs",
+                        estimation_rounds=4)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "history.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+
+    def variant(name, **changes):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join([json.dumps({**header, **changes})] + lines[1:]) + "\n")
+        return path
+
+    # phi_n would follow the list order and gamma_hat_n the ids
+    reversed_ids = variant("reversed", clients=header["clients"][::-1])
+    # the list and num_clients disagree
+    too_many = variant("too_many", num_clients=header["num_clients"] + 1)
+    for path in (reversed_ids, too_many):
+        with pytest.raises(ConfigError, match="expected ids 0..") as err:
+            estimate_from_history(read_history(path))
+        assert "phi_n" not in str(err.value)
+        capsys.readouterr()
+        assert main(["estimate", "--history", str(path),
+                     "--out", str(tmp_path / "e")]) == 1
+        assert "expected ids 0.." in capsys.readouterr().err
 
 
 def test_estimate_fits_forward_generated_history(tmp_path):
