@@ -16,6 +16,22 @@ from .selection import largest_remainder_round
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
 
+def _unchecked(cls, rows) -> list:
+    """Instances of the frozen dataclass `cls`, one per tuple of field values
+    in `rows`, built without `__post_init__`: for the parts of an input that
+    was checked as a whole. Fields are set one by one in declaration order, as
+    `__init__` sets them, so the instances keep CPython's shared-key dicts."""
+    names = tuple(cls.__dataclass_fields__)
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for values in rows:
+        obj = new(cls)
+        for name, value in zip(names, values):
+            set_field(obj, name, value)
+        out.append(obj)
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus targets; integer targets mean classification."""
@@ -54,6 +70,25 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
         return Dataset(self.features[indices], self.targets[indices])
+
+    def split(self, order, sizes) -> list:
+        """One dataset per entry of `sizes`: the rows `order` gathered once
+        into a read-only block, then cut into consecutive row slices of those
+        sizes. Each slice is a view of the block, and, as rows of this checked
+        dataset, is not checked again."""
+        sizes = np.asarray(sizes, dtype=int)
+        if sizes.ndim != 1 or len(sizes) == 0 or sizes.min() < 1:
+            raise ParameterError("every part must hold at least one sample")
+        if sizes.sum() != len(order):
+            raise ParameterError(
+                f"part sizes sum to {sizes.sum()}, but {len(order)} rows are given")
+        features = self.features[order]
+        targets = self.targets[order]
+        features.flags.writeable = False
+        targets.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        return _unchecked(Dataset, ((features[start:end], targets[start:end])
+                                    for start, end in zip([0] + ends[:-1], ends)))
 
 
 @dataclass(frozen=True)
@@ -143,44 +178,36 @@ def generate_synthetic_classification(num_samples: int, num_classes: int, featur
     return Dataset(features, labels.astype(int))
 
 
-def _split_by_proportions(indices: np.ndarray, proportions: np.ndarray) -> list:
-    counts = largest_remainder_round(proportions * len(indices), len(indices))
-    parts = []
-    start = 0
-    for c in counts:
-        parts.append(indices[start:start + c])
-        start += c
-    return parts
-
-
 def dirichlet_partition(dataset: Dataset, config: PartitionConfig) -> list:
     """Split a dataset across clients with Dirichlet(alpha) skew.
 
     Classification: per-label client shares are Dirichlet-distributed (label
     skew). Regression: client sizes are Dirichlet-distributed over shuffled
     rows (quantity skew). Redraws up to 100 times until every client has at
-    least one sample.
+    least one sample. Each client holds its rows in ascending order, as
+    read-only views of one gathered block (`Dataset.split`).
     """
     n_clients = config.num_clients
-    if n_clients == 1:
-        return [dataset]
     rng = np.random.default_rng(config.seed)
     alpha_vec = np.full(n_clients, config.dirichlet_alpha)
+    # the narrowest dtype makes the stable argsort below a radix sort
+    client_ids = np.arange(n_clients, dtype=np.min_scalar_type(n_clients))
+    owner = np.empty(dataset.num_samples, dtype=client_ids.dtype)
+    if dataset.is_classification:
+        groups = [np.flatnonzero(dataset.targets == label)
+                  for label in np.unique(dataset.targets)]
+    else:
+        groups = [np.arange(dataset.num_samples)]
     for _ in range(100):
-        per_client = [[] for _ in range(n_clients)]
-        if dataset.is_classification:
-            for label in np.unique(dataset.targets):
-                idx = np.flatnonzero(dataset.targets == label)
-                idx = idx[rng.permutation(len(idx))]
-                for client, part in enumerate(_split_by_proportions(idx, rng.dirichlet(alpha_vec))):
-                    per_client[client].append(part)
-        else:
-            idx = rng.permutation(dataset.num_samples)
-            for client, part in enumerate(_split_by_proportions(idx, rng.dirichlet(alpha_vec))):
-                per_client[client].append(part)
-        sizes = [sum(len(p) for p in parts) for parts in per_client]
-        if min(sizes) >= 1:
-            return [dataset.subset(np.sort(np.concatenate(parts))) for parts in per_client]
+        for group in groups:
+            # a shuffled copy: the same draw as group[rng.permutation(len(group))]
+            # with one row-sized temporary fewer (measured: lower peak RSS)
+            idx = rng.permutation(group)
+            counts = largest_remainder_round(rng.dirichlet(alpha_vec) * len(idx), len(idx))
+            owner[idx] = np.repeat(client_ids, counts)
+        sizes = np.bincount(owner, minlength=n_clients)
+        if sizes.min() >= 1:
+            return dataset.split(np.argsort(owner, kind="stable"), sizes)
     raise ParameterError(
         f"could not give every one of {n_clients} clients a sample in 100 attempts; "
         "the dataset is too small or alpha too extreme")
@@ -195,7 +222,10 @@ def sample_budgets(config: BudgetSamplingConfig, num_clients: int) -> list:
     d_lo, d_hi = config.delta_range
     epsilons = rng.uniform(eps_lo, eps_hi, num_clients)
     deltas = rng.uniform(d_lo, d_hi, num_clients) if d_hi > 0 else np.zeros(num_clients)
-    return [PrivacyBudget.fresh(float(e), float(d)) for e, d in zip(epsilons, deltas)]
+    # one check for every client, then fresh scalar budgets of Python floats
+    PrivacyBudget(epsilons, deltas, epsilons, deltas)
+    epsilons, deltas = epsilons.tolist(), deltas.tolist()
+    return _unchecked(PrivacyBudget, zip(epsilons, deltas, epsilons, deltas))
 
 
 def ingest_csv(path, target_column: str, feature_columns: list,

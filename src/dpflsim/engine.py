@@ -169,6 +169,21 @@ class FederatedProblem:
             if d.feature_dim != self.model.feature_dim:
                 raise ParameterError(
                     f"client {i} feature_dim {d.feature_dim} != model {self.model.feature_dim}")
+        if self.test_data.feature_dim != self.model.feature_dim:
+            raise ParameterError(f"test feature_dim {self.test_data.feature_dim} "
+                                 f"!= model {self.model.feature_dim}")
+        if self.model.is_classification:
+            # one pass over every label, clients and test set together
+            labels = np.concatenate([d.targets for d in self.client_data]
+                                    + [self.test_data.targets])
+            if labels.dtype.kind not in "iu":
+                raise ParameterError(
+                    f"classification targets must be integers, got {labels.dtype}")
+            low, high = labels.min(), labels.max()
+            if low < 0 or high >= self.model.num_classes:
+                raise ParameterError(
+                    f"labels must lie in [0, {self.model.num_classes}), "
+                    f"got [{low}, {high}]")
 
     @property
     def num_clients(self) -> int:

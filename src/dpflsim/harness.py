@@ -70,7 +70,7 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         total = config.num_samples + config.test_samples
         full, _ = generate_synthetic_regression(
             total, config.feature_dim, config.target_noise_std, data_seed)
-        train = full.subset(np.arange(config.num_samples))
+        train = Dataset(full.features[:config.num_samples], full.targets[:config.num_samples])
         test = full.subset(np.arange(config.num_samples, total))
         model = LinearRegression(config.feature_dim)
     elif config.dataset == "synthetic_classification":
@@ -78,7 +78,7 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         full = generate_synthetic_classification(
             total, config.num_classes, config.feature_dim, config.class_separation,
             data_seed)
-        train = full.subset(np.arange(config.num_samples))
+        train = Dataset(full.features[:config.num_samples], full.targets[:config.num_samples])
         test = full.subset(np.arange(config.num_samples, total))
         model = LogisticRegression(config.feature_dim, config.num_classes)
     else:

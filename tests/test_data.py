@@ -85,6 +85,32 @@ def test_partition_conserves_and_disjoint():
     assert all(p.num_samples >= 1 for p in parts)
 
 
+def test_partition_client_blocks_are_read_only():
+    data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
+    parts = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    before = [(p.features.copy(), p.targets.copy()) for p in parts]
+    with pytest.raises(ValueError):
+        parts[2].features[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        parts[2].targets[:] = 0
+    with pytest.raises(ValueError):
+        np.multiply(parts[2].features, 2.0, out=parts[2].features)
+    for p, (features, targets) in zip(parts, before):
+        assert np.array_equal(p.features, features)
+        assert np.array_equal(p.targets, targets)
+
+
+def test_split_needs_sizes_that_cover_the_rows():
+    data, _ = generate_synthetic_regression(6, 2, 0.1, seed=6)
+    order = np.array([5, 0, 3, 1, 4, 2])
+    first, second = data.split(order, [4, 2])
+    assert np.array_equal(first.targets, data.targets[[5, 0, 3, 1]])
+    assert np.array_equal(second.features, data.features[[4, 2]])
+    for sizes in ([4, 1], [4, 3], [6, 0], []):
+        with pytest.raises(ParameterError):
+            data.split(order, sizes)
+
+
 def test_partition_single_client_and_failure():
     data, _ = generate_synthetic_regression(10, 2, 0.1, seed=6)
     parts = dirichlet_partition(data, PartitionConfig(1, 3.0, seed=0))

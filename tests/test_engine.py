@@ -819,6 +819,28 @@ def test_run_validation_errors():
         _settings(total_rounds=3, estimation_rounds=3)
 
 
+@pytest.mark.parametrize("case", ["negative_label", "label_past_classes", "float_targets",
+                                  "test_feature_dim"])
+def test_problem_rejects_bad_labels_and_test_width(case):
+    # a label of -1 would be scored as the last class and a float label
+    # truncated; a narrower test set would fail only inside the metrics
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12, 2))
+    labels = np.arange(12) % 3
+    good = Dataset(X, labels)
+    clients, test, message = {
+        "negative_label": ([good, Dataset(X, labels - 1)], good, r"\[0, 3\)"),
+        "label_past_classes": ([good, good], Dataset(X, labels + 1), r"\[0, 3\)"),
+        "float_targets": ([good, Dataset(X, labels + 0.25)], good, "integers"),
+        "test_feature_dim": ([good, good], Dataset(X[:, :1], labels), "test feature_dim"),
+    }[case]
+    model = LogisticRegression(2, 3)
+    budgets = [PrivacyBudget.fresh(1.0, 1e-4)] * 2
+    assert FederatedProblem(model, [good, good], budgets, good).num_clients == 2
+    with pytest.raises(ParameterError, match=message):
+        FederatedProblem(model, clients, budgets, test)
+
+
 # -------------------------------------------------------------- ledger checks
 
 def test_undercharging_ledger_fails_the_run(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import dpflsim.harness as harness
 from dpflsim.config import ExperimentConfig
+from dpflsim.data import Dataset
 from dpflsim.errors import ConfigError, StateError
 from dpflsim.harness import (
     build_problem,
@@ -20,6 +21,7 @@ from dpflsim.harness import (
     write_history,
     write_summary_csv,
 )
+from dpflsim.mechanisms import PrivacyBudget
 
 
 def _config(**kw):
@@ -43,6 +45,26 @@ def test_build_problem_shapes_and_determinism():
                           again.client_data[0].features)
     other = build_problem(_config(seed=43))
     assert [b.epsilon for b in problem.budgets] != [b.epsilon for b in other.budgets]
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
+def test_build_problem_checks_once_whatever_the_client_count(monkeypatch, dataset):
+    # the partition and the budgets are checked as wholes, so the number of
+    # dataset and budget checks in one build does not grow with N
+    counts = {}
+    for cls in (Dataset, PrivacyBudget):
+        def counting(self, _check=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    seen = []
+    for num_clients in (50, 200):
+        counts.update(Dataset=0, PrivacyBudget=0)
+        problem = build_problem(_config(dataset=dataset, num_clients=num_clients,
+                                        num_samples=4000))
+        assert problem.num_clients == num_clients
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
 
 
 def test_build_problem_classification_and_loss_cap():
