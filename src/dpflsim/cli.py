@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .config import ALGORITHM_CHOICES, MECHANISM_CHOICES, load_config
+from .engine import ClientArrays
 from .errors import ConfigError, ParameterError
 from .harness import (
     ComparisonRow,
@@ -64,7 +65,7 @@ def cmd_run(args) -> int:
     problem = build_problem(config)
     settings = settings_from_config(config)
     header = history_header(config.algorithm, settings, problem.model,
-                            problem.metas, config.seed)
+                            ClientArrays(problem.client_data, problem.budgets), config.seed)
     history_path = os.path.join(out, "history.jsonl")
     writer = HistoryWriter(history_path, header)
     try:

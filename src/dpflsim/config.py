@@ -72,6 +72,12 @@ class ExperimentConfig:
         def fail(msg):
             raise ConfigError(msg)
 
+        # NaN fails every comparison below, so it would pass the checks that
+        # are written as `x < 0`; infinities overflow the run's arithmetic
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                fail(f"{f.name} must be finite, got {value}")
         if self.algorithm not in ALGORITHM_CHOICES:
             fail(f"algorithm must be one of {ALGORITHM_CHOICES}, got {self.algorithm!r}")
         if self.mechanism not in MECHANISM_CHOICES:

@@ -37,18 +37,17 @@ from .mechanisms import (
 )
 from .models import LinearRegression, LogisticRegression, ModelState, with_intercept
 from .selection import (
-    ClientMeta,
     EstimatedParams,
     SelectionPlan,
     StageOneLog,
     approximate_plan,
-    compute_phi_lambda,
     estimate_gamma_n,
     estimate_problem_params,
     estimate_rho_min,
     largest_remainder_round,
     observed_stage_loss,
     optimal_plan,
+    phi_lambda_from_columns,
     winsorize_upper,
 )
 
@@ -133,15 +132,15 @@ class RunSettings:
             raise ParameterError(
                 f"need 1 <= estimation_rounds < total_rounds, got "
                 f"{self.estimation_rounds} vs {self.total_rounds}")
-        if self.clip_bound <= 0:
+        if not self.clip_bound > 0:
             raise ParameterError("clip_bound must be positive")
-        if self.loss_cap < 0:
+        if not self.loss_cap >= 0:
             raise ParameterError("loss_cap must be nonnegative")
-        if self.c2 <= 0:
+        if not self.c2 > 0:
             raise ParameterError("c2 must be positive")
         if not 0 <= self.momentum < 1:
             raise ParameterError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ParameterError("weight_decay must be nonnegative")
         if not 0 < self.winsorize_percentile <= 100:
             raise ParameterError("winsorize_percentile must lie in (0, 100]")
@@ -189,13 +188,6 @@ class FederatedProblem:
     def num_clients(self) -> int:
         return len(self.client_data)
 
-    @property
-    def metas(self) -> list:
-        return [
-            ClientMeta(i, b.epsilon, b.delta, d.num_samples)
-            for i, (b, d) in enumerate(zip(self.budgets, self.client_data))
-        ]
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -231,6 +223,12 @@ class ClientLedger:
 
 @dataclass
 class RunResult:
+    """What a run produced. Per-client facts stay in arrays: the run's
+    `clients` columns at the end of the run, the realised participations of
+    each stage that ran, and, with a stage-two plan, each client's
+    stage-two slice and epsilon remaining at the replan. `ledger` builds
+    the per-client `ClientLedger` view from them on access."""
+
     algorithm: str
     seed: int
     rounds: list
@@ -240,11 +238,47 @@ class RunResult:
     plan_stage1: SelectionPlan
     plan_stage2: SelectionPlan | None
     estimated_params: EstimatedParams | None
-    ledger: list
     ended_early: bool
     settings: RunSettings
-    metas: list
+    clients: ClientArrays
+    stage_realised: tuple
+    stage2_slices: np.ndarray | None
+    epsilon_at_replan: np.ndarray | None
     weight_trajectory: np.ndarray | None = None
+
+    @property
+    def ledger(self) -> list:
+        clients = self.clients
+        num_clients = len(clients.epsilon)
+        stage1_realised, stage2_realised = ([r.tolist() for r in self.stage_realised]
+                                            + [[0] * num_clients])[:2]
+        if self.plan_stage2 is not None:
+            stage2_planned = self.plan_stage2.counts.tolist()
+            stage2_per_round = [e if p else None for e, p in
+                                zip(self.stage2_slices.tolist(), stage2_planned)]
+            at_replan = self.epsilon_at_replan.tolist()
+        else:
+            stage2_planned = stage2_per_round = at_replan = [None] * num_clients
+        return [
+            ClientLedger(
+                client_id=i, epsilon_total=eps, delta_total=delta,
+                epsilon_remaining=eps_rem, delta_remaining=delta_rem,
+                epsilon_consumed=consumed, slice_sum=slice_sum,
+                participations=real1 + real2, stage1_participations=real1,
+                stage2_participations=real2, stage1_planned=plan1_count,
+                stage2_planned=plan2_count, stage2_per_round_epsilon=per_round,
+                epsilon_remaining_at_replan=replan_eps, exhausted=exhausted,
+                trained_after_exhaustion=after)
+            for i, (eps, delta, eps_rem, delta_rem, consumed, slice_sum, real1, real2,
+                    plan1_count, plan2_count, per_round, replan_eps, exhausted, after)
+            in enumerate(zip(
+                clients.epsilon.tolist(), clients.delta.tolist(),
+                clients.epsilon_remaining.tolist(), clients.delta_remaining.tolist(),
+                clients.epsilon_consumed.tolist(), clients.slice_sum.tolist(),
+                stage1_realised, stage2_realised, self.plan_stage1.counts.tolist(),
+                stage2_planned, stage2_per_round, at_replan,
+                clients.exhausted.tolist(), clients.trained_after_exhaustion.tolist()))
+        ]
 
 
 def local_loss(model: ModelState, data: Dataset, loss_cap: float) -> float:
@@ -299,6 +333,10 @@ class ClientArrays:
         self.trained_after_exhaustion = np.zeros(n, dtype=bool)
         # momentum velocities, (n, d); allocated by the first momentum round
         self.velocity = None
+
+    @property
+    def epsilon_consumed(self) -> np.ndarray:
+        return self.epsilon - self.epsilon_remaining
 
     def budget(self, ids: np.ndarray) -> PrivacyBudget:
         return PrivacyBudget(self.epsilon[ids], self.delta[ids],
@@ -527,15 +565,17 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
     two_stage = algorithm == "dpfl_bcs"
     dp = settings.dp_enabled and algorithm != "fedsgd"
     weighted_agg = algorithm == "weiavg"
-    metas = problem.metas
 
     clients = ClientArrays(problem.client_data, problem.budgets)
     epsilon_at_start = clients.epsilon_remaining.copy()
 
+    # (Lambda, Phi_n) at the incoming budgets, computed once when a plan first
+    # needs them
+    initial_constants = None
     if two_stage and not settings.force_uniform_plan:
-        _, phi_initial = compute_phi_lambda(mech, model.dim, settings.clip_bound,
-                                            settings.c2, metas)
-        plan1 = approximate_plan(phi_initial, k * total_rounds, z, per_round_selected=k)
+        initial_constants = _initial_constants(clients, settings, model.dim)
+        plan1 = approximate_plan(initial_constants[1], k * total_rounds, z,
+                                 per_round_selected=k)
     else:
         plan1 = _uniform_plan(num_clients, total_rounds, k)
     uniform_probs = np.full(num_clients, 1.0 / num_clients)
@@ -609,7 +649,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         if two_stage and t == t0:
             stages.append((clients.stage_count.copy(), clients.planned))
             plan2, est_params, select_probs = _replan(
-                problem, settings, clients, metas,
+                problem, settings, clients, initial_constants,
                 StageOneLog(tuple(stage1_selected), tuple(stage1_current),
                             tuple(stage1_updated)),
                 dp, uniform_probs)
@@ -632,41 +672,13 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         final_loss, final_accuracy = model.metrics(
             state.weights, problem.test_data.features, problem.test_data.targets)
 
-    stage1_realised, stage2_realised = ([r.tolist() for r, _ in stages]
-                                        + [[0] * num_clients])[:2]
-    if plan2 is not None:
-        stage2_planned = plan2.counts.tolist()
-        stage2_per_round = [e if p else None
-                            for e, p in zip(stage2_slices.tolist(), stage2_planned)]
-        at_replan = epsilon_at_replan.tolist()
-    else:
-        stage2_planned = stage2_per_round = at_replan = [None] * num_clients
-    ledger = [
-        ClientLedger(
-            client_id=i, epsilon_total=eps, delta_total=delta,
-            epsilon_remaining=eps_rem, delta_remaining=delta_rem,
-            epsilon_consumed=consumed, slice_sum=slice_sum,
-            participations=real1 + real2, stage1_participations=real1,
-            stage2_participations=real2, stage1_planned=plan1_count,
-            stage2_planned=plan2_count, stage2_per_round_epsilon=per_round,
-            epsilon_remaining_at_replan=replan_eps, exhausted=exhausted,
-            trained_after_exhaustion=after)
-        for i, (eps, delta, eps_rem, delta_rem, consumed, slice_sum, real1, real2,
-                plan1_count, plan2_count, per_round, replan_eps, exhausted, after)
-        in enumerate(zip(
-            clients.epsilon.tolist(), clients.delta.tolist(),
-            clients.epsilon_remaining.tolist(), clients.delta_remaining.tolist(),
-            (clients.epsilon - clients.epsilon_remaining).tolist(),
-            clients.slice_sum.tolist(), stage1_realised, stage2_realised,
-            plan1.counts.tolist(), stage2_planned, stage2_per_round, at_replan,
-            clients.exhausted.tolist(), clients.trained_after_exhaustion.tolist()))
-    ]
-
     return RunResult(
         algorithm=algorithm, seed=int(seed), rounds=records, final_state=state,
         final_test_loss=final_loss, final_test_accuracy=final_accuracy,
         plan_stage1=plan1, plan_stage2=plan2, estimated_params=est_params,
-        ledger=ledger, ended_early=ended_early, settings=settings, metas=metas,
+        ended_early=ended_early, settings=settings, clients=clients,
+        stage_realised=tuple(realised for realised, _ in stages),
+        stage2_slices=stage2_slices, epsilon_at_replan=epsilon_at_replan,
         weight_trajectory=np.array(trajectory) if trajectory is not None else None)
 
 
@@ -680,8 +692,7 @@ def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,
     after its budget ran out.
     """
     consumed = epsilon_at_start - clients.epsilon_remaining
-    bad = np.flatnonzero(clients.epsilon - clients.epsilon_remaining
-                         > clients.epsilon + LEDGER_TOL)
+    bad = np.flatnonzero(clients.epsilon_consumed > clients.epsilon + LEDGER_TOL)
     if len(bad):
         raise StateError(f"clients {bad.tolist()} consumed more than their budget")
     bad = np.flatnonzero(np.abs(consumed - clients.slice_sum) > LEDGER_TOL)
@@ -697,9 +708,20 @@ def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,
         raise StateError(f"clients {bad.tolist()} trained after exhausting their budget")
 
 
+def _initial_constants(clients: ClientArrays, settings: RunSettings,
+                       model_dim: int) -> tuple[float, np.ndarray]:
+    """(Lambda, Phi_n) of every client at its incoming budget."""
+    return phi_lambda_from_columns(settings.mechanism, model_dim, settings.clip_bound,
+                                   settings.c2, clients.epsilon, clients.delta,
+                                   clients.num_samples)
+
+
 def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArrays,
-            metas: list, log: StageOneLog, dp: bool, uniform_probs: np.ndarray):
-    """Estimate bound parameters and solve the stage-two plan at t = T0."""
+            initial_constants, log: StageOneLog, dp: bool, uniform_probs: np.ndarray):
+    """Estimate bound parameters and solve the stage-two plan at t = T0.
+
+    `initial_constants` is (Lambda, Phi_n) at the incoming budgets, or None
+    when stage one did not need them."""
     model = problem.model
     mech = settings.mechanism
     z = mech.noise_exponent
@@ -708,8 +730,7 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
     t0 = settings.estimation_rounds
     horizon = settings.total_rounds - t0
 
-    lam, phi_initial = compute_phi_lambda(mech, model.dim, settings.clip_bound,
-                                          settings.c2, metas)
+    lam, phi_initial = initial_constants or _initial_constants(clients, settings, model.dim)
     gamma_hat = estimate_gamma_n(log, num_clients)
     rho_hat = estimate_rho_min(log, k, t0)
     observed = observed_stage_loss(log, t0)
@@ -729,14 +750,10 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
         return None, est, uniform_probs
 
     if dp:
-        remaining_metas = [
-            ClientMeta(i, e, d, n) for i, e, d, n in zip(
-                active.tolist(), clients.epsilon_remaining[active].tolist(),
-                clients.delta_remaining[active].tolist(),
-                clients.num_samples[active].tolist())
-        ]
-        _, phi_active = compute_phi_lambda(mech, model.dim, settings.clip_bound,
-                                           settings.c2, remaining_metas)
+        _, phi_active = phi_lambda_from_columns(
+            mech, model.dim, settings.clip_bound, settings.c2,
+            clients.epsilon_remaining[active], clients.delta_remaining[active],
+            clients.num_samples[active], client_ids=active)
     else:
         phi_active = phi_initial[active]
     gamma_for_plan = winsorize_upper(gamma_hat, settings.winsorize_percentile)

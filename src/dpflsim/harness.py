@@ -24,6 +24,7 @@ from .data import (
 )
 from .engine import (
     ALGORITHMS,
+    ClientArrays,
     FederatedProblem,
     LearningRateSchedule,
     RoundRecord,
@@ -244,14 +245,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=_json_default)
 
 
-def history_header(algorithm: str, settings: RunSettings, model, metas,
+def history_header(algorithm: str, settings: RunSettings, model, clients: ClientArrays,
                    seed: int) -> dict:
+    """The header record; `clients` gives each client's budget and sample count."""
+    columns = zip(clients.epsilon.tolist(), clients.delta.tolist(),
+                  clients.num_samples.tolist())
     return {
         "kind": "header",
         "format_version": HISTORY_FORMAT_VERSION,
         "algorithm": algorithm,
         "mechanism": settings.mechanism.value,
-        "num_clients": len(metas),
+        "num_clients": len(clients.epsilon),
         "clients_per_round": settings.clients_per_round,
         "total_rounds": settings.total_rounds,
         "estimation_rounds": settings.estimation_rounds,
@@ -265,8 +269,8 @@ def history_header(algorithm: str, settings: RunSettings, model, metas,
         "c2": settings.c2,
         "seed": int(seed),
         "clients": [
-            {"client_id": m.client_id, "epsilon": m.epsilon, "delta": m.delta,
-             "num_samples": m.num_samples} for m in metas
+            {"client_id": i, "epsilon": epsilon, "delta": delta, "num_samples": samples}
+            for i, (epsilon, delta, samples) in enumerate(columns)
         ],
     }
 
@@ -286,6 +290,8 @@ def round_to_json(record: RoundRecord) -> dict:
 
 
 def summary_to_json(result: RunResult) -> dict:
+    clients = result.clients
+    ids = [str(i) for i in range(len(clients.epsilon))]
     return {
         "kind": "summary",
         "final_test_loss": result.final_test_loss,
@@ -296,10 +302,8 @@ def summary_to_json(result: RunResult) -> dict:
                              if result.estimated_params else None),
         "ended_early": result.ended_early,
         "budget": {
-            "epsilon_consumed": {str(e.client_id): e.epsilon_consumed
-                                 for e in result.ledger},
-            "epsilon_remaining": {str(e.client_id): e.epsilon_remaining
-                                  for e in result.ledger},
+            "epsilon_consumed": dict(zip(ids, clients.epsilon_consumed.tolist())),
+            "epsilon_remaining": dict(zip(ids, clients.epsilon_remaining.tolist())),
         },
     }
 
@@ -335,7 +339,7 @@ class HistoryWriter:
 
 def write_history(path, result: RunResult) -> None:
     header = history_header(result.algorithm, result.settings,
-                            result.final_state.model_kind, result.metas, result.seed)
+                            result.final_state.model_kind, result.clients, result.seed)
     with HistoryWriter(path, header) as writer:
         for record in result.rounds:
             writer.write_round(record)

@@ -90,8 +90,8 @@ class SelectionPlan:
 
     def to_dict(self) -> dict:
         return {
-            "counts": [int(c) for c in self.counts],
-            "probabilities": [float(p) for p in self.probabilities],
+            "counts": self.counts.tolist(),
+            "probabilities": self.probabilities.tolist(),
             "horizon_rounds": int(self.horizon_rounds),
             "per_round_selected": int(self.per_round_selected),
         }
@@ -187,10 +187,10 @@ class EstimatedParams:
 
     def to_dict(self) -> dict:
         return {
-            "gamma_hat_n": [float(g) for g in self.gamma_hat_n],
+            "gamma_hat_n": self.gamma_hat_n.tolist(),
             "rho_min_hat": float(self.rho_min_hat),
             "Lambda": float(self.Lambda),
-            "phi_n": [float(p) for p in self.phi_n],
+            "phi_n": self.phi_n.tolist(),
             "gamma": float(self.gamma),
             "L_smooth": float(self.L_smooth),
             "mu_convex": float(self.mu_convex),
@@ -235,10 +235,25 @@ def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
 
 def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: float,
                        c2: float, clients: list) -> tuple[float, np.ndarray]:
-    """Noise-energy constants: Lambda and the per-client Phi_n vector.
+    """Noise-energy constants: Lambda and the per-client Phi_n vector, for a
+    list of `ClientMeta`; `phi_lambda_from_columns` does the work."""
+    return phi_lambda_from_columns(
+        mechanism, model_dim, clip_bound, c2, [m.epsilon for m in clients],
+        [m.delta for m in clients], [m.num_samples for m in clients],
+        client_ids=[m.client_id for m in clients])
 
-    model_dim counts the d base model coordinates; the two stage-one loss
-    slots raise sensitivity, not Phi_n.
+
+def phi_lambda_from_columns(mechanism: MechanismKind, model_dim: int, clip_bound: float,
+                            c2: float, epsilon, delta, num_samples,
+                            client_ids=None) -> tuple[float, np.ndarray]:
+    """Noise-energy constants: Lambda and Phi_n for client columns.
+
+    epsilon[i], delta[i] and num_samples[i] describe client client_ids[i]
+    (by default client i); error messages name that id. model_dim counts
+    the d base model coordinates; the two stage-one loss slots raise
+    sensitivity, not Phi_n. Phi_n is evaluated one client at a time in
+    Python floats: numpy's vectorised log and square round differently
+    from `math.log` and `pow` in the last bit for some inputs.
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
@@ -246,21 +261,36 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
         raise ParameterError("model_dim must be >= 1")
     if clip_bound <= 0 or c2 <= 0:
         raise ParameterError("clip_bound and c2 must be positive")
-    if not clients:
+    eps = np.asarray(epsilon, dtype=float)
+    dlt = np.asarray(delta, dtype=float)
+    samples = np.asarray(num_samples)
+    if eps.ndim != 1 or not eps.shape == dlt.shape == samples.shape:
+        raise ParameterError("epsilon, delta and num_samples must be vectors of one length")
+    if len(eps) == 0:
         raise ParameterError("clients list is empty")
-    phi = np.empty(len(clients))
-    if mechanism is MechanismKind.GAUSSIAN:
+    gaussian = mechanism is MechanismKind.GAUSSIAN
+    ok = np.isfinite(eps) & (eps > 0) & (samples >= 1)
+    if gaussian:
+        ok &= (dlt > 0) & (dlt < 1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        name = client_ids[i] if client_ids is not None else i
+        if not (math.isfinite(eps[i]) and eps[i] > 0):
+            raise ParameterError(f"client {name}: epsilon must be positive, got {eps[i]}")
+        if not samples[i] >= 1:
+            raise ParameterError(f"client {name}: num_samples must be >= 1, "
+                                 f"got {samples[i]}")
+        raise ParameterError(
+            f"client {name}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
+    eps, samples = eps.tolist(), samples.tolist()
+    if gaussian:
         lam = 4.0 * clip_bound**2 * model_dim * c2**2
-        for i, m in enumerate(clients):
-            if not 0 < m.delta < 1:
-                raise ParameterError(
-                    f"client {m.client_id}: Gaussian mechanism needs delta in (0,1), got {m.delta}")
-            phi[i] = math.log(1.0 / m.delta) / (m.num_samples**2 * m.epsilon**2)
+        phi = [math.log(1.0 / d) / (n**2 * e**2)
+               for e, d, n in zip(eps, dlt.tolist(), samples)]
     else:
         lam = 8.0 * model_dim * clip_bound**2
-        for i, m in enumerate(clients):
-            phi[i] = 1.0 / (m.num_samples**2 * m.epsilon**2)
-    return lam, phi
+        phi = [1.0 / (n**2 * e**2) for e, n in zip(eps, samples)]
+    return lam, np.array(phi, dtype=float)
 
 
 def approximate_plan(phi_n: np.ndarray, budget_rounds: int, z: int,

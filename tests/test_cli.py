@@ -1,5 +1,6 @@
 """End-to-end command-line contract: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -73,6 +74,33 @@ def test_run_rejects_estimation_rounds_at_total(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "estimation_rounds" in err and "total_rounds" in err
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
+
+
+def test_float_fields_cover_the_config():
+    assert {"clip_bound", "loss_cap", "weight_decay", "epsilon_max",
+            "test_fraction"} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_float(name, value):
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite, got {value}$"):
+        ExperimentConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("override", ["weight_decay=nan", "epsilon_max=inf",
+                                      "clip_bound=inf"])
+def test_run_rejects_non_finite_override(tmp_path, capsys, override):
+    # before the check: nan weight decay trained without decay (exit 0), an
+    # infinite epsilon_max failed inside numpy (exit 2), and an infinite clip
+    # bound failed deep in the run with a message that named no config field
+    name, _, value = override.partition("=")
+    assert main(["run", "--set", override, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_seed_override_changes_history(tmp_path):

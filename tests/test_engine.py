@@ -819,6 +819,13 @@ def test_run_validation_errors():
         _settings(total_rounds=3, estimation_rounds=3)
 
 
+@pytest.mark.parametrize("name", ["clip_bound", "loss_cap", "c2", "weight_decay"])
+def test_settings_reject_nan(name):
+    # a NaN fails every comparison, so `x < 0` would let it through
+    with pytest.raises(ParameterError, match=name):
+        _settings(**{name: math.nan})
+
+
 @pytest.mark.parametrize("case", ["negative_label", "label_past_classes", "float_targets",
                                   "test_feature_dim"])
 def test_problem_rejects_bad_labels_and_test_width(case):

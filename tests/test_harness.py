@@ -10,6 +10,7 @@ import pytest
 import dpflsim.harness as harness
 from dpflsim.config import ExperimentConfig
 from dpflsim.data import Dataset
+from dpflsim.engine import ClientLedger
 from dpflsim.errors import ConfigError, StateError
 from dpflsim.harness import (
     build_problem,
@@ -22,6 +23,7 @@ from dpflsim.harness import (
     write_summary_csv,
 )
 from dpflsim.mechanisms import PrivacyBudget
+from dpflsim.selection import ClientMeta
 
 
 def _config(**kw):
@@ -65,6 +67,29 @@ def test_build_problem_checks_once_whatever_the_client_count(monkeypatch, datase
         assert problem.num_clients == num_clients
         seen.append(dict(counts))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("algorithm", ["dpfl_bcs", "uniform_dp"])
+def test_run_and_history_build_no_per_client_objects(monkeypatch, tmp_path, algorithm):
+    # a run keeps its per-client facts in arrays from the first plan to the
+    # written history; `RunResult.ledger` builds ClientLedger entries only
+    # when read
+    counts = {}
+    for cls in (ClientMeta, ClientLedger):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for num_clients in (50, 200):
+        cfg = _config(algorithm=algorithm, num_clients=num_clients, clients_per_round=10,
+                      total_rounds=12, estimation_rounds=4, num_samples=4000)
+        problem = build_problem(cfg)
+        counts.update(ClientMeta=0, ClientLedger=0)
+        result = run_single(cfg, problem=problem)
+        write_history(tmp_path / f"history{num_clients}.jsonl", result)
+        assert counts == {"ClientMeta": 0, "ClientLedger": 0}
+        assert len(result.ledger) == num_clients
+        assert counts == {"ClientMeta": 0, "ClientLedger": num_clients}
 
 
 def test_build_problem_classification_and_loss_cap():

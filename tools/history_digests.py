@@ -1,0 +1,89 @@
+"""Print the SHA-256 of every history a fixed set of seeded runs writes.
+
+Run it as ``python tools/history_digests.py`` from a checkout, before and
+after a change that must not move seeded outputs, and diff the two listings.
+It takes no options. The runs go through the package's public API into a
+temporary directory that is removed on exit:
+
+- each benchmark workload of ``perfbench/bench.py`` (its full config, read
+  from that file) at config seeds 0 and 3, with ``paired-ref``'s replayed
+  ``estimated_params`` and summary CSV;
+- a 32-history matrix: the four algorithms x {gaussian, laplace} x
+  {synthetic_regression, synthetic_classification} x seeds {0, 1}, momentum
+  0.5 on seed 1, N=30, K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays.
+
+Each output line is ``<sha256>  <name>``, sorted by name.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench/ is only read: leave no bytecode cache in it
+sys.dont_write_bytecode = True
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import bench  # noqa: E402  (perfbench/bench.py, read for its workload configs)
+import dpflsim  # noqa: E402
+
+WORKLOAD_SEEDS = (0, 3)
+MATRIX = dict(num_clients=30, clients_per_round=6, total_rounds=40, estimation_rounds=5)
+
+
+def _write_replays(out: Path) -> None:
+    for path in sorted(out.glob("*dpfl_bcs*.jsonl")):
+        params = dpflsim.estimate_from_history(dpflsim.read_history(path))
+        replay = path.with_name(path.stem + ".estimated_params.json")
+        replay.write_text(json.dumps(params.to_dict(), sort_keys=True, indent=2) + "\n")
+
+
+def _single(cfg, out: Path, name: str) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    dpflsim.write_history(out / name, dpflsim.run_single(cfg))
+
+
+def write_workloads(root: Path) -> None:
+    for name, workload in sorted(bench.WORKLOADS.items()):
+        for seed in WORKLOAD_SEEDS:
+            cfg = workload.config(seed, smoke=False)
+            out = root / name / f"seed{seed}"
+            if workload.num_seeds > 1:
+                dpflsim.run_comparison(cfg, bench.PAIRED_ALGORITHMS, workload.num_seeds,
+                                       out_dir=str(out))
+                _write_replays(out)
+            else:
+                _single(cfg, out, "history.jsonl")
+
+
+def write_matrix(root: Path) -> None:
+    out = root / "matrix"
+    for algorithm in dpflsim.ALGORITHMS:
+        for mechanism in ("gaussian", "laplace"):
+            delta = {} if mechanism == "gaussian" else {"delta_min": 0.0, "delta_max": 0.0}
+            for dataset in ("synthetic_regression", "synthetic_classification"):
+                for seed in (0, 1):
+                    cfg = dpflsim.ExperimentConfig(
+                        algorithm=algorithm, mechanism=mechanism, dataset=dataset,
+                        seed=seed, momentum=0.5 if seed else 0.0, **MATRIX, **delta)
+                    _single(cfg, out, f"{algorithm}_{mechanism}_{dataset}_seed{seed}.jsonl")
+    _write_replays(out)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_workloads(root)
+        write_matrix(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
