@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -33,7 +34,6 @@ from .harness import (
 )
 from .mechanisms import MechanismKind
 from .selection import (
-    ClientMeta,
     SelectionPlan,
     approximate_plan,
     compute_phi_lambda,
@@ -85,7 +85,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def read_roster(path) -> list:
+def _roster_row(row: dict) -> tuple:
+    """(client_id, epsilon, delta, num_samples) of one roster row; a
+    ValueError or TypeError names the first field that does not parse or
+    lies out of range."""
+    client_id, epsilon = int(row["client_id"]), float(row["epsilon"])
+    delta, num_samples = float(row["delta"]), int(row["num_samples"])
+    if client_id < 0:
+        raise ValueError(f"client_id must be >= 0, got {client_id}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(delta) and 0 <= delta < 1):
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    return client_id, epsilon, delta, num_samples
+
+
+def read_roster(path) -> tuple:
+    """The roster's columns (client ids, epsilon, delta, num_samples), one
+    entry per row. Every row that does not parse, holds a value out of range
+    or repeats an earlier client id is listed with its line number."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -97,20 +117,23 @@ def read_roster(path) -> list:
             raise ConfigError(
                 f"{path}: expected header {','.join(ROSTER_COLUMNS)}, "
                 f"got {','.join(names) if names else 'nothing'}")
-        metas, bad = [], []
+        rows, bad, line_of = [], [], {}
         for lineno, row in enumerate(reader, start=2):
             try:
-                metas.append(ClientMeta(int(row["client_id"]),
-                                        float(row["epsilon"]),
-                                        float(row["delta"]),
-                                        int(row["num_samples"])))
+                values = _roster_row(row)
             except (TypeError, ValueError) as exc:
                 bad.append(f"line {lineno}: {exc}")
+                continue
+            first = line_of.setdefault(values[0], lineno)
+            if first != lineno:
+                bad.append(f"line {lineno}: client_id {values[0]} repeats line {first}")
+                continue
+            rows.append(values)
     if bad:
         raise ConfigError(f"{path}: invalid roster rows:\n  " + "\n  ".join(bad))
-    if not metas:
+    if not rows:
         raise ConfigError(f"{path}: roster has no client rows")
-    return metas
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def _read_gamma_file(path, expected: int) -> np.ndarray:
@@ -137,25 +160,26 @@ def _read_gamma_file(path, expected: int) -> np.ndarray:
     return arr
 
 
-def write_plan_csv(path, metas, plan: SelectionPlan) -> None:
+def write_plan_csv(path, client_ids, plan: SelectionPlan) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id", "T_n", "p_n"])
-        for meta, count, prob in zip(metas, plan.counts, plan.probabilities):
-            writer.writerow([meta.client_id, int(count), repr(float(prob))])
+        for client_id, count, prob in zip(client_ids.tolist(), plan.counts,
+                                          plan.probabilities):
+            writer.writerow([client_id, int(count), repr(float(prob))])
 
 
 def cmd_plan(args) -> int:
-    metas = read_roster(args.roster)
+    client_ids, epsilon, delta, num_samples = read_roster(args.roster)
     mechanism = MechanismKind.parse(args.mechanism)
-    _, phi = compute_phi_lambda(mechanism, args.model_dim, args.clip_bound,
-                                args.c2, metas)
+    _, phi = compute_phi_lambda(mechanism, args.model_dim, args.clip_bound, args.c2,
+                                epsilon, delta, num_samples, client_ids=client_ids)
     z = mechanism.noise_exponent
     total = args.clients_per_round * args.rounds
     if args.gamma_file:
         if args.omega_a is None or args.omega_b is None:
             raise ConfigError("--gamma-file requires --omega-a and --omega-b")
-        gamma = _read_gamma_file(args.gamma_file, len(metas))
+        gamma = _read_gamma_file(args.gamma_file, len(client_ids))
         t_cont, _ = water_fill_continuous(phi, gamma, args.omega_a, args.omega_b,
                                           total, z)
         counts = largest_remainder_round(t_cont, total)
@@ -165,7 +189,7 @@ def cmd_plan(args) -> int:
                                 per_round_selected=args.clients_per_round)
     out = _out_dir(args)
     plan_path = os.path.join(out, "plan.csv")
-    write_plan_csv(plan_path, metas, plan)
+    write_plan_csv(plan_path, client_ids, plan)
     print(plan_path)
     return 0
 

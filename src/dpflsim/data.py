@@ -213,8 +213,10 @@ def dirichlet_partition(dataset: Dataset, config: PartitionConfig) -> list:
         "the dataset is too small or alpha too extreme")
 
 
-def sample_budgets(config: BudgetSamplingConfig, num_clients: int) -> list:
-    """Per-client budgets: epsilon and delta i.i.d. uniform over their ranges."""
+def sample_budgets(config: BudgetSamplingConfig, num_clients: int) -> PrivacyBudget:
+    """Fresh per-client budgets as one `PrivacyBudget` whose fields are
+    read-only columns, one entry per client: epsilon and delta i.i.d. uniform
+    over their ranges."""
     if num_clients < 1:
         raise ParameterError("num_clients must be >= 1")
     rng = np.random.default_rng(config.seed)
@@ -222,10 +224,10 @@ def sample_budgets(config: BudgetSamplingConfig, num_clients: int) -> list:
     d_lo, d_hi = config.delta_range
     epsilons = rng.uniform(eps_lo, eps_hi, num_clients)
     deltas = rng.uniform(d_lo, d_hi, num_clients) if d_hi > 0 else np.zeros(num_clients)
-    # one check for every client, then fresh scalar budgets of Python floats
-    PrivacyBudget(epsilons, deltas, epsilons, deltas)
-    epsilons, deltas = epsilons.tolist(), deltas.tolist()
-    return _unchecked(PrivacyBudget, zip(epsilons, deltas, epsilons, deltas))
+    # read-only, so the total and the remaining budget may share one array
+    epsilons.flags.writeable = False
+    deltas.flags.writeable = False
+    return PrivacyBudget(epsilons, deltas, epsilons, deltas)
 
 
 def ingest_csv(path, target_column: str, feature_columns: list,

@@ -41,13 +41,13 @@ from .selection import (
     SelectionPlan,
     StageOneLog,
     approximate_plan,
+    compute_phi_lambda,
     estimate_gamma_n,
     estimate_problem_params,
     estimate_rho_min,
     largest_remainder_round,
     observed_stage_loss,
     optimal_plan,
-    phi_lambda_from_columns,
     winsorize_upper,
 )
 
@@ -152,18 +152,24 @@ class RunSettings:
 
 @dataclass
 class FederatedProblem:
-    """A model kind, partitioned client data, budgets, and the server test set."""
+    """A model kind, partitioned client data, budgets, and the server test set.
+
+    `budgets` is one `PrivacyBudget` whose fields are columns with one entry
+    per client; a run copies them, so runs on one problem start alike."""
 
     model: LinearRegression | LogisticRegression
     client_data: list
-    budgets: list
+    budgets: PrivacyBudget
     test_data: Dataset
 
     def __post_init__(self):
         if len(self.client_data) == 0:
             raise ParameterError("need at least one client")
-        if len(self.client_data) != len(self.budgets):
-            raise ParameterError("client_data and budgets length mismatch")
+        shape = np.shape(getattr(self.budgets, "epsilon", None))
+        if shape != (len(self.client_data),):
+            raise ParameterError(f"budgets must be columns of shape "
+                                 f"({len(self.client_data)},), one entry per client, "
+                                 f"got shape {shape}")
         for i, d in enumerate(self.client_data):
             if d.feature_dim != self.model.feature_dim:
                 raise ParameterError(
@@ -314,14 +320,15 @@ class ClientArrays:
     never eligible again.
     """
 
-    def __init__(self, data: list, budgets: list):
+    def __init__(self, data: list, budgets: PrivacyBudget):
         n = len(data)
         self.data = list(data)
         self.num_samples = np.array([d.num_samples for d in data], dtype=int)
-        self.epsilon = np.array([b.epsilon for b in budgets], dtype=float)
-        self.delta = np.array([b.delta for b in budgets], dtype=float)
-        self.epsilon_remaining = np.array([b.epsilon_remaining for b in budgets], dtype=float)
-        self.delta_remaining = np.array([b.delta_remaining for b in budgets], dtype=float)
+        # copies: the run updates them in place
+        self.epsilon = np.array(budgets.epsilon, dtype=float)
+        self.delta = np.array(budgets.delta, dtype=float)
+        self.epsilon_remaining = np.array(budgets.epsilon_remaining, dtype=float)
+        self.delta_remaining = np.array(budgets.delta_remaining, dtype=float)
         self.planned = np.zeros(n, dtype=int)
         self.stage_count = np.zeros(n, dtype=int)
         self.stage_epsilon = np.zeros(n)
@@ -329,7 +336,7 @@ class ClientArrays:
         self.slice_epsilon = np.zeros(n)
         self.slice_delta = np.zeros(n)
         self.slice_sum = np.zeros(n)
-        self.exhausted = np.array([b.exhausted for b in budgets], dtype=bool)
+        self.exhausted = np.array(budgets.exhausted, dtype=bool)
         self.trained_after_exhaustion = np.zeros(n, dtype=bool)
         # momentum velocities, (n, d); allocated by the first momentum round
         self.velocity = None
@@ -711,9 +718,9 @@ def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,
 def _initial_constants(clients: ClientArrays, settings: RunSettings,
                        model_dim: int) -> tuple[float, np.ndarray]:
     """(Lambda, Phi_n) of every client at its incoming budget."""
-    return phi_lambda_from_columns(settings.mechanism, model_dim, settings.clip_bound,
-                                   settings.c2, clients.epsilon, clients.delta,
-                                   clients.num_samples)
+    return compute_phi_lambda(settings.mechanism, model_dim, settings.clip_bound,
+                              settings.c2, clients.epsilon, clients.delta,
+                              clients.num_samples)
 
 
 def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArrays,
@@ -750,7 +757,7 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
         return None, est, uniform_probs
 
     if dp:
-        _, phi_active = phi_lambda_from_columns(
+        _, phi_active = compute_phi_lambda(
             mech, model.dim, settings.clip_bound, settings.c2,
             clients.epsilon_remaining[active], clients.delta_remaining[active],
             clients.num_samples[active], client_ids=active)

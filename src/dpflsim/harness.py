@@ -37,7 +37,6 @@ from .errors import ConfigError, StateError
 from .mechanisms import MechanismKind
 from .models import LinearRegression, LogisticRegression
 from .selection import (
-    ClientMeta,
     EstimatedParams,
     StageOneLog,
     compute_phi_lambda,
@@ -367,6 +366,8 @@ def read_history(path) -> ParsedHistory:
             objs.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{i}: invalid JSON: {exc}") from exc
+        if not isinstance(objs[-1], dict):
+            raise ConfigError(f"{path}:{i}: not a JSON object")
     header = objs[0]
     if header.get("kind") != "header":
         raise ConfigError(f"{path}: first line is not a history header")
@@ -380,25 +381,45 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
 
     Produces bit-identical estimates to the ones the run recorded, because it
     feeds the same helper chain the engine used at the re-planning round.
+    Raises ConfigError on a header or stage-one round that is malformed.
     """
     h = parsed.header
+    if not isinstance(h, dict):
+        raise ConfigError(f"history header must be an object, got {h!r}")
     required = ("mechanism", "clients_per_round", "estimation_rounds", "num_clients",
                 "model_dim", "clip_bound", "c2", "clients")
     missing = [key for key in required if key not in h]
     if missing:
         raise ConfigError(f"history header is missing fields: {', '.join(missing)}")
     mech = MechanismKind.parse(h["mechanism"])
-    t0 = int(h["estimation_rounds"])
-    k = int(h["clients_per_round"])
-    num_clients = int(h["num_clients"])
+    clients = h["clients"]
+    if not (isinstance(clients, list) and all(isinstance(c, dict) for c in clients)):
+        raise ConfigError(f"history header clients must be a list of objects, "
+                          f"got {clients!r}")
+    try:
+        t0, k, num_clients, model_dim = (int(h[key]) for key in (
+            "estimation_rounds", "clients_per_round", "num_clients", "model_dim"))
+        clip_bound, c2 = float(h["clip_bound"]), float(h["c2"])
+        epsilon = [float(c["epsilon"]) for c in clients]
+        delta = [float(c["delta"]) for c in clients]
+        num_samples = [int(c["num_samples"]) for c in clients]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("history header fields and each client's epsilon, delta and "
+                          f"num_samples must be numbers: {type(exc).__name__}: {exc}"
+                          ) from exc
     # phi_n is built in list order and gamma_hat_n by client id, so the two
     # agree only when the list holds ids 0..num_clients-1 in order
-    ids = [c.get("client_id") for c in h["clients"]]
+    ids = [c.get("client_id") for c in clients]
     if ids != list(range(num_clients)):
         raise ConfigError(
             f"history header lists {len(ids)} clients starting {ids[:5]}; expected ids "
             f"0..{num_clients - 1} in order, one per client of num_clients = {num_clients}")
-    by_t = {int(r["t"]): r for r in parsed.rounds}
+    by_t = {}
+    for r in parsed.rounds:
+        t = r.get("t")
+        if type(t) is not int:
+            raise ConfigError(f"history round needs an integer t, got {t!r}")
+        by_t[t] = r
     selected, current, updated = [], [], []
     for t in range(1, t0 + 1):
         r = by_t.get(t)
@@ -406,15 +427,25 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
             raise ConfigError(f"history is missing stage-one round {t}")
         if not r.get("losses"):
             raise ConfigError(f"history round {t} has no stage-one loss records")
-        losses = {int(n): v for n, v in r["losses"].items()}
-        selected.append(tuple(sorted(losses)))
-        current.append({n: float(v[0]) for n, v in losses.items()})
-        updated.append({n: float(v[1]) for n, v in losses.items()})
+        if not isinstance(r["losses"], dict):
+            raise ConfigError(f"history round {t}: losses must be an object, "
+                              f"got {r['losses']!r}")
+        cur, upd = {}, {}
+        for key, value in r["losses"].items():
+            try:
+                if not (isinstance(value, list) and len(value) == 2):
+                    raise ValueError("not a pair")
+                n = int(key)
+                cur[n], upd[n] = float(value[0]), float(value[1])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"history round {t}: losses must map client ids to "
+                                  f"pairs of numbers, got {key!r}: {value!r}") from None
+        selected.append(tuple(sorted(cur)))
+        current.append(cur)
+        updated.append(upd)
     log = StageOneLog(tuple(selected), tuple(current), tuple(updated))
-    metas = [ClientMeta(int(c["client_id"]), float(c["epsilon"]), float(c["delta"]),
-                        int(c["num_samples"])) for c in h["clients"]]
-    lam, phi = compute_phi_lambda(mech, int(h["model_dim"]), float(h["clip_bound"]),
-                                  float(h["c2"]), metas)
+    lam, phi = compute_phi_lambda(mech, model_dim, clip_bound, c2, epsilon, delta,
+                                  num_samples)
     gamma_hat = estimate_gamma_n(log, num_clients)
     rho_hat = estimate_rho_min(log, k, t0)
     observed = observed_stage_loss(log, t0)

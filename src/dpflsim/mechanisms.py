@@ -62,7 +62,6 @@ _RANGES = {
     "in (0, 1)": (0.0, True, 1.0),
     "in [0, 1)": (0.0, False, 1.0),
 }
-_ndarray = np.ndarray  # bound once: the scalar branch of `_check` runs per budget built
 
 
 def _check(name: str, value, kind: str, like=None, at_most=None):
@@ -72,10 +71,10 @@ def _check(name: str, value, kind: str, like=None, at_most=None):
 
     With `like` given, `value` must have the shape of `like`. This is the one
     place that tells scalars from arrays; the scalar branch stays on plain
-    floats because budgets are built one client at a time.
+    floats for the callers that pass one client's scalars.
     """
     low, strict, high = _RANGES[kind]
-    if isinstance(value, _ndarray) or isinstance(like, _ndarray):
+    if isinstance(value, np.ndarray) or isinstance(like, np.ndarray):
         value = np.asarray(value, dtype=float)
         if like is not None and np.shape(like) != value.shape:
             raise ParameterError(f"{name} must have shape {np.shape(like)}, "
@@ -98,7 +97,7 @@ def _check_rounds(name: str, value, like=None):
     """`value` as an int, or as an int array if it is an array, after
     checking that every entry is a whole number >= 1."""
     checked = _check(name, value, "at least 1", like)
-    if isinstance(value, _ndarray):
+    if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iu":
             if not np.all(checked == np.round(checked)):
                 raise ParameterError(f"{name} must be whole numbers")

@@ -32,26 +32,6 @@ _LM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class ClientMeta:
-    """Static per-client facts the planner needs."""
-
-    client_id: int
-    epsilon: float
-    delta: float
-    num_samples: int
-
-    def __post_init__(self):
-        if self.client_id < 0:
-            raise ParameterError(f"client_id must be >= 0, got {self.client_id}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not (math.isfinite(self.delta) and 0 <= self.delta < 1):
-            raise ParameterError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.num_samples < 1:
-            raise ParameterError(f"num_samples must be >= 1, got {self.num_samples}")
-
-
-@dataclass(frozen=True)
 class SelectionPlan:
     """Participation counts T_n and probabilities p_n over a horizon."""
 
@@ -234,22 +214,14 @@ def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
 
 
 def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: float,
-                       c2: float, clients: list) -> tuple[float, np.ndarray]:
-    """Noise-energy constants: Lambda and the per-client Phi_n vector, for a
-    list of `ClientMeta`; `phi_lambda_from_columns` does the work."""
-    return phi_lambda_from_columns(
-        mechanism, model_dim, clip_bound, c2, [m.epsilon for m in clients],
-        [m.delta for m in clients], [m.num_samples for m in clients],
-        client_ids=[m.client_id for m in clients])
-
-
-def phi_lambda_from_columns(mechanism: MechanismKind, model_dim: int, clip_bound: float,
-                            c2: float, epsilon, delta, num_samples,
-                            client_ids=None) -> tuple[float, np.ndarray]:
+                       c2: float, epsilon, delta, num_samples,
+                       client_ids=None) -> tuple[float, np.ndarray]:
     """Noise-energy constants: Lambda and Phi_n for client columns.
 
     epsilon[i], delta[i] and num_samples[i] describe client client_ids[i]
-    (by default client i); error messages name that id. model_dim counts
+    (by default client i); error messages name that id. Every epsilon must
+    be positive, every delta in [0, 1) (in (0, 1) for the Gaussian
+    mechanism) and every sample count at least 1. model_dim counts
     the d base model coordinates; the two stage-one loss slots raise
     sensitivity, not Phi_n. Phi_n is evaluated one client at a time in
     Python floats: numpy's vectorised log and square round differently
@@ -269,9 +241,8 @@ def phi_lambda_from_columns(mechanism: MechanismKind, model_dim: int, clip_bound
     if len(eps) == 0:
         raise ParameterError("clients list is empty")
     gaussian = mechanism is MechanismKind.GAUSSIAN
-    ok = np.isfinite(eps) & (eps > 0) & (samples >= 1)
-    if gaussian:
-        ok &= (dlt > 0) & (dlt < 1)
+    ok = np.isfinite(eps) & (eps > 0) & (samples >= 1) & (dlt < 1)
+    ok &= (dlt > 0) if gaussian else (dlt >= 0)
     if not ok.all():
         i = int(np.argmin(ok))
         name = client_ids[i] if client_ids is not None else i
@@ -280,8 +251,10 @@ def phi_lambda_from_columns(mechanism: MechanismKind, model_dim: int, clip_bound
         if not samples[i] >= 1:
             raise ParameterError(f"client {name}: num_samples must be >= 1, "
                                  f"got {samples[i]}")
-        raise ParameterError(
-            f"client {name}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
+        if gaussian:
+            raise ParameterError(
+                f"client {name}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
+        raise ParameterError(f"client {name}: delta must lie in [0, 1), got {dlt[i]}")
     eps, samples = eps.tolist(), samples.tolist()
     if gaussian:
         lam = 4.0 * clip_bound**2 * model_dim * c2**2

@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from dpflsim.cli import main
+from dpflsim.cli import main, read_roster
 from dpflsim.config import ExperimentConfig
 from dpflsim.errors import ConfigError
 from dpflsim.harness import build_problem, estimate_from_history, read_history
 from dpflsim.mechanisms import MechanismKind
-from dpflsim.selection import ClientMeta, EstimatedParams, compute_phi_lambda, \
-    predicted_loss_bound
+from dpflsim.selection import EstimatedParams, compute_phi_lambda, predicted_loss_bound
 
 
 def _write_config(path, **kw):
@@ -175,6 +174,36 @@ def test_plan_rejects_wrong_header(tmp_path, capsys):
     assert "client_id,epsilon,delta,num_samples" in capsys.readouterr().err
 
 
+def test_plan_lists_every_bad_roster_row(tmp_path, capsys):
+    # under Laplace a delta of 0 is fine, but no delta outside [0, 1) is
+    roster = _write_roster(tmp_path / "roster.csv", [
+        (0, 1.0, 0.0, 100), (1, 1.0, 2.0, 100), (-1, 1.0, 0.0, 100),
+        (2, "x", 0.0, 100), (3, 1.0, 0.0, 0), (4, 1.0, 0.0, 10)])
+    assert main(["plan", "--roster", roster, "--mechanism", "laplace",
+                 "--model-dim", "4", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    for line in ("line 3: delta must lie in [0, 1), got 2.0",
+                 "line 4: client_id must be >= 0, got -1",
+                 "line 5: could not convert string to float: 'x'",
+                 "line 6: num_samples must be >= 1, got 0"):
+        assert line in err
+    assert "line 2:" not in err and "line 7:" not in err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+def test_plan_rejects_duplicate_client_ids(tmp_path, capsys):
+    roster = _write_roster(tmp_path / "roster.csv", [
+        (0, 1.0, 1e-5, 100), (1, 1.0, 1e-5, 100), (0, 2.0, 1e-5, 50), (1, 1.0, 1e-5, 100)])
+    with pytest.raises(ConfigError, match="line 4: client_id 0 repeats line 2"):
+        read_roster(roster)
+    assert main(["plan", "--roster", roster, "--model-dim", "4",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "line 4: client_id 0 repeats line 2" in err
+    assert "line 5: client_id 1 repeats line 3" in err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
 def test_plan_gamma_file_requires_omegas(tmp_path, capsys):
     roster = _write_roster(tmp_path / "roster.csv", [(0, 1.0, 1e-5, 100)])
     gamma = tmp_path / "gamma.txt"
@@ -274,12 +303,88 @@ def test_estimate_rejects_header_clients_out_of_id_order(tmp_path, capsys):
         assert "expected ids 0.." in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def stage_one_history(tmp_path_factory):
+    """The lines of a dpfl_bcs history with four stage-one rounds, parsed."""
+    tmp = tmp_path_factory.mktemp("history")
+    cfg = _write_config(tmp / "exp.cfg", algorithm="dpfl_bcs", estimation_rounds=4)
+    assert main(["run", "--config", cfg, "--out", str(tmp / "out")]) == 0
+    lines = [json.loads(ln) for ln in (tmp / "out" / "history.jsonl").read_text().splitlines()]
+    assert lines[2]["t"] == 2 and lines[2]["losses"]
+    return lines
+
+
+_DROP = object()
+
+# (line index, key path into that line, new value or _DROP); line 2 is the
+# stage-one round t = 2
+MALFORMED_HISTORIES = {
+    "header_not_object": (0, (), ["header"]),
+    "line_not_object": (-1, (), 7),
+    "header_field_not_number": (0, ("estimation_rounds",), "four"),
+    "clients_not_list": (0, ("clients",), {"0": {}}),
+    "client_not_object": (0, ("clients", 1), 3.5),
+    "client_lacks_epsilon": (0, ("clients", 1, "epsilon"), _DROP),
+    "client_lacks_delta": (0, ("clients", 1, "delta"), _DROP),
+    "client_lacks_num_samples": (0, ("clients", 1, "num_samples"), _DROP),
+    "epsilon_not_number": (0, ("clients", 1, "epsilon"), "much"),
+    "delta_null": (0, ("clients", 1, "delta"), None),
+    "num_samples_list": (0, ("clients", 1, "num_samples"), [40]),
+    "round_without_t": (2, ("t",), _DROP),
+    "round_t_not_integer": (2, ("t",), "two"),
+    "round_t_list": (2, ("t",), [2]),
+    "losses_not_object": (2, ("losses",), [[1.0, 0.5]]),
+    "loss_key_not_id": (2, ("losses",), {"first": [1.0, 0.5]}),
+    "loss_not_pair": (2, ("losses",), {"0": 1.0}),
+    "loss_pair_too_short": (2, ("losses",), {"0": [1.0]}),
+    "loss_pair_not_numbers": (2, ("losses",), {"0": ["low", 0.5]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
+def test_estimate_rejects_malformed_history(tmp_path, capsys, stage_one_history, case):
+    index, keys, value = MALFORMED_HISTORIES[case]
+    lines = json.loads(json.dumps(stage_one_history))
+    if not keys:
+        lines[index] = value
+    else:
+        *parents, last = keys
+        owner = lines[index]
+        for key in parents:
+            owner = owner[key]
+        if value is _DROP:
+            del owner[last]
+        else:
+            owner[last] = value
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with pytest.raises(ConfigError):
+        estimate_from_history(read_history(path))
+    assert main(["estimate", "--history", str(path), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime failure" not in err
+    assert not (tmp_path / "e" / "estimated_params.json").exists()
+
+
+def test_estimate_rejects_laplace_delta_out_of_range(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.cfg", algorithm="dpfl_bcs", estimation_rounds=4,
+                        mechanism="laplace", delta_min=0.0, delta_max=0.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "history.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["clients"][1]["delta"] = 2.0
+    path = tmp_path / "delta.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert main(["estimate", "--history", str(path), "--out", str(tmp_path / "e")]) == 1
+    assert "delta must lie in [0, 1), got 2.0" in capsys.readouterr().err
+
+
 def test_estimate_fits_forward_generated_history(tmp_path):
     """A history whose stage-one losses come from the bound itself must be
     fit back with residual <= 1e-6."""
     mech = MechanismKind.GAUSSIAN
-    metas = [ClientMeta(0, 1.0, 1e-5, 100), ClientMeta(1, 0.8, 1e-5, 120)]
-    lam, phi = compute_phi_lambda(mech, 4, 1.0, 1.0, metas)
+    lam, phi = compute_phi_lambda(mech, 4, 1.0, 1.0, [1.0, 0.8], [1e-5, 1e-5], [100, 120])
     gamma_hat = np.array([0.05, 0.1])
     truth = EstimatedParams(
         gamma_hat_n=gamma_hat, phi_n=phi, rho_min_hat=1.0, Lambda=lam,

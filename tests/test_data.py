@@ -133,17 +133,17 @@ def test_partition_high_alpha_is_uniform():
 
 def test_budget_sampling_degenerate_and_delta_zero():
     budgets = sample_budgets(BudgetSamplingConfig((1.0, 1.0), (0.0, 0.0), 0), 8)
-    assert all(b.epsilon == 1.0 for b in budgets)
-    assert all(b.delta == 0.0 for b in budgets)
+    assert budgets.epsilon.tolist() == [1.0] * 8
+    assert budgets.delta.tolist() == [0.0] * 8
 
 
 def test_budget_sampling_monte_carlo_mean():
     budgets = sample_budgets(BudgetSamplingConfig((0.1, 3.0), (1e-5, 1e-4), 7), 10**4)
-    eps = np.array([b.epsilon for b in budgets])
+    eps = budgets.epsilon
     se = (3.0 - 0.1) / math.sqrt(12.0) / math.sqrt(len(eps))
     assert abs(eps.mean() - 1.55) <= 3 * se
     assert eps.min() >= 0.1 and eps.max() <= 3.0
-    deltas = np.array([b.delta for b in budgets])
+    deltas = budgets.delta
     assert deltas.min() >= 1e-5 and deltas.max() <= 1e-4
 
 

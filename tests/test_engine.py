@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,9 +112,18 @@ ETA = 0.5
 PLANNED = 4
 
 
-def _one_client(data, budget=None, **settings_kw):
-    budget = budget if budget is not None else PrivacyBudget.fresh(1.0, 1e-3)
-    clients = ClientArrays([data], [budget])
+def _budgets(epsilon, delta, spent=()):
+    """One array budget over the clients: fresh, except that the clients in
+    `spent` arrive with nothing left."""
+    epsilon = np.array(epsilon, dtype=float)
+    delta = np.full(epsilon.shape, delta, dtype=float)
+    epsilon_remaining, delta_remaining = epsilon.copy(), delta.copy()
+    epsilon_remaining[list(spent)] = delta_remaining[list(spent)] = 0.0
+    return PrivacyBudget(epsilon, delta, epsilon_remaining, delta_remaining)
+
+
+def _one_client(data, spent=False, **settings_kw):
+    clients = ClientArrays([data], _budgets([1.0], 1e-3, spent=[0] if spent else []))
     clients.install([PLANNED], dp=True)
     return clients, _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
 
@@ -165,8 +175,7 @@ def test_client_round_distortion_hand_example():
 def test_client_round_refuses_when_exhausted():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     state = _regression_state()
-    spent = PrivacyBudget(1.0, 1e-3, 0.0, 0.0)
-    clients, settings = _one_client(data, spent)
+    clients, settings = _one_client(data, spent=True)
     out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
                        report_losses=False)
     assert out.ids.tolist() == [] and out.gradients.shape == (0, 2)
@@ -180,9 +189,7 @@ def test_client_round_refuses_when_exhausted():
 
 def test_budget_arriving_exhausted_is_never_eligible():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
-    clients = ClientArrays([data] * 3, [PrivacyBudget.fresh(1.0, 1e-3),
-                                        PrivacyBudget(1.0, 1e-3, 0.0, 0.0),
-                                        PrivacyBudget.fresh(2.0, 1e-3)])
+    clients = ClientArrays([data] * 3, _budgets([1.0, 1.0, 2.0], 1e-3, spent=[1]))
     clients.install([4, 4, 4], dp=True)
     assert clients.exhausted.tolist() == [False, True, False]
     assert clients.eligible(dp=True).tolist() == [0, 2]
@@ -191,7 +198,7 @@ def test_budget_arriving_exhausted_is_never_eligible():
     assert clients.slice_delta[1] == 0.0 and clients.stage_epsilon[1] == 0.0
     # in a run such a client is never selected, so it never refuses
     problem = _problem(num_clients=4)
-    problem.budgets[1] = PrivacyBudget(1.0, 1e-4, 0.0, 0.0)
+    problem.budgets = _budgets([1.0] * 4, 1e-4, spent=[1])
     res = run_baseline("uniform_dp", problem, _settings(total_rounds=12), seed=4)
     assert res.rounds and all(1 not in r.selected for r in res.rounds)
     assert res.ledger[1].participations == 0 and res.ledger[1].exhausted
@@ -202,7 +209,7 @@ def test_client_round_monte_carlo_unbiased():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
     state = _regression_state()
     n = 10**4
-    clients = ClientArrays([data] * n, [PrivacyBudget.fresh(1.0, 1e-3)] * n)
+    clients = ClientArrays([data] * n, _budgets([1.0] * n, 1e-3))
     clients.install(np.full(n, PLANNED), dp=True)
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
     out = client_round(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
@@ -221,7 +228,7 @@ def _batch_problem(mechanism):
     sizes = [1, 7, 3, 12, 5, 2]
     data = [Dataset(rng.normal(size=(m, 3)), rng.integers(0, 4, size=m)) for m in sizes]
     delta = 1e-4 if mechanism is GM else 0.0
-    budgets = [PrivacyBudget.fresh(e, delta) for e in (0.4, 1.0, 2.5, 0.7, 3.0, 1.5)]
+    budgets = _budgets([0.4, 1.0, 2.5, 0.7, 3.0, 1.5], delta)
     state = ModelState(rng.normal(scale=0.5, size=model.dim), model)
     return data, budgets, state
 
@@ -276,11 +283,11 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
         for i, n in enumerate(responders):
             width = dim + 2 if report_losses else dim
             if mechanism is GM:
-                scale = gaussian_sigma(sens[i], budgets[n].epsilon, budgets[n].delta,
+                scale = gaussian_sigma(sens[i], budgets.epsilon[n], budgets.delta[n],
                                        plan[n], 1.0)
                 noise = rng.normal(0.0, scale, size=width)
             else:
-                scale = plan[n] * sens[i] / budgets[n].epsilon
+                scale = plan[n] * sens[i] / budgets.epsilon[n]
                 noise = rng.laplace(0.0, scale, size=width)
             if momentum:
                 # the release is eta times the velocity, which holds the noise
@@ -325,7 +332,7 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
                        mechanism.clip_norm)
     bound = np.quantile(norms, bound_quantile) * (1.01 if bound_quantile == 1.0 else 0.99)
     delta = 1e-4 if mechanism is GM else 0.0
-    clients = ClientArrays(data, [PrivacyBudget.fresh(1.0, delta)] * len(data))
+    clients = ClientArrays(data, _budgets([1.0] * len(data), delta))
     clients.install([3] * len(data), dp=True)
     settings = _settings(mechanism=mechanism, clip_bound=bound)
     eta = 0.3
@@ -647,8 +654,7 @@ def _problem(num_clients=4, eps=None, samples_per=30, seed=0, feature_dim=2):
     Xt = rng.normal(size=(100, feature_dim))
     yt = Xt @ w_true[:-1] + w_true[-1] + 0.05 * rng.normal(size=100)
     eps = eps if eps is not None else [1.0] * num_clients
-    budgets = [PrivacyBudget.fresh(e, 1e-4) for e in eps]
-    return FederatedProblem(model, clients, budgets, Dataset(Xt, yt))
+    return FederatedProblem(model, clients, _budgets(eps, 1e-4), Dataset(Xt, yt))
 
 
 def _settings(**kw):
@@ -728,7 +734,7 @@ def test_heterogeneous_budgets_favor_large_epsilon():
     model = LinearRegression(2)
     problem = FederatedProblem(
         model, [data, data],
-        [PrivacyBudget.fresh(0.1, 1e-4), PrivacyBudget.fresh(10.0, 1e-4)],
+        _budgets([0.1, 10.0], 1e-4),
         data)
     settings = _settings(clients_per_round=1, total_rounds=10, estimation_rounds=4)
     res = run_dpfl_bcs(problem, settings, seed=8)
@@ -842,10 +848,22 @@ def test_problem_rejects_bad_labels_and_test_width(case):
         "test_feature_dim": ([good, good], Dataset(X[:, :1], labels), "test feature_dim"),
     }[case]
     model = LogisticRegression(2, 3)
-    budgets = [PrivacyBudget.fresh(1.0, 1e-4)] * 2
+    budgets = _budgets([1.0, 1.0], 1e-4)
     assert FederatedProblem(model, [good, good], budgets, good).num_clients == 2
     with pytest.raises(ParameterError, match=message):
         FederatedProblem(model, clients, budgets, test)
+
+
+@pytest.mark.parametrize("budgets", [
+    _budgets([1.0] * 3, 1e-4),
+    _budgets([[1.0, 1.0]], 1e-4),
+    PrivacyBudget.fresh(1.0, 1e-4),
+    [PrivacyBudget.fresh(1.0, 1e-4)] * 2,
+], ids=["three_entries", "two_dimensional", "scalar", "list_of_budgets"])
+def test_problem_needs_one_budget_column_entry_per_client(budgets):
+    data = Dataset(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ParameterError, match=re.escape("budgets must be columns of shape (2,)")):
+        FederatedProblem(LinearRegression(2), [data, data], budgets, data)
 
 
 # -------------------------------------------------------------- ledger checks
@@ -863,7 +881,7 @@ def test_undercharging_ledger_fails_the_run(monkeypatch):
 
 def _spent_clients():
     data = [Dataset(np.zeros((2, 1)), np.zeros(2))] * 3
-    clients = ClientArrays(data, [PrivacyBudget.fresh(1.0, 1e-3)] * 3)
+    clients = ClientArrays(data, _budgets([1.0] * 3, 1e-3))
     clients.install([2, 2, 2], dp=True)
     start = clients.epsilon_remaining.copy()
     clients.epsilon_remaining -= clients.slice_epsilon

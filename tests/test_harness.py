@@ -1,6 +1,7 @@
 """Experiment orchestration: pairing, persistence, and summary assembly."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,6 @@ from dpflsim.harness import (
     write_summary_csv,
 )
 from dpflsim.mechanisms import PrivacyBudget
-from dpflsim.selection import ClientMeta
 
 
 def _config(**kw):
@@ -40,13 +40,13 @@ def test_build_problem_shapes_and_determinism():
     assert problem.num_clients == 6
     assert sum(d.num_samples for d in problem.client_data) == 300
     assert problem.test_data.num_samples == 80
-    assert len(problem.budgets) == 6
+    assert problem.budgets.epsilon.shape == (6,)
     again = build_problem(cfg)
-    assert [b.epsilon for b in problem.budgets] == [b.epsilon for b in again.budgets]
+    assert problem.budgets.epsilon.tolist() == again.budgets.epsilon.tolist()
     assert np.array_equal(problem.client_data[0].features,
                           again.client_data[0].features)
     other = build_problem(_config(seed=43))
-    assert [b.epsilon for b in problem.budgets] != [b.epsilon for b in other.budgets]
+    assert problem.budgets.epsilon.tolist() != other.budgets.epsilon.tolist()
 
 
 @pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
@@ -74,22 +74,43 @@ def test_run_and_history_build_no_per_client_objects(monkeypatch, tmp_path, algo
     # a run keeps its per-client facts in arrays from the first plan to the
     # written history; `RunResult.ledger` builds ClientLedger entries only
     # when read
-    counts = {}
-    for cls in (ClientMeta, ClientLedger):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            counts[_name] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+    built = []
+
+    def counting(self, *args, _init=ClientLedger.__init__, **kwargs):
+        built.append(self)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClientLedger, "__init__", counting)
     for num_clients in (50, 200):
         cfg = _config(algorithm=algorithm, num_clients=num_clients, clients_per_round=10,
                       total_rounds=12, estimation_rounds=4, num_samples=4000)
         problem = build_problem(cfg)
-        counts.update(ClientMeta=0, ClientLedger=0)
+        built.clear()
         result = run_single(cfg, problem=problem)
         write_history(tmp_path / f"history{num_clients}.jsonl", result)
-        assert counts == {"ClientMeta": 0, "ClientLedger": 0}
+        assert len(built) == 0
         assert len(result.ledger) == num_clients
-        assert counts == {"ClientMeta": 0, "ClientLedger": num_clients}
+        assert len(built) == num_clients
+
+
+def test_runs_leave_the_budget_columns_as_built(tmp_path):
+    # run_comparison runs every algorithm on one problem, so no run may
+    # write to the problem's budgets
+    cfg = _config(algorithm="dpfl_bcs")
+    problem = build_problem(cfg)
+    fields = ("epsilon", "delta", "epsilon_remaining", "delta_remaining")
+    as_built = {f: getattr(problem.budgets, f).tolist() for f in fields}
+    for f in fields:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem.budgets, f)[0] = 0.0
+    first = run_single(cfg, problem=problem)
+    assert first.clients.epsilon_consumed.sum() > 0
+    uniform = dataclasses.replace(cfg, algorithm="uniform_dp")
+    second = run_single(uniform, problem=problem)
+    assert {f: getattr(problem.budgets, f).tolist() for f in fields} == as_built
+    write_history(tmp_path / "shared.jsonl", second)
+    write_history(tmp_path / "fresh.jsonl", run_single(uniform))
+    assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
 
 
 def test_build_problem_classification_and_loss_cap():

@@ -1,8 +1,9 @@
 """Written histories against a frozen reference writer.
 
 The `_reference_*` functions are copies of the history writer as it was when
-a run kept `ClientMeta` and `ClientLedger` lists: the header listed the
-clients from `FederatedProblem.metas`, the summary's budget dicts came from
+a run kept lists of per-client records (`_Client` here) and `ClientLedger`
+entries: the header listed the clients from `FederatedProblem.metas`, built
+from a list of scalar budgets, the summary's budget dicts came from
 the ledger entries, and the plan and parameter dicts converted every element
 with `int()`/`float()`. The current writer builds the same records from the
 run's client columns, so on every run below `write_history` must produce
@@ -10,6 +11,7 @@ exactly the reference's bytes.
 """
 
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ import pytest
 from dpflsim.config import ExperimentConfig
 from dpflsim.harness import build_problem, round_to_json, run_single, write_history
 from dpflsim.mechanisms import EXHAUSTION_ABS_TOL, EXHAUSTION_REL_TOL, PrivacyBudget
-from dpflsim.selection import ClientMeta
+
+
+_Client = namedtuple("_Client", "client_id epsilon delta num_samples")
 
 
 def _reference_json_default(obj):
@@ -58,8 +62,9 @@ def _reference_params_to_dict(params):
 
 
 def _reference_metas(problem):
-    return [ClientMeta(i, b.epsilon, b.delta, d.num_samples)
-            for i, (b, d) in enumerate(zip(problem.budgets, problem.client_data))]
+    budgets = zip(problem.budgets.epsilon.tolist(), problem.budgets.delta.tolist())
+    return [_Client(i, epsilon, delta, d.num_samples)
+            for i, ((epsilon, delta), d) in enumerate(zip(budgets, problem.client_data))]
 
 
 def _reference_header(algorithm, settings, model, metas, seed):
@@ -146,10 +151,10 @@ def _random_configs():
 
 def _nearly_spent(problem, margin):
     """Every budget arrives with `margin` times its exhaustion floor left."""
-    problem.budgets = [
-        PrivacyBudget(b.epsilon, b.delta,
-                      margin * (EXHAUSTION_REL_TOL * b.epsilon + EXHAUSTION_ABS_TOL), b.delta)
-        for b in problem.budgets]
+    b = problem.budgets
+    problem.budgets = PrivacyBudget(
+        b.epsilon, b.delta,
+        margin * (EXHAUSTION_REL_TOL * b.epsilon + EXHAUSTION_ABS_TOL), b.delta)
     return problem
 
 

@@ -3,9 +3,9 @@
 `_reference_partition` (with `_reference_split_by_proportions`) and
 `_reference_budgets` are copies of `dirichlet_partition` and `sample_budgets`
 as they were before the partition recorded each row's owner and gathered all
-clients at once, and before the budgets were checked as one array. The
+clients at once, and before the budgets became one array budget. The
 current functions make the same random draws in the same order, so every
-client's rows and every budget field must equal the reference's exactly.
+client's rows and every budget column must equal the reference's exactly.
 """
 
 import math
@@ -158,9 +158,9 @@ def test_budgets_are_bit_identical_to_reference():
         num_clients = int(rng.integers(1, 301))
         got = sample_budgets(config, num_clients)
         want = _reference_budgets(config, num_clients)
-        assert len(got) == len(want) == num_clients
-        for g, w in zip(got, want):
-            for field in ("epsilon", "delta", "epsilon_remaining", "delta_remaining"):
-                value = getattr(g, field)
-                assert type(value) is float and value == getattr(w, field), instance
-            assert g.exhausted is w.exhausted is False
+        assert len(want) == num_clients
+        for field in ("epsilon", "delta", "epsilon_remaining", "delta_remaining"):
+            column = getattr(got, field)
+            assert column.dtype == np.float64 and not column.flags.writeable, instance
+            assert column.tolist() == [getattr(w, field) for w in want], instance
+        assert got.exhausted.tolist() == [w.exhausted for w in want] == [False] * num_clients

@@ -1,10 +1,11 @@
 """Phi_n and Lambda against a frozen reference.
 
 `_reference_compute_phi_lambda` is a copy of `compute_phi_lambda` as it was
-when it looped over `ClientMeta` objects. The current code evaluates the same
-scalar formula over client columns, so every Phi_n must equal the
-reference's exactly, through the `ClientMeta` wrapper and through the column
-function with the arrays a run passes (float64 budgets, int64 sample counts).
+when it looped over per-client records (`_Client` here). The current code
+evaluates the same scalar formula over client columns, so every Phi_n must
+equal the reference's exactly, with the arrays a run and the roster pass
+(float64 budgets, int64 sample counts) and with the lists the offline replay
+passes.
 numpy's vectorised `log` and `**2` round differently from `math.log` and
 Python's `**` for some inputs, and the sample is required to contain such
 inputs, so a vectorised rewrite of the formula fails here.
@@ -12,16 +13,19 @@ inputs, so a vectorised rewrite of the formula fails here.
 
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from dpflsim.errors import ParameterError
 from dpflsim.mechanisms import MechanismKind
-from dpflsim.selection import ClientMeta, compute_phi_lambda, phi_lambda_from_columns
+from dpflsim.selection import compute_phi_lambda
 
 GM = MechanismKind.GAUSSIAN
 LM = MechanismKind.LAPLACE
+
+_Client = namedtuple("_Client", "client_id epsilon delta num_samples")
 
 
 def _reference_compute_phi_lambda(mechanism, model_dim, clip_bound, c2, clients):
@@ -71,21 +75,22 @@ def test_phi_is_bit_identical_to_reference():
     log_differs = square_differs = 0
     for _ in range(300):
         settings, epsilon, delta, samples = _instance(rng)
-        metas = [ClientMeta(i, e, d, s) for i, (e, d, s) in
-                 enumerate(zip(epsilon.tolist(), delta.tolist(), samples.tolist()))]
-        lam_ref, phi_ref = _reference_compute_phi_lambda(clients=metas, **settings)
-        lam, phi = compute_phi_lambda(clients=metas, **settings)
+        clients = [_Client(i, e, d, s) for i, (e, d, s) in
+                   enumerate(zip(epsilon.tolist(), delta.tolist(), samples.tolist()))]
+        lam_ref, phi_ref = _reference_compute_phi_lambda(clients=clients, **settings)
+        lam, phi = compute_phi_lambda(epsilon=epsilon.tolist(), delta=delta.tolist(),
+                                      num_samples=samples.tolist(), **settings)
         assert lam == lam_ref and phi.dtype == phi_ref.dtype
         assert (phi == phi_ref).all()
-        lam, phi = phi_lambda_from_columns(epsilon=epsilon, delta=delta,
-                                           num_samples=samples, **settings)
+        lam, phi = compute_phi_lambda(epsilon=epsilon, delta=delta, num_samples=samples,
+                                      **settings)
         assert lam == lam_ref and (phi == phi_ref).all()
         # the replan's subset, named by client id
         active = np.flatnonzero(rng.random(len(epsilon)) < 0.7)
         if len(active):
-            _, phi = phi_lambda_from_columns(epsilon=epsilon[active], delta=delta[active],
-                                             num_samples=samples[active],
-                                             client_ids=active, **settings)
+            _, phi = compute_phi_lambda(epsilon=epsilon[active], delta=delta[active],
+                                        num_samples=samples[active], client_ids=active,
+                                        **settings)
             assert (phi == phi_ref[active]).all()
         if settings["mechanism"] is GM:
             log_differs += int((np.log(1.0 / delta)
@@ -105,20 +110,12 @@ def test_phi_is_bit_identical_to_reference():
     (dict(client_ids=[3, 7], delta=[1e-5, 0.0]), "client 7: Gaussian mechanism"),
     (dict(epsilon=[], delta=[], num_samples=[]), "clients list is empty"),
     (dict(delta=[1e-5]), "vectors of one length"),
+    # Laplace takes delta = 0 (client 0) but no delta outside [0, 1)
+    (dict(mechanism=LM, delta=[0.0, 2.0]), "client 1: delta must lie in [0, 1), got 2.0"),
+    (dict(mechanism=LM, delta=[0.0, -0.5]), "client 1: delta must lie in [0, 1), got -0.5"),
 ])
 def test_phi_columns_check_every_client(change, message):
-    columns = dict(epsilon=[1.0, 2.0], delta=[1e-5, 1e-4], num_samples=[5, 5])
+    columns = dict(mechanism=GM, epsilon=[1.0, 2.0], delta=[1e-5, 1e-4], num_samples=[5, 5])
     columns.update(change)
     with pytest.raises(ParameterError, match=re.escape(message)):
-        phi_lambda_from_columns(GM, 2, 1.0, 1.0, **columns)
-
-
-def test_phi_wrapper_keeps_its_messages():
-    with pytest.raises(ParameterError, match=re.escape(
-            "client 4: Gaussian mechanism needs delta in (0,1), got 0.0")):
-        compute_phi_lambda(GM, 2, 1.0, 1.0, [ClientMeta(4, 1.0, 0.0, 10)])
-    with pytest.raises(ParameterError, match="clients list is empty"):
-        compute_phi_lambda(GM, 2, 1.0, 1.0, [])
-    # Laplace takes delta = 0
-    _, phi = compute_phi_lambda(LM, 2, 1.0, 1.0, [ClientMeta(0, 2.0, 0.0, 3)])
-    assert phi.tolist() == [1.0 / 36.0]
+        compute_phi_lambda(model_dim=2, clip_bound=1.0, c2=1.0, **columns)

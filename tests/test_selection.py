@@ -9,7 +9,6 @@ import pytest
 from dpflsim.errors import EvaluationError, ParameterError, StateError
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import (
-    ClientMeta,
     EstimatedParams,
     SelectionPlan,
     StageOneLog,
@@ -33,10 +32,6 @@ GM = MechanismKind.GAUSSIAN
 LM = MechanismKind.LAPLACE
 
 
-def _meta(cid, eps, delta=math.exp(-1.0), samples=10):
-    return ClientMeta(cid, eps, delta, samples)
-
-
 def _params(phi, gamma_hat, **kw):
     defaults = dict(rho_min_hat=1.0, Lambda=8.0, gamma=1.0, L_smooth=1.0,
                     mu_convex=0.5, sigma_sq=0.0, init_dist_sq=1.0,
@@ -49,22 +44,23 @@ def _params(phi, gamma_hat, **kw):
 # ---------------------------------------------------------------- Phi / Lambda
 
 def test_phi_lambda_gaussian_example():
-    lam, phi = compute_phi_lambda(GM, 2, 1.0, 1.0, [_meta(0, 1.0)])
+    lam, phi = compute_phi_lambda(GM, 2, 1.0, 1.0, [1.0], [math.exp(-1.0)], [10])
     assert lam == pytest.approx(8.0)
     assert phi[0] == pytest.approx(0.01)
 
 
 def test_phi_lambda_laplace_example():
-    lam, phi = compute_phi_lambda(LM, 3, 2.0, 1.0, [ClientMeta(0, 2.0, 0.0, 5)])
+    lam, phi = compute_phi_lambda(LM, 3, 2.0, 1.0, [2.0], [0.0], [5])
     assert lam == pytest.approx(96.0)
     assert phi[0] == pytest.approx(1.0 / (25.0 * 4.0))
 
 
 def test_phi_lambda_symmetry_and_delta_check():
-    lam, phi = compute_phi_lambda(GM, 4, 1.0, 1.0, [_meta(0, 2.0), _meta(1, 2.0)])
+    lam, phi = compute_phi_lambda(GM, 4, 1.0, 1.0, [2.0, 2.0], [math.exp(-1.0)] * 2,
+                                  [10, 10])
     assert phi[0] == phi[1]
     with pytest.raises(ParameterError):
-        compute_phi_lambda(GM, 4, 1.0, 1.0, [ClientMeta(0, 1.0, 0.0, 10)])
+        compute_phi_lambda(GM, 4, 1.0, 1.0, [1.0], [0.0], [10])
 
 
 # ------------------------------------------------------------ approximate plan

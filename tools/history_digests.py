@@ -10,18 +10,26 @@ temporary directory that is removed on exit:
   ``estimated_params`` and summary CSV;
 - a 32-history matrix: the four algorithms x {gaussian, laplace} x
   {synthetic_regression, synthetic_classification} x seeds {0, 1}, momentum
-  0.5 on seed 1, N=30, K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays.
+  0.5 on seed 1, N=30, K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays;
+- the ``plan.csv`` that ``dpflsim plan`` writes for three fixed seeded
+  rosters of 500 clients with shuffled ids: a Gaussian and a Laplace
+  budget-only plan, and a Gaussian ``--gamma-file`` plan (the rosters and the
+  gamma file are digested too).
 
 Each output line is ``<sha256>  <name>``, sorted by name.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # perfbench/ is only read: leave no bytecode cache in it
@@ -30,9 +38,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench  # noqa: E402  (perfbench/bench.py, read for its workload configs)
 import dpflsim  # noqa: E402
+from dpflsim import cli  # noqa: E402
 
 WORKLOAD_SEEDS = (0, 3)
 MATRIX = dict(num_clients=30, clients_per_round=6, total_rounds=40, estimation_rounds=5)
+ROSTER_CLIENTS = 500
+PLAN_ARGS = ["--model-dim", "6", "--clients-per-round", "10", "--rounds", "100",
+             "--clip-bound", "1.5", "--c2", "1.2"]
 
 
 def _write_replays(out: Path) -> None:
@@ -74,11 +86,48 @@ def write_matrix(root: Path) -> None:
     _write_replays(out)
 
 
+def _write_roster(path: Path, mechanism: str, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(ROSTER_CLIENTS) + 1000
+    epsilon = rng.uniform(0.1, 5.0, ROSTER_CLIENTS)
+    delta = (10 ** rng.uniform(-7, -3, ROSTER_CLIENTS) if mechanism == "gaussian"
+             else np.zeros(ROSTER_CLIENTS))
+    samples = rng.integers(5, 2000, ROSTER_CLIENTS)
+    rows = zip(ids.tolist(), epsilon.tolist(), delta.tolist(), samples.tolist())
+    path.write_text("client_id,epsilon,delta,num_samples\n" + "".join(
+        f"{i},{e!r},{d!r},{n}\n" for i, e, d, n in rows))
+
+
+def _plan(out: Path, roster: Path, mechanism: str, *extra: str) -> None:
+    args = cli.build_parser().parse_args(
+        ["plan", "--roster", str(roster), "--mechanism", mechanism, "--out", str(out),
+         *PLAN_ARGS, *extra])
+    # the command prints the plan's path, which is not part of the listing
+    with contextlib.redirect_stdout(io.StringIO()):
+        if args.func(args) != 0:
+            raise RuntimeError(f"dpflsim plan failed for {roster}")
+
+
+def write_plans(root: Path) -> None:
+    out = root / "plans"
+    out.mkdir()
+    for mechanism, seed in (("gaussian", 0), ("laplace", 1)):
+        roster = out / f"roster_{mechanism}.csv"
+        _write_roster(roster, mechanism, seed)
+        _plan(out / mechanism, roster, mechanism)
+    gamma = out / "gamma.txt"
+    values = np.random.default_rng(2).uniform(0.0, 2.0, ROSTER_CLIENTS).tolist()
+    gamma.write_text("".join(f"{g!r}\n" for g in values))
+    _plan(out / "gaussian_gamma", out / "roster_gaussian.csv", "gaussian",
+          "--gamma-file", str(gamma), "--omega-a", "1e6", "--omega-b", "10")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_workloads(root)
         write_matrix(root)
+        write_plans(root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")
