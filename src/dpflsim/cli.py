@@ -187,6 +187,13 @@ def cmd_plan(args) -> int:
     else:
         plan = approximate_plan(phi, total, z,
                                 per_round_selected=args.clients_per_round)
+    over = plan.counts > args.rounds
+    if over.any():
+        # neither plan caps T_n at the horizon yet; a client joins a round at
+        # most once, so the sampler cannot carry such a plan out
+        print(f"warning: {int(over.sum())} of {len(over)} clients have T_n > "
+              f"--rounds {args.rounds}, the largest T_n is {int(plan.counts.max())}; "
+              f"a client joins at most once per round", file=sys.stderr)
     out = _out_dir(args)
     plan_path = os.path.join(out, "plan.csv")
     write_plan_csv(plan_path, client_ids, plan)

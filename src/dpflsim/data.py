@@ -10,26 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mechanisms import PrivacyBudget
+from .mechanisms import PrivacyBudget, _unchecked
 from .selection import largest_remainder_round
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-
-
-def _unchecked(cls, rows) -> list:
-    """Instances of the frozen dataclass `cls`, one per tuple of field values
-    in `rows`, built without `__post_init__`: for the parts of an input that
-    was checked as a whole. Fields are set one by one in declaration order, as
-    `__init__` sets them, so the instances keep CPython's shared-key dicts."""
-    names = tuple(cls.__dataclass_fields__)
-    new, set_field = object.__new__, object.__setattr__
-    out = []
-    for values in rows:
-        obj = new(cls)
-        for name, value in zip(names, values):
-            set_field(obj, name, value)
-        out.append(obj)
-    return out
 
 
 @dataclass(frozen=True)

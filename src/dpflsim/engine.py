@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,12 @@ from .mechanisms import (
     MechanismKind,
     NoiseSpec,
     PrivacyBudget,
+    _check,
+    _check_scalar,
+    _gaussian_sigma,
+    _gradient_sensitivity,
+    _laplace_scale,
+    _unchecked,
     clip_gradient_matrix,
     clip_outer_rows,
     consume_budget,
@@ -145,7 +152,7 @@ class RunSettings:
         if not 0 < self.winsorize_percentile <= 100:
             raise ParameterError("winsorize_percentile must lie in (0, 100]")
 
-    @property
+    @cached_property
     def clip(self) -> ClipConfig:
         return ClipConfig.for_mechanism(self.mechanism, self.clip_bound)
 
@@ -317,7 +324,7 @@ class ClientArrays:
     the slices charged, clamped at the remaining budget, independently of
     `consume_budget`, so the engine can check the ledger against it.
     `exhausted` starts from the incoming budgets, and an exhausted client is
-    never eligible again.
+    never eligible again. `stage` counts the stages installed.
     """
 
     def __init__(self, data: list, budgets: PrivacyBudget):
@@ -338,6 +345,7 @@ class ClientArrays:
         self.slice_sum = np.zeros(n)
         self.exhausted = np.array(budgets.exhausted, dtype=bool)
         self.trained_after_exhaustion = np.zeros(n, dtype=bool)
+        self.stage = 0
         # momentum velocities, (n, d); allocated by the first momentum round
         self.velocity = None
 
@@ -346,19 +354,66 @@ class ClientArrays:
         return self.epsilon - self.epsilon_remaining
 
     def budget(self, ids: np.ndarray) -> PrivacyBudget:
-        return PrivacyBudget(self.epsilon[ids], self.delta[ids],
-                             self.epsilon_remaining[ids], self.delta_remaining[ids])
+        """The budgets of clients `ids`, built from the run's columns without
+        a second check: they start from the problem's checked budgets and
+        only `consume_budget` moves them."""
+        budget, = _unchecked(PrivacyBudget, [(
+            self.epsilon[ids], self.delta[ids],
+            self.epsilon_remaining[ids], self.delta_remaining[ids])])
+        return budget
 
-    def install(self, counts, dp: bool) -> None:
-        """Start a stage: planned counts, and with DP the stage budgets and slices."""
+    def install(self, counts, settings: RunSettings | None = None) -> None:
+        """Start a stage: planned counts and, in a DP run (given the run's
+        `settings`), the stage budgets and slices of the funded clients.
+
+        The funded clients are the planned ones whose budget is not
+        exhausted. Their stage columns are checked here, once per stage, by
+        calibrating their noise (see `_calibrate`), so a round only does
+        arithmetic on them. A failure raises ParameterError naming the stage
+        and the clients that fail.
+        """
         self.planned = np.array(counts, dtype=int)
         self.stage_count[:] = 0
-        if dp:
-            fresh = (self.planned > 0) & ~self.exhausted
-            self.stage_epsilon[fresh] = self.epsilon_remaining[fresh]
-            self.stage_delta[fresh] = self.delta_remaining[fresh]
-            self.slice_epsilon[fresh] = self.stage_epsilon[fresh] / self.planned[fresh]
-            self.slice_delta[fresh] = self.stage_delta[fresh] / self.planned[fresh]
+        self.stage += 1
+        if settings is None:
+            return
+        fresh = np.flatnonzero((self.planned > 0) & ~self.exhausted)
+        self.stage_epsilon[fresh] = self.epsilon_remaining[fresh]
+        self.stage_delta[fresh] = self.delta_remaining[fresh]
+        self.slice_epsilon[fresh] = self.stage_epsilon[fresh] / self.planned[fresh]
+        self.slice_delta[fresh] = self.stage_delta[fresh] / self.planned[fresh]
+        try:
+            self._calibrate(fresh, settings)
+        except ParameterError as err:
+            bad = [n for n in fresh.tolist() if not self._calibrates(n, settings)]
+            raise ParameterError(f"stage {self.stage}: clients {bad} cannot be "
+                                 f"noised: {err}") from None
+
+    def _calibrate(self, ids: np.ndarray, settings: RunSettings) -> None:
+        """Calibrate the noise of clients `ids` in the current stage at unit
+        learning rate with the public primitives, whose checks raise unless
+        each stage epsilon is positive, each stage delta in (0, 1) for the
+        Gaussian mechanism or in [0, 1) for the Laplace one, each planned
+        count and sample count at least 1 and each slice nonnegative.
+        """
+        mech = settings.mechanism
+        sens = gradient_sensitivity(mech, 1.0, settings.clip_bound, self.num_samples[ids],
+                                    settings.loss_cap, include_loss_terms=True)
+        epsilon, delta, planned = (self.stage_epsilon[ids], self.stage_delta[ids],
+                                   self.planned[ids])
+        if mech is MechanismKind.GAUSSIAN:
+            scale = gaussian_sigma(sens, epsilon, delta, planned, settings.c2)
+        else:
+            _check("stage delta", delta, "in [0, 1)")
+            scale = laplace_scale(sens, epsilon, planned)
+        NoiseSpec(mech, sens, scale, self.slice_epsilon[ids], self.slice_delta[ids], planned)
+
+    def _calibrates(self, n: int, settings: RunSettings) -> bool:
+        try:
+            self._calibrate(np.array([n]), settings)
+        except ParameterError:
+            return False
+        return True
 
     def eligible(self, dp: bool) -> np.ndarray:
         if not dp:
@@ -385,7 +440,10 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     """The selected clients' contributions to one round, computed as one batch.
 
     With noise enabled, clients whose budget is exhausted refuse and are left
-    out. A responder's base gradient is the mean of its per-sample clipped
+    out, and the others must be funded by the stage `clients.install`
+    started, which checked their stage columns: the round calibrates their
+    noise with the unchecked formulas and checks only `learning_rate`. A
+    responder's base gradient is the mean of its per-sample clipped
     gradients plus weight_decay * w, and its release is eta_t * base plus
     noise. All responders' noise comes from one `sample_noise` call on `rng`,
     row by row in the order of `ids`. During a loss-reporting round the noise
@@ -438,20 +496,21 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     steps = learning_rate * unnoised
 
     mech = settings.mechanism
-    sens = gradient_sensitivity(mech, learning_rate, settings.clip_bound, counts,
-                                settings.loss_cap, report_losses)
+    sens = _gradient_sensitivity(_check_scalar("learning_rate", learning_rate, "nonnegative"),
+                                 float(settings.clip_bound), counts,
+                                 float(settings.loss_cap), report_losses)
     planned = np.maximum(1, clients.planned[ids])
     slice_eps = clients.slice_epsilon[ids]
     slice_delta = clients.slice_delta[ids]
     width = dim + 2 if report_losses else dim
     if noise_enabled:
         if mech is MechanismKind.GAUSSIAN:
-            scale = gaussian_sigma(sens, clients.stage_epsilon[ids],
-                                   clients.stage_delta[ids], planned, settings.c2)
+            scale = _gaussian_sigma(sens, clients.stage_epsilon[ids],
+                                    clients.stage_delta[ids], planned, float(settings.c2))
         else:
-            scale = laplace_scale(sens, clients.stage_epsilon[ids], planned)
-        noise = sample_noise(NoiseSpec(mech, sens, scale, slice_eps, slice_delta, planned),
-                             width, rng)
+            scale = _laplace_scale(sens, clients.stage_epsilon[ids], planned)
+        spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
+        noise = sample_noise(spec, width, rng)
     else:
         noise = np.zeros((len(ids), width))
     if settings.momentum > 0:
@@ -590,7 +649,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         select_probs = plan1.probabilities
     else:
         select_probs = uniform_probs
-    clients.install(plan1.counts, dp)
+    clients.install(plan1.counts, settings if dp else None)
     # (realised, planned) participations per stage, filled as stages end
     stages = []
     stage2_slices = epsilon_at_replan = None
@@ -664,7 +723,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
                 logger.info("no client can fund stage two, ending run early")
                 ended_early = True
                 break
-            clients.install(plan2.counts, dp)
+            clients.install(plan2.counts, settings if dp else None)
             stage2_slices = clients.slice_epsilon.copy()
             epsilon_at_replan = clients.epsilon_remaining.copy()
     if plan2 is not None or not stages:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,34 +69,47 @@ def _check(name: str, value, kind: str, like=None, at_most=None):
     checking that every entry is finite, `kind` (a key of `_RANGES`) and, if
     given, at most the matching entry of `at_most`.
 
-    With `like` given, `value` must have the shape of `like`. This is the one
-    place that tells scalars from arrays; the scalar branch stays on plain
-    floats for the callers that pass one client's scalars.
+    With `like` given, `value` must have the shape of `like`. This and
+    `_check_rounds` tell scalars from arrays; scalars go to `_check_scalar`
+    and stay plain floats for the callers that pass one client's scalars.
     """
+    if not (isinstance(value, np.ndarray) or isinstance(like, np.ndarray)):
+        return _check_scalar(name, value, kind, at_most)
     low, strict, high = _RANGES[kind]
-    if isinstance(value, np.ndarray) or isinstance(like, np.ndarray):
-        value = np.asarray(value, dtype=float)
-        if like is not None and np.shape(like) != value.shape:
-            raise ParameterError(f"{name} must have shape {np.shape(like)}, "
-                                 f"got {value.shape}")
-        ok = ((value > low) if strict else (value >= low)) & (value < high)
-        if at_most is not None:
-            ok &= value <= at_most
-        ok = ok.all()
-    else:
-        value = float(value)
-        ok = ((low < value < high) if strict else (low <= value < high)) and (
-            at_most is None or value <= at_most)
-    if not ok:
-        bound = "" if at_most is None else f" and at most {at_most!r}"
-        raise ParameterError(f"{name} must be {kind}{bound}, got {value!r}")
+    value = np.asarray(value, dtype=float)
+    if like is not None and np.shape(like) != value.shape:
+        raise ParameterError(f"{name} must have shape {np.shape(like)}, "
+                             f"got {value.shape}")
+    ok = ((value > low) if strict else (value >= low)) & (value < high)
+    if at_most is not None:
+        ok &= value <= at_most
+    if not ok.all():
+        raise _range_error(name, value, kind, at_most)
     return value
+
+
+def _check_scalar(name: str, value, kind: str, at_most=None) -> float:
+    """`_check` for one number: `value` as a float."""
+    low, strict, high = _RANGES[kind]
+    value = float(value)
+    if not (((low < value < high) if strict else (low <= value < high))
+            and (at_most is None or value <= at_most)):
+        raise _range_error(name, value, kind, at_most)
+    return value
+
+
+def _range_error(name: str, value, kind: str, at_most) -> ParameterError:
+    bound = "" if at_most is None else f" and at most {at_most!r}"
+    return ParameterError(f"{name} must be {kind}{bound}, got {value!r}")
 
 
 def _check_rounds(name: str, value, like=None):
     """`value` as an int, or as an int array if it is an array, after
     checking that every entry is a whole number >= 1."""
-    checked = _check(name, value, "at least 1", like)
+    if isinstance(value, np.ndarray) or isinstance(like, np.ndarray):
+        checked = _check(name, value, "at least 1", like)
+    else:
+        checked = _check_scalar(name, value, "at least 1")
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iu":
             if not np.all(checked == np.round(checked)):
@@ -106,6 +119,24 @@ def _check_rounds(name: str, value, like=None):
     if checked != int(checked):
         raise ParameterError(f"{name} must be a whole number, got {value!r}")
     return int(checked)
+
+
+def _unchecked(cls, rows) -> list:
+    """Instances of the frozen dataclass `cls`, one per tuple of field values
+    in `rows`, built without `__post_init__`: for values checked already, such
+    as the parts of an input checked as a whole or a round's objects built
+    from a stage's checked columns. Fields are set one by one in declaration
+    order, as `__init__` sets them, so the instances keep CPython's
+    shared-key dicts."""
+    names = tuple(cls.__dataclass_fields__)
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for values in rows:
+        obj = new(cls)
+        for name, value in zip(names, values):
+            set_field(obj, name, value)
+        out.append(obj)
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,6 +221,11 @@ def gaussian_sigma(sensitivity: float, total_epsilon: float, total_delta: float,
     total_delta = _check("total_delta", total_delta, "in (0, 1)")
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
     c2 = _check("c2", c2, "positive")
+    return _gaussian_sigma(sensitivity, total_epsilon, total_delta, planned_rounds, c2)
+
+
+def _gaussian_sigma(sensitivity, total_epsilon, total_delta, planned_rounds, c2):
+    """The formula of `gaussian_sigma`, on arguments it has checked."""
     return (c2 * sensitivity * np.sqrt(planned_rounds * np.log(1.0 / total_delta))
             / total_epsilon)
 
@@ -202,6 +238,11 @@ def laplace_scale(sensitivity: float, total_epsilon: float, planned_rounds) -> f
     sensitivity = _check("sensitivity", sensitivity, "nonnegative")
     total_epsilon = _check("total_epsilon", total_epsilon, "positive")
     planned_rounds = _check_rounds("planned_rounds", planned_rounds)
+    return _laplace_scale(sensitivity, total_epsilon, planned_rounds)
+
+
+def _laplace_scale(sensitivity, total_epsilon, planned_rounds):
+    """The formula of `laplace_scale`, on arguments it has checked."""
     return planned_rounds * sensitivity / total_epsilon
 
 
@@ -222,6 +263,13 @@ def gradient_sensitivity(mechanism: MechanismKind, learning_rate: float, clip_bo
     clip_bound = _check("clip_bound", clip_bound, "positive")
     num_samples = _check_rounds("num_samples", num_samples)
     loss_cap = _check("loss_cap", loss_cap, "nonnegative")
+    return _gradient_sensitivity(learning_rate, clip_bound, num_samples, loss_cap,
+                                 include_loss_terms)
+
+
+def _gradient_sensitivity(learning_rate, clip_bound, num_samples, loss_cap,
+                          include_loss_terms):
+    """The formula of `gradient_sensitivity`, on arguments it has checked."""
     sens = 2.0 * learning_rate * clip_bound / num_samples
     if include_loss_terms:
         sens += 2.0 * learning_rate * loss_cap / num_samples
@@ -378,17 +426,22 @@ def consume_budget(budget: PrivacyBudget, per_round_epsilon: float,
     Remaining values clamp at zero. The exhausted flag trips when the remaining
     epsilon falls to (or below) a 1e-9-relative floor, absorbing float dust
     from repeated equal slices. A budget with array fields takes array slices
-    and deducts every entry at once; the flag is then an array too.
+    and deducts every entry at once; the flag is then an array too. The
+    slices are checked, and the new budget is built without a second check.
     """
     per_round_epsilon = _check("per_round_epsilon", per_round_epsilon, "nonnegative")
     per_round_delta = _check("per_round_delta", per_round_delta, "nonnegative")
     new_eps = budget.epsilon_remaining - per_round_epsilon
     new_delta = budget.delta_remaining - per_round_delta
+    if np.shape(new_eps) != np.shape(budget.epsilon) or \
+            np.shape(new_delta) != np.shape(budget.epsilon):
+        raise ParameterError(f"slices must match the budget's shape "
+                             f"{np.shape(budget.epsilon)}")
     floor = EXHAUSTION_REL_TOL * budget.epsilon + EXHAUSTION_ABS_TOL
     exhausted = new_eps <= floor
-    out = replace(
-        budget,
-        epsilon_remaining=np.maximum(0.0, new_eps),
-        delta_remaining=np.maximum(0.0, new_delta),
-    )
+    # nonnegative slices keep 0 <= new remaining <= old remaining <= total,
+    # so the result needs no second check
+    out, = _unchecked(PrivacyBudget, [(budget.epsilon, budget.delta,
+                                       np.maximum(0.0, new_eps),
+                                       np.maximum(0.0, new_delta))])
     return out, exhausted

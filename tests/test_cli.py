@@ -128,9 +128,10 @@ def test_run_missing_config_file_exits_one(tmp_path, capsys):
 
 # ----------------------------------------------------------------------- plan
 
-def test_plan_budget_ratio_splits_counts(tmp_path):
+def test_plan_budget_ratio_splits_counts(tmp_path, capsys):
     # gaussian phi = ln(1/delta) / (D eps)^2; second client's 3x phi means
-    # a third of the first client's participations
+    # a third of the first client's participations, 6 of the 4 rounds, which
+    # the command warns about
     delta = math.exp(-1.0)
     roster = _write_roster(tmp_path / "roster.csv",
                            [(0, 1.0, delta, 100),
@@ -143,6 +144,8 @@ def test_plan_budget_ratio_splits_counts(tmp_path):
     assert [(r[0], r[1]) for r in rows] == [(0, 6), (1, 2)]
     assert rows[0][2] == pytest.approx(0.75)
     assert rows[1][2] == pytest.approx(0.25)
+    assert "1 of 2 clients have T_n > --rounds 4, the largest T_n is 6" in \
+        capsys.readouterr().err
 
 
 def test_plan_identical_clients_uniform(tmp_path):
@@ -155,6 +158,45 @@ def test_plan_identical_clients_uniform(tmp_path):
     rows = _read_plan(out / "plan.csv")
     assert [r[1] for r in rows] == [3, 3, 3, 3]
     assert all(r[2] == pytest.approx(0.25) for r in rows)
+
+
+def _digests_roster(tmp_path):
+    """The 500-client Gaussian roster and gamma file that
+    tools/history_digests.py plans with."""
+    rng = np.random.default_rng(0)
+    ids = rng.permutation(500) + 1000
+    epsilon = rng.uniform(0.1, 5.0, 500)
+    delta = 10 ** rng.uniform(-7, -3, 500)
+    samples = rng.integers(5, 2000, 500)
+    roster = _write_roster(tmp_path / "roster.csv", zip(
+        ids.tolist(), map(repr, epsilon.tolist()), map(repr, delta.tolist()),
+        samples.tolist()))
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("".join(
+        f"{g!r}\n" for g in np.random.default_rng(2).uniform(0.0, 2.0, 500).tolist()))
+    return roster, str(gamma)
+
+
+@pytest.mark.parametrize("omegas, warning", [
+    (("0.01", "0.5"), "1 of 500 clients have T_n > --rounds 100, the largest T_n is 1000"),
+    (("1e6", "10"), None),
+    (None, None),
+])
+def test_plan_warns_when_a_count_exceeds_the_horizon(tmp_path, capsys, omegas, warning):
+    roster, gamma = _digests_roster(tmp_path)
+    extra = [] if omegas is None else ["--gamma-file", gamma, "--omega-a", omegas[0],
+                                       "--omega-b", omegas[1]]
+    out = tmp_path / "out"
+    assert main(["plan", "--roster", roster, "--model-dim", "6", "--clients-per-round",
+                 "10", "--rounds", "100", "--clip-bound", "1.5", "--c2", "1.2",
+                 "--out", str(out), *extra]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{out / 'plan.csv'}\n"
+    counts = [r[1] for r in _read_plan(out / "plan.csv")]
+    if warning is None:
+        assert max(counts) <= 100 and captured.err == ""
+    else:
+        assert captured.err.startswith(f"warning: {warning};")
 
 
 def test_plan_rejects_zero_epsilon_row(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dpflsim.engine as engine
+import dpflsim.mechanisms as mechanisms
 from dpflsim.data import Dataset
 from dpflsim.engine import (
     ClientArrays,
@@ -28,10 +29,12 @@ from dpflsim.errors import ParameterError, StateError
 from dpflsim.mechanisms import (
     ClipConfig,
     MechanismKind,
+    NoiseSpec,
     PrivacyBudget,
     _row_norms,
     gaussian_sigma,
     gradient_sensitivity,
+    laplace_scale,
 )
 from dpflsim.models import LinearRegression, LogisticRegression, ModelState
 from dpflsim.selection import objective_value
@@ -123,9 +126,10 @@ def _budgets(epsilon, delta, spent=()):
 
 
 def _one_client(data, spent=False, **settings_kw):
+    settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
     clients = ClientArrays([data], _budgets([1.0], 1e-3, spent=[0] if spent else []))
-    clients.install([PLANNED], dp=True)
-    return clients, _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
+    clients.install([PLANNED], settings)
+    return clients, settings
 
 
 def test_client_round_zero_noise_exact():
@@ -190,7 +194,7 @@ def test_client_round_refuses_when_exhausted():
 def test_budget_arriving_exhausted_is_never_eligible():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     clients = ClientArrays([data] * 3, _budgets([1.0, 1.0, 2.0], 1e-3, spent=[1]))
-    clients.install([4, 4, 4], dp=True)
+    clients.install([4, 4, 4], _settings())
     assert clients.exhausted.tolist() == [False, True, False]
     assert clients.eligible(dp=True).tolist() == [0, 2]
     assert clients.eligible(dp=False).tolist() == [0, 1, 2]
@@ -204,14 +208,29 @@ def test_budget_arriving_exhausted_is_never_eligible():
     assert res.ledger[1].participations == 0 and res.ledger[1].exhausted
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stage_install_names_the_clients_it_cannot_noise(seed):
+    # client 3 has no Gaussian delta; round 1 draws it under seed 0 and not
+    # under seed 3, and the run fails before round 1 either way
+    problem = _problem(num_clients=6)
+    delta = np.full(6, 1e-4)
+    delta[3] = 0.0
+    problem.budgets = PrivacyBudget(np.ones(6), delta, np.ones(6), delta.copy())
+    finished = []
+    with pytest.raises(ParameterError, match=r"^stage 1: clients \[3\] .*total_delta"):
+        run_baseline("uniform_dp", problem, _settings(), seed=seed,
+                     on_round=finished.append)
+    assert finished == []
+
+
 def test_client_round_monte_carlo_unbiased():
     # n copies of one client in a single batch, noised from one generator
     data = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
     state = _regression_state()
     n = 10**4
     clients = ClientArrays([data] * n, _budgets([1.0] * n, 1e-3))
-    clients.install(np.full(n, PLANNED), dp=True)
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
+    clients.install(np.full(n, PLANNED), settings)
     out = client_round(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
                        settings, report_losses=False)
     g = local_gradient(state, data, ETA, settings.clip)
@@ -246,7 +265,7 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
 
     def fresh():
         clients = ClientArrays(data, budgets)
-        clients.install(plan, dp=True)
+        clients.install(plan, settings)
         return clients
 
     batch_clients = fresh()
@@ -333,8 +352,8 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
     bound = np.quantile(norms, bound_quantile) * (1.01 if bound_quantile == 1.0 else 0.99)
     delta = 1e-4 if mechanism is GM else 0.0
     clients = ClientArrays(data, _budgets([1.0] * len(data), delta))
-    clients.install([3] * len(data), dp=True)
     settings = _settings(mechanism=mechanism, clip_bound=bound)
+    clients.install([3] * len(data), settings)
     eta = 0.3
     out = client_round(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
                        settings, report_losses=False, noise_enabled=False)
@@ -468,25 +487,115 @@ def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
         assert calls["stream"] <= 2 * rounds
 
 
-def test_one_budget_is_built_per_dp_round(monkeypatch):
-    # the engine builds one array budget per round, for the deduction; the
-    # refusal test reads the exhausted flags instead of building another
-    built = []
-    real_budget = engine.PrivacyBudget
+@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
+@pytest.mark.parametrize("algorithm", ["uniform_dp", "dpfl_bcs"])
+def test_rounds_do_not_recheck_the_stage_columns(monkeypatch, mechanism, algorithm):
+    # A stage's privacy columns are checked once, when it is installed. Each
+    # added DP round may add only consume_budget's two slice checks, no
+    # privacy dataclass check, and one budget built by the engine.
+    counts = dict.fromkeys(("check", "post_init", "budgets"), 0)
+    real_check, real_unchecked = mechanisms._check, engine._unchecked
 
-    def counting_budget(*args):
-        built.append(args)
-        return real_budget(*args)
+    def counting_check(*args, **kwargs):
+        counts["check"] += 1
+        return real_check(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "PrivacyBudget", counting_budget)
+    def counting_unchecked(cls, rows):
+        built = real_unchecked(cls, rows)
+        counts["budgets"] += len(built) if cls is PrivacyBudget else 0
+        return built
+
+    monkeypatch.setattr(mechanisms, "_check", counting_check)
+    monkeypatch.setattr(engine, "_check", counting_check)
+    monkeypatch.setattr(engine, "_unchecked", counting_unchecked)
+    for cls in (PrivacyBudget, NoiseSpec):
+        def counting_post_init(self, _real=cls.__post_init__):
+            counts["post_init"] += 1
+            _real(self)
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
     problem = _problem(num_clients=6)
-    settings = _settings(clients_per_round=3, total_rounds=10, estimation_rounds=3)
-    for run in (lambda: run_baseline("uniform_dp", problem, settings, seed=3),
-                lambda: run_dpfl_bcs(problem, settings, seed=3)):
-        built.clear()
-        res = run()
-        assert not res.ended_early and len(res.rounds) == settings.total_rounds
-        assert len(built) == len(res.rounds)
+    problem.budgets = _budgets([1.0] * 6, 1e-4 if mechanism is GM else 0.0)
+
+    def run(total_rounds):
+        settings = _settings(mechanism=mechanism, clients_per_round=3,
+                             total_rounds=total_rounds, estimation_rounds=3)
+        counts.update(check=0, post_init=0, budgets=0)
+        res = (run_dpfl_bcs(problem, settings, seed=3) if algorithm == "dpfl_bcs"
+               else run_baseline(algorithm, problem, settings, seed=3))
+        assert not res.ended_early and len(res.rounds) == total_rounds
+        assert counts["budgets"] <= total_rounds
+        return dict(counts)
+
+    short, long = run(10), run(30)
+    assert long["check"] - short["check"] <= 2 * 20
+    assert long["post_init"] == short["post_init"]
+    assert long["budgets"] - short["budgets"] <= 20
+
+
+def test_round_calibration_matches_the_public_primitives(monkeypatch):
+    # The round calibrates with the unchecked formulas of the public
+    # primitives, in their order of operations, and consume_budget builds its
+    # result unchecked: the values must be the checked paths' bits, and the
+    # result must pass a checked rebuild.
+    specs, results = [], []
+    real_noise, real_consume = engine.sample_noise, engine.consume_budget
+
+    def capture_noise(spec, dimension, noise_rng):
+        specs.append(spec)
+        return real_noise(spec, dimension, noise_rng)
+
+    def capture_consume(budget, per_round_epsilon, per_round_delta=0.0):
+        out = real_consume(budget, per_round_epsilon, per_round_delta)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "sample_noise", capture_noise)
+    monkeypatch.setattr(engine, "consume_budget", capture_consume)
+    rng = np.random.default_rng(2024)
+    model = LinearRegression(2)
+    for i in range(300):
+        mechanism = (GM, LM)[i % 2]
+        # eta in [0, 1], both ends included; loss reports need eta > 0
+        eta = {0: 1.0, 1: 0.0}.get(i % 10, float(rng.uniform(0.0, 1.0)))
+        report_losses = eta > 0 and bool(i // 2 % 2)
+        n = int(rng.integers(1, 6))
+        samples = rng.integers(1, 501, size=n)
+        epsilon = 10 ** rng.uniform(-2.0, 2.0, size=n)
+        delta = 10 ** rng.uniform(-12.0, -0.01, size=n) if mechanism is GM else np.zeros(n)
+        spent = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.5)
+        budgets = PrivacyBudget(epsilon, delta, epsilon * (1 - spent), delta * (1 - spent))
+        planned = rng.integers(1, 500, size=n)
+        settings = _settings(mechanism=mechanism, clip_bound=float(10 ** rng.uniform(-2, 1)),
+                             loss_cap=float(rng.uniform(0.0, 10.0)),
+                             c2=float(10 ** rng.uniform(-1, 1)))
+        data = [Dataset(rng.normal(size=(m, 2)), rng.normal(size=m)) for m in samples]
+        clients = ClientArrays(data, budgets)
+        clients.install(planned, settings)
+        specs.clear()
+        results.clear()
+        client_round(clients, np.arange(n), ModelState(rng.normal(size=3), model), eta,
+                     np.random.default_rng(i), settings, report_losses)
+        (spec,), ((after, exhausted),) = specs, results
+        sens = gradient_sensitivity(mechanism, eta, settings.clip_bound, samples,
+                                    settings.loss_cap, report_losses)
+        remaining_eps, remaining_delta = budgets.epsilon_remaining, budgets.delta_remaining
+        if mechanism is GM:
+            scale = gaussian_sigma(sens, remaining_eps, remaining_delta, planned, settings.c2)
+        else:
+            scale = laplace_scale(sens, remaining_eps, planned)
+        assert (spec.sensitivity == sens).all() and (spec.scale == scale).all()
+        assert (spec.planned_rounds == planned).all()
+        slice_eps, slice_delta = remaining_eps / planned, remaining_delta / planned
+        assert (spec.per_round_epsilon == slice_eps).all()
+        assert (spec.per_round_delta == slice_delta).all()
+        rebuilt = PrivacyBudget(after.epsilon, after.delta, after.epsilon_remaining,
+                                after.delta_remaining)
+        for name, expected in (("epsilon", epsilon), ("delta", delta),
+                               ("epsilon_remaining", np.maximum(0.0, remaining_eps - slice_eps)),
+                               ("delta_remaining",
+                                np.maximum(0.0, remaining_delta - slice_delta))):
+            assert np.array_equal(getattr(rebuilt, name), expected)
+        assert np.array_equal(exhausted, rebuilt.exhausted)
 
 
 # ------------------------------------------------------------------ aggregation
@@ -882,7 +991,7 @@ def test_undercharging_ledger_fails_the_run(monkeypatch):
 def _spent_clients():
     data = [Dataset(np.zeros((2, 1)), np.zeros(2))] * 3
     clients = ClientArrays(data, _budgets([1.0] * 3, 1e-3))
-    clients.install([2, 2, 2], dp=True)
+    clients.install([2, 2, 2], _settings())
     start = clients.epsilon_remaining.copy()
     clients.epsilon_remaining -= clients.slice_epsilon
     clients.slice_sum += clients.slice_epsilon

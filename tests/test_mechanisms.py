@@ -371,6 +371,9 @@ def test_array_consume_budget_matches_scalar_calls():
     assert budget.exhausted.tolist() == [False, False, False, True]
     with pytest.raises(ParameterError):
         consume_budget(budget, np.array([0.1, -0.1, 0.1, 0.1]), delta / 8)
+    # slices that would broadcast the budget to another shape are refused
+    with pytest.raises(ParameterError, match="shape"):
+        consume_budget(PrivacyBudget.fresh(1.0), np.array([0.1, 0.2]))
 
 
 def test_array_budget_validation():
