@@ -72,6 +72,38 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(k) for k in key]))
 
 
+class RoundStreams:
+    """The per-round generators of one seed, each derived once.
+
+    `streams(domain, t)` returns the generator of SeedSequence([seed,
+    domain, t]) at the start of its stream. The first request for a (domain,
+    t) derives it with `_stream` and saves its state; a later request
+    restores that state into the domain's generator, which costs a fraction
+    of a derivation. The runs of a paired comparison share one, so each round
+    draws the same numbers in every run (common random numbers) as it would
+    from its own derivation.
+
+    A returned generator stays valid until the next request for its domain,
+    which may reuse it. The engine uses up each generator inside its round.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = int(seed)
+        self._states = {}
+        self._latest = {}
+
+    def __call__(self, domain: int, t: int) -> np.random.Generator:
+        state = self._states.get((domain, t))
+        if state is None:
+            rng = _stream(self.seed, domain, t)
+            self._states[domain, t] = rng.bit_generator.state
+            self._latest[domain] = rng
+            return rng
+        rng = self._latest[domain]
+        rng.bit_generator.state = state
+        return rng
+
+
 @dataclass(frozen=True)
 class LearningRateSchedule:
     """eta_t for t >= 1: constant eta0, eta0/(1 + t/h), or 2/(mu (t + gamma))."""
@@ -579,7 +611,7 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     if len(ids) <= k:
         return ids.tolist()
     weights = probabilities[ids]
-    if (weights < 0).any():
+    if not (weights >= 0).all():
         raise ParameterError("selection probabilities must be nonnegative")
     positive = weights > 0
     ids = ids[positive]
@@ -598,27 +630,38 @@ def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
 
 
 def run_dpfl_bcs(problem: FederatedProblem, settings: RunSettings, seed: int,
-                 on_round=None) -> RunResult:
-    """Two-stage biased-selection run."""
+                 on_round=None, streams: RoundStreams | None = None) -> RunResult:
+    """Two-stage biased-selection run. `streams` (see `_run_loop`) may be
+    shared with other runs of the same seed."""
     if settings.estimation_rounds < 2:
         raise ParameterError(
             "the estimators need estimation_rounds >= 2 "
             "(the skew estimate divides by estimation_rounds - 1)")
-    return _run_loop(problem, settings, seed, "dpfl_bcs", on_round)
+    return _run_loop(problem, settings, seed, "dpfl_bcs", on_round, streams)
 
 
 def run_baseline(kind: str, problem: FederatedProblem, settings: RunSettings, seed: int,
-                 on_round=None) -> RunResult:
-    """Single-stage reference run: fedsgd, uniform_dp, or weiavg."""
+                 on_round=None, streams: RoundStreams | None = None) -> RunResult:
+    """Single-stage reference run: fedsgd, uniform_dp, or weiavg. `streams`
+    (see `_run_loop`) may be shared with other runs of the same seed."""
     if kind not in BASELINE_KINDS:
         raise ParameterError(f"unknown baseline {kind!r}; expected one of {BASELINE_KINDS}")
-    return _run_loop(problem, settings, seed, kind, on_round)
+    return _run_loop(problem, settings, seed, kind, on_round, streams)
 
 
 def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
-              algorithm: str, on_round=None) -> RunResult:
+              algorithm: str, on_round=None,
+              streams: RoundStreams | None = None) -> RunResult:
+    """Round t selects with `streams(1, t)` and noises with `streams(2, t)`.
+    Outputs are the same whether `streams` is given or built here, but a
+    given one must belong to `seed`."""
     if int(seed) < 0:
         raise ParameterError("seed must be nonnegative")
+    if streams is None:
+        streams = RoundStreams(seed)
+    elif streams.seed != int(seed):
+        raise ParameterError(f"streams of seed {streams.seed} passed to a run of "
+                             f"seed {int(seed)}")
     model = problem.model
     num_clients = problem.num_clients
     k = settings.clients_per_round
@@ -671,7 +714,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             logger.info("round %d: candidate set empty, ending run early", t)
             ended_early = True
             break
-        selected = sample_selection(select_probs, eligible, k, _stream(seed, 1, t))
+        selected = sample_selection(select_probs, eligible, k, streams(1, t))
         if not selected:
             logger.info("round %d: no selectable client, ending run early", t)
             ended_early = True
@@ -679,7 +722,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
         eta = settings.schedule.rate(t)
         report_losses = two_stage and t <= t0
 
-        release = client_round(clients, selected, state, eta, _stream(seed, 2, t),
+        release = client_round(clients, selected, state, eta, streams(2, t),
                                settings, report_losses, noise_enabled=dp)
         responders = tuple(release.ids.tolist())
         if responders:

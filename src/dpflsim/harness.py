@@ -28,6 +28,7 @@ from .engine import (
     FederatedProblem,
     LearningRateSchedule,
     RoundRecord,
+    RoundStreams,
     RunResult,
     RunSettings,
     run_baseline,
@@ -128,10 +129,12 @@ def settings_from_config(config: ExperimentConfig) -> RunSettings:
 
 
 def dispatch_run(algorithm: str, problem: FederatedProblem, settings: RunSettings,
-                 seed: int, on_round=None) -> RunResult:
+                 seed: int, on_round=None, streams: RoundStreams | None = None
+                 ) -> RunResult:
     if algorithm == "dpfl_bcs":
-        return run_dpfl_bcs(problem, settings, seed, on_round=on_round)
-    return run_baseline(algorithm, problem, settings, seed, on_round=on_round)
+        return run_dpfl_bcs(problem, settings, seed, on_round=on_round, streams=streams)
+    return run_baseline(algorithm, problem, settings, seed, on_round=on_round,
+                        streams=streams)
 
 
 def run_single(config: ExperimentConfig, problem: FederatedProblem | None = None,
@@ -164,8 +167,10 @@ class ComparisonSummary:
 def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
                    out_dir=None) -> ComparisonSummary:
     """Paired multi-seed comparison: per seed, every algorithm sees the same
-    partition, budgets, and initial weights. Final metric is accuracy for
-    classification, test loss (MSE) for regression."""
+    partition, budgets, and initial weights, and draws each round's
+    selection and noise from the same streams, derived once per seed (common
+    random numbers). Final metric is accuracy for classification, test loss
+    (MSE) for regression."""
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("algorithm list is empty")
@@ -186,9 +191,10 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
         cfg_seed = replace(config, seed=seed)
         problem = build_problem(cfg_seed)
         settings = settings_from_config(cfg_seed)
+        streams = RoundStreams(seed)
         for alg in algorithms:
             try:
-                result = dispatch_run(alg, problem, settings, seed)
+                result = dispatch_run(alg, problem, settings, seed, streams=streams)
             except Exception as exc:
                 raise StateError(
                     f"algorithm {alg!r} failed at seed {seed}: {exc}") from exc

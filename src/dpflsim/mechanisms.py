@@ -283,15 +283,23 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     dimension) matrix. Zero-scale rows are exactly zero and draw nothing; the
     other rows are drawn in row order with one generator call, bit-identical
     to one call per row.
+
+    The draw is one unit draw times each row's scale. numpy draws
+    `loc + scale * z` (normal) and `loc -/+ scale * log(...)` (laplace)
+    element by element in C order, and the leading `0.0 +` keeps the sign of
+    a zero as `loc = 0.0` does, so the result is bit-identical to
+    `rng.normal(0.0, scale[:, None], size)` or `rng.laplace(...)`.
     """
     dimension = _check_rounds("dimension", dimension)
     scale = np.asarray(spec.scale, dtype=float)
     out = np.zeros(scale.shape + (dimension,))
     drawn = scale > 0.0
     if drawn.any():
-        scale = scale[drawn][:, None]
-        draw = rng.normal if spec.mechanism is MechanismKind.GAUSSIAN else rng.laplace
-        out[drawn] = draw(0.0, scale, size=(len(scale), dimension))
+        scale = scale[drawn]
+        size = (len(scale), dimension)
+        unit = (rng.standard_normal(size) if spec.mechanism is MechanismKind.GAUSSIAN
+                else rng.laplace(0.0, 1.0, size))
+        out[drawn] = 0.0 + scale[:, None] * unit
     return out
 
 

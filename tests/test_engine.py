@@ -14,6 +14,7 @@ from dpflsim.engine import (
     ClientArrays,
     FederatedProblem,
     LearningRateSchedule,
+    RoundStreams,
     RunSettings,
     _check_ledger,
     _stream,
@@ -459,6 +460,22 @@ def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
     assert sum(checked) > settings.total_rounds  # some clients release twice or more
 
 
+def test_round_streams_restart_each_stream_from_its_start():
+    # a repeated request for a (domain, t) restores the state saved at its
+    # first request, so it draws what a fresh derivation draws, even after
+    # the domain's generator was left mid-stream with a half-used word
+    def first_draws(rng):
+        return (rng.integers(0, 2**31, size=3, dtype=np.int32).tolist(),
+                rng.random(4).tolist(), rng.standard_normal(3).tolist(),
+                rng.laplace(0.0, 1.0, 2).tolist())
+
+    fresh = {(d, t): first_draws(_stream(5, d, t)) for d in (1, 2) for t in (1, 2, 3)}
+    streams = RoundStreams(5)
+    for order in (sorted(fresh), sorted(fresh, reverse=True), sorted(fresh)):
+        for key in order:
+            assert first_draws(streams(*key)) == fresh[key], key
+
+
 def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
     # at most one selection and one noise generator per round, and one noise
     # draw call for all responders together
@@ -629,6 +646,13 @@ def test_sample_selection_degenerate_weight():
     p = np.array([1.0, 0.0, 0.0])
     for seed in range(20):
         assert sample_selection(p, [0, 1, 2], 1, np.random.default_rng(seed)) == [0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1])
+def test_sample_selection_rejects_nan_and_negative_weights(bad):
+    p = np.array([bad, 0.2, 0.3, 0.1, 0.4])
+    with pytest.raises(ParameterError, match="nonnegative"):
+        sample_selection(p, range(5), 2, np.random.default_rng(0))
 
 
 def test_sample_selection_small_candidate_set():

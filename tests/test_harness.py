@@ -8,13 +8,15 @@ import math
 import numpy as np
 import pytest
 
+import dpflsim.engine as engine
 import dpflsim.harness as harness
 from dpflsim.config import ExperimentConfig
 from dpflsim.data import Dataset
-from dpflsim.engine import ClientLedger
-from dpflsim.errors import ConfigError, StateError
+from dpflsim.engine import ALGORITHMS, ClientLedger, RoundStreams
+from dpflsim.errors import ConfigError, ParameterError, StateError
 from dpflsim.harness import (
     build_problem,
+    dispatch_run,
     estimate_from_history,
     read_history,
     run_comparison,
@@ -175,16 +177,63 @@ def test_comparison_fedsgd_bounds_dp_algorithms():
 def test_comparison_failure_names_seed_and_algorithm(monkeypatch):
     real = harness.dispatch_run
 
-    def flaky(algorithm, problem, settings, seed, on_round=None):
+    def flaky(algorithm, problem, settings, seed, on_round=None, streams=None):
         if algorithm == "weiavg":
             raise RuntimeError("boom")
-        return real(algorithm, problem, settings, seed, on_round=on_round)
+        return real(algorithm, problem, settings, seed, on_round=on_round, streams=streams)
 
     monkeypatch.setattr(harness, "dispatch_run", flaky)
     with pytest.raises(StateError) as err:
         run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=1)
     assert "weiavg" in str(err.value)
     assert "42" in str(err.value)
+
+
+def test_comparison_derives_each_round_stream_once_per_seed(monkeypatch):
+    # the algorithms of one seed share its per-round streams, so a seed makes
+    # at most one selection and one noise derivation per round however many
+    # algorithms run on it
+    derivations = {}
+    real_stream = engine._stream
+
+    def counting_stream(seed, *key):
+        derivations[seed] = derivations.get(seed, 0) + 1
+        return real_stream(seed, *key)
+
+    monkeypatch.setattr(engine, "_stream", counting_stream)
+    cfg = _config()
+    run_comparison(cfg, ["dpfl_bcs", "uniform_dp", "weiavg"], num_seeds=2)
+    assert set(derivations) == {42, 43}
+    assert all(0 < count <= 2 * cfg.total_rounds for count in derivations.values())
+
+
+@pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])
+def test_comparison_histories_match_runs_of_their_own(tmp_path, mechanism):
+    # sharing a seed's streams changes no output: each history equals, byte
+    # for byte, that of a run that derives its own streams, run in reverse
+    # algorithm order
+    delta = (1e-5, 1e-4) if mechanism == "gaussian" else (0.0, 0.0)
+    cfg = _config(mechanism=mechanism, delta_min=delta[0], delta_max=delta[1],
+                  num_clients=8, clients_per_round=3, total_rounds=12,
+                  estimation_rounds=4)
+    run_comparison(cfg, ALGORITHMS, num_seeds=2, out_dir=tmp_path / "shared")
+    for seed in (42, 43):
+        cfg_seed = dataclasses.replace(cfg, seed=seed)
+        problem = build_problem(cfg_seed)
+        settings = settings_from_config(cfg_seed)
+        for alg in reversed(ALGORITHMS):
+            name = f"history_{alg}_seed{seed}.jsonl"
+            write_history(tmp_path / name, dispatch_run(alg, problem, settings, seed))
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / "shared" / name).read_bytes()), name
+
+
+def test_runs_refuse_streams_of_another_seed():
+    cfg = _config()
+    problem, settings = build_problem(cfg), settings_from_config(cfg)
+    for alg in ALGORITHMS:
+        with pytest.raises(ParameterError, match="seed 7"):
+            dispatch_run(alg, problem, settings, cfg.seed, streams=RoundStreams(7))
 
 
 def test_comparison_rejects_bad_inputs():
