@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import ALGORITHM_CHOICES, MECHANISM_CHOICES, load_config
+from .config import MECHANISM_CHOICES, load_config
 from .engine import ClientArrays
 from .errors import ConfigError, ParameterError
 from .harness import (
@@ -33,13 +33,7 @@ from .harness import (
     write_summary_csv,
 )
 from .mechanisms import MechanismKind
-from .selection import (
-    SelectionPlan,
-    approximate_plan,
-    compute_phi_lambda,
-    largest_remainder_round,
-    water_fill_continuous,
-)
+from .selection import SelectionPlan, approximate_plan, compute_phi_lambda, solve_plan
 
 logger = logging.getLogger(__name__)
 
@@ -107,28 +101,28 @@ def read_roster(path) -> tuple:
     entry per row. Every row that does not parse, holds a value out of range
     or repeats an earlier client id is listed with its line number."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read roster file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        names = [c.strip() for c in reader.fieldnames or []]
-        if names != list(ROSTER_COLUMNS):
-            raise ConfigError(
-                f"{path}: expected header {','.join(ROSTER_COLUMNS)}, "
-                f"got {','.join(names) if names else 'nothing'}")
-        rows, bad, line_of = [], [], {}
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                values = _roster_row(row)
-            except (TypeError, ValueError) as exc:
-                bad.append(f"line {lineno}: {exc}")
-                continue
-            first = line_of.setdefault(values[0], lineno)
-            if first != lineno:
-                bad.append(f"line {lineno}: client_id {values[0]} repeats line {first}")
-                continue
-            rows.append(values)
+    reader = csv.DictReader(lines)
+    names = [c.strip() for c in reader.fieldnames or []]
+    if names != list(ROSTER_COLUMNS):
+        raise ConfigError(
+            f"{path}: expected header {','.join(ROSTER_COLUMNS)}, "
+            f"got {','.join(names) if names else 'nothing'}")
+    rows, bad, line_of = [], [], {}
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            values = _roster_row(row)
+        except (TypeError, ValueError) as exc:
+            bad.append(f"line {lineno}: {exc}")
+            continue
+        first = line_of.setdefault(values[0], lineno)
+        if first != lineno:
+            bad.append(f"line {lineno}: client_id {values[0]} repeats line {first}")
+            continue
+        rows.append(values)
     if bad:
         raise ConfigError(f"{path}: invalid roster rows:\n  " + "\n  ".join(bad))
     if not rows:
@@ -137,20 +131,20 @@ def read_roster(path) -> tuple:
 
 
 def _read_gamma_file(path, expected: int) -> np.ndarray:
-    values = []
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read gamma file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
     if len(values) != expected:
         raise ConfigError(f"{path}: has {len(values)} values, roster has "
                           f"{expected} clients")
@@ -175,17 +169,14 @@ def cmd_plan(args) -> int:
     _, phi = compute_phi_lambda(mechanism, args.model_dim, args.clip_bound, args.c2,
                                 epsilon, delta, num_samples, client_ids=client_ids)
     z = mechanism.noise_exponent
-    total = args.clients_per_round * args.rounds
     if args.gamma_file:
         if args.omega_a is None or args.omega_b is None:
             raise ConfigError("--gamma-file requires --omega-a and --omega-b")
         gamma = _read_gamma_file(args.gamma_file, len(client_ids))
-        t_cont, _ = water_fill_continuous(phi, gamma, args.omega_a, args.omega_b,
-                                          total, z)
-        counts = largest_remainder_round(t_cont, total)
-        plan = SelectionPlan.from_counts(counts, args.rounds, args.clients_per_round)
+        plan = solve_plan(phi, gamma, args.omega_a, args.omega_b, args.rounds,
+                          args.clients_per_round, z)
     else:
-        plan = approximate_plan(phi, total, z,
+        plan = approximate_plan(phi, args.clients_per_round * args.rounds, z,
                                 per_round_selected=args.clients_per_round)
     over = plan.counts > args.rounds
     if over.any():

@@ -5,7 +5,7 @@ flags, validation with field-level messages, and reproducible snapshots."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -186,7 +186,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -229,21 +229,25 @@ def ingest_csv(path, target_column: str, feature_columns: list,
     rows = []
     dropped = 0
     bad_lines = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing_cols = [c for c in [target_column, *feature_columns] if c not in header]
-        if missing_cols:
-            raise ParameterError(f"columns not found in {path}: {', '.join(missing_cols)}")
-        for line_no, row in enumerate(reader, start=2):
-            cells = [row.get(c) for c in [target_column, *feature_columns]]
-            if any(c is None or c.strip().lower() in _MISSING_TOKENS for c in cells):
-                dropped += 1
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad_lines.append(line_no)
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read CSV file {path}: {exc}") from exc
+    reader = csv.DictReader(lines)
+    header = reader.fieldnames or []
+    missing_cols = [c for c in [target_column, *feature_columns] if c not in header]
+    if missing_cols:
+        raise ParameterError(f"columns not found in {path}: {', '.join(missing_cols)}")
+    for line_no, row in enumerate(reader, start=2):
+        cells = [row.get(c) for c in [target_column, *feature_columns]]
+        if any(c is None or c.strip().lower() in _MISSING_TOKENS for c in cells):
+            dropped += 1
+            continue
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            bad_lines.append(line_no)
     if bad_lines:
         raise ParameterError(
             f"unparseable numeric values at line(s) {', '.join(map(str, bad_lines))} of {path}")

@@ -700,9 +700,6 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
     state = ModelState(model.init_weights(), model)
     trajectory = [state.weights.copy()] if settings.record_weights else None
     records: list = []
-    stage1_selected: list = []
-    stage1_current: list = []
-    stage1_updated: list = []
     plan2 = None
     est_params = None
     ended_early = False
@@ -741,11 +738,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             state.weights, problem.test_data.features, problem.test_data.targets)
         losses = None
         if report_losses:
-            current, updated = release.losses.T.tolist()
-            stage1_selected.append(responders)
-            stage1_current.append(dict(zip(responders, current)))
-            stage1_updated.append(dict(zip(responders, updated)))
-            losses = dict(zip(responders, zip(current, updated)))
+            losses = dict(zip(responders, map(tuple, release.losses.tolist())))
         record = RoundRecord(
             t=t, stage=stage, selected=responders, losses=losses,
             test_loss=test_loss, test_accuracy=test_accuracy)
@@ -759,9 +752,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
             stages.append((clients.stage_count.copy(), clients.planned))
             plan2, est_params, select_probs = _replan(
                 problem, settings, clients, initial_constants,
-                StageOneLog(tuple(stage1_selected), tuple(stage1_current),
-                            tuple(stage1_updated)),
-                dp, uniform_probs)
+                StageOneLog.from_rounds(r.losses for r in records), dp, uniform_probs)
             if plan2 is None:
                 logger.info("no client can fund stage two, ending run early")
                 ended_early = True
@@ -825,6 +816,19 @@ def _initial_constants(clients: ClientArrays, settings: RunSettings,
                               clients.num_samples)
 
 
+def fit_stage_one(log: StageOneLog, lam: float, phi: np.ndarray, k: int,
+                  z: int) -> EstimatedParams:
+    """Fit the bound's parameters to a stage-one log of T0 = log.num_rounds
+    rounds over N = len(phi) clients, with (Lambda, Phi_n) at the incoming
+    budgets. The run's replan and the offline replay both call it, so the two
+    agree bit for bit."""
+    t0 = log.num_rounds
+    gamma_hat = estimate_gamma_n(log, len(phi))
+    rho_hat = estimate_rho_min(log, k, t0)
+    observed = observed_stage_loss(log, t0)
+    return estimate_problem_params(observed, log, lam, phi, gamma_hat, rho_hat, k, z)
+
+
 def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArrays,
             initial_constants, log: StageOneLog, dp: bool, uniform_probs: np.ndarray):
     """Estimate bound parameters and solve the stage-two plan at t = T0.
@@ -836,15 +840,10 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
     z = mech.noise_exponent
     k = settings.clients_per_round
     num_clients = problem.num_clients
-    t0 = settings.estimation_rounds
-    horizon = settings.total_rounds - t0
+    horizon = settings.total_rounds - settings.estimation_rounds
 
     lam, phi_initial = initial_constants or _initial_constants(clients, settings, model.dim)
-    gamma_hat = estimate_gamma_n(log, num_clients)
-    rho_hat = estimate_rho_min(log, k, t0)
-    observed = observed_stage_loss(log, t0)
-    est = estimate_problem_params(observed, log, lam, phi_initial, gamma_hat,
-                                  rho_hat, k, z)
+    est = fit_stage_one(log, lam, phi_initial, k, z)
 
     if settings.force_uniform_plan:
         plan2 = _uniform_plan(num_clients, horizon, k)
@@ -865,7 +864,7 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
             clients.num_samples[active], client_ids=active)
     else:
         phi_active = phi_initial[active]
-    gamma_for_plan = winsorize_upper(gamma_hat, settings.winsorize_percentile)
+    gamma_for_plan = winsorize_upper(est.gamma_hat_n, settings.winsorize_percentile)
     params_active = replace(est, phi_n=phi_active, gamma_hat_n=gamma_for_plan[active])
     sub = optimal_plan(params_active, horizon, k, z)
     counts = np.zeros(num_clients, dtype=int)

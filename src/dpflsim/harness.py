@@ -31,21 +31,14 @@ from .engine import (
     RoundStreams,
     RunResult,
     RunSettings,
+    fit_stage_one,
     run_baseline,
     run_dpfl_bcs,
 )
 from .errors import ConfigError, StateError
 from .mechanisms import MechanismKind
 from .models import LinearRegression, LogisticRegression
-from .selection import (
-    EstimatedParams,
-    StageOneLog,
-    compute_phi_lambda,
-    estimate_gamma_n,
-    estimate_problem_params,
-    estimate_rho_min,
-    observed_stage_loss,
-)
+from .selection import EstimatedParams, StageOneLog, compute_phi_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -159,9 +152,7 @@ class ComparisonRow:
 class ComparisonSummary:
     rows: list
     finals: dict
-    curves: dict
     seeds: list
-    metric_name: str
 
 
 def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
@@ -182,9 +173,7 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     config.validate()
     seeds = [config.seed + i for i in range(num_seeds)]
     classification = config.dataset == "synthetic_classification"
-    metric_name = "accuracy" if classification else "mse"
     finals = {alg: [] for alg in algorithms}
-    curves = {alg: [] for alg in algorithms}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for seed in seeds:
@@ -201,16 +190,8 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
             if out_dir:
                 write_history(os.path.join(out_dir, f"history_{alg}_seed{seed}.jsonl"),
                               result)
-            if classification:
-                finals[alg].append(result.final_test_accuracy)
-                curve = [r.test_accuracy for r in result.rounds]
-            else:
-                finals[alg].append(result.final_test_loss)
-                curve = [r.test_loss for r in result.rounds]
-            # Early-ended runs pad with their final value to keep curves rectangular.
-            while len(curve) < settings.total_rounds:
-                curve.append(curve[-1] if curve else float("nan"))
-            curves[alg].append(curve)
+            finals[alg].append(result.final_test_accuracy if classification
+                               else result.final_test_loss)
     rows = []
     for alg in algorithms:
         values = np.asarray(finals[alg], dtype=float)
@@ -219,8 +200,7 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
                                   num_seeds))
     summary = ComparisonSummary(
         rows=rows, finals={a: np.asarray(v, dtype=float) for a, v in finals.items()},
-        curves={a: np.asarray(v, dtype=float) for a, v in curves.items()},
-        seeds=seeds, metric_name=metric_name)
+        seeds=seeds)
     if out_dir:
         write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
     return summary
@@ -362,7 +342,7 @@ def read_history(path) -> ParsedHistory:
     try:
         with open(path) as fh:
             lines = [line for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read history file {path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"history file {path} is empty")
@@ -383,10 +363,11 @@ def read_history(path) -> ParsedHistory:
 
 
 def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
-    """Re-run the stage-one estimation pipeline offline from a stored history.
+    """Re-run the stage-one estimation offline from a stored history.
 
     Produces bit-identical estimates to the ones the run recorded, because it
-    feeds the same helper chain the engine used at the re-planning round.
+    builds the same `StageOneLog.from_rounds` log and calls the same
+    `fit_stage_one` the engine used at the re-planning round.
     Raises ConfigError on a header or stage-one round that is malformed.
     """
     h = parsed.header
@@ -426,7 +407,7 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
         if type(t) is not int:
             raise ConfigError(f"history round needs an integer t, got {t!r}")
         by_t[t] = r
-    selected, current, updated = [], [], []
+    rounds = []
     for t in range(1, t0 + 1):
         r = by_t.get(t)
         if r is None:
@@ -436,24 +417,17 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
         if not isinstance(r["losses"], dict):
             raise ConfigError(f"history round {t}: losses must be an object, "
                               f"got {r['losses']!r}")
-        cur, upd = {}, {}
+        losses = {}
         for key, value in r["losses"].items():
             try:
                 if not (isinstance(value, list) and len(value) == 2):
                     raise ValueError("not a pair")
-                n = int(key)
-                cur[n], upd[n] = float(value[0]), float(value[1])
+                losses[int(key)] = float(value[0]), float(value[1])
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"history round {t}: losses must map client ids to "
                                   f"pairs of numbers, got {key!r}: {value!r}") from None
-        selected.append(tuple(sorted(cur)))
-        current.append(cur)
-        updated.append(upd)
-    log = StageOneLog(tuple(selected), tuple(current), tuple(updated))
+        rounds.append(losses)
+    log = StageOneLog.from_rounds(rounds)
     lam, phi = compute_phi_lambda(mech, model_dim, clip_bound, c2, epsilon, delta,
                                   num_samples)
-    gamma_hat = estimate_gamma_n(log, num_clients)
-    rho_hat = estimate_rho_min(log, k, t0)
-    observed = observed_stage_loss(log, t0)
-    return estimate_problem_params(observed, log, lam, phi, gamma_hat, rho_hat, k,
-                                   mech.noise_exponent)
+    return fit_stage_one(log, lam, phi, k, mech.noise_exponent)

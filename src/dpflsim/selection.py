@@ -105,6 +105,16 @@ class StageOneLog:
             if any(i < 0 for i in s):
                 raise ParameterError(f"round {t}: negative client id")
 
+    @classmethod
+    def from_rounds(cls, losses) -> "StageOneLog":
+        """The log of the stage-one rounds given in order, each as a map client
+        id -> (loss at the incoming model, loss at the updated model), the
+        shape of `RoundRecord.losses`. No estimator reads a map's key order."""
+        rounds = [dict(r) for r in losses]
+        return cls(tuple(tuple(r) for r in rounds),
+                   tuple({n: pair[0] for n, pair in r.items()} for r in rounds),
+                   tuple({n: pair[1] for n, pair in r.items()} for r in rounds))
+
     @property
     def num_rounds(self) -> int:
         return len(self.selected)
@@ -231,8 +241,9 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
         raise ParameterError("mechanism must be a MechanismKind")
     if model_dim < 1:
         raise ParameterError("model_dim must be >= 1")
-    if clip_bound <= 0 or c2 <= 0:
-        raise ParameterError("clip_bound and c2 must be positive")
+    if not (math.isfinite(clip_bound) and clip_bound > 0 and math.isfinite(c2) and c2 > 0):
+        raise ParameterError(f"clip_bound and c2 must be positive and finite, got "
+                             f"clip_bound={clip_bound}, c2={c2}")
     eps = np.asarray(epsilon, dtype=float)
     dlt = np.asarray(delta, dtype=float)
     samples = np.asarray(num_samples)
@@ -332,11 +343,7 @@ def estimate_rho_min(log: StageOneLog, K: int, T0: int) -> float:
         raise ParameterError("K must be >= 1")
     if log.num_rounds < T0:
         raise StateError(f"log has {log.num_rounds} rounds, need the full {T0} stage-one rounds")
-    reporters = log.selected[T0 - 1]
-    if not reporters:
-        raise StateError(f"round {T0} has no reported losses")
-    report = log.loss_current[T0 - 1]
-    f_bar = float(np.mean([report[n] for n in reporters]))
+    f_bar = observed_stage_loss(log, T0)
     if f_bar <= 0.0:
         logger.warning("nonpositive mean reported loss %.3g at round %d; "
                        "returning neutral skew 1.0", f_bar, T0)
@@ -345,6 +352,7 @@ def estimate_rho_min(log: StageOneLog, K: int, T0: int) -> float:
     for s in log.selected[:T0 - 1]:
         for n in s:
             counts[n] = counts.get(n, 0) + 1
+    report = log.loss_current[T0 - 1]
     numerator = 0.0
     for n, c in sorted(counts.items()):
         numerator += c * (report[n] if n in report else f_bar)
@@ -438,8 +446,10 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
     gamma_n = np.asarray(gamma_n, dtype=float)
     if np.any(phi_n <= 0):
         raise ParameterError("all phi_n must be positive")
-    if omega_a <= 0:
-        raise ParameterError("omega_a must be positive")
+    if not (math.isfinite(omega_a) and omega_a > 0):
+        raise ParameterError(f"omega_a must be positive and finite, got {omega_a}")
+    if not (math.isfinite(omega_b) and omega_b >= 0):
+        raise ParameterError(f"omega_b must be nonnegative and finite, got {omega_b}")
     if total <= 0:
         raise ParameterError("total must be positive")
 
@@ -466,26 +476,25 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
     return alloc(lam), lam
 
 
-def optimal_plan(params: EstimatedParams, horizon_rounds: int, K: int, z: int) -> SelectionPlan:
-    """Solve the integer plan problem on the given horizon.
+def solve_plan(phi_n, gamma_n, omega_a: float, omega_b: float, horizon_rounds: int,
+               K: int, z: int) -> SelectionPlan:
+    """The integer plan minimizing J on the given horizon: the continuous
+    relaxation solved by water-filling, rounded by largest remainder so the
+    counts sum to K * horizon exactly."""
+    total = K * horizon_rounds
+    cont, _ = water_fill_continuous(phi_n, gamma_n, omega_a, omega_b, total, z)
+    return SelectionPlan.from_counts(largest_remainder_round(cont, total), horizon_rounds, K)
 
-    Omega_A/Omega_B are recomputed with the horizon substituted for T, the
-    continuous relaxation solved by water-filling, and the result rounded by
-    largest remainder so the counts sum to K * horizon exactly.
-    """
-    if horizon_rounds < 1:
-        raise ParameterError(f"horizon_rounds must be >= 1, got {horizon_rounds}")
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+
+def optimal_plan(params: EstimatedParams, horizon_rounds: int, K: int, z: int) -> SelectionPlan:
+    """Solve the integer plan problem on the given horizon, with Omega_A and
+    Omega_B recomputed for that horizon (see `solve_plan`)."""
     if np.any(params.phi_n <= 0):
         raise ParameterError("optimal_plan needs strictly positive phi_n")
     omega_a, omega_b = convergence_coefficients(
         params.L_smooth, params.mu_convex, params.gamma, params.Lambda, K, horizon_rounds)
-    total = K * horizon_rounds
-    cont, _ = water_fill_continuous(params.phi_n, params.gamma_hat_n,
-                                    omega_a, omega_b, total, z)
-    counts = largest_remainder_round(cont, total)
-    return SelectionPlan.from_counts(counts, horizon_rounds, K)
+    return solve_plan(params.phi_n, params.gamma_hat_n, omega_a, omega_b, horizon_rounds,
+                      K, z)
 
 
 def selection_skew(weights, local_losses, local_optima, global_loss: float) -> float:

@@ -483,3 +483,92 @@ def test_partition_matches_problem_builder(tmp_path, capsys):
     problem = build_problem(cfg)
     assert sizes == [d.num_samples for d in problem.client_data]
     assert sum(sizes) == 300
+
+
+# ------------------------------------------------------- unreadable input files
+
+NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
+
+
+def _plan_args(tmp_path, *extra, roster=None):
+    if roster is None:
+        roster = _write_roster(tmp_path / "roster.csv",
+                               [(0, 1.0, 1e-5, 100), (1, 2.0, 1e-5, 100)])
+    return ["plan", "--roster", roster, "--model-dim", "4", "--clients-per-round", "1",
+            "--rounds", "4", "--out", str(tmp_path / "o"), *extra]
+
+
+def test_estimate_history_not_utf8_exits_one(tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    history.write_bytes(NOT_UTF8)
+    assert main(["estimate", "--history", str(history), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: cannot read history file {history}" in capsys.readouterr().err
+
+
+def test_run_config_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(NOT_UTF8)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
+
+
+def test_plan_roster_not_utf8_exits_one(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_bytes(b"client_id,epsilon,delta,num_samples\n" + NOT_UTF8)
+    assert main(_plan_args(tmp_path, roster=str(roster))) == 1
+    assert f"error: cannot read roster file {roster}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+def test_plan_gamma_file_not_utf8_exits_one(tmp_path, capsys):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_bytes(b"0.5\n" + NOT_UTF8)
+    assert main(_plan_args(tmp_path, "--gamma-file", str(gamma), "--omega-a", "1.0",
+                           "--omega-b", "1.0")) == 1
+    assert f"error: cannot read gamma file {gamma}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"y,x\n1.0,2.0\n" + NOT_UTF8],
+                         ids=["missing", "not_utf8"])
+def test_run_unreadable_csv_exits_one(tmp_path, capsys, content):
+    data = tmp_path / "data.csv"
+    if content is not None:
+        data.write_bytes(content)
+    cfg = _write_config(tmp_path / "exp.cfg", dataset="csv", csv_path=str(data),
+                        csv_target_column="y", csv_feature_columns="x")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: cannot read CSV file {data}" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ plan coefficient checks
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--c2", "nan"], "c2=nan", id="c2_nan"),
+    pytest.param(["--c2", "inf"], "c2=inf", id="c2_inf"),
+    pytest.param(["--clip-bound", "nan"], "clip_bound=nan", id="clip_bound_nan"),
+    pytest.param(["--clip-bound", "inf"], "clip_bound=inf", id="clip_bound_inf"),
+    pytest.param(["--gamma-file", "G", "--omega-a", "1.0", "--omega-b", "-5"],
+                 "omega_b must be nonnegative and finite, got -5.0", id="omega_b_negative"),
+    pytest.param(["--gamma-file", "G", "--omega-a", "1.0", "--omega-b", "nan"],
+                 "omega_b must be nonnegative and finite, got nan", id="omega_b_nan"),
+    pytest.param(["--gamma-file", "G", "--omega-a", "nan", "--omega-b", "1.0"],
+                 "omega_a must be positive and finite, got nan", id="omega_a_nan"),
+    pytest.param(["--gamma-file", "G", "--omega-a", "inf", "--omega-b", "1.0"],
+                 "omega_a must be positive and finite, got inf", id="omega_a_inf"),
+])
+def test_plan_rejects_bad_coefficients(tmp_path, capsys, flags, message):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("0.5\n1.0\n")
+    flags = [str(gamma) if f == "G" else f for f in flags]
+    assert main(_plan_args(tmp_path, *flags)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+def test_plan_accepts_zero_omega_b(tmp_path):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("0.5\n1.0\n")
+    assert main(_plan_args(tmp_path, "--gamma-file", str(gamma), "--omega-a", "1.0",
+                           "--omega-b", "0")) == 0
+    assert sum(r[1] for r in _read_plan(tmp_path / "o" / "plan.csv")) == 4
