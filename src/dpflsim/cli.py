@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .config import MECHANISM_CHOICES, load_config
-from .engine import ClientArrays
 from .errors import ConfigError, ParameterError
 from .harness import (
     ComparisonRow,
@@ -59,7 +58,8 @@ def cmd_run(args) -> int:
     problem = build_problem(config)
     settings = settings_from_config(config)
     header = history_header(config.algorithm, settings, problem.model,
-                            ClientArrays(problem.client_data, problem.budgets), config.seed)
+                            problem.budgets.epsilon, problem.budgets.delta,
+                            problem.num_samples, config.seed)
     history_path = os.path.join(out, "history.jsonl")
     writer = HistoryWriter(history_path, header)
     try:
@@ -212,8 +212,7 @@ def cmd_partition(args) -> int:
     with open(counts_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id", "num_samples"])
-        for client_id, data in enumerate(problem.client_data):
-            writer.writerow([client_id, data.num_samples])
+        writer.writerows(enumerate(problem.num_samples.tolist()))
     print(counts_path)
     return 0
 

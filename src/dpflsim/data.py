@@ -55,25 +55,6 @@ class Dataset:
         indices = np.asarray(indices, dtype=int)
         return Dataset(self.features[indices], self.targets[indices])
 
-    def split(self, order, sizes) -> list:
-        """One dataset per entry of `sizes`: the rows `order` gathered once
-        into a read-only block, then cut into consecutive row slices of those
-        sizes. Each slice is a view of the block, and, as rows of this checked
-        dataset, is not checked again."""
-        sizes = np.asarray(sizes, dtype=int)
-        if sizes.ndim != 1 or len(sizes) == 0 or sizes.min() < 1:
-            raise ParameterError("every part must hold at least one sample")
-        if sizes.sum() != len(order):
-            raise ParameterError(
-                f"part sizes sum to {sizes.sum()}, but {len(order)} rows are given")
-        features = self.features[order]
-        targets = self.targets[order]
-        features.flags.writeable = False
-        targets.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
-        return _unchecked(Dataset, ((features[start:end], targets[start:end])
-                                    for start, end in zip([0] + ends[:-1], ends)))
-
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -162,14 +143,17 @@ def generate_synthetic_classification(num_samples: int, num_classes: int, featur
     return Dataset(features, labels.astype(int))
 
 
-def dirichlet_partition(dataset: Dataset, config: PartitionConfig) -> list:
+def dirichlet_partition(dataset: Dataset,
+                        config: PartitionConfig) -> tuple[Dataset, np.ndarray]:
     """Split a dataset across clients with Dirichlet(alpha) skew.
 
     Classification: per-label client shares are Dirichlet-distributed (label
     skew). Regression: client sizes are Dirichlet-distributed over shuffled
     rows (quantity skew). Redraws up to 100 times until every client has at
-    least one sample. Each client holds its rows in ascending order, as
-    read-only views of one gathered block (`Dataset.split`).
+    least one sample. Returns `(train, num_samples)`: every row once, gathered
+    into one read-only block, client 0's rows first and each client's rows in
+    ascending order, and each client's row count as a read-only column. As
+    rows of the checked dataset, the block is not checked again.
     """
     n_clients = config.num_clients
     rng = np.random.default_rng(config.seed)
@@ -191,7 +175,11 @@ def dirichlet_partition(dataset: Dataset, config: PartitionConfig) -> list:
             owner[idx] = np.repeat(client_ids, counts)
         sizes = np.bincount(owner, minlength=n_clients)
         if sizes.min() >= 1:
-            return dataset.split(np.argsort(owner, kind="stable"), sizes)
+            order = np.argsort(owner, kind="stable")
+            train, = _unchecked(Dataset, [(dataset.features[order], dataset.targets[order])])
+            for column in (train.features, train.targets, sizes):
+                column.flags.writeable = False
+            return train, sizes
     raise ParameterError(
         f"could not give every one of {n_clients} clients a sample in 100 attempts; "
         "the dataset is too small or alpha too extreme")

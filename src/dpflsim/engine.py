@@ -4,8 +4,9 @@ One round: the server samples K clients from the candidate set by plan
 probability, each selected client takes one clipped-SGD step on its data,
 noises the step (and during stage one, two distorted loss values), and the
 server applies the mean update divided by the nominal K. `client_round`
-computes a round's client work as one batch over the responders' stacked
-rows, and per-client state lives in the arrays of `ClientArrays`.
+computes a round's client work as one batch over the responders' rows,
+gathered at once from the clients' block, and per-client state lives in the
+arrays of `ClientArrays`.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -191,35 +192,38 @@ class RunSettings:
 
 @dataclass
 class FederatedProblem:
-    """A model kind, partitioned client data, budgets, and the server test set.
+    """A model kind, the clients' rows, budgets, and the server test set.
 
-    `budgets` is one `PrivacyBudget` whose fields are columns with one entry
-    per client; a run copies them, so runs on one problem start alike."""
+    `train` holds every client's rows in one block, client 0's first, and
+    client n owns `num_samples[n]` of them. `budgets` is one `PrivacyBudget`
+    whose fields are columns with one entry per client; a run copies them,
+    so runs on one problem start alike."""
 
     model: LinearRegression | LogisticRegression
-    client_data: list
+    train: Dataset
+    num_samples: np.ndarray
     budgets: PrivacyBudget
     test_data: Dataset
 
     def __post_init__(self):
-        if len(self.client_data) == 0:
-            raise ParameterError("need at least one client")
+        num_samples = self.num_samples = np.asarray(self.num_samples)
+        # summed as Python ints, so no entry can wrap the total around
+        if (num_samples.ndim != 1 or len(num_samples) == 0 or num_samples.dtype.kind not in "iu"
+                or num_samples.min() < 1 or sum(num_samples.tolist()) != self.train.num_samples):
+            raise ParameterError(f"num_samples must be a 1-d integer column of counts >= 1, "
+                                 f"one per client, summing to the {self.train.num_samples} "
+                                 f"training rows, got {num_samples!r}")
         shape = np.shape(getattr(self.budgets, "epsilon", None))
-        if shape != (len(self.client_data),):
-            raise ParameterError(f"budgets must be columns of shape "
-                                 f"({len(self.client_data)},), one entry per client, "
-                                 f"got shape {shape}")
-        for i, d in enumerate(self.client_data):
-            if d.feature_dim != self.model.feature_dim:
-                raise ParameterError(
-                    f"client {i} feature_dim {d.feature_dim} != model {self.model.feature_dim}")
-        if self.test_data.feature_dim != self.model.feature_dim:
-            raise ParameterError(f"test feature_dim {self.test_data.feature_dim} "
-                                 f"!= model {self.model.feature_dim}")
+        if shape != num_samples.shape:
+            raise ParameterError(f"budgets must be columns of shape {num_samples.shape}, "
+                                 f"one entry per client, got shape {shape}")
+        for name, data in (("training", self.train), ("test", self.test_data)):
+            if data.feature_dim != self.model.feature_dim:
+                raise ParameterError(f"{name} feature_dim {data.feature_dim} "
+                                     f"!= model {self.model.feature_dim}")
         if self.model.is_classification:
-            # one pass over every label, clients and test set together
-            labels = np.concatenate([d.targets for d in self.client_data]
-                                    + [self.test_data.targets])
+            # one pass over every label, training and test rows together
+            labels = np.concatenate([self.train.targets, self.test_data.targets])
             if labels.dtype.kind not in "iu":
                 raise ParameterError(
                     f"classification targets must be integers, got {labels.dtype}")
@@ -231,7 +235,7 @@ class FederatedProblem:
 
     @property
     def num_clients(self) -> int:
-        return len(self.client_data)
+        return len(self.num_samples)
 
 
 @dataclass(frozen=True)
@@ -359,10 +363,12 @@ class ClientArrays:
     never eligible again. `stage` counts the stages installed.
     """
 
-    def __init__(self, data: list, budgets: PrivacyBudget):
-        n = len(data)
-        self.data = list(data)
-        self.num_samples = np.array([d.num_samples for d in data], dtype=int)
+    def __init__(self, train: Dataset, num_samples: np.ndarray, budgets: PrivacyBudget):
+        n = len(num_samples)
+        # the problem's checked block; client n's rows start at row_start[n]
+        self.train = train
+        self.num_samples = num_samples
+        self.row_start = np.cumsum(num_samples) - num_samples
         # copies: the run updates them in place
         self.epsilon = np.array(budgets.epsilon, dtype=float)
         self.delta = np.array(budgets.delta, dtype=float)
@@ -449,7 +455,7 @@ class ClientArrays:
 
     def eligible(self, dp: bool) -> np.ndarray:
         if not dp:
-            return np.arange(len(self.data))
+            return np.arange(len(self.num_samples))
         return np.flatnonzero(~self.exhausted & (self.stage_count < self.planned))
 
 
@@ -500,19 +506,20 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     dim = kind.dim
     if len(ids) == 0:
         return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if report_losses else None)
-    data = [clients.data[n] for n in ids]
+    # the responders' rows in one gather from the block, responder i's at
+    # starts[i]:ends[i]
     counts = clients.num_samples[ids]
-    if (counts == 0).any():
-        raise ParameterError("empty dataset")
-    features = np.concatenate([d.features for d in data])
-    targets = np.concatenate([d.targets for d in data])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rows = np.repeat(clients.row_start[ids] - starts, counts) + np.arange(ends[-1])
+    features = clients.train.features[rows]
+    targets = clients.train.targets[rows]
     if features.shape[1] != kind.feature_dim:
         raise ParameterError(
             f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")
     # per-sample gradients are rank one, so they are clipped from their factors
     clipped = clip_outer_rows(kind.output_gradients(model.weights, features, targets),
                               with_intercept(features), settings.clip)
-    starts = np.cumsum(counts) - counts
     means = np.add.reduceat(clipped, starts, axis=0) / counts[:, None]
     # each responder's velocity before this round's noise, in gradient units
     unnoised = means
@@ -522,7 +529,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
         if learning_rate <= 0:
             raise ParameterError("momentum needs a positive learning rate")
         if clients.velocity is None:
-            clients.velocity = np.zeros((len(clients.data), dim))
+            clients.velocity = np.zeros((len(clients.num_samples), dim))
         unnoised = settings.momentum * clients.velocity[ids] + unnoised
     # the locally updated model of the loss report takes the unnoised step
     steps = learning_rate * unnoised
@@ -558,6 +565,9 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
         if eta <= 0:
             raise ParameterError("loss distortion needs a positive learning rate")
         losses = np.empty((len(ids), 2))
+        # rows of the checked block, so not checked again
+        data = _unchecked(Dataset, ((features[start:end], targets[start:end])
+                                    for start, end in zip(starts.tolist(), ends.tolist())))
         for i, d in enumerate(data):
             f_current = local_loss(model, d, settings.loss_cap)
             f_updated = local_loss(model.replaced(model.weights - steps[i]), d,
@@ -675,7 +685,7 @@ def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
     dp = settings.dp_enabled and algorithm != "fedsgd"
     weighted_agg = algorithm == "weiavg"
 
-    clients = ClientArrays(problem.client_data, problem.budgets)
+    clients = ClientArrays(problem.train, problem.num_samples, problem.budgets)
     epsilon_at_start = clients.epsilon_remaining.copy()
 
     # (Lambda, Phi_n) at the incoming budgets, computed once when a plan first

@@ -24,7 +24,6 @@ from .data import (
 )
 from .engine import (
     ALGORITHMS,
-    ClientArrays,
     FederatedProblem,
     LearningRateSchedule,
     RoundRecord,
@@ -89,7 +88,7 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         test = full.subset(order[:n_test])
         train = full.subset(order[n_test:])
         model = LinearRegression(full.feature_dim)
-    clients = dirichlet_partition(
+    train, num_samples = dirichlet_partition(
         train, PartitionConfig(config.num_clients, config.dirichlet_alpha,
                                _derived_seed(config.seed, _DOMAIN_PARTITION)))
     budgets = sample_budgets(
@@ -97,7 +96,7 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
                              (config.delta_min, config.delta_max),
                              _derived_seed(config.seed, _DOMAIN_BUDGETS)),
         config.num_clients)
-    return FederatedProblem(model, clients, budgets, test)
+    return FederatedProblem(model, train, num_samples, budgets, test)
 
 
 def settings_from_config(config: ExperimentConfig) -> RunSettings:
@@ -230,17 +229,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=_json_default)
 
 
-def history_header(algorithm: str, settings: RunSettings, model, clients: ClientArrays,
-                   seed: int) -> dict:
-    """The header record; `clients` gives each client's budget and sample count."""
-    columns = zip(clients.epsilon.tolist(), clients.delta.tolist(),
-                  clients.num_samples.tolist())
+def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.ndarray,
+                   delta: np.ndarray, num_samples: np.ndarray, seed: int) -> dict:
+    """The header record; the three columns give each client's budget and
+    sample count."""
     return {
         "kind": "header",
         "format_version": HISTORY_FORMAT_VERSION,
         "algorithm": algorithm,
         "mechanism": settings.mechanism.value,
-        "num_clients": len(clients.epsilon),
+        "num_clients": len(epsilon),
         "clients_per_round": settings.clients_per_round,
         "total_rounds": settings.total_rounds,
         "estimation_rounds": settings.estimation_rounds,
@@ -254,8 +252,9 @@ def history_header(algorithm: str, settings: RunSettings, model, clients: Client
         "c2": settings.c2,
         "seed": int(seed),
         "clients": [
-            {"client_id": i, "epsilon": epsilon, "delta": delta, "num_samples": samples}
-            for i, (epsilon, delta, samples) in enumerate(columns)
+            {"client_id": i, "epsilon": eps, "delta": dlt, "num_samples": samples}
+            for i, (eps, dlt, samples) in enumerate(zip(
+                epsilon.tolist(), delta.tolist(), num_samples.tolist()))
         ],
     }
 
@@ -323,8 +322,10 @@ class HistoryWriter:
 
 
 def write_history(path, result: RunResult) -> None:
+    clients = result.clients
     header = history_header(result.algorithm, result.settings,
-                            result.final_state.model_kind, result.clients, result.seed)
+                            result.final_state.model_kind, clients.epsilon, clients.delta,
+                            clients.num_samples, result.seed)
     with HistoryWriter(path, header) as writer:
         for record in result.rounds:
             writer.write_round(record)

@@ -197,11 +197,14 @@ def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
     """Round a nonnegative vector to integers preserving its (integer) sum.
 
     Floors every entry, then hands the leftover units to the largest
-    fractional parts (ties broken by index). Each entry moves by < 1.
+    fractional parts (ties broken by index). Each entry moves by < 1. Values
+    at or above 2**63 are refused, because their floors would not fit an int.
     """
     values = np.asarray(values, dtype=float)
-    if np.any(values < -1e-9) or np.any(~np.isfinite(values)):
-        raise ParameterError("values must be finite and nonnegative")
+    # NaN fails both comparisons
+    if not ((values >= -1e-9) & (values < 2.0**63)).all():
+        raise ParameterError(f"values must be finite, nonnegative and below 2**63, got "
+                             f"[{values.min()}, {values.max()}]")
     values = np.maximum(values, 0.0)
     floors = np.floor(values).astype(int)
     remainder = int(total) - int(floors.sum())
@@ -441,6 +444,9 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
     Bisection on the KKT multiplier lam with
     T_n(lam) = max(0, (lam - Omega_B*Gamma_n) / ((z+1)*Omega_A*Phi_n))^(1/z).
     Returns (T vector, lam); stationarity holds exactly by construction.
+    Raises ParameterError, naming the coefficients, when their scale puts the
+    bisection bracket past float range, or leaves the counts off `total` by
+    as much as their number, more than rounding each by < 1 can absorb.
     """
     phi_n = np.asarray(phi_n, dtype=float)
     gamma_n = np.asarray(gamma_n, dtype=float)
@@ -453,27 +459,39 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
     if total <= 0:
         raise ParameterError("total must be positive")
 
-    thresholds = omega_b * gamma_n
-    denom = (z + 1) * omega_a * phi_n
+    def unsolvable(why: str) -> ParameterError:
+        return ParameterError(
+            f"cannot water-fill the plan at omega_a={omega_a}, omega_b={omega_b} with "
+            f"phi_n in [{phi_n.min()}, {phi_n.max()}]: {why}")
 
     def alloc(lam: float) -> np.ndarray:
         base = np.maximum(0.0, (lam - thresholds) / denom)
         return base if z == 1 else base ** (1.0 / z)
 
-    lo = float(np.min(thresholds))
-    hi = float(np.max(thresholds)) + float(np.max(denom)) * (total ** z) + 1.0
-    while alloc(hi).sum() < total:
-        hi = 2.0 * hi + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if alloc(mid).sum() < total:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-15 * max(1.0, abs(hi)):
-            break
-    lam = 0.5 * (lo + hi)
-    return alloc(lam), lam
+    # out-of-range scales give inf or NaN, refused below, not a warning
+    with np.errstate(all="ignore"):
+        thresholds = omega_b * gamma_n
+        denom = (z + 1) * omega_a * phi_n
+        lo = float(np.min(thresholds))
+        hi = float(np.max(thresholds)) + float(np.max(denom)) * (total ** z) + 1.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise unsolvable(f"the bisection bracket [{lo}, {hi}] is not finite")
+        while alloc(hi).sum() < total:
+            hi = 2.0 * hi + 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if alloc(mid).sum() < total:
+                lo = mid
+            else:
+                hi = mid
+            if (hi - lo) <= 1e-15 * max(1.0, abs(hi)):
+                break
+        lam = 0.5 * (lo + hi)
+        counts = alloc(lam)
+        counts_sum = counts.sum()
+    if not abs(counts_sum - total) < len(counts):
+        raise unsolvable(f"the continuous counts sum to {counts_sum}, not {total}")
+    return counts, lam
 
 
 def solve_plan(phi_n, gamma_n, omega_a: float, omega_b: float, horizon_rounds: int,

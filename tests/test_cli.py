@@ -481,7 +481,7 @@ def test_partition_matches_problem_builder(tmp_path, capsys):
                            num_samples=300, test_samples=60, feature_dim=3,
                            algorithm="fedsgd", seed=7)
     problem = build_problem(cfg)
-    assert sizes == [d.num_samples for d in problem.client_data]
+    assert sizes == problem.num_samples.tolist()
     assert sum(sizes) == 300
 
 
@@ -563,6 +563,20 @@ def test_plan_rejects_bad_coefficients(tmp_path, capsys, flags, message):
     assert main(_plan_args(tmp_path, *flags)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("omega_a, omega_b", [("1e-320", "1"), ("1", "1e308"), ("1e308", "1")])
+def test_plan_refuses_omegas_beyond_float_range(tmp_path, capsys, omega_a, omega_b):
+    # the water-fill overflows at these scales: the error names both omegas,
+    # and no RuntimeWarning escapes (the suite turns them into errors)
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("0.5\n1.0\n")
+    assert main(_plan_args(tmp_path, "--gamma-file", str(gamma), "--omega-a", omega_a,
+                           "--omega-b", omega_b)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot water-fill the plan at "
+                          f"omega_a={float(omega_a)}, omega_b={float(omega_b)} with phi_n in")
     assert not (tmp_path / "o" / "plan.csv").exists()
 
 

@@ -15,8 +15,10 @@ from dpflsim.data import (
     ingest_csv,
     sample_budgets,
 )
+from dpflsim.engine import FederatedProblem
 from dpflsim.errors import ParameterError
-from dpflsim.models import LogisticRegression
+from dpflsim.mechanisms import PrivacyBudget
+from dpflsim.models import LinearRegression, LogisticRegression
 
 
 def test_dataset_validation():
@@ -73,10 +75,19 @@ def test_classification_label_balance():
         assert counts.max() - counts.min() <= 1
 
 
+def _client_rows(train, num_samples) -> list:
+    """Each client's rows of a partition's block, as (features, targets)
+    slices: client n's start is the sum of the counts before it."""
+    ends = np.cumsum(num_samples)
+    return [Dataset(train.features[end - count:end], train.targets[end - count:end])
+            for end, count in zip(ends.tolist(), num_samples.tolist())]
+
+
 def test_partition_conserves_and_disjoint():
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    parts = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
-    assert sum(p.num_samples for p in parts) == data.num_samples
+    train, num_samples = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    parts = _client_rows(train, num_samples)
+    assert sum(p.num_samples for p in parts) == data.num_samples == train.num_samples
     # disjoint union: feature rows across clients form a permutation of input
     stacked = np.vstack([p.features for p in parts])
     order_in = np.lexsort(data.features.T)
@@ -87,33 +98,49 @@ def test_partition_conserves_and_disjoint():
 
 def test_partition_client_blocks_are_read_only():
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    parts = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    train, num_samples = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    parts = _client_rows(train, num_samples)
     before = [(p.features.copy(), p.targets.copy()) for p in parts]
+    counts_before = num_samples.copy()
     with pytest.raises(ValueError):
         parts[2].features[0, 0] = 99.0
     with pytest.raises(ValueError):
         parts[2].targets[:] = 0
     with pytest.raises(ValueError):
         np.multiply(parts[2].features, 2.0, out=parts[2].features)
+    with pytest.raises(ValueError):
+        num_samples[2] = 1
     for p, (features, targets) in zip(parts, before):
         assert np.array_equal(p.features, features)
         assert np.array_equal(p.targets, targets)
+    assert np.array_equal(num_samples, counts_before)
 
 
 def test_split_needs_sizes_that_cover_the_rows():
+    # a problem's row counts cut its block into the clients' rows, and must
+    # cover every row with at least one row per client
     data, _ = generate_synthetic_regression(6, 2, 0.1, seed=6)
     order = np.array([5, 0, 3, 1, 4, 2])
-    first, second = data.split(order, [4, 2])
+    train = data.subset(order)
+
+    def problem(sizes):
+        n = len(sizes)
+        budgets = PrivacyBudget(np.ones(n), np.zeros(n), np.ones(n), np.zeros(n))
+        return FederatedProblem(LinearRegression(2), train, np.array(sizes, dtype=int),
+                                budgets, data)
+
+    first, second = _client_rows(train, problem([4, 2]).num_samples)
     assert np.array_equal(first.targets, data.targets[[5, 0, 3, 1]])
     assert np.array_equal(second.features, data.features[[4, 2]])
     for sizes in ([4, 1], [4, 3], [6, 0], []):
         with pytest.raises(ParameterError):
-            data.split(order, sizes)
+            problem(sizes)
 
 
 def test_partition_single_client_and_failure():
     data, _ = generate_synthetic_regression(10, 2, 0.1, seed=6)
-    parts = dirichlet_partition(data, PartitionConfig(1, 3.0, seed=0))
+    train, num_samples = dirichlet_partition(data, PartitionConfig(1, 3.0, seed=0))
+    parts = _client_rows(train, num_samples)
     assert len(parts) == 1 and parts[0].num_samples == 10
     tiny, _ = generate_synthetic_regression(3, 2, 0.1, seed=6)
     with pytest.raises(ParameterError):
@@ -123,7 +150,7 @@ def test_partition_single_client_and_failure():
 def test_partition_high_alpha_is_uniform():
     for draw in range(20):
         data = generate_synthetic_classification(400, 4, 2, 2.0, seed=50 + draw)
-        parts = dirichlet_partition(data, PartitionConfig(4, 1e6, seed=draw))
+        parts = _client_rows(*dirichlet_partition(data, PartitionConfig(4, 1e6, seed=draw)))
         for label in range(4):
             label_total = int(np.sum(data.targets == label))
             for p in parts:

@@ -126,9 +126,29 @@ def _budgets(epsilon, delta, spent=()):
     return PrivacyBudget(epsilon, delta, epsilon_remaining, delta_remaining)
 
 
+def _block(data):
+    """The clients' datasets stacked into one block, client 0's rows first,
+    and the column of their row counts."""
+    return (Dataset(np.vstack([d.features for d in data]),
+                    np.concatenate([d.targets for d in data])),
+            np.array([d.num_samples for d in data]))
+
+
+def _clients(data, budgets):
+    """The run state of clients holding the datasets `data`, one per client."""
+    return ClientArrays(*_block(data), budgets)
+
+
+def _rows(train, num_samples, n):
+    """Client n's rows of a block whose clients hold `num_samples` rows each."""
+    start = int(np.sum(num_samples[:n]))
+    stop = start + int(num_samples[n])
+    return Dataset(train.features[start:stop], train.targets[start:stop])
+
+
 def _one_client(data, spent=False, **settings_kw):
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
-    clients = ClientArrays([data], _budgets([1.0], 1e-3, spent=[0] if spent else []))
+    clients = _clients([data], _budgets([1.0], 1e-3, spent=[0] if spent else []))
     clients.install([PLANNED], settings)
     return clients, settings
 
@@ -194,7 +214,7 @@ def test_client_round_refuses_when_exhausted():
 
 def test_budget_arriving_exhausted_is_never_eligible():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
-    clients = ClientArrays([data] * 3, _budgets([1.0, 1.0, 2.0], 1e-3, spent=[1]))
+    clients = _clients([data] * 3, _budgets([1.0, 1.0, 2.0], 1e-3, spent=[1]))
     clients.install([4, 4, 4], _settings())
     assert clients.exhausted.tolist() == [False, True, False]
     assert clients.eligible(dp=True).tolist() == [0, 2]
@@ -229,7 +249,7 @@ def test_client_round_monte_carlo_unbiased():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
     state = _regression_state()
     n = 10**4
-    clients = ClientArrays([data] * n, _budgets([1.0] * n, 1e-3))
+    clients = _clients([data] * n, _budgets([1.0] * n, 1e-3))
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
     clients.install(np.full(n, PLANNED), settings)
     out = client_round(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
@@ -265,7 +285,7 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
     dim = state.model_kind.dim
 
     def fresh():
-        clients = ClientArrays(data, budgets)
+        clients = _clients(data, budgets)
         clients.install(plan, settings)
         return clients
 
@@ -352,7 +372,7 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
                        mechanism.clip_norm)
     bound = np.quantile(norms, bound_quantile) * (1.01 if bound_quantile == 1.0 else 0.99)
     delta = 1e-4 if mechanism is GM else 0.0
-    clients = ClientArrays(data, _budgets([1.0] * len(data), delta))
+    clients = _clients(data, _budgets([1.0] * len(data), delta))
     settings = _settings(mechanism=mechanism, clip_bound=bound)
     clients.install([3] * len(data), settings)
     eta = 0.3
@@ -389,7 +409,7 @@ def test_runs_never_materialize_per_sample_gradients(monkeypatch):
     assert calls == {"gradients": 0, "clip": 0}
     # the counters do count the materialized reference path
     local_gradient(ModelState(problem.model.init_weights(), problem.model),
-                   problem.client_data[0], 0.1, settings.clip)
+                   _rows(problem.train, problem.num_samples, 0), 0.1, settings.clip)
     assert calls == {"gradients": 1, "clip": 1}
 
 
@@ -411,7 +431,8 @@ def test_momentum_weight_decay_run_matches_per_client_velocity():
         state = ModelState(w, problem.model)
         steps = []
         for n in selected:
-            base = local_gradient(state, problem.client_data[n], 1.0, settings.clip)
+            base = local_gradient(state, _rows(problem.train, problem.num_samples, n),
+                                  1.0, settings.clip)
             base = base + settings.weight_decay * w
             velocity[n] = settings.momentum * velocity.get(n, 0.0) + base
             steps.append(eta * velocity[n])
@@ -433,7 +454,7 @@ def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
     def client_round_checked(clients, ids, model, eta, rng, round_settings, report_losses,
                              noise_enabled=True):
         t = len(checked) + 1
-        previous = (np.zeros((len(clients.data), model.model_kind.dim))
+        previous = (np.zeros((len(clients.num_samples), model.model_kind.dim))
                     if clients.velocity is None else clients.velocity.copy())
         release = real_round(clients, ids, model, eta, rng, round_settings, report_losses,
                              noise_enabled)
@@ -445,7 +466,8 @@ def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
                                clients.planned[ids], settings.c2)
         noise_rng = _stream(seed, 2, t)
         for i, n in enumerate(ids):
-            base = (local_gradient(model, clients.data[n], 1.0, settings.clip)
+            base = (local_gradient(model, _rows(clients.train, clients.num_samples, n),
+                                   1.0, settings.clip)
                     + settings.weight_decay * model.weights)
             noise = noise_rng.normal(0.0, scale[i], size=model.model_kind.dim)
             np.testing.assert_allclose(
@@ -586,7 +608,7 @@ def test_round_calibration_matches_the_public_primitives(monkeypatch):
                              loss_cap=float(rng.uniform(0.0, 10.0)),
                              c2=float(10 ** rng.uniform(-1, 1)))
         data = [Dataset(rng.normal(size=(m, 2)), rng.normal(size=m)) for m in samples]
-        clients = ClientArrays(data, budgets)
+        clients = _clients(data, budgets)
         clients.install(planned, settings)
         specs.clear()
         results.clear()
@@ -787,7 +809,7 @@ def _problem(num_clients=4, eps=None, samples_per=30, seed=0, feature_dim=2):
     Xt = rng.normal(size=(100, feature_dim))
     yt = Xt @ w_true[:-1] + w_true[-1] + 0.05 * rng.normal(size=100)
     eps = eps if eps is not None else [1.0] * num_clients
-    return FederatedProblem(model, clients, _budgets(eps, 1e-4), Dataset(Xt, yt))
+    return FederatedProblem(model, *_block(clients), _budgets(eps, 1e-4), Dataset(Xt, yt))
 
 
 def _settings(**kw):
@@ -866,7 +888,7 @@ def test_heterogeneous_budgets_favor_large_epsilon():
     data = Dataset(X, y)
     model = LinearRegression(2)
     problem = FederatedProblem(
-        model, [data, data],
+        model, *_block([data, data]),
         _budgets([0.1, 10.0], 1e-4),
         data)
     settings = _settings(clients_per_round=1, total_rounds=10, estimation_rounds=4)
@@ -939,8 +961,7 @@ def test_fedsgd_mean_training_loss_decreases():
                              record_weights=True)
         res = run_baseline("fedsgd", problem, settings, seed=seed)
         model = problem.model
-        X = np.vstack([d.features for d in problem.client_data])
-        y = np.concatenate([d.targets for d in problem.client_data])
+        X, y = problem.train.features, problem.train.targets
         losses = [model.per_sample_losses(w, X, y).mean()
                   for w in res.weight_trajectory]
         curves.append(losses)
@@ -982,9 +1003,9 @@ def test_problem_rejects_bad_labels_and_test_width(case):
     }[case]
     model = LogisticRegression(2, 3)
     budgets = _budgets([1.0, 1.0], 1e-4)
-    assert FederatedProblem(model, [good, good], budgets, good).num_clients == 2
+    assert FederatedProblem(model, *_block([good, good]), budgets, good).num_clients == 2
     with pytest.raises(ParameterError, match=message):
-        FederatedProblem(model, clients, budgets, test)
+        FederatedProblem(model, *_block(clients), budgets, test)
 
 
 @pytest.mark.parametrize("budgets", [
@@ -996,7 +1017,30 @@ def test_problem_rejects_bad_labels_and_test_width(case):
 def test_problem_needs_one_budget_column_entry_per_client(budgets):
     data = Dataset(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ParameterError, match=re.escape("budgets must be columns of shape (2,)")):
-        FederatedProblem(LinearRegression(2), [data, data], budgets, data)
+        FederatedProblem(LinearRegression(2), *_block([data, data]), budgets, data)
+
+
+@pytest.mark.parametrize("num_samples, num_budgets, message", [
+    pytest.param([[3, 3]], 2, "num_samples must be", id="two_dimensional"),
+    pytest.param(np.zeros(0, dtype=int), 0, "num_samples must be", id="empty"),
+    pytest.param([3.0, 3.0], 2, "num_samples must be", id="non_integer"),
+    pytest.param([6, 0], 2, "num_samples must be", id="zero_entry"),
+    pytest.param([7, -1], 2, "num_samples must be", id="negative_entry"),
+    pytest.param([3, 4], 2, "num_samples must be", id="sum_above_rows"),
+    pytest.param([2, 3], 2, "num_samples must be", id="sum_below_rows"),
+    # wraps to 6 in uint64 arithmetic
+    pytest.param(np.array([2**64 - 1, 7], dtype=np.uint64), 2, "num_samples must be",
+                 id="sum_wraps"),
+    pytest.param([3, 3], 3, re.escape("budgets must be columns of shape (2,)"),
+                 id="budgets_of_another_length"),
+])
+def test_problem_needs_row_counts_that_cover_the_block(num_samples, num_budgets, message):
+    data = Dataset(np.zeros((6, 2)), np.zeros(6))
+    budgets = _budgets([1.0] * num_budgets, 1e-4)
+    assert FederatedProblem(LinearRegression(2), data, [3, 3], _budgets([1.0] * 2, 1e-4),
+                            data).num_clients == 2
+    with pytest.raises(ParameterError, match=message):
+        FederatedProblem(LinearRegression(2), data, num_samples, budgets, data)
 
 
 # -------------------------------------------------------------- ledger checks
@@ -1014,7 +1058,7 @@ def test_undercharging_ledger_fails_the_run(monkeypatch):
 
 def _spent_clients():
     data = [Dataset(np.zeros((2, 1)), np.zeros(2))] * 3
-    clients = ClientArrays(data, _budgets([1.0] * 3, 1e-3))
+    clients = _clients(data, _budgets([1.0] * 3, 1e-3))
     clients.install([2, 2, 2], _settings())
     start = clients.epsilon_remaining.copy()
     clients.epsilon_remaining -= clients.slice_epsilon

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 
@@ -40,13 +41,14 @@ def test_build_problem_shapes_and_determinism():
     cfg = _config()
     problem = build_problem(cfg)
     assert problem.num_clients == 6
-    assert sum(d.num_samples for d in problem.client_data) == 300
+    assert problem.num_samples.sum() == problem.train.num_samples == 300
     assert problem.test_data.num_samples == 80
     assert problem.budgets.epsilon.shape == (6,)
     again = build_problem(cfg)
     assert problem.budgets.epsilon.tolist() == again.budgets.epsilon.tolist()
-    assert np.array_equal(problem.client_data[0].features,
-                          again.client_data[0].features)
+    first = problem.num_samples[0]
+    assert first == again.num_samples[0]
+    assert np.array_equal(problem.train.features[:first], again.train.features[:first])
     other = build_problem(_config(seed=43))
     assert problem.budgets.epsilon.tolist() != other.budgets.epsilon.tolist()
 
@@ -69,6 +71,19 @@ def test_build_problem_checks_once_whatever_the_client_count(monkeypatch, datase
         assert problem.num_clients == num_clients
         seen.append(dict(counts))
     assert seen[0] == seen[1]
+
+
+def test_build_problem_holds_no_per_client_datasets():
+    # the clients' rows are one block and a count column, so the live
+    # Dataset objects of a built problem do not grow with N
+    live = []
+    for num_clients in (50, 500):
+        problem = build_problem(_config(num_clients=num_clients, num_samples=4000))
+        assert problem.num_clients == num_clients
+        gc.collect()
+        live.append(sum(type(obj) is Dataset for obj in gc.get_objects()))
+        del problem
+    assert live[0] == live[1]
 
 
 @pytest.mark.parametrize("algorithm", ["dpfl_bcs", "uniform_dp"])

@@ -63,8 +63,9 @@ def _reference_params_to_dict(params):
 
 def _reference_metas(problem):
     budgets = zip(problem.budgets.epsilon.tolist(), problem.budgets.delta.tolist())
-    return [_Client(i, epsilon, delta, d.num_samples)
-            for i, ((epsilon, delta), d) in enumerate(zip(budgets, problem.client_data))]
+    return [_Client(i, epsilon, delta, samples)
+            for i, ((epsilon, delta), samples) in enumerate(zip(budgets,
+                                                                problem.num_samples.tolist()))]
 
 
 def _reference_header(algorithm, settings, model, metas, seed):

@@ -129,8 +129,13 @@ def test_partition_is_bit_identical_to_reference():
                 dirichlet_partition(data, config)
             seen["failed"] += 1
             continue
-        parts = dirichlet_partition(data, config)
-        assert len(parts) == len(expected), instance
+        train, num_samples = dirichlet_partition(data, config)
+        assert len(num_samples) == len(expected), instance
+        # client n's slice of the block starts after the rows of clients 0..n-1
+        ends = np.cumsum(num_samples).tolist()
+        assert ends[-1] == train.num_samples, instance
+        parts = [Dataset(train.features[end - count:end], train.targets[end - count:end])
+                 for end, count in zip(ends, num_samples.tolist())]
         for got, want in zip(parts, expected):
             for a, b in ((got.features, want.features), (got.targets, want.targets)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), instance

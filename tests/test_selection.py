@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,29 @@ def test_largest_remainder_examples():
     assert largest_remainder_round(np.array([7.2, 1.8]), 9).tolist() == [7, 2]
     assert largest_remainder_round(np.array([2.0, 3.0]), 5).tolist() == [2, 3]
     assert largest_remainder_round(np.array([1.5, 1.5]), 3).tolist() == [2, 1]
+
+
+def test_largest_remainder_refuses_values_past_int64():
+    # a floor at or above 2**63 would wrap negative in the int cast
+    for values in ([2.0**63, 0.0], [1e300, 1.0], [math.inf, 1.0], [math.nan, 1.0]):
+        with pytest.raises(ParameterError, match=re.escape("below 2**63")):
+            largest_remainder_round(np.array(values), 4)
+    assert largest_remainder_round(np.array([2.0**62, 0.0]), 2**62).tolist() == [2**62, 0]
+
+
+@pytest.mark.parametrize("omega_a, omega_b, why", [
+    (1e-320, 1.0, "continuous counts sum to"),
+    (1.0, 1e308, "continuous counts sum to"),
+    (1e308, 1.0, "bisection bracket"),
+])
+def test_water_fill_refuses_scales_beyond_float_range(omega_a, omega_b, why):
+    # the suite turns RuntimeWarnings into errors, so none may escape either
+    phi, gamma = np.array([0.1, 0.01]), np.array([0.5, 1.0])
+    message = (f"omega_a={omega_a}, omega_b={omega_b} with phi_n in "
+               f"[{phi.min()}, {phi.max()}]: the {why}")
+    for z in (1, 2):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            water_fill_continuous(phi, gamma, omega_a, omega_b, 4, z)
 
 
 def test_largest_remainder_properties():
