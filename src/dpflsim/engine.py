@@ -8,6 +8,11 @@ computes a round's client work as one batch over the responders' rows,
 gathered at once from the clients' block, and per-client state lives in the
 arrays of `ClientArrays`.
 
+`run_lockstep` runs several algorithms on one problem and seed together, one
+round at a time: one `client_round` call per round does the client work of
+every run's responders, over one `ClientArrays` that stacks the runs. A
+single run is the same loop with one run.
+
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
 and switches to the plan that minimizes the bound on the remaining horizon
@@ -71,38 +76,6 @@ LEDGER_TOL = 1e-9
 def _stream(seed: int, *key) -> np.random.Generator:
     """Independent generator derived from (master seed, domain key...)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(k) for k in key]))
-
-
-class RoundStreams:
-    """The per-round generators of one seed, each derived once.
-
-    `streams(domain, t)` returns the generator of SeedSequence([seed,
-    domain, t]) at the start of its stream. The first request for a (domain,
-    t) derives it with `_stream` and saves its state; a later request
-    restores that state into the domain's generator, which costs a fraction
-    of a derivation. The runs of a paired comparison share one, so each round
-    draws the same numbers in every run (common random numbers) as it would
-    from its own derivation.
-
-    A returned generator stays valid until the next request for its domain,
-    which may reuse it. The engine uses up each generator inside its round.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._states = {}
-        self._latest = {}
-
-    def __call__(self, domain: int, t: int) -> np.random.Generator:
-        state = self._states.get((domain, t))
-        if state is None:
-            rng = _stream(self.seed, domain, t)
-            self._states[domain, t] = rng.bit_generator.state
-            self._latest[domain] = rng
-            return rng
-        rng = self._latest[domain]
-        rng.bit_generator.state = state
-        return rng
 
 
 @dataclass(frozen=True)
@@ -361,7 +334,16 @@ class ClientArrays:
     `consume_budget`, so the engine can check the ledger against it.
     `exhausted` starts from the incoming budgets, and an exhausted client is
     never eligible again. `stage` counts the stages installed.
+
+    `stacked` builds one instance for several runs on one problem, and each
+    run's own instance as views of its rows.
     """
+
+    # the per-client columns, one entry per client
+    _COLUMNS = ("num_samples", "row_start", "epsilon", "delta", "epsilon_remaining",
+                "delta_remaining", "planned", "stage_count", "stage_epsilon",
+                "stage_delta", "slice_epsilon", "slice_delta", "slice_sum", "exhausted",
+                "trained_after_exhaustion")
 
     def __init__(self, train: Dataset, num_samples: np.ndarray, budgets: PrivacyBudget):
         n = len(num_samples)
@@ -387,6 +369,35 @@ class ClientArrays:
         # momentum velocities, (n, d); allocated by the first momentum round
         self.velocity = None
 
+    @classmethod
+    def stacked(cls, problem: FederatedProblem, runs: int) -> tuple:
+        """(block, views): the client state of `runs` runs on `problem`.
+
+        `block` has runs * N entries, run r's client n at r * N + n, each
+        starting as a run of its own starts, and `views[r]` is run r's own
+        instance, whose columns (velocities included) are views of the
+        block's rows r * N .. (r + 1) * N - 1. A round updates the block for
+        every run at once, and each run reads and installs its stages through
+        its view.
+        """
+        n = problem.num_clients
+        one = cls(problem.train, problem.num_samples, problem.budgets)
+        block = object.__new__(cls)
+        block.train, block.stage = problem.train, 0
+        for name in cls._COLUMNS:
+            column = getattr(one, name)
+            setattr(block, name, column if runs == 1 else np.tile(column, runs))
+        # zeros that no momentum round touches stay unmapped
+        block.velocity = np.zeros((runs * n, problem.model.dim))
+        views = []
+        for r in range(runs):
+            view = object.__new__(cls)
+            view.train, view.stage = problem.train, 0
+            for name in cls._COLUMNS + ("velocity",):
+                setattr(view, name, getattr(block, name)[r * n:(r + 1) * n])
+            views.append(view)
+        return block, views
+
     @property
     def epsilon_consumed(self) -> np.ndarray:
         return self.epsilon - self.epsilon_remaining
@@ -410,7 +421,8 @@ class ClientArrays:
         arithmetic on them. A failure raises ParameterError naming the stage
         and the clients that fail.
         """
-        self.planned = np.array(counts, dtype=int)
+        # in place, as every column, so a stacked run's view stays a view
+        self.planned[:] = counts
         self.stage_count[:] = 0
         self.stage += 1
         if settings is None:
@@ -464,7 +476,8 @@ class RoundRelease:
     """What the responders of one round release, row i for client ids[i].
 
     losses[i] holds the distorted losses at the incoming and at the locally
-    updated model, in loss-reporting rounds only.
+    updated model, in loss-reporting rounds only: `losses` is None when no
+    run of the round reports, and NaN in the rows of a run that does not.
     """
 
     ids: np.ndarray
@@ -472,10 +485,17 @@ class RoundRelease:
     losses: np.ndarray | None
 
 
-def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: float,
-                 rng: np.random.Generator, settings: RunSettings, report_losses: bool,
-                 noise_enabled: bool = True) -> RoundRelease:
+def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_rate: float,
+                 rng: np.random.Generator, settings: RunSettings, report_losses: bool | list,
+                 noise_enabled: bool | list = True) -> RoundRelease:
     """The selected clients' contributions to one round, computed as one batch.
+
+    `clients` may stack R runs on one problem (see `ClientArrays.stacked`):
+    then `model` is a sequence of the R runs' `ModelState`s, `ids` are block
+    entries grouped by run in run order, and `report_losses` and
+    `noise_enabled` are a bool for every run or one bool per run. A plain
+    `ClientArrays` with one `ModelState` is the case R = 1. Each run's rows
+    come out as they would from a round of its own on `rng`.
 
     With noise enabled, clients whose budget is exhausted refuse and are left
     out, and the others must be funded by the stage `clients.install`
@@ -484,8 +504,10 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     responder's base gradient is the mean of its per-sample clipped
     gradients plus weight_decay * w, and its release is eta_t * base plus
     noise. All responders' noise comes from one `sample_noise` call on `rng`,
-    row by row in the order of `ids`. During a loss-reporting round the noise
-    vector has d+2 coordinates drawn at the joint (gradient + two losses)
+    one block per noised run, each block's rows in the order of `ids` and
+    drawn from `rng`'s state on entry: the runs share the round's stream
+    (common random numbers). During a loss-reporting round the noise vector
+    has d+2 coordinates drawn at the joint (gradient + two losses)
     sensitivity; the last two distort eta_t * F at the incoming and the
     locally updated model, then divide by eta_t. Otherwise d coordinates at
     the gradient-only sensitivity.
@@ -495,36 +517,57 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     momentum only post-processes earlier releases. Budgets, stage counts and
     velocities in `clients` are updated in place.
     """
+    models = [model] if isinstance(model, ModelState) else list(model)
+    num_runs = len(models)
+    report = _per_run(report_losses, num_runs)
+    noised = _per_run(noise_enabled, num_runs)
+    num_clients, rest = divmod(len(clients.num_samples), num_runs)
+    if rest:
+        raise ParameterError(f"{len(clients.num_samples)} client entries do not stack "
+                             f"{num_runs} runs")
     ids = np.asarray(ids, dtype=int)
-    if noise_enabled:
-        refused = clients.exhausted[ids]
-        if refused.any():
-            for n in ids[refused]:
-                logger.warning("client %d refused (budget exhausted)", n)
-            ids = ids[~refused]
-    kind = model.model_kind
+    run = ids // num_clients
+    if num_runs > 1 and (run[1:] < run[:-1]).any():
+        raise ParameterError("ids must be grouped by run, in run order")
+    refused = clients.exhausted[ids] & noised[run]
+    if refused.any():
+        for n in ids[refused] % num_clients:
+            logger.warning("client %d refused (budget exhausted)", n)
+        ids, run = ids[~refused], run[~refused]
+    kind = models[0].model_kind
     dim = kind.dim
+    reports = report[run]
+    any_report = bool(report.any())
     if len(ids) == 0:
-        return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if report_losses else None)
+        return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if any_report else None)
     # the responders' rows in one gather from the block, responder i's at
-    # starts[i]:ends[i]
+    # starts[i]:ends[i], and run r's responders at bounds[r]:bounds[r + 1]
     counts = clients.num_samples[ids]
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     starts = ends - counts
-    rows = np.repeat(clients.row_start[ids] - starts, counts) + np.arange(ends[-1])
+    rows = (clients.row_start[ids] - starts).repeat(counts) + np.arange(ends[-1])
     features = clients.train.features[rows]
     targets = clients.train.targets[rows]
     if features.shape[1] != kind.feature_dim:
         raise ParameterError(
             f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")
+    bounds = run.searchsorted(np.arange(num_runs + 1)).tolist()
+    present = [r for r in range(num_runs) if bounds[r] < bounds[r + 1]]
+    # output gradients with each run's weights, one call per run; run r's
+    # rows are edges[bounds[r]]:edges[bounds[r + 1]]
+    edges = [0] + ends.tolist()
+    factors = [kind.output_gradients(
+        models[r].weights, features[edges[bounds[r]]:edges[bounds[r + 1]]],
+        targets[edges[bounds[r]]:edges[bounds[r + 1]]]) for r in present]
+    factors = factors[0] if len(factors) == 1 else np.concatenate(factors)
     # per-sample gradients are rank one, so they are clipped from their factors
-    clipped = clip_outer_rows(kind.output_gradients(model.weights, features, targets),
-                              with_intercept(features), settings.clip)
+    clipped = clip_outer_rows(factors, with_intercept(features), settings.clip)
     means = np.add.reduceat(clipped, starts, axis=0) / counts[:, None]
     # each responder's velocity before this round's noise, in gradient units
     unnoised = means
     if settings.weight_decay > 0:
-        unnoised = unnoised + settings.weight_decay * model.weights
+        weights = np.stack([m.weights for m in models])
+        unnoised = unnoised + settings.weight_decay * weights[run]
     if settings.momentum > 0:
         if learning_rate <= 0:
             raise ParameterError("momentum needs a positive learning rate")
@@ -535,23 +578,32 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
     steps = learning_rate * unnoised
 
     mech = settings.mechanism
-    sens = _gradient_sensitivity(_check_scalar("learning_rate", learning_rate, "nonnegative"),
-                                 float(settings.clip_bound), counts,
-                                 float(settings.loss_cap), report_losses)
-    planned = np.maximum(1, clients.planned[ids])
-    slice_eps = clients.slice_epsilon[ids]
-    slice_delta = clients.slice_delta[ids]
-    width = dim + 2 if report_losses else dim
-    if noise_enabled:
+    eta = _check_scalar("learning_rate", learning_rate, "nonnegative")
+    clip_bound, loss_cap = float(settings.clip_bound), float(settings.loss_cap)
+    sens = _gradient_sensitivity(eta, clip_bound, counts, loss_cap, False)
+    if reports.any():
+        sens = np.where(reports, _gradient_sensitivity(eta, clip_bound, counts, loss_cap,
+                                                       True), sens)
+    noise = np.zeros((len(ids), dim + 2 if any_report else dim))
+    noised_runs = [r for r in present if noised[r]]
+    # the noised runs' rows, all of them in a round with no unnoised run
+    charged = slice(None) if len(noised_runs) == len(present) else noised[run]
+    own = ids[charged]
+    if noised_runs:
+        sens = sens[charged]
+        planned = np.maximum(1, clients.planned[own])
+        slice_eps, slice_delta = clients.slice_epsilon[own], clients.slice_delta[own]
         if mech is MechanismKind.GAUSSIAN:
-            scale = _gaussian_sigma(sens, clients.stage_epsilon[ids],
-                                    clients.stage_delta[ids], planned, float(settings.c2))
+            scale = _gaussian_sigma(sens, clients.stage_epsilon[own], clients.stage_delta[own],
+                                    planned, float(settings.c2))
         else:
-            scale = _laplace_scale(sens, clients.stage_epsilon[ids], planned)
+            scale = _laplace_scale(sens, clients.stage_epsilon[own], planned)
         spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
-        noise = sample_noise(spec, width, rng)
-    else:
-        noise = np.zeros((len(ids), width))
+        # one block per noised run, each drawn from the round's stream at its
+        # start, as a run of its own draws
+        drawn = sample_noise(spec, [(bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
+                                    for r in noised_runs], rng)
+        noise[charged, :drawn.shape[1]] = drawn
     if settings.momentum > 0:
         velocity = unnoised + noise[:, :dim] / learning_rate
         clients.velocity[ids] = velocity
@@ -560,31 +612,39 @@ def client_round(clients: ClientArrays, ids, model: ModelState, learning_rate: f
         gradients = steps + noise[:, :dim]
 
     losses = None
-    if report_losses:
-        eta = learning_rate
-        if eta <= 0:
+    if any_report:
+        if learning_rate <= 0:
             raise ParameterError("loss distortion needs a positive learning rate")
-        losses = np.empty((len(ids), 2))
+        losses = np.full((len(ids), 2), np.nan)
+        reporting = np.flatnonzero(reports).tolist()
         # rows of the checked block, so not checked again
-        data = _unchecked(Dataset, ((features[start:end], targets[start:end])
-                                    for start, end in zip(starts.tolist(), ends.tolist())))
-        for i, d in enumerate(data):
-            f_current = local_loss(model, d, settings.loss_cap)
-            f_updated = local_loss(model.replaced(model.weights - steps[i]), d,
+        data = _unchecked(Dataset, ((features[edges[i]:edges[i + 1]],
+                                     targets[edges[i]:edges[i + 1]]) for i in reporting))
+        for i, d in zip(reporting, data):
+            state = models[run[i]]
+            f_current = local_loss(state, d, settings.loss_cap)
+            f_updated = local_loss(state.replaced(state.weights - steps[i]), d,
                                    settings.loss_cap)
             losses[i, 0] = (eta * f_current + noise[i, dim]) / eta
             losses[i, 1] = (eta * f_updated + noise[i, dim + 1]) / eta
 
-    if noise_enabled:
-        before = clients.epsilon_remaining[ids]
-        budget, exhausted = consume_budget(clients.budget(ids), slice_eps, slice_delta)
-        clients.epsilon_remaining[ids] = budget.epsilon_remaining
-        clients.delta_remaining[ids] = budget.delta_remaining
-        clients.slice_sum[ids] += before - np.maximum(0.0, before - slice_eps)
-        clients.trained_after_exhaustion[ids] |= clients.exhausted[ids]
-        clients.exhausted[ids] |= exhausted
+    if noised_runs:
+        before = clients.epsilon_remaining[own]
+        budget, exhausted = consume_budget(clients.budget(own), slice_eps, slice_delta)
+        clients.epsilon_remaining[own] = budget.epsilon_remaining
+        clients.delta_remaining[own] = budget.delta_remaining
+        clients.slice_sum[own] += before - np.maximum(0.0, before - slice_eps)
+        clients.trained_after_exhaustion[own] |= clients.exhausted[own]
+        clients.exhausted[own] |= exhausted
     clients.stage_count[ids] += 1
     return RoundRelease(ids, gradients, losses)
+
+
+def _per_run(flag, num_runs: int) -> np.ndarray:
+    """`flag`, a bool for every run or one per run, as one bool per run."""
+    out = np.empty(num_runs, dtype=bool)
+    out[:] = flag
+    return out
 
 
 def aggregate(gradients, k: int, divide_by_count: bool = False) -> np.ndarray:
@@ -617,11 +677,15 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     if k < 1:
         raise ParameterError("k must be >= 1")
     probabilities = np.asarray(probabilities, dtype=float)
-    ids = np.sort(np.asarray(candidates, dtype=int))
+    # array methods in place of their module functions, which add a layer of
+    # Python calls to a few microseconds of work
+    ids = np.array(candidates, dtype=int)
+    ids.sort()
     if len(ids) <= k:
         return ids.tolist()
     weights = probabilities[ids]
-    if not (weights >= 0).all():
+    # a NaN minimum fails the test too
+    if not weights.min() >= 0:
         raise ParameterError("selection probabilities must be nonnegative")
     positive = weights > 0
     ids = ids[positive]
@@ -629,8 +693,9 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
         return ids.tolist()
     u = rng.random(len(probabilities))
     keys = np.log(u[ids]) / weights[positive]
-    top = np.argpartition(keys, len(ids) - k)[len(ids) - k:]
-    return np.sort(ids[top]).tolist()
+    chosen = ids[keys.argpartition(len(ids) - k)[len(ids) - k:]]
+    chosen.sort()
+    return chosen.tolist()
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
@@ -640,156 +705,217 @@ def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
 
 
 def run_dpfl_bcs(problem: FederatedProblem, settings: RunSettings, seed: int,
-                 on_round=None, streams: RoundStreams | None = None) -> RunResult:
-    """Two-stage biased-selection run. `streams` (see `_run_loop`) may be
-    shared with other runs of the same seed."""
-    if settings.estimation_rounds < 2:
-        raise ParameterError(
-            "the estimators need estimation_rounds >= 2 "
-            "(the skew estimate divides by estimation_rounds - 1)")
-    return _run_loop(problem, settings, seed, "dpfl_bcs", on_round, streams)
+                 on_round=None) -> RunResult:
+    """Two-stage biased-selection run."""
+    result, = run_lockstep(problem, settings, seed, ["dpfl_bcs"], on_round)
+    return result
 
 
 def run_baseline(kind: str, problem: FederatedProblem, settings: RunSettings, seed: int,
-                 on_round=None, streams: RoundStreams | None = None) -> RunResult:
-    """Single-stage reference run: fedsgd, uniform_dp, or weiavg. `streams`
-    (see `_run_loop`) may be shared with other runs of the same seed."""
+                 on_round=None) -> RunResult:
+    """Single-stage reference run: fedsgd, uniform_dp, or weiavg."""
     if kind not in BASELINE_KINDS:
         raise ParameterError(f"unknown baseline {kind!r}; expected one of {BASELINE_KINDS}")
-    return _run_loop(problem, settings, seed, kind, on_round, streams)
+    result, = run_lockstep(problem, settings, seed, [kind], on_round)
+    return result
 
 
-def _run_loop(problem: FederatedProblem, settings: RunSettings, seed: int,
-              algorithm: str, on_round=None,
-              streams: RoundStreams | None = None) -> RunResult:
-    """Round t selects with `streams(1, t)` and noises with `streams(2, t)`.
-    Outputs are the same whether `streams` is given or built here, but a
-    given one must belong to `seed`."""
+def run_lockstep(problem: FederatedProblem, settings: RunSettings, seed: int,
+                 algorithms, on_round=None) -> list:
+    """Run each of `algorithms` on `problem` and `seed`, all together, one
+    round at a time; returns their `RunResult`s in order.
+
+    Round t derives its selection generator from SeedSequence([seed, 1, t])
+    and its noise generator from [seed, 2, t], once, and every run draws from
+    each at its start: the runs share every client's selection uniform and
+    the unit noise of every responder row (common random numbers), and each
+    run's outputs are those of a run of its own. The runs' client state is
+    one `ClientArrays.stacked` block, and one `client_round` call per round
+    does the client work of every run's responders; the rest of a round
+    (selection, aggregation, metrics, the replan) is each run's own.
+    `on_round(record)`, if given, is called with each run's `RoundRecord` as
+    the run finishes the round, runs in the order of `algorithms`.
+    """
+    algorithms = list(algorithms)
+    if not algorithms:
+        raise ParameterError("no algorithm to run")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ParameterError(f"unknown algorithm {algorithm!r}; "
+                                 f"expected one of {ALGORITHMS}")
+    if "dpfl_bcs" in algorithms and settings.estimation_rounds < 2:
+        raise ParameterError(
+            "the estimators need estimation_rounds >= 2 "
+            "(the skew estimate divides by estimation_rounds - 1)")
     if int(seed) < 0:
         raise ParameterError("seed must be nonnegative")
-    if streams is None:
-        streams = RoundStreams(seed)
-    elif streams.seed != int(seed):
-        raise ParameterError(f"streams of seed {streams.seed} passed to a run of "
-                             f"seed {int(seed)}")
-    model = problem.model
     num_clients = problem.num_clients
     k = settings.clients_per_round
-    total_rounds = settings.total_rounds
-    t0 = settings.estimation_rounds
     if k > num_clients:
         raise ParameterError(f"clients_per_round {k} exceeds num_clients {num_clients}")
-    mech = settings.mechanism
-    z = mech.noise_exponent
-    two_stage = algorithm == "dpfl_bcs"
-    dp = settings.dp_enabled and algorithm != "fedsgd"
-    weighted_agg = algorithm == "weiavg"
+    block, views = ClientArrays.stacked(problem, len(algorithms))
+    runs = [_Run(problem, settings, algorithm, view)
+            for algorithm, view in zip(algorithms, views)]
 
-    clients = ClientArrays(problem.train, problem.num_samples, problem.budgets)
-    epsilon_at_start = clients.epsilon_remaining.copy()
+    for t in range(1, settings.total_rounds + 1):
+        live = [(r, run) for r, run in enumerate(runs) if not run.ended]
+        if not live:
+            break
+        rng = _stream(seed, 1, t)
+        start = rng.bit_generator.state if len(live) > 1 else None
+        batch = []
+        for i, (r, run) in enumerate(live):
+            if i:
+                rng.bit_generator.state = start
+            selected = run.select(t, rng)
+            if selected:
+                batch.append((r, run, selected))
+        if not batch:
+            break
+        # run r's client n is entry r * N + n of the block
+        ids = np.concatenate([r * num_clients + np.asarray(selected)
+                              for r, _, selected in batch])
+        release = client_round(block, ids, [run.state for run in runs],
+                               settings.schedule.rate(t), _stream(seed, 2, t), settings,
+                               [run.reports(t) for run in runs], [run.dp for run in runs])
+        bounds = np.searchsorted(release.ids, np.arange(len(runs) + 1) * num_clients).tolist()
+        for r, run, _ in batch:
+            lo, hi = bounds[r], bounds[r + 1]
+            run.finish(t, RoundRelease(
+                release.ids[lo:hi] - r * num_clients, release.gradients[lo:hi],
+                None if release.losses is None else release.losses[lo:hi]), on_round)
+    return [run.result(seed) for run in runs]
 
-    # (Lambda, Phi_n) at the incoming budgets, computed once when a plan first
-    # needs them
-    initial_constants = None
-    if two_stage and not settings.force_uniform_plan:
-        initial_constants = _initial_constants(clients, settings, model.dim)
-        plan1 = approximate_plan(initial_constants[1], k * total_rounds, z,
-                                 per_round_selected=k)
-    else:
-        plan1 = _uniform_plan(num_clients, total_rounds, k)
-    uniform_probs = np.full(num_clients, 1.0 / num_clients)
-    if two_stage and not settings.force_uniform_plan:
-        select_probs = plan1.probabilities
-    else:
-        select_probs = uniform_probs
-    clients.install(plan1.counts, settings if dp else None)
-    # (realised, planned) participations per stage, filled as stages end
-    stages = []
-    stage2_slices = epsilon_at_replan = None
 
-    state = ModelState(model.init_weights(), model)
-    trajectory = [state.weights.copy()] if settings.record_weights else None
-    records: list = []
-    plan2 = None
-    est_params = None
-    ended_early = False
+class _Run:
+    """One algorithm's run inside `run_lockstep`: its plans, model, records
+    and stages, over its own view of the block's client columns."""
 
-    for t in range(1, total_rounds + 1):
-        stage = 1 if (not two_stage or t <= t0) else 2
-        eligible = clients.eligible(dp)
+    def __init__(self, problem: FederatedProblem, settings: RunSettings, algorithm: str,
+                 clients: ClientArrays):
+        self.problem, self.settings, self.algorithm = problem, settings, algorithm
+        self.clients = clients
+        model = problem.model
+        num_clients = problem.num_clients
+        k = settings.clients_per_round
+        total_rounds = settings.total_rounds
+        self.two_stage = algorithm == "dpfl_bcs"
+        self.dp = settings.dp_enabled and algorithm != "fedsgd"
+        self.epsilon_at_start = clients.epsilon_remaining.copy()
+
+        # (Lambda, Phi_n) at the incoming budgets, computed once when a plan
+        # first needs them
+        self.initial_constants = None
+        self.uniform_probs = np.full(num_clients, 1.0 / num_clients)
+        if self.two_stage and not settings.force_uniform_plan:
+            self.initial_constants = _initial_constants(clients, settings, model.dim)
+            self.plan1 = approximate_plan(self.initial_constants[1], k * total_rounds,
+                                          settings.mechanism.noise_exponent,
+                                          per_round_selected=k)
+            self.select_probs = self.plan1.probabilities
+        else:
+            self.plan1 = _uniform_plan(num_clients, total_rounds, k)
+            self.select_probs = self.uniform_probs
+        clients.install(self.plan1.counts, settings if self.dp else None)
+        # (realised, planned) participations per stage, filled as stages end
+        self.stages = []
+        self.stage2_slices = self.epsilon_at_replan = None
+        self.state = ModelState(model.init_weights(), model)
+        self.trajectory = [self.state.weights.copy()] if settings.record_weights else None
+        self.records = []
+        self.plan2 = self.est_params = None
+        self.ended = self.ended_early = False
+
+    def _end_early(self, reason: str, *args) -> None:
+        logger.info(reason, *args)
+        self.ended = self.ended_early = True
+
+    def reports(self, t: int) -> bool:
+        """Whether round t's responders report their losses."""
+        return self.two_stage and t <= self.settings.estimation_rounds
+
+    def select(self, t: int, rng: np.random.Generator) -> list:
+        """Round t's selected clients; none ends the run."""
+        eligible = self.clients.eligible(self.dp)
         if len(eligible) == 0:
-            logger.info("round %d: candidate set empty, ending run early", t)
-            ended_early = True
-            break
-        selected = sample_selection(select_probs, eligible, k, streams(1, t))
+            self._end_early("round %d: candidate set empty, ending run early", t)
+            return []
+        selected = sample_selection(self.select_probs, eligible,
+                                    self.settings.clients_per_round, rng)
         if not selected:
-            logger.info("round %d: no selectable client, ending run early", t)
-            ended_early = True
-            break
-        eta = settings.schedule.rate(t)
-        report_losses = two_stage and t <= t0
+            self._end_early("round %d: no selectable client, ending run early", t)
+        return selected
 
-        release = client_round(clients, selected, state, eta, streams(2, t),
-                               settings, report_losses, noise_enabled=dp)
+    def finish(self, t: int, release: RoundRelease, on_round) -> None:
+        """Aggregate round t's release, record the round and, at T0, replan."""
+        settings, clients, model = self.settings, self.clients, self.problem.model
+        t0 = settings.estimation_rounds
         responders = tuple(release.ids.tolist())
         if responders:
-            if weighted_agg:
+            if self.algorithm == "weiavg":
                 eps = clients.epsilon[release.ids]
                 update = np.sum((eps / eps.sum())[:, None] * release.gradients, axis=0)
             else:
-                update = aggregate(release.gradients, k, settings.aggregate_by_count)
-            state = state.replaced(state.weights - update)
+                update = aggregate(release.gradients, settings.clients_per_round,
+                                   settings.aggregate_by_count)
+            self.state = self.state.replaced(self.state.weights - update)
         else:
             logger.warning("round %d: no responders, aggregation skipped", t)
-        if trajectory is not None:
-            trajectory.append(state.weights.copy())
+        if self.trajectory is not None:
+            self.trajectory.append(self.state.weights.copy())
 
-        test_loss, test_accuracy = model.metrics(
-            state.weights, problem.test_data.features, problem.test_data.targets)
+        test = self.problem.test_data
+        test_loss, test_accuracy = model.metrics(self.state.weights, test.features,
+                                                 test.targets)
         losses = None
-        if report_losses:
+        if self.reports(t):
             losses = dict(zip(responders, map(tuple, release.losses.tolist())))
         record = RoundRecord(
-            t=t, stage=stage, selected=responders, losses=losses,
-            test_loss=test_loss, test_accuracy=test_accuracy)
-        records.append(record)
-        logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, stage,
+            t=t, stage=1 if (not self.two_stage or t <= t0) else 2, selected=responders,
+            losses=losses, test_loss=test_loss, test_accuracy=test_accuracy)
+        self.records.append(record)
+        logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, record.stage,
                     len(responders), test_loss)
         if on_round is not None:
             on_round(record)
 
-        if two_stage and t == t0:
-            stages.append((clients.stage_count.copy(), clients.planned))
-            plan2, est_params, select_probs = _replan(
-                problem, settings, clients, initial_constants,
-                StageOneLog.from_rounds(r.losses for r in records), dp, uniform_probs)
-            if plan2 is None:
-                logger.info("no client can fund stage two, ending run early")
-                ended_early = True
-                break
-            clients.install(plan2.counts, settings if dp else None)
-            stage2_slices = clients.slice_epsilon.copy()
-            epsilon_at_replan = clients.epsilon_remaining.copy()
-    if plan2 is not None or not stages:
-        # close the stage in progress; a replan that found no plan closed it
-        stages.append((clients.stage_count.copy(), clients.planned))
-    _check_ledger(clients, epsilon_at_start, stages if dp else [])
+        if self.two_stage and t == t0:
+            self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
+            self.plan2, self.est_params, self.select_probs = _replan(
+                self.problem, settings, clients, self.initial_constants,
+                StageOneLog.from_rounds(r.losses for r in self.records), self.dp,
+                self.uniform_probs)
+            if self.plan2 is None:
+                self._end_early("no client can fund stage two, ending run early")
+                return
+            clients.install(self.plan2.counts, settings if self.dp else None)
+            self.stage2_slices = clients.slice_epsilon.copy()
+            self.epsilon_at_replan = clients.epsilon_remaining.copy()
 
-    if records:
-        final_loss = records[-1].test_loss
-        final_accuracy = records[-1].test_accuracy
-    else:
-        final_loss, final_accuracy = model.metrics(
-            state.weights, problem.test_data.features, problem.test_data.targets)
-
-    return RunResult(
-        algorithm=algorithm, seed=int(seed), rounds=records, final_state=state,
-        final_test_loss=final_loss, final_test_accuracy=final_accuracy,
-        plan_stage1=plan1, plan_stage2=plan2, estimated_params=est_params,
-        ended_early=ended_early, settings=settings, clients=clients,
-        stage_realised=tuple(realised for realised, _ in stages),
-        stage2_slices=stage2_slices, epsilon_at_replan=epsilon_at_replan,
-        weight_trajectory=np.array(trajectory) if trajectory is not None else None)
+    def result(self, seed: int) -> RunResult:
+        """The run's result, after checking its privacy ledger."""
+        clients, model = self.clients, self.problem.model
+        if self.plan2 is not None or not self.stages:
+            # close the stage in progress; a replan that found no plan closed it
+            self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
+        _check_ledger(clients, self.epsilon_at_start, self.stages if self.dp else [])
+        if self.records:
+            final_loss = self.records[-1].test_loss
+            final_accuracy = self.records[-1].test_accuracy
+        else:
+            test = self.problem.test_data
+            final_loss, final_accuracy = model.metrics(self.state.weights, test.features,
+                                                       test.targets)
+        return RunResult(
+            algorithm=self.algorithm, seed=int(seed), rounds=self.records,
+            final_state=self.state, final_test_loss=final_loss,
+            final_test_accuracy=final_accuracy, plan_stage1=self.plan1,
+            plan_stage2=self.plan2, estimated_params=self.est_params,
+            ended_early=self.ended_early, settings=self.settings, clients=clients,
+            stage_realised=tuple(realised for realised, _ in self.stages),
+            stage2_slices=self.stage2_slices, epsilon_at_replan=self.epsilon_at_replan,
+            weight_trajectory=(np.array(self.trajectory) if self.trajectory is not None
+                               else None))
 
 
 def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,

@@ -27,12 +27,12 @@ from .engine import (
     FederatedProblem,
     LearningRateSchedule,
     RoundRecord,
-    RoundStreams,
     RunResult,
     RunSettings,
     fit_stage_one,
     run_baseline,
     run_dpfl_bcs,
+    run_lockstep,
 )
 from .errors import ConfigError, StateError
 from .mechanisms import MechanismKind
@@ -121,12 +121,10 @@ def settings_from_config(config: ExperimentConfig) -> RunSettings:
 
 
 def dispatch_run(algorithm: str, problem: FederatedProblem, settings: RunSettings,
-                 seed: int, on_round=None, streams: RoundStreams | None = None
-                 ) -> RunResult:
+                 seed: int, on_round=None) -> RunResult:
     if algorithm == "dpfl_bcs":
-        return run_dpfl_bcs(problem, settings, seed, on_round=on_round, streams=streams)
-    return run_baseline(algorithm, problem, settings, seed, on_round=on_round,
-                        streams=streams)
+        return run_dpfl_bcs(problem, settings, seed, on_round=on_round)
+    return run_baseline(algorithm, problem, settings, seed, on_round=on_round)
 
 
 def run_single(config: ExperimentConfig, problem: FederatedProblem | None = None,
@@ -158,15 +156,20 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
                    out_dir=None) -> ComparisonSummary:
     """Paired multi-seed comparison: per seed, every algorithm sees the same
     partition, budgets, and initial weights, and draws each round's
-    selection and noise from the same streams, derived once per seed (common
-    random numbers). Final metric is accuracy for classification, test loss
-    (MSE) for regression."""
+    selection and noise from the same streams (common random numbers). The
+    seed's algorithms run in lock-step (`engine.run_lockstep`), and each
+    history equals that of the algorithm run on its own. Final metric is
+    accuracy for classification, test loss (MSE) for regression."""
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("algorithm list is empty")
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
+    repeated = sorted({alg for alg in algorithms if algorithms.count(alg) > 1})
+    if repeated:
+        raise ConfigError(f"algorithm list repeats {', '.join(map(repr, repeated))}; "
+                          f"each algorithm is one row of the comparison")
     if num_seeds < 1:
         raise ConfigError("num_seeds must be >= 1")
     config.validate()
@@ -179,13 +182,11 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
         cfg_seed = replace(config, seed=seed)
         problem = build_problem(cfg_seed)
         settings = settings_from_config(cfg_seed)
-        streams = RoundStreams(seed)
-        for alg in algorithms:
-            try:
-                result = dispatch_run(alg, problem, settings, seed, streams=streams)
-            except Exception as exc:
-                raise StateError(
-                    f"algorithm {alg!r} failed at seed {seed}: {exc}") from exc
+        try:
+            results = run_lockstep(problem, settings, seed, algorithms)
+        except Exception as exc:
+            _name_failed_run(exc, algorithms, problem, settings, seed)
+        for alg, result in zip(algorithms, results):
             if out_dir:
                 write_history(os.path.join(out_dir, f"history_{alg}_seed{seed}.jsonl"),
                               result)
@@ -203,6 +204,21 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     if out_dir:
         write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
     return summary
+
+
+def _name_failed_run(exc: Exception, algorithms, problem: FederatedProblem,
+                     settings: RunSettings, seed: int):
+    """Raise a StateError naming the algorithm whose run failed the seed's
+    lock-step batch with `exc`. A run fails alone as it fails in the batch,
+    so the algorithms rerun one by one, and the first failure is named; a
+    failure of no run alone names them all."""
+    for alg in algorithms:
+        try:
+            dispatch_run(alg, problem, settings, seed)
+        except Exception as alone:
+            raise StateError(f"algorithm {alg!r} failed at seed {seed}: {alone}") from alone
+    raise StateError(f"algorithms {algorithms} failed together at seed {seed}: "
+                     f"{exc}") from exc
 
 
 def write_summary_csv(path, rows) -> None:

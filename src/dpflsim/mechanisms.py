@@ -284,22 +284,56 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     other rows are drawn in row order with one generator call, bit-identical
     to one call per row.
 
+    `dimension` may instead be a list of (rows, width) blocks that split an
+    array spec's rows in order: the releases of several runs that share one
+    round's stream. Each block gets the noise a call of its own, at its
+    width, would draw from `rng`'s state on entry, so every block scales a
+    prefix of one unit draw as long as the longest block needs, and `rng`
+    ends past that draw. The result has the widest block's width, and zeros
+    past each block's own.
+
     The draw is one unit draw times each row's scale. numpy draws
     `loc + scale * z` (normal) and `loc -/+ scale * log(...)` (laplace)
     element by element in C order, and the leading `0.0 +` keeps the sign of
     a zero as `loc = 0.0` does, so the result is bit-identical to
     `rng.normal(0.0, scale[:, None], size)` or `rng.laplace(...)`.
     """
-    dimension = _check_rounds("dimension", dimension)
     scale = np.asarray(spec.scale, dtype=float)
-    out = np.zeros(scale.shape + (dimension,))
+    if isinstance(dimension, list):
+        blocks = [(int(rows), _check_rounds("dimension", width)) for rows, width in dimension]
+        if (scale.ndim != 1 or any(rows < 0 for rows, _ in blocks)
+                or sum(rows for rows, _ in blocks) != len(scale)):
+            raise ParameterError(f"blocks {dimension} must split the spec's "
+                                 f"{scale.size} rows in order")
+        return _draw_blocks(spec.mechanism, scale, blocks, rng)
+    dimension = _check_rounds("dimension", dimension)
+    out = _draw_blocks(spec.mechanism, scale.reshape(-1), [(scale.size, dimension)], rng)
+    return out.reshape(scale.shape + (dimension,))
+
+
+def _draw_blocks(mechanism: MechanismKind, scale: np.ndarray, blocks: list,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The noise of `sample_noise`'s blocks over the rows of `scale`."""
     drawn = scale > 0.0
-    if drawn.any():
-        scale = scale[drawn]
-        size = (len(scale), dimension)
-        unit = (rng.standard_normal(size) if spec.mechanism is MechanismKind.GAUSSIAN
-                else rng.laplace(0.0, 1.0, size))
-        out[drawn] = 0.0 + scale[:, None] * unit
+    out = np.zeros((len(scale), max((width for _, width in blocks), default=0)))
+    start, spans = 0, []
+    for rows, width in blocks:
+        stop = start + rows
+        spans.append((start, stop, width, int(np.count_nonzero(drawn[start:stop]))))
+        start = stop
+    need = max((count * width for _, _, width, count in spans), default=0)
+    if need == 0:
+        return out
+    unit = (rng.standard_normal(need) if mechanism is MechanismKind.GAUSSIAN
+            else rng.laplace(0.0, 1.0, need))
+    for start, stop, width, count in spans:
+        block = out[start:stop, :width]
+        prefix = unit[:count * width].reshape(count, width)
+        if count == stop - start:
+            block[...] = 0.0 + scale[start:stop, None] * prefix
+        elif count:
+            own = drawn[start:stop]
+            block[own] = 0.0 + scale[start:stop][own][:, None] * prefix
     return out
 
 

@@ -69,7 +69,9 @@ class LinearRegression:
                           with_intercept(features))
 
     def metrics(self, weights, features, targets) -> tuple[float, float | None]:
-        return float(np.mean(self.per_sample_losses(weights, features, targets))), None
+        # the sum over the count is np.mean's arithmetic without its layers of calls
+        losses = self.per_sample_losses(weights, features, targets)
+        return float(losses.sum() / len(losses)), None
 
 
 class LogisticRegression:
@@ -100,9 +102,15 @@ class LogisticRegression:
     def _probs(self, weights, features) -> np.ndarray:
         w = weights.reshape(self.num_classes, self.feature_dim + 1)
         logits = features @ w[:, :-1].T + w[:, -1]
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)
+        # a max is exact in any order, so a running maximum over the columns
+        # gives the row max's bits without a reduction over the short axis;
+        # exp is elementwise and runs in place, and the row sum keeps its order
+        top = logits[:, 0].copy()
+        for c in range(1, self.num_classes):
+            np.maximum(top, logits[:, c], out=top)
+        logits -= top[:, None]
+        np.exp(logits, out=logits)
+        return logits / logits.sum(axis=1, keepdims=True)
 
     def predict(self, weights, features) -> np.ndarray:
         return np.argmax(self._probs(weights, features), axis=1)
@@ -130,7 +138,8 @@ class LogisticRegression:
         # one softmax pass serves both the loss and the accuracy
         probs = self._probs(weights, features)
         labels = targets.astype(int)
-        loss = float(np.mean(self._losses(probs, labels)))
+        losses = self._losses(probs, labels)
+        loss = float(losses.sum() / len(losses))
         accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
         return loss, accuracy
 

@@ -14,7 +14,6 @@ from dpflsim.engine import (
     ClientArrays,
     FederatedProblem,
     LearningRateSchedule,
-    RoundStreams,
     RunSettings,
     _check_ledger,
     _stream,
@@ -451,12 +450,14 @@ def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
     real_round = engine.client_round
     checked = []
 
-    def client_round_checked(clients, ids, model, eta, rng, round_settings, report_losses,
+    def client_round_checked(clients, ids, models, eta, rng, round_settings, report_losses,
                              noise_enabled=True):
+        # a run of its own passes its one model, as its run's entry
+        model, = models
         t = len(checked) + 1
         previous = (np.zeros((len(clients.num_samples), model.model_kind.dim))
                     if clients.velocity is None else clients.velocity.copy())
-        release = real_round(clients, ids, model, eta, rng, round_settings, report_losses,
+        release = real_round(clients, ids, models, eta, rng, round_settings, report_losses,
                              noise_enabled)
         ids = release.ids
         np.testing.assert_allclose(release.gradients, eta * clients.velocity[ids],
@@ -480,22 +481,6 @@ def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
     res = run_baseline("uniform_dp", problem, settings, seed=seed)
     assert len(checked) == len(res.rounds) == settings.total_rounds
     assert sum(checked) > settings.total_rounds  # some clients release twice or more
-
-
-def test_round_streams_restart_each_stream_from_its_start():
-    # a repeated request for a (domain, t) restores the state saved at its
-    # first request, so it draws what a fresh derivation draws, even after
-    # the domain's generator was left mid-stream with a half-used word
-    def first_draws(rng):
-        return (rng.integers(0, 2**31, size=3, dtype=np.int32).tolist(),
-                rng.random(4).tolist(), rng.standard_normal(3).tolist(),
-                rng.laplace(0.0, 1.0, 2).tolist())
-
-    fresh = {(d, t): first_draws(_stream(5, d, t)) for d in (1, 2) for t in (1, 2, 3)}
-    streams = RoundStreams(5)
-    for order in (sorted(fresh), sorted(fresh, reverse=True), sorted(fresh)):
-        for key in order:
-            assert first_draws(streams(*key)) == fresh[key], key
 
 
 def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
@@ -829,6 +814,115 @@ def test_run_determinism():
     assert np.array_equal(a.final_state.weights, b.final_state.weights)
     c = run_dpfl_bcs(problem, settings, seed=6)
     assert [r.test_loss for r in a.rounds] != [r.test_loss for r in c.rounds]
+
+
+def _alone(algorithm, problem, settings, seed):
+    if algorithm == "dpfl_bcs":
+        return run_dpfl_bcs(problem, settings, seed)
+    return run_baseline(algorithm, problem, settings, seed)
+
+
+def _assert_same_run(got, alone):
+    assert got.algorithm == alone.algorithm
+    assert got.rounds == alone.rounds
+    assert got.ended_early == alone.ended_early
+    assert got.final_state.weights.tobytes() == alone.final_state.weights.tobytes()
+    for name in ClientArrays._COLUMNS + ("velocity",):
+        assert (getattr(got.clients, name).tobytes()
+                == getattr(alone.clients, name).tobytes()), name
+    assert got.ledger == alone.ledger
+
+
+@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
+@pytest.mark.parametrize("momentum", [0.0, 0.5])
+def test_lockstep_runs_equal_runs_of_their_own(mechanism, momentum):
+    # a round's batch mixes unnoised fedsgd rows with DP rows, and dpfl_bcs's
+    # loss-reporting rows (noise width d + 2) with gradient-only ones (d);
+    # each run still comes out bit for bit as the algorithm run alone
+    problem = _problem(num_clients=6)
+    problem.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0, 1.5],
+                               1e-4 if mechanism is GM else 0.0)
+    settings = _settings(mechanism=mechanism, clients_per_round=3, total_rounds=12,
+                         estimation_rounds=4, momentum=momentum,
+                         weight_decay=0.01 if momentum else 0.0, record_weights=True)
+    together = engine.run_lockstep(problem, settings, 3, engine.ALGORITHMS)
+    assert [r.algorithm for r in together] == list(engine.ALGORITHMS)
+    for got in together:
+        alone = _alone(got.algorithm, problem, settings, 3)
+        _assert_same_run(got, alone)
+        assert got.weight_trajectory.tobytes() == alone.weight_trajectory.tobytes()
+
+
+def test_lockstep_run_that_ends_leaves_the_others_running():
+    # every client arrives with its budget spent: the DP runs end in round 1
+    # with nothing selected, and fedsgd, which ignores budgets, runs on alone
+    problem = _problem(num_clients=4)
+    problem.budgets = _budgets([1.0] * 4, 1e-4, spent=range(4))
+    settings = _settings(total_rounds=6)
+    together = engine.run_lockstep(problem, settings, 2, ["uniform_dp", "fedsgd", "dpfl_bcs"])
+    assert [(r.ended_early, len(r.rounds)) for r in together] == [(True, 0), (False, 6),
+                                                                   (True, 0)]
+    for got in together:
+        _assert_same_run(got, _alone(got.algorithm, problem, settings, 2))
+
+
+def test_lockstep_refuses_bad_algorithm_lists():
+    problem, settings = _problem(), _settings()
+    with pytest.raises(ParameterError, match="no algorithm"):
+        engine.run_lockstep(problem, settings, 0, [])
+    with pytest.raises(ParameterError, match="'sgd'"):
+        engine.run_lockstep(problem, settings, 0, ["fedsgd", "sgd"])
+    with pytest.raises(ParameterError, match="estimation_rounds >= 2"):
+        engine.run_lockstep(problem, _settings(estimation_rounds=1), 0,
+                            ["fedsgd", "dpfl_bcs"])
+
+
+def test_stacked_client_arrays_are_views_of_one_block():
+    problem = _problem(num_clients=3)
+    problem.budgets = _budgets([1.0, 2.0, 3.0], 1e-4, spent=[1])
+    block, views = ClientArrays.stacked(problem, 2)
+    one = ClientArrays(problem.train, problem.num_samples, problem.budgets)
+    assert len(block.epsilon) == 6 and len(views) == 2
+    for r, view in enumerate(views):
+        for name in ClientArrays._COLUMNS:
+            assert np.array_equal(getattr(view, name), getattr(one, name)), name
+            assert np.shares_memory(getattr(view, name), getattr(block, name)), name
+        assert view.velocity.shape == (3, problem.model.dim)
+    # a stage installed through a view lands in the block's rows of its run
+    views[1].install([2, 0, 1], _settings())
+    assert block.planned.tolist() == [0, 0, 0, 2, 0, 1]
+    assert block.slice_epsilon.tolist() == [0.0, 0.0, 0.0, 0.5, 0.0, 3.0]
+    assert views[1].stage == 1 and views[0].stage == 0
+
+
+def test_stacked_round_refuses_ids_out_of_run_order():
+    problem = _problem(num_clients=3)
+    settings = _settings()
+    block, views = ClientArrays.stacked(problem, 2)
+    for view in views:
+        view.install([2, 2, 2], settings)
+    state = ModelState(problem.model.init_weights(), problem.model)
+    with pytest.raises(ParameterError, match="grouped by run"):
+        client_round(block, [4, 0], [state, state], 0.1, np.random.default_rng(0), settings,
+                     False)
+    with pytest.raises(ParameterError, match="do not stack 4 runs"):
+        client_round(block, [0], [state] * 4, 0.1, np.random.default_rng(0), settings, False)
+
+
+def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
+    # run 0 reports, but its clients 0 and 1 arrive spent and refuse; run 1
+    # does not report, so its responder's loss row is NaN
+    problem = _problem(num_clients=3)
+    problem.budgets = _budgets([1.0] * 3, 1e-4, spent=[0, 1])
+    settings = _settings()
+    block, views = ClientArrays.stacked(problem, 2)
+    for view in views:
+        view.install([2, 2, 2], settings)
+    state = ModelState(problem.model.init_weights(), problem.model)
+    out = client_round(block, [0, 1, 5], [state, state], 0.1, np.random.default_rng(0),
+                       settings, [True, False])
+    assert out.ids.tolist() == [5]
+    assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
 
 
 def test_zero_noise_uniform_plan_reduces_to_fedsgd():

@@ -13,8 +13,8 @@ import dpflsim.engine as engine
 import dpflsim.harness as harness
 from dpflsim.config import ExperimentConfig
 from dpflsim.data import Dataset
-from dpflsim.engine import ALGORITHMS, ClientLedger, RoundStreams
-from dpflsim.errors import ConfigError, ParameterError, StateError
+from dpflsim.engine import ALGORITHMS, ClientLedger
+from dpflsim.errors import ConfigError, StateError
 from dpflsim.harness import (
     build_problem,
     dispatch_run,
@@ -190,14 +190,15 @@ def test_comparison_fedsgd_bounds_dp_algorithms():
 
 
 def test_comparison_failure_names_seed_and_algorithm(monkeypatch):
-    real = harness.dispatch_run
+    # the seed's runs go in lock-step; the one whose own step fails is named
+    real = engine._Run.finish
 
-    def flaky(algorithm, problem, settings, seed, on_round=None, streams=None):
-        if algorithm == "weiavg":
+    def flaky(run, t, release, on_round):
+        if run.algorithm == "weiavg":
             raise RuntimeError("boom")
-        return real(algorithm, problem, settings, seed, on_round=on_round, streams=streams)
+        return real(run, t, release, on_round)
 
-    monkeypatch.setattr(harness, "dispatch_run", flaky)
+    monkeypatch.setattr(engine._Run, "finish", flaky)
     with pytest.raises(StateError) as err:
         run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=1)
     assert "weiavg" in str(err.value)
@@ -243,14 +244,6 @@ def test_comparison_histories_match_runs_of_their_own(tmp_path, mechanism):
                     == (tmp_path / "shared" / name).read_bytes()), name
 
 
-def test_runs_refuse_streams_of_another_seed():
-    cfg = _config()
-    problem, settings = build_problem(cfg), settings_from_config(cfg)
-    for alg in ALGORITHMS:
-        with pytest.raises(ParameterError, match="seed 7"):
-            dispatch_run(alg, problem, settings, cfg.seed, streams=RoundStreams(7))
-
-
 def test_comparison_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         run_comparison(_config(), [], num_seeds=1)
@@ -258,6 +251,31 @@ def test_comparison_rejects_bad_inputs():
         run_comparison(_config(), ["gradient_boost"], num_seeds=1)
     with pytest.raises(ConfigError):
         run_comparison(_config(), ["fedsgd"], num_seeds=0)
+
+
+def test_comparison_refuses_a_repeated_algorithm(tmp_path):
+    # a repeated algorithm would be two identical rows whose spread counts
+    # every seed twice
+    with pytest.raises(ConfigError, match="repeats 'fedsgd'"):
+        run_comparison(_config(), ["fedsgd", "uniform_dp", "fedsgd"], num_seeds=2,
+                       out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_comparison_does_one_batched_client_pass_per_round(monkeypatch):
+    # the seed's algorithms share each round's client work, and with it one
+    # budget deduction, so a seed deducts at most once per round
+    calls = []
+    real = engine.consume_budget
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "consume_budget", counting)
+    cfg = _config()
+    run_comparison(cfg, ["dpfl_bcs", "uniform_dp", "weiavg"], num_seeds=2)
+    assert 0 < len(calls) <= 2 * cfg.total_rounds
 
 
 def test_history_round_trip(tmp_path):

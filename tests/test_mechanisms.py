@@ -417,6 +417,47 @@ def test_array_sample_noise_zero_scale_rows():
     assert np.array_equal(got[1], np.random.default_rng(5).laplace(0.0, 1.0, size=3))
 
 
+@pytest.mark.parametrize("mechanism", [GM, LM])
+def test_sample_noise_blocks_each_draw_from_the_stream_start(mechanism):
+    # the blocks of one call are releases that share the round's stream:
+    # each is what a call of its own makes from the generator's state on
+    # entry, zero-scale rows included, and the generator ends past the
+    # longest block's draw
+    gen = np.random.default_rng(2026)
+    for case in range(60):
+        sizes = gen.integers(0, 6, size=int(gen.integers(1, 5))).tolist()
+        widths = gen.integers(1, 9, size=len(sizes)).tolist()
+        scale = 10.0 ** gen.uniform(-3, 3, size=sum(sizes))
+        scale[gen.random(len(scale)) < 0.25] = 0.0
+        got_rng = np.random.default_rng(case)
+        got = sample_noise(_array_spec(mechanism, scale), list(zip(sizes, widths)), got_rng)
+        assert got.shape == (len(scale), max(widths))
+        start, longest = 0, None
+        for rows, width in zip(sizes, widths):
+            ref_rng = np.random.default_rng(case)
+            ref = sample_noise(_array_spec(mechanism, scale[start:start + rows]), width,
+                               ref_rng)
+            block = got[start:start + rows]
+            assert block[:, :width].tobytes() == ref.tobytes()
+            assert not block[:, width:].any()
+            drawn = np.count_nonzero(scale[start:start + rows]) * width
+            if longest is None or drawn > longest[0]:
+                longest = drawn, ref_rng.bit_generator.state
+            start += rows
+        assert got_rng.bit_generator.state == longest[1]
+
+
+def test_sample_noise_refuses_blocks_that_do_not_split_the_rows():
+    spec = _array_spec(GM, [1.0, 2.0, 3.0])
+    for blocks in ([(2, 4)], [(2, 4), (2, 4)], [(4, 4), (-1, 4)]):
+        with pytest.raises(ParameterError, match="must split"):
+            sample_noise(spec, blocks, np.random.default_rng(0))
+    with pytest.raises(ParameterError):
+        sample_noise(spec, [(3, 0)], np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="must split"):
+        sample_noise(_spec(GM, 1.0), [(1, 4)], np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("field, values", [
     ("scale", [1.0, -0.5]),
     ("scale", [1.0, np.inf]),

@@ -11,6 +11,10 @@ temporary directory that is removed on exit:
 - a 32-history matrix: the four algorithms x {gaussian, laplace} x
   {synthetic_regression, synthetic_classification} x seeds {0, 1}, momentum
   0.5 on seed 1, N=30, K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays;
+- a comparison matrix: ``run_comparison`` of the four algorithms x
+  {gaussian, laplace} x {synthetic_regression, synthetic_classification} at
+  the matrix's sizes, seed 0 plain and seed 1 with momentum 0.5 and weight
+  decay 0.01, with each comparison's summary CSV and ``dpfl_bcs`` replay;
 - the ``plan.csv`` that ``dpflsim plan`` writes for three fixed seeded
   rosters of 500 clients with shuffled ids: a Gaussian and a Laplace
   budget-only plan, and a Gaussian ``--gamma-file`` plan (the rosters and the
@@ -72,18 +76,35 @@ def write_workloads(root: Path) -> None:
                 _single(cfg, out, "history.jsonl")
 
 
+def _cells():
+    """(mechanism, dataset, config overrides) of each matrix cell."""
+    for mechanism in ("gaussian", "laplace"):
+        delta = {} if mechanism == "gaussian" else {"delta_min": 0.0, "delta_max": 0.0}
+        for dataset in ("synthetic_regression", "synthetic_classification"):
+            yield mechanism, dataset, dict(mechanism=mechanism, dataset=dataset, **delta)
+
+
 def write_matrix(root: Path) -> None:
     out = root / "matrix"
     for algorithm in dpflsim.ALGORITHMS:
-        for mechanism in ("gaussian", "laplace"):
-            delta = {} if mechanism == "gaussian" else {"delta_min": 0.0, "delta_max": 0.0}
-            for dataset in ("synthetic_regression", "synthetic_classification"):
-                for seed in (0, 1):
-                    cfg = dpflsim.ExperimentConfig(
-                        algorithm=algorithm, mechanism=mechanism, dataset=dataset,
-                        seed=seed, momentum=0.5 if seed else 0.0, **MATRIX, **delta)
-                    _single(cfg, out, f"{algorithm}_{mechanism}_{dataset}_seed{seed}.jsonl")
+        for mechanism, dataset, cell in _cells():
+            for seed in (0, 1):
+                cfg = dpflsim.ExperimentConfig(
+                    algorithm=algorithm, seed=seed, momentum=0.5 if seed else 0.0,
+                    **MATRIX, **cell)
+                _single(cfg, out, f"{algorithm}_{mechanism}_{dataset}_seed{seed}.jsonl")
     _write_replays(out)
+
+
+def write_comparisons(root: Path) -> None:
+    # every algorithm of a seed in one comparison: unnoised fedsgd next to the
+    # DP runs, dpfl_bcs's loss-reporting rounds next to gradient-only ones
+    for mechanism, dataset, cell in _cells():
+        for seed, extra in ((0, {}), (1, {"momentum": 0.5, "weight_decay": 0.01})):
+            out = root / "comparisons" / f"{mechanism}_{dataset}_seed{seed}"
+            cfg = dpflsim.ExperimentConfig(seed=seed, **MATRIX, **cell, **extra)
+            dpflsim.run_comparison(cfg, dpflsim.ALGORITHMS, 1, out_dir=str(out))
+            _write_replays(out)
 
 
 def _write_roster(path: Path, mechanism: str, seed: int) -> None:
@@ -127,6 +148,7 @@ def main() -> int:
         root = Path(tmp)
         write_workloads(root)
         write_matrix(root)
+        write_comparisons(root)
         write_plans(root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
