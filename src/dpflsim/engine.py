@@ -8,10 +8,11 @@ computes a round's client work as one batch over the responders' rows,
 gathered at once from the clients' block, and per-client state lives in the
 arrays of `ClientArrays`.
 
-`run_lockstep` runs several algorithms on one problem and seed together, one
-round at a time: one `client_round` call per round does the client work of
-every run's responders, over one `ClientArrays` that stacks the runs. A
-single run is the same loop with one run.
+`run_lockstep_seeds` runs several algorithms on each of several seeds'
+problems together, one round at a time: one `client_round` call per round
+does the client work of every run's responders, over one `ClientArrays` that
+stacks the runs. `run_lockstep` is the case of one seed, and a single run the
+case of one seed and one algorithm, so the engine has one loop.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -335,8 +336,8 @@ class ClientArrays:
     `exhausted` starts from the incoming budgets, and an exhausted client is
     never eligible again. `stage` counts the stages installed.
 
-    `stacked` builds one instance for several runs on one problem, and each
-    run's own instance as views of its rows.
+    `stacked` builds one instance for several runs on one or more problems,
+    and each run's own instance as views of its rows.
     """
 
     # the per-client columns, one entry per client
@@ -370,31 +371,64 @@ class ClientArrays:
         self.velocity = None
 
     @classmethod
-    def stacked(cls, problem: FederatedProblem, runs: int) -> tuple:
-        """(block, views): the client state of `runs` runs on `problem`.
+    def stacked(cls, problems, runs: int) -> tuple:
+        """(block, views): the client state of `runs` runs on each of
+        `problems`, a list of `FederatedProblem`s that share N and the
+        model's kind and dimensions.
 
-        `block` has runs * N entries, run r's client n at r * N + n, each
-        starting as a run of its own starts, and `views[r]` is run r's own
-        instance, whose columns (velocities included) are views of the
-        block's rows r * N .. (r + 1) * N - 1. A round updates the block for
-        every run at once, and each run reads and installs its stages through
-        its view.
+        Run g = p * runs + a, the a-th run on problem p, has its client n at
+        entry g * N + n of `block`, each entry starting as a run of its own
+        starts, and `views[g]` is run g's own instance, whose columns
+        (velocities included) are views of the block's entries
+        g * N .. (g + 1) * N - 1. A round updates the block for every run at
+        once, and each run reads and installs its stages through its view.
+
+        One problem's block reads that problem's row block as it is. Several
+        problems' rows are copied once into one read-only block, problem p's
+        after problem p - 1's, so a round still gathers its rows at once: the
+        block holds all the problems' rows at once. A view still reads its
+        own problem's rows, with that problem's own row starts, as a run of
+        its own does.
         """
-        n = problem.num_clients
-        one = cls(problem.train, problem.num_samples, problem.budgets)
+        problems = list(problems)
+        if not problems:
+            raise ParameterError("no problem to stack")
+        shapes = [(p.num_clients, type(p.model), p.model.feature_dim, p.model.dim)
+                  for p in problems]
+        if len(set(shapes)) > 1:
+            raise ParameterError(f"stacked problems must share N and the model's kind and "
+                                 f"dimensions, got (N, model, feature_dim, dim) {shapes}")
+        n, dim = problems[0].num_clients, problems[0].model.dim
+        ones = [cls(p.train, p.num_samples, p.budgets) for p in problems]
+        # problem p's rows start at row offsets[p] of the block's rows
+        offsets = np.cumsum([0] + [p.train.num_samples for p in problems[:-1]]).tolist()
+        if len(problems) == 1:
+            train = problems[0].train
+        else:
+            features = np.concatenate([p.train.features for p in problems])
+            targets = np.concatenate([p.train.targets for p in problems])
+            features.flags.writeable = targets.flags.writeable = False
+            # rows of checked blocks, so not checked again
+            train, = _unchecked(Dataset, [(features, targets)])
+        total = len(problems) * runs
         block = object.__new__(cls)
-        block.train, block.stage = problem.train, 0
-        for name in cls._COLUMNS:
-            column = getattr(one, name)
-            setattr(block, name, column if runs == 1 else np.tile(column, runs))
+        block.train, block.stage = train, 0
+        parts = {name: [getattr(one, name) for one in ones] for name in cls._COLUMNS}
+        parts["row_start"] = [one.row_start + offset for one, offset in zip(ones, offsets)]
+        for name, columns in parts.items():
+            setattr(block, name, columns[0] if total == 1 else np.concatenate(
+                [column for column in columns for _ in range(runs)]))
         # zeros that no momentum round touches stay unmapped
-        block.velocity = np.zeros((runs * n, problem.model.dim))
+        block.velocity = np.zeros((total * n, dim))
         views = []
-        for r in range(runs):
+        for g in range(total):
+            p = g // runs
             view = object.__new__(cls)
-            view.train, view.stage = problem.train, 0
+            view.train, view.stage = problems[p].train, 0
             for name in cls._COLUMNS + ("velocity",):
-                setattr(view, name, getattr(block, name)[r * n:(r + 1) * n])
+                setattr(view, name, getattr(block, name)[g * n:(g + 1) * n])
+            if offsets[p]:
+                view.row_start = ones[p].row_start
             views.append(view)
         return block, views
 
@@ -486,16 +520,18 @@ class RoundRelease:
 
 
 def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_rate: float,
-                 rng: np.random.Generator, settings: RunSettings, report_losses: bool | list,
-                 noise_enabled: bool | list = True) -> RoundRelease:
+                 rng: np.random.Generator | list, settings: RunSettings,
+                 report_losses: bool | list, noise_enabled: bool | list = True) -> RoundRelease:
     """The selected clients' contributions to one round, computed as one batch.
 
-    `clients` may stack R runs on one problem (see `ClientArrays.stacked`):
-    then `model` is a sequence of the R runs' `ModelState`s, `ids` are block
-    entries grouped by run in run order, and `report_losses` and
-    `noise_enabled` are a bool for every run or one bool per run. A plain
-    `ClientArrays` with one `ModelState` is the case R = 1. Each run's rows
-    come out as they would from a round of its own on `rng`.
+    `clients` may stack R runs on one or more problems (see
+    `ClientArrays.stacked`): then `model` is a sequence of the R runs'
+    `ModelState`s, `ids` are block entries grouped by run in run order, and
+    `report_losses` and `noise_enabled` are a bool for every run or one bool
+    per run. `rng` is one noise generator for every run or one per run, and
+    the runs that share a generator are consecutive. A plain `ClientArrays`
+    with one `ModelState` is the case R = 1. Each run's rows come out as they
+    would from a round of its own on its generator.
 
     With noise enabled, clients whose budget is exhausted refuse and are left
     out, and the others must be funded by the stage `clients.install`
@@ -503,10 +539,11 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     noise with the unchecked formulas and checks only `learning_rate`. A
     responder's base gradient is the mean of its per-sample clipped
     gradients plus weight_decay * w, and its release is eta_t * base plus
-    noise. All responders' noise comes from one `sample_noise` call on `rng`,
-    one block per noised run, each block's rows in the order of `ids` and
-    drawn from `rng`'s state on entry: the runs share the round's stream
-    (common random numbers). During a loss-reporting round the noise vector
+    noise. The noise comes from one `sample_noise` call per generator, over
+    the noised runs that share it, one block per run, each block's rows in
+    the order of `ids` and drawn from the generator's state on entry: the
+    runs of a generator share the round's stream (common random numbers).
+    During a loss-reporting round the noise vector
     has d+2 coordinates drawn at the joint (gradient + two losses)
     sensitivity; the last two distort eta_t * F at the incoming and the
     locally updated model, then divide by eta_t. Otherwise d coordinates at
@@ -556,7 +593,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     # output gradients with each run's weights, one call per run; run r's
     # rows are edges[bounds[r]]:edges[bounds[r + 1]]
     edges = [0] + ends.tolist()
-    factors = [kind.output_gradients(
+    factors = [models[r].model_kind.output_gradients(
         models[r].weights, features[edges[bounds[r]]:edges[bounds[r + 1]]],
         targets[edges[bounds[r]]:edges[bounds[r + 1]]]) for r in present]
     factors = factors[0] if len(factors) == 1 else np.concatenate(factors)
@@ -598,12 +635,33 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
                                     planned, float(settings.c2))
         else:
             scale = _laplace_scale(sens, clients.stage_epsilon[own], planned)
-        spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
-        # one block per noised run, each drawn from the round's stream at its
-        # start, as a run of its own draws
-        drawn = sample_noise(spec, [(bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
-                                    for r in noised_runs], rng)
-        noise[charged, :drawn.shape[1]] = drawn
+        # the noised runs by generator, consecutive runs sharing one: one
+        # block per run, each drawn from its generator's stream at its start,
+        # as a run of its own draws
+        generators = [rng] * num_runs if isinstance(rng, np.random.Generator) else rng
+        if len(generators) != num_runs:
+            raise ParameterError(f"{len(generators)} noise generators for {num_runs} runs")
+        groups = []
+        for r in noised_runs:
+            block = (bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
+            if groups and groups[-1][0] is generators[r]:
+                groups[-1][1].append(block)
+            else:
+                groups.append((generators[r], [block]))
+        if len(groups) > 1 and len({id(gen) for gen, _ in groups}) < len(groups):
+            raise ParameterError("runs that share a noise generator must be consecutive")
+        # a group's charged rows lo:hi are the same rows of the release in a
+        # round with no unnoised run
+        released = None if isinstance(charged, slice) else np.flatnonzero(charged)
+        lo = 0
+        for gen, blocks in groups:
+            hi = lo + sum(size for size, _ in blocks)
+            part = slice(lo, hi)
+            spec, = _unchecked(NoiseSpec, [(mech, sens[part], scale[part], slice_eps[part],
+                                            slice_delta[part], planned[part])])
+            drawn = sample_noise(spec, blocks, gen)
+            noise[part if released is None else released[part], :drawn.shape[1]] = drawn
+            lo = hi
     if settings.momentum > 0:
         velocity = unnoised + noise[:, :dim] / learning_rate
         clients.velocity[ids] = velocity
@@ -723,19 +781,36 @@ def run_baseline(kind: str, problem: FederatedProblem, settings: RunSettings, se
 def run_lockstep(problem: FederatedProblem, settings: RunSettings, seed: int,
                  algorithms, on_round=None) -> list:
     """Run each of `algorithms` on `problem` and `seed`, all together, one
-    round at a time; returns their `RunResult`s in order.
+    round at a time; returns their `RunResult`s in order. This is
+    `run_lockstep_seeds` with one seed: each run's outputs are those of a
+    run of its own."""
+    results, = run_lockstep_seeds([problem], [seed], settings, algorithms, on_round)
+    return results
 
-    Round t derives its selection generator from SeedSequence([seed, 1, t])
-    and its noise generator from [seed, 2, t], once, and every run draws from
-    each at its start: the runs share every client's selection uniform and
-    the unit noise of every responder row (common random numbers), and each
-    run's outputs are those of a run of its own. The runs' client state is
-    one `ClientArrays.stacked` block, and one `client_round` call per round
-    does the client work of every run's responders; the rest of a round
-    (selection, aggregation, metrics, the replan) is each run's own.
+
+def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
+                       on_round=None) -> list:
+    """Run each of `algorithms` on each (problem, seed) pair of `problems`
+    and `seeds`, all together, one round at a time; returns one list of
+    `RunResult`s per seed, in order, each in the order of `algorithms`.
+
+    For each seed, round t derives its selection generator from
+    SeedSequence([seed, 1, t]) and its noise generator from [seed, 2, t],
+    once, and every run of that seed draws from each at its start: a seed's
+    runs share every client's selection uniform and the unit noise of every
+    responder row (common random numbers), and each run's outputs are those
+    of a run of its own. The problems must share N and the model's
+    dimensions. All the runs' client state is one `ClientArrays.stacked`
+    block, which holds every seed's problem at once, and one `client_round`
+    call per round does the client work of every seed's responders, with
+    each seed's noise generator for its runs; the rest of a round
+    (selection, aggregation, metrics, the replan) and the ledger check are
+    each run's own. An exception of any run ends the whole call.
     `on_round(record)`, if given, is called with each run's `RoundRecord` as
-    the run finishes the round, runs in the order of `algorithms`.
+    the run finishes the round, seeds in order and each seed's runs in the
+    order of `algorithms`.
     """
+    problems, seeds = list(problems), [int(seed) for seed in seeds]
     algorithms = list(algorithms)
     if not algorithms:
         raise ParameterError("no algorithm to run")
@@ -747,49 +822,59 @@ def run_lockstep(problem: FederatedProblem, settings: RunSettings, seed: int,
         raise ParameterError(
             "the estimators need estimation_rounds >= 2 "
             "(the skew estimate divides by estimation_rounds - 1)")
-    if int(seed) < 0:
+    if len(problems) != len(seeds):
+        raise ParameterError(f"{len(problems)} problems for {len(seeds)} seeds")
+    if any(seed < 0 for seed in seeds):
         raise ParameterError("seed must be nonnegative")
-    num_clients = problem.num_clients
+    block, views = ClientArrays.stacked(problems, len(algorithms))
+    num_clients = problems[0].num_clients
     k = settings.clients_per_round
     if k > num_clients:
         raise ParameterError(f"clients_per_round {k} exceeds num_clients {num_clients}")
-    block, views = ClientArrays.stacked(problem, len(algorithms))
-    runs = [_Run(problem, settings, algorithm, view)
-            for algorithm, view in zip(algorithms, views)]
+    # run g = p * A + a is algorithm a on seed p's problem
+    width = len(algorithms)
+    runs = [_Run(problem, settings, algorithm, views[p * width + a])
+            for p, problem in enumerate(problems) for a, algorithm in enumerate(algorithms)]
 
     for t in range(1, settings.total_rounds + 1):
-        live = [(r, run) for r, run in enumerate(runs) if not run.ended]
-        if not live:
-            break
-        rng = _stream(seed, 1, t)
-        start = rng.bit_generator.state if len(live) > 1 else None
-        batch = []
-        for i, (r, run) in enumerate(live):
-            if i:
-                rng.bit_generator.state = start
-            selected = run.select(t, rng)
-            if selected:
-                batch.append((r, run, selected))
+        batch, generators = [], [None] * len(runs)
+        for p, seed in enumerate(seeds):
+            live = [(g, run) for g, run in enumerate(runs[p * width:(p + 1) * width],
+                                                      start=p * width) if not run.ended]
+            if not live:
+                continue
+            rng = _stream(seed, 1, t)
+            start = rng.bit_generator.state if len(live) > 1 else None
+            selecting = len(batch)
+            for i, (g, run) in enumerate(live):
+                if i:
+                    rng.bit_generator.state = start
+                selected = run.select(t, rng)
+                if selected:
+                    batch.append((g, run, selected))
+            if len(batch) > selecting:
+                generators[p * width:(p + 1) * width] = [_stream(seed, 2, t)] * width
         if not batch:
             break
-        # run r's client n is entry r * N + n of the block
-        ids = np.concatenate([r * num_clients + np.asarray(selected)
-                              for r, _, selected in batch])
+        # run g's client n is entry g * N + n of the block
+        ids = np.concatenate([g * num_clients + np.asarray(selected)
+                              for g, _, selected in batch])
         release = client_round(block, ids, [run.state for run in runs],
-                               settings.schedule.rate(t), _stream(seed, 2, t), settings,
+                               settings.schedule.rate(t), generators, settings,
                                [run.reports(t) for run in runs], [run.dp for run in runs])
         bounds = np.searchsorted(release.ids, np.arange(len(runs) + 1) * num_clients).tolist()
-        for r, run, _ in batch:
-            lo, hi = bounds[r], bounds[r + 1]
+        for g, run, _ in batch:
+            lo, hi = bounds[g], bounds[g + 1]
             run.finish(t, RoundRelease(
-                release.ids[lo:hi] - r * num_clients, release.gradients[lo:hi],
+                release.ids[lo:hi] - g * num_clients, release.gradients[lo:hi],
                 None if release.losses is None else release.losses[lo:hi]), on_round)
-    return [run.result(seed) for run in runs]
+    return [[run.result(seed) for run in runs[p * width:(p + 1) * width]]
+            for p, seed in enumerate(seeds)]
 
 
 class _Run:
-    """One algorithm's run inside `run_lockstep`: its plans, model, records
-    and stages, over its own view of the block's client columns."""
+    """One algorithm's run inside `run_lockstep_seeds`: its plans, model,
+    records and stages, over its own view of the block's client columns."""
 
     def __init__(self, problem: FederatedProblem, settings: RunSettings, algorithm: str,
                  clients: ClientArrays):

@@ -32,7 +32,7 @@ from .engine import (
     fit_stage_one,
     run_baseline,
     run_dpfl_bcs,
-    run_lockstep,
+    run_lockstep_seeds,
 )
 from .errors import ConfigError, StateError
 from .mechanisms import MechanismKind
@@ -49,6 +49,11 @@ _DOMAIN_DATA = 10
 _DOMAIN_PARTITION = 11
 _DOMAIN_BUDGETS = 12
 _DOMAIN_SPLIT = 13
+
+# `run_comparison` runs consecutive seeds in one lock-step batch while their
+# training rows add up to at most this many; a seed with more is a batch of
+# its own. A batch holds its seeds' problems, and a copy of their rows, at once.
+BATCH_ROWS = 2 ** 16
 
 
 def _derived_seed(seed: int, domain: int) -> int:
@@ -156,10 +161,19 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
                    out_dir=None) -> ComparisonSummary:
     """Paired multi-seed comparison: per seed, every algorithm sees the same
     partition, budgets, and initial weights, and draws each round's
-    selection and noise from the same streams (common random numbers). The
-    seed's algorithms run in lock-step (`engine.run_lockstep`), and each
-    history equals that of the algorithm run on its own. Final metric is
-    accuracy for classification, test loss (MSE) for regression."""
+    selection and noise from the same streams (common random numbers).
+    Final metric is accuracy for classification, test loss (MSE) for
+    regression.
+
+    The seeds' problems are built in order, and consecutive seeds run in one
+    lock-step batch (`engine.run_lockstep_seeds`) while their training rows
+    add up to at most `BATCH_ROWS`, so a batch holds its seeds' problems at
+    once; a seed with more rows runs alone. Every run still draws what it
+    draws alone, and each history equals that of the algorithm run on its
+    own. A batch writes its histories once all its runs are done: when a run
+    fails, none of its batch's histories is written (earlier batches' are),
+    and the StateError raised names the first (seed, algorithm) that fails
+    on its own."""
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("algorithm list is empty")
@@ -178,20 +192,30 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     finals = {alg: [] for alg in algorithms}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for seed in seeds:
-        cfg_seed = replace(config, seed=seed)
-        problem = build_problem(cfg_seed)
-        settings = settings_from_config(cfg_seed)
+    # the seeds share the settings, which do not depend on the seed
+    settings = settings_from_config(config)
+    batch, batch_rows = [], 0
+    for i, seed in enumerate(seeds):
+        problem = build_problem(replace(config, seed=seed))
+        batch.append((seed, problem))
+        batch_rows += problem.train.num_samples
+        # every seed of one config has as many training rows, so the batch
+        # closes when one more seed would pass the cap
+        if i + 1 < num_seeds and batch_rows + problem.train.num_samples <= BATCH_ROWS:
+            continue
+        batch_seeds, problems = (list(column) for column in zip(*batch))
         try:
-            results = run_lockstep(problem, settings, seed, algorithms)
+            batch_results = run_lockstep_seeds(problems, batch_seeds, settings, algorithms)
         except Exception as exc:
-            _name_failed_run(exc, algorithms, problem, settings, seed)
-        for alg, result in zip(algorithms, results):
-            if out_dir:
-                write_history(os.path.join(out_dir, f"history_{alg}_seed{seed}.jsonl"),
-                              result)
-            finals[alg].append(result.final_test_accuracy if classification
-                               else result.final_test_loss)
+            _name_failed_run(exc, algorithms, batch, settings)
+        for seed_done, results in zip(batch_seeds, batch_results):
+            for alg, result in zip(algorithms, results):
+                if out_dir:
+                    write_history(os.path.join(out_dir, f"history_{alg}_seed{seed_done}.jsonl"),
+                                  result)
+                finals[alg].append(result.final_test_accuracy if classification
+                                   else result.final_test_loss)
+        batch, batch_rows = [], 0
     rows = []
     for alg in algorithms:
         values = np.asarray(finals[alg], dtype=float)
@@ -206,18 +230,21 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     return summary
 
 
-def _name_failed_run(exc: Exception, algorithms, problem: FederatedProblem,
-                     settings: RunSettings, seed: int):
-    """Raise a StateError naming the algorithm whose run failed the seed's
-    lock-step batch with `exc`. A run fails alone as it fails in the batch,
-    so the algorithms rerun one by one, and the first failure is named; a
-    failure of no run alone names them all."""
-    for alg in algorithms:
-        try:
-            dispatch_run(alg, problem, settings, seed)
-        except Exception as alone:
-            raise StateError(f"algorithm {alg!r} failed at seed {seed}: {alone}") from alone
-    raise StateError(f"algorithms {algorithms} failed together at seed {seed}: "
+def _name_failed_run(exc: Exception, algorithms, batch: list, settings: RunSettings):
+    """Raise a StateError naming the run whose failure ended the lock-step
+    batch of (seed, problem) pairs `batch` with `exc`. A run fails alone as
+    it fails in the batch, so the batch's seeds rerun in order, each
+    algorithm alone, and the first failure is named; a failure of no run
+    alone names the batch's seeds and algorithms."""
+    for seed, problem in batch:
+        for alg in algorithms:
+            try:
+                dispatch_run(alg, problem, settings, seed)
+            except Exception as alone:
+                raise StateError(f"algorithm {alg!r} failed at seed {seed}: "
+                                 f"{alone}") from alone
+    seeds = [seed for seed, _ in batch]
+    raise StateError(f"algorithms {algorithms} failed together at seeds {seeds}: "
                      f"{exc}") from exc
 
 

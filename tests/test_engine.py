@@ -880,7 +880,7 @@ def test_lockstep_refuses_bad_algorithm_lists():
 def test_stacked_client_arrays_are_views_of_one_block():
     problem = _problem(num_clients=3)
     problem.budgets = _budgets([1.0, 2.0, 3.0], 1e-4, spent=[1])
-    block, views = ClientArrays.stacked(problem, 2)
+    block, views = ClientArrays.stacked([problem], 2)
     one = ClientArrays(problem.train, problem.num_samples, problem.budgets)
     assert len(block.epsilon) == 6 and len(views) == 2
     for r, view in enumerate(views):
@@ -898,7 +898,7 @@ def test_stacked_client_arrays_are_views_of_one_block():
 def test_stacked_round_refuses_ids_out_of_run_order():
     problem = _problem(num_clients=3)
     settings = _settings()
-    block, views = ClientArrays.stacked(problem, 2)
+    block, views = ClientArrays.stacked([problem], 2)
     for view in views:
         view.install([2, 2, 2], settings)
     state = ModelState(problem.model.init_weights(), problem.model)
@@ -915,7 +915,7 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
     problem = _problem(num_clients=3)
     problem.budgets = _budgets([1.0] * 3, 1e-4, spent=[0, 1])
     settings = _settings()
-    block, views = ClientArrays.stacked(problem, 2)
+    block, views = ClientArrays.stacked([problem], 2)
     for view in views:
         view.install([2, 2, 2], settings)
     state = ModelState(problem.model.init_weights(), problem.model)
@@ -923,6 +923,87 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
                        settings, [True, False])
     assert out.ids.tolist() == [5]
     assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
+
+
+@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
+@pytest.mark.parametrize("momentum", [0.0, 0.5])
+def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism, momentum):
+    # three seeds' problems in one batch; on the middle one every client
+    # arrives spent, so its DP runs end in round 1 while the other seeds'
+    # runs, and its own fedsgd, go on; on the last one two clients arrive
+    # spent, so its uniform runs use up their plan in round 6; each run comes
+    # out bit for bit as the algorithm run alone on its own problem and seed
+    delta = 1e-4 if mechanism is GM else 0.0
+    problems = [_problem(num_clients=5, seed=s, samples_per=20 + 5 * s) for s in range(3)]
+    for p, spent in zip(problems, [(), range(5), (1, 3)]):
+        p.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0], delta, spent=spent)
+    settings = _settings(mechanism=mechanism, clients_per_round=2, total_rounds=10,
+                         estimation_rounds=3, momentum=momentum,
+                         weight_decay=0.01 if momentum else 0.0, record_weights=True)
+    seeds = [7, 8, 9]
+    records = []
+    together = engine.run_lockstep_seeds(problems, seeds, settings, engine.ALGORITHMS,
+                                         records.append)
+    assert len(together) == 3
+    for problem, seed, results in zip(problems, seeds, together):
+        assert [r.algorithm for r in results] == list(engine.ALGORITHMS)
+        for got in results:
+            alone = _alone(got.algorithm, problem, settings, seed)
+            _assert_same_run(got, alone)
+            assert got.weight_trajectory.tobytes() == alone.weight_trajectory.tobytes()
+    assert [(r.ended_early, len(r.rounds)) for r in together[1]] == [
+        (True, 0), (False, 10), (True, 0), (True, 0)]
+    assert [(r.ended_early, len(r.rounds)) for r in together[2]] == [
+        (False, 10), (False, 10), (True, 6), (True, 6)]
+    assert all(len(r.rounds) == 10 for r in together[0])
+    # round t's records: seeds in order, each seed's runs in algorithm order
+    first = [(r.t, r.selected) for r in records[:9]]
+    expected = [(1, r.rounds[0].selected) for results in together for r in results
+                if r.rounds]
+    assert first == expected
+
+
+def test_stacked_client_arrays_of_several_problems():
+    problems = [_problem(num_clients=3, seed=s, samples_per=10 + s) for s in range(2)]
+    block, views = ClientArrays.stacked(problems, 2)
+    assert len(views) == 4 and len(block.epsilon) == 12
+    # one read-only copy of both problems' rows, problem 1's after problem 0's
+    assert block.train.features.tolist() == (problems[0].train.features.tolist()
+                                             + problems[1].train.features.tolist())
+    assert not block.train.features.flags.writeable
+    assert block.row_start.tolist() == [0, 10, 20] * 2 + [30, 41, 52] * 2
+    for g, view in enumerate(views):
+        problem = problems[g // 2]
+        one = ClientArrays(problem.train, problem.num_samples, problem.budgets)
+        assert view.train is problem.train
+        for name in ClientArrays._COLUMNS:
+            assert np.array_equal(getattr(view, name), getattr(one, name)), name
+        assert np.shares_memory(view.epsilon, block.epsilon)
+
+
+def test_stacked_refuses_problems_of_other_shapes():
+    problem = _problem(num_clients=3)
+    for other in (_problem(num_clients=4), _problem(num_clients=3, feature_dim=3)):
+        with pytest.raises(ParameterError, match="must share N and the model"):
+            ClientArrays.stacked([problem, other], 1)
+        with pytest.raises(ParameterError, match="must share N and the model"):
+            engine.run_lockstep_seeds([problem, other], [0, 1], _settings(), ["fedsgd"])
+    with pytest.raises(ParameterError, match="2 problems for 1 seeds"):
+        engine.run_lockstep_seeds([problem, problem], [0], _settings(), ["fedsgd"])
+
+
+def test_stacked_round_refuses_generators_out_of_run_order():
+    problem = _problem(num_clients=3)
+    settings = _settings()
+    block, views = ClientArrays.stacked([problem], 3)
+    for view in views:
+        view.install([2, 2, 2], settings)
+    state = ModelState(problem.model.init_weights(), problem.model)
+    a, b = np.random.default_rng(0), np.random.default_rng(1)
+    with pytest.raises(ParameterError, match="must be consecutive"):
+        client_round(block, [0, 3, 6], [state] * 3, 0.1, [a, b, a], settings, False)
+    with pytest.raises(ParameterError, match="2 noise generators for 3 runs"):
+        client_round(block, [0, 3, 6], [state] * 3, 0.1, [a, b], settings, False)
 
 
 def test_zero_noise_uniform_plan_reduces_to_fedsgd():

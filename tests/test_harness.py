@@ -205,6 +205,39 @@ def test_comparison_failure_names_seed_and_algorithm(monkeypatch):
     assert "42" in str(err.value)
 
 
+def test_comparison_batch_failure_names_the_seed_and_writes_no_history(monkeypatch, tmp_path):
+    # seeds 42 and 43 run in one batch, and only seed 43's weiavg fails: the
+    # batch writes none of its histories, and the seed-by-seed rerun names 43
+    built = []
+    real_build = harness.build_problem
+
+    def recording_build(config):
+        built.append(real_build(config))
+        return built[-1]
+
+    real_finish = engine._Run.finish
+
+    def flaky(run, t, release, on_round):
+        if run.algorithm == "weiavg" and run.problem is built[1]:
+            raise RuntimeError("boom")
+        return real_finish(run, t, release, on_round)
+
+    batches = []
+    real_seeds = harness.run_lockstep_seeds
+
+    def recording_seeds(problems, seeds, *args):
+        batches.append(list(seeds))
+        return real_seeds(problems, seeds, *args)
+
+    monkeypatch.setattr(harness, "build_problem", recording_build)
+    monkeypatch.setattr(engine._Run, "finish", flaky)
+    monkeypatch.setattr(harness, "run_lockstep_seeds", recording_seeds)
+    with pytest.raises(StateError, match="algorithm 'weiavg' failed at seed 43: boom"):
+        run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "out")
+    assert batches == [[42, 43]]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_comparison_derives_each_round_stream_once_per_seed(monkeypatch):
     # the algorithms of one seed share its per-round streams, so a seed makes
     # at most one selection and one noise derivation per round however many
@@ -242,6 +275,78 @@ def test_comparison_histories_match_runs_of_their_own(tmp_path, mechanism):
             write_history(tmp_path / name, dispatch_run(alg, problem, settings, seed))
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "shared" / name).read_bytes()), name
+
+
+_NO_DELTA = dict(delta_min=0.0, delta_max=0.0)
+# budgets within a few multiples of the exhaustion floor (1e-15): a client
+# can run out a participation before its plan, so at these seeds dpfl_bcs
+# runs all 8 rounds on seed 42 and ends early on seeds 43 and 44
+_ENDS_EARLY = dict(num_clients=2, clients_per_round=1, total_rounds=8, estimation_rounds=3,
+                   epsilon_min=1e-16, epsilon_max=1e-14)
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(mechanism=mechanism, dataset=dataset, **extra),
+                 id=f"{mechanism}-{dataset}")
+    for mechanism, extra in (("gaussian", {}), ("laplace", _NO_DELTA))
+    for dataset in ("synthetic_regression", "synthetic_classification")] + [
+    pytest.param(dict(momentum=0.5, weight_decay=0.01), id="momentum-weight-decay"),
+    pytest.param(_ENDS_EARLY, id="dpfl-bcs-ends-early-on-one-seed"),
+])
+def test_comparison_seed_batches_equal_runs_of_their_own(tmp_path, overrides):
+    # three seeds in one lock-step batch: each (seed, algorithm) history
+    # equals, byte for byte, that of the run made alone
+    cfg = _config(**{**dict(num_clients=8, clients_per_round=3, total_rounds=12,
+                            estimation_rounds=4), **overrides})
+    run_comparison(cfg, ALGORITHMS, num_seeds=3, out_dir=tmp_path / "batch")
+    for seed in (42, 43, 44):
+        cfg_seed = dataclasses.replace(cfg, seed=seed)
+        problem = build_problem(cfg_seed)
+        settings = settings_from_config(cfg_seed)
+        for alg in ALGORITHMS:
+            name = f"history_{alg}_seed{seed}.jsonl"
+            write_history(tmp_path / name, dispatch_run(alg, problem, settings, seed))
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / "batch" / name).read_bytes()), name
+    if overrides is _ENDS_EARLY:
+        ran = {seed: read_history(tmp_path / f"history_dpfl_bcs_seed{seed}.jsonl")
+               for seed in (42, 43)}
+        assert ran[43].summary["ended_early"] and len(ran[43].rounds) < cfg.total_rounds
+        assert not ran[42].summary["ended_early"]
+        assert len(ran[42].rounds) == cfg.total_rounds
+
+
+def test_comparison_batches_seeds_under_the_row_cap(monkeypatch):
+    calls, batches = [], []
+    real_round, real_seeds = engine.client_round, harness.run_lockstep_seeds
+
+    def counting_round(*args):
+        calls.append(args)
+        return real_round(*args)
+
+    def recording_seeds(problems, seeds, *args):
+        batches.append(list(seeds))
+        return real_seeds(problems, seeds, *args)
+
+    monkeypatch.setattr(engine, "client_round", counting_round)
+    monkeypatch.setattr(harness, "run_lockstep_seeds", recording_seeds)
+    cfg = _config()
+    algorithms = ["dpfl_bcs", "uniform_dp", "weiavg"]
+    # every seed's client work of a round in one pass
+    run_comparison(cfg, algorithms, num_seeds=3)
+    assert batches == [[42, 43, 44]]
+    assert 0 < len(calls) <= cfg.total_rounds
+    # a cap of two seeds' rows closes the batch after two seeds
+    calls.clear(), batches.clear()
+    monkeypatch.setattr(harness, "BATCH_ROWS", 2 * cfg.num_samples)
+    run_comparison(cfg, algorithms, num_seeds=3)
+    assert batches == [[42, 43], [44]]
+    # a cap below one seed's rows runs every seed alone
+    calls.clear(), batches.clear()
+    monkeypatch.setattr(harness, "BATCH_ROWS", cfg.num_samples - 1)
+    run_comparison(cfg, algorithms, num_seeds=3)
+    assert batches == [[42], [43], [44]]
+    assert cfg.total_rounds < len(calls) <= 3 * cfg.total_rounds
 
 
 def test_comparison_rejects_bad_inputs():

@@ -15,6 +15,11 @@ temporary directory that is removed on exit:
   {gaussian, laplace} x {synthetic_regression, synthetic_classification} at
   the matrix's sizes, seed 0 plain and seed 1 with momentum 0.5 and weight
   decay 0.01, with each comparison's summary CSV and ``dpfl_bcs`` replay;
+- a seed-batch matrix: ``run_comparison`` of the four algorithms over three
+  seeds (0, 1, 2) per {gaussian, laplace} x {synthetic_regression,
+  synthetic_classification} cell at the matrix's sizes, with momentum 0.5 and
+  weight decay 0.01, so each cell's seeds run in one lock-step batch, with
+  each comparison's summary CSV and ``dpfl_bcs`` replays;
 - the ``plan.csv`` that ``dpflsim plan`` writes for three fixed seeded
   rosters of 500 clients with shuffled ids: a Gaussian and a Laplace
   budget-only plan, and a Gaussian ``--gamma-file`` plan (the rosters and the
@@ -107,6 +112,17 @@ def write_comparisons(root: Path) -> None:
             _write_replays(out)
 
 
+def write_seed_batches(root: Path) -> None:
+    # several seeds of one comparison in one batch: each seed's runs draw
+    # from that seed's streams next to the other seeds' runs
+    for mechanism, dataset, cell in _cells():
+        out = root / "seed_batches" / f"{mechanism}_{dataset}"
+        cfg = dpflsim.ExperimentConfig(seed=0, momentum=0.5, weight_decay=0.01, **MATRIX,
+                                       **cell)
+        dpflsim.run_comparison(cfg, dpflsim.ALGORITHMS, 3, out_dir=str(out))
+        _write_replays(out)
+
+
 def _write_roster(path: Path, mechanism: str, seed: int) -> None:
     rng = np.random.default_rng(seed)
     ids = rng.permutation(ROSTER_CLIENTS) + 1000
@@ -149,6 +165,7 @@ def main() -> int:
         write_workloads(root)
         write_matrix(root)
         write_comparisons(root)
+        write_seed_batches(root)
         write_plans(root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
