@@ -805,7 +805,10 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     call per round does the client work of every seed's responders, with
     each seed's noise generator for its runs; the rest of a round
     (selection, aggregation, metrics, the replan) and the ledger check are
-    each run's own. An exception of any run ends the whole call.
+    each run's own. An exception of any run ends the whole call; one raised
+    in a run's own step (its set-up, selection, round finish or ledger
+    check) carries `failed_run = (seed, algorithm)` naming that run, and one
+    raised in the shared `client_round` carries none.
     `on_round(record)`, if given, is called with each run's `RoundRecord` as
     the run finishes the round, seeds in order and each seed's runs in the
     order of `algorithms`.
@@ -833,8 +836,14 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         raise ParameterError(f"clients_per_round {k} exceeds num_clients {num_clients}")
     # run g = p * A + a is algorithm a on seed p's problem
     width = len(algorithms)
-    runs = [_Run(problem, settings, algorithm, views[p * width + a])
-            for p, problem in enumerate(problems) for a, algorithm in enumerate(algorithms)]
+    runs = []
+    for g, view in enumerate(views):
+        seed, algorithm = seeds[g // width], algorithms[g % width]
+        try:
+            runs.append(_Run(problems[g // width], settings, algorithm, seed, view))
+        except Exception as exc:
+            exc.failed_run = (seed, algorithm)
+            raise
 
     for t in range(1, settings.total_rounds + 1):
         batch, generators = [], [None] * len(runs)
@@ -849,7 +858,11 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
             for i, (g, run) in enumerate(live):
                 if i:
                     rng.bit_generator.state = start
-                selected = run.select(t, rng)
+                try:
+                    selected = run.select(t, rng)
+                except Exception as exc:
+                    run.blame(exc)
+                    raise
                 if selected:
                     batch.append((g, run, selected))
             if len(batch) > selecting:
@@ -865,11 +878,21 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         bounds = np.searchsorted(release.ids, np.arange(len(runs) + 1) * num_clients).tolist()
         for g, run, _ in batch:
             lo, hi = bounds[g], bounds[g + 1]
-            run.finish(t, RoundRelease(
-                release.ids[lo:hi] - g * num_clients, release.gradients[lo:hi],
-                None if release.losses is None else release.losses[lo:hi]), on_round)
-    return [[run.result(seed) for run in runs[p * width:(p + 1) * width]]
-            for p, seed in enumerate(seeds)]
+            try:
+                run.finish(t, RoundRelease(
+                    release.ids[lo:hi] - g * num_clients, release.gradients[lo:hi],
+                    None if release.losses is None else release.losses[lo:hi]), on_round)
+            except Exception as exc:
+                run.blame(exc)
+                raise
+    results = []
+    for run in runs:
+        try:
+            results.append(run.result())
+        except Exception as exc:
+            run.blame(exc)
+            raise
+    return [results[p * width:(p + 1) * width] for p in range(len(seeds))]
 
 
 class _Run:
@@ -877,8 +900,9 @@ class _Run:
     records and stages, over its own view of the block's client columns."""
 
     def __init__(self, problem: FederatedProblem, settings: RunSettings, algorithm: str,
-                 clients: ClientArrays):
+                 seed: int, clients: ClientArrays):
         self.problem, self.settings, self.algorithm = problem, settings, algorithm
+        self.seed = seed
         self.clients = clients
         model = problem.model
         num_clients = problem.num_clients
@@ -910,6 +934,10 @@ class _Run:
         self.records = []
         self.plan2 = self.est_params = None
         self.ended = self.ended_early = False
+
+    def blame(self, exc: Exception) -> None:
+        """Name this run as the one whose own step raised `exc`."""
+        exc.failed_run = (self.seed, self.algorithm)
 
     def _end_early(self, reason: str, *args) -> None:
         logger.info(reason, *args)
@@ -977,7 +1005,7 @@ class _Run:
             self.stage2_slices = clients.slice_epsilon.copy()
             self.epsilon_at_replan = clients.epsilon_remaining.copy()
 
-    def result(self, seed: int) -> RunResult:
+    def result(self) -> RunResult:
         """The run's result, after checking its privacy ledger."""
         clients, model = self.clients, self.problem.model
         if self.plan2 is not None or not self.stages:
@@ -992,7 +1020,7 @@ class _Run:
             final_loss, final_accuracy = model.metrics(self.state.weights, test.features,
                                                        test.targets)
         return RunResult(
-            algorithm=self.algorithm, seed=int(seed), rounds=self.records,
+            algorithm=self.algorithm, seed=self.seed, rounds=self.records,
             final_state=self.state, final_test_loss=final_loss,
             final_test_accuracy=final_accuracy, plan_stage1=self.plan1,
             plan_stage2=self.plan2, estimated_params=self.est_params,

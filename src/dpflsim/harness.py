@@ -51,9 +51,13 @@ _DOMAIN_BUDGETS = 12
 _DOMAIN_SPLIT = 13
 
 # `run_comparison` runs consecutive seeds in one lock-step batch while their
-# training rows add up to at most this many; a seed with more is a batch of
-# its own. A batch holds its seeds' problems, and a copy of their rows, at once.
-BATCH_ROWS = 2 ** 16
+# training rows (features and targets) add up to at most this many bytes; a
+# seed with more is a batch of its own. A batch holds its seeds' problems, a
+# copy of their rows and their runs' results at once. At feature_dim 5 a seed
+# takes 48 bytes a row: batches of 10 seeds of 2,000 rows ran 1.2-1.3x as
+# fast as one seed at a time, while batching seeds of 20,000 rows gained
+# nothing and only raised the peak RSS, so those run alone.
+BATCH_BYTES = 2 ** 20
 
 
 def _derived_seed(seed: int, domain: int) -> int:
@@ -167,13 +171,12 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
 
     The seeds' problems are built in order, and consecutive seeds run in one
     lock-step batch (`engine.run_lockstep_seeds`) while their training rows
-    add up to at most `BATCH_ROWS`, so a batch holds its seeds' problems at
-    once; a seed with more rows runs alone. Every run still draws what it
-    draws alone, and each history equals that of the algorithm run on its
-    own. A batch writes its histories once all its runs are done: when a run
-    fails, none of its batch's histories is written (earlier batches' are),
-    and the StateError raised names the first (seed, algorithm) that fails
-    on its own."""
+    add up to at most `BATCH_BYTES`, so a batch holds its seeds' problems at
+    once; a seed with more runs alone. Every run still draws what it draws
+    alone, and each history equals that of the algorithm run on its own. A
+    batch writes its histories once all its runs are done: when a run fails,
+    none of its batch's histories is written (earlier batches' are), and the
+    StateError raised names the failing (seed, algorithm)."""
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("algorithm list is empty")
@@ -194,14 +197,15 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
         os.makedirs(out_dir, exist_ok=True)
     # the seeds share the settings, which do not depend on the seed
     settings = settings_from_config(config)
-    batch, batch_rows = [], 0
+    batch, batch_bytes = [], 0
     for i, seed in enumerate(seeds):
         problem = build_problem(replace(config, seed=seed))
         batch.append((seed, problem))
-        batch_rows += problem.train.num_samples
+        seed_bytes = problem.train.features.nbytes + problem.train.targets.nbytes
+        batch_bytes += seed_bytes
         # every seed of one config has as many training rows, so the batch
         # closes when one more seed would pass the cap
-        if i + 1 < num_seeds and batch_rows + problem.train.num_samples <= BATCH_ROWS:
+        if i + 1 < num_seeds and batch_bytes + seed_bytes <= BATCH_BYTES:
             continue
         batch_seeds, problems = (list(column) for column in zip(*batch))
         try:
@@ -215,7 +219,7 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
                                   result)
                 finals[alg].append(result.final_test_accuracy if classification
                                    else result.final_test_loss)
-        batch, batch_rows = [], 0
+        batch, batch_bytes = [], 0
     rows = []
     for alg in algorithms:
         values = np.asarray(finals[alg], dtype=float)
@@ -232,10 +236,15 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
 
 def _name_failed_run(exc: Exception, algorithms, batch: list, settings: RunSettings):
     """Raise a StateError naming the run whose failure ended the lock-step
-    batch of (seed, problem) pairs `batch` with `exc`. A run fails alone as
-    it fails in the batch, so the batch's seeds rerun in order, each
-    algorithm alone, and the first failure is named; a failure of no run
-    alone names the batch's seeds and algorithms."""
+    batch of (seed, problem) pairs `batch` with `exc`. A failure in a run's
+    own step names its run (`failed_run`). One in the batch's shared client
+    round names none, so the batch's seeds rerun in order, each algorithm
+    alone, and the first to fail is named; a failure of no run alone names
+    the batch's seeds and algorithms."""
+    failed = getattr(exc, "failed_run", None)
+    if failed is not None:
+        seed, alg = failed
+        raise StateError(f"algorithm {alg!r} failed at seed {seed}: {exc}") from exc
     for seed, problem in batch:
         for alg in algorithms:
             try:

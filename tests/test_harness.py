@@ -229,13 +229,52 @@ def test_comparison_batch_failure_names_the_seed_and_writes_no_history(monkeypat
         batches.append(list(seeds))
         return real_seeds(problems, seeds, *args)
 
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a failure in a run's own step needs no rerun")
+
     monkeypatch.setattr(harness, "build_problem", recording_build)
     monkeypatch.setattr(engine._Run, "finish", flaky)
     monkeypatch.setattr(harness, "run_lockstep_seeds", recording_seeds)
+    monkeypatch.setattr(harness, "dispatch_run", no_rerun)
     with pytest.raises(StateError, match="algorithm 'weiavg' failed at seed 43: boom"):
         run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "out")
     assert batches == [[42, 43]]
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_comparison_client_round_failure_reruns_the_batch_to_name_the_seed(monkeypatch,
+                                                                         tmp_path):
+    # a failure in the batch's shared client round names no run, so the
+    # batch's seeds rerun alone: a round that fails only with seed 43's
+    # problem names seed 43, and one that fails only in the batch names the
+    # batch's seeds; neither writes a history
+    built = []
+    real_build = harness.build_problem
+
+    def recording_build(config):
+        built.append(real_build(config))
+        return built[-1]
+
+    real_round = engine.client_round
+    fails_alone = [True]
+
+    def flaky(clients, *args):
+        # a lone problem's block reads its problem's rows as they are
+        if clients.train is not built[0].train and (
+                fails_alone[0] or clients.train is not built[1].train):
+            raise RuntimeError("boom")
+        return real_round(clients, *args)
+
+    monkeypatch.setattr(harness, "build_problem", recording_build)
+    monkeypatch.setattr(engine, "client_round", flaky)
+    with pytest.raises(StateError, match="algorithm 'fedsgd' failed at seed 43: boom"):
+        run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "one")
+    assert list((tmp_path / "one").iterdir()) == []
+    built.clear()
+    fails_alone[0] = False
+    with pytest.raises(StateError, match=r"failed together at seeds \[42, 43\]: boom"):
+        run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "two")
+    assert list((tmp_path / "two").iterdir()) == []
 
 
 def test_comparison_derives_each_round_stream_once_per_seed(monkeypatch):
@@ -278,11 +317,23 @@ def test_comparison_histories_match_runs_of_their_own(tmp_path, mechanism):
 
 
 _NO_DELTA = dict(delta_min=0.0, delta_max=0.0)
-# budgets within a few multiples of the exhaustion floor (1e-15): a client
-# can run out a participation before its plan, so at these seeds dpfl_bcs
-# runs all 8 rounds on seed 42 and ends early on seeds 43 and 44
-_ENDS_EARLY = dict(num_clients=2, clients_per_round=1, total_rounds=8, estimation_rounds=3,
-                   epsilon_min=1e-16, epsilon_max=1e-14)
+# seed 43's clients arrive with their budgets spent (see `_spending_seed`), so
+# its DP runs end early while seed 42's runs go on
+_ENDS_EARLY = dict(spent_seed=43)
+
+
+def _spending_seed(spent_seed):
+    """`build_problem`, with every client of seed `spent_seed`'s problem
+    arriving with nothing left of its budget."""
+    def build(config):
+        problem = build_problem(config)
+        if config.seed == spent_seed:
+            budgets = problem.budgets
+            problem.budgets = PrivacyBudget(
+                budgets.epsilon, budgets.delta, np.zeros_like(budgets.epsilon),
+                np.zeros_like(budgets.delta))
+        return problem
+    return build
 
 
 @pytest.mark.parametrize("overrides", [
@@ -293,22 +344,26 @@ _ENDS_EARLY = dict(num_clients=2, clients_per_round=1, total_rounds=8, estimatio
     pytest.param(dict(momentum=0.5, weight_decay=0.01), id="momentum-weight-decay"),
     pytest.param(_ENDS_EARLY, id="dpfl-bcs-ends-early-on-one-seed"),
 ])
-def test_comparison_seed_batches_equal_runs_of_their_own(tmp_path, overrides):
+def test_comparison_seed_batches_equal_runs_of_their_own(monkeypatch, tmp_path, overrides):
     # three seeds in one lock-step batch: each (seed, algorithm) history
     # equals, byte for byte, that of the run made alone
+    overrides = dict(overrides)
+    spent_seed = overrides.pop("spent_seed", None)
+    build = _spending_seed(spent_seed)
+    monkeypatch.setattr(harness, "build_problem", build)
     cfg = _config(**{**dict(num_clients=8, clients_per_round=3, total_rounds=12,
                             estimation_rounds=4), **overrides})
     run_comparison(cfg, ALGORITHMS, num_seeds=3, out_dir=tmp_path / "batch")
     for seed in (42, 43, 44):
         cfg_seed = dataclasses.replace(cfg, seed=seed)
-        problem = build_problem(cfg_seed)
+        problem = build(cfg_seed)
         settings = settings_from_config(cfg_seed)
         for alg in ALGORITHMS:
             name = f"history_{alg}_seed{seed}.jsonl"
             write_history(tmp_path / name, dispatch_run(alg, problem, settings, seed))
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "batch" / name).read_bytes()), name
-    if overrides is _ENDS_EARLY:
+    if spent_seed is not None:
         ran = {seed: read_history(tmp_path / f"history_dpfl_bcs_seed{seed}.jsonl")
                for seed in (42, 43)}
         assert ran[43].summary["ended_early"] and len(ran[43].rounds) < cfg.total_rounds
@@ -316,7 +371,7 @@ def test_comparison_seed_batches_equal_runs_of_their_own(tmp_path, overrides):
         assert len(ran[42].rounds) == cfg.total_rounds
 
 
-def test_comparison_batches_seeds_under_the_row_cap(monkeypatch):
+def test_comparison_batches_seeds_under_the_byte_cap(monkeypatch):
     calls, batches = [], []
     real_round, real_seeds = engine.client_round, harness.run_lockstep_seeds
 
@@ -337,13 +392,20 @@ def test_comparison_batches_seeds_under_the_row_cap(monkeypatch):
     assert batches == [[42, 43, 44]]
     assert 0 < len(calls) <= cfg.total_rounds
     # a cap of two seeds' rows closes the batch after two seeds
+    train = build_problem(cfg).train
+    seed_bytes = train.features.nbytes + train.targets.nbytes
     calls.clear(), batches.clear()
-    monkeypatch.setattr(harness, "BATCH_ROWS", 2 * cfg.num_samples)
+    monkeypatch.setattr(harness, "BATCH_BYTES", 2 * seed_bytes)
     run_comparison(cfg, algorithms, num_seeds=3)
     assert batches == [[42, 43], [44]]
+    # the cap counts bytes: rows twice as wide fill it with one seed
+    wide = _config(feature_dim=2 * cfg.feature_dim + 1)
+    batches.clear()
+    run_comparison(wide, algorithms, num_seeds=2)
+    assert batches == [[42], [43]]
     # a cap below one seed's rows runs every seed alone
     calls.clear(), batches.clear()
-    monkeypatch.setattr(harness, "BATCH_ROWS", cfg.num_samples - 1)
+    monkeypatch.setattr(harness, "BATCH_BYTES", seed_bytes - 1)
     run_comparison(cfg, algorithms, num_seeds=3)
     assert batches == [[42], [43], [44]]
     assert cfg.total_rounds < len(calls) <= 3 * cfg.total_rounds
