@@ -35,9 +35,6 @@ class ExperimentConfig:
     lr_decay_horizon: float = 200.0
     lr_mu: float = 0.0
     lr_gamma: float = 0.0
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    aggregate_by_count: bool = False
     zero_noise: bool = False
     force_uniform_plan: bool = False
     winsorize_percentile: float = 95.0
@@ -112,10 +109,6 @@ class ExperimentConfig:
                 fail(f"lr_mu must be positive for theory_decay, got {self.lr_mu}")
             if self.lr_gamma < 0:
                 fail(f"lr_gamma must be nonnegative, got {self.lr_gamma}")
-        if not 0 <= self.momentum < 1:
-            fail(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            fail(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0 < self.winsorize_percentile <= 100:
             fail(f"winsorize_percentile must lie in (0, 100], got {self.winsorize_percentile}")
         if not 0 < self.epsilon_min <= self.epsilon_max:

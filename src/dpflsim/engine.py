@@ -124,9 +124,6 @@ class RunSettings:
     loss_cap: float
     schedule: LearningRateSchedule
     c2: float = 1.0
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    aggregate_by_count: bool = False
     # dp_enabled=False zeroes all noise AND disables budget accounting and
     # participation caps, so the biased algorithm under a uniform plan reduces
     # bit-exactly to FedSGD (diagnostic mode, not a privacy mode).
@@ -152,10 +149,6 @@ class RunSettings:
             raise ParameterError("loss_cap must be nonnegative")
         if not self.c2 > 0:
             raise ParameterError("c2 must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ParameterError("momentum must lie in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ParameterError("weight_decay must be nonnegative")
         if not 0 < self.winsorize_percentile <= 100:
             raise ParameterError("winsorize_percentile must lie in (0, 100]")
 
@@ -367,8 +360,6 @@ class ClientArrays:
         self.exhausted = np.array(budgets.exhausted, dtype=bool)
         self.trained_after_exhaustion = np.zeros(n, dtype=bool)
         self.stage = 0
-        # momentum velocities, (n, d); allocated by the first momentum round
-        self.velocity = None
 
     @classmethod
     def stacked(cls, problems, runs: int) -> tuple:
@@ -378,10 +369,10 @@ class ClientArrays:
 
         Run g = p * runs + a, the a-th run on problem p, has its client n at
         entry g * N + n of `block`, each entry starting as a run of its own
-        starts, and `views[g]` is run g's own instance, whose columns
-        (velocities included) are views of the block's entries
-        g * N .. (g + 1) * N - 1. A round updates the block for every run at
-        once, and each run reads and installs its stages through its view.
+        starts, and `views[g]` is run g's own instance, whose columns are
+        views of the block's entries g * N .. (g + 1) * N - 1. A round updates
+        the block for every run at once, and each run reads and installs its
+        stages through its view.
 
         One problem's block reads that problem's row block as it is. Several
         problems' rows are copied once into one read-only block, problem p's
@@ -398,7 +389,7 @@ class ClientArrays:
         if len(set(shapes)) > 1:
             raise ParameterError(f"stacked problems must share N and the model's kind and "
                                  f"dimensions, got (N, model, feature_dim, dim) {shapes}")
-        n, dim = problems[0].num_clients, problems[0].model.dim
+        n = problems[0].num_clients
         ones = [cls(p.train, p.num_samples, p.budgets) for p in problems]
         # problem p's rows start at row offsets[p] of the block's rows
         offsets = np.cumsum([0] + [p.train.num_samples for p in problems[:-1]]).tolist()
@@ -418,14 +409,12 @@ class ClientArrays:
         for name, columns in parts.items():
             setattr(block, name, columns[0] if total == 1 else np.concatenate(
                 [column for column in columns for _ in range(runs)]))
-        # zeros that no momentum round touches stay unmapped
-        block.velocity = np.zeros((total * n, dim))
         views = []
         for g in range(total):
             p = g // runs
             view = object.__new__(cls)
             view.train, view.stage = problems[p].train, 0
-            for name in cls._COLUMNS + ("velocity",):
+            for name in cls._COLUMNS:
                 setattr(view, name, getattr(block, name)[g * n:(g + 1) * n])
             if offsets[p]:
                 view.row_start = ones[p].row_start
@@ -537,22 +526,16 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     out, and the others must be funded by the stage `clients.install`
     started, which checked their stage columns: the round calibrates their
     noise with the unchecked formulas and checks only `learning_rate`. A
-    responder's base gradient is the mean of its per-sample clipped
-    gradients plus weight_decay * w, and its release is eta_t * base plus
-    noise. The noise comes from one `sample_noise` call per generator, over
-    the noised runs that share it, one block per run, each block's rows in
-    the order of `ids` and drawn from the generator's state on entry: the
-    runs of a generator share the round's stream (common random numbers).
-    During a loss-reporting round the noise vector
-    has d+2 coordinates drawn at the joint (gradient + two losses)
-    sensitivity; the last two distort eta_t * F at the incoming and the
-    locally updated model, then divide by eta_t. Otherwise d coordinates at
-    the gradient-only sensitivity.
-
-    With momentum m the velocity is kept in gradient units over noised
-    gradients, v <- m * v + base + Z / eta_t, and the release is eta_t * v, so
-    momentum only post-processes earlier releases. Budgets, stage counts and
-    velocities in `clients` are updated in place.
+    responder's release is eta_t times the mean of its per-sample clipped
+    gradients, plus noise. The noise comes from one `sample_noise` call per
+    generator, over the noised runs that share it, one block per run, each
+    block's rows in the order of `ids` and drawn from the generator's state
+    on entry: the runs of a generator share the round's stream (common
+    random numbers). During a loss-reporting round the noise vector has d+2
+    coordinates drawn at the joint (gradient + two losses) sensitivity; the
+    last two distort eta_t * F at the incoming and the locally updated model,
+    then divide by eta_t. Otherwise d coordinates at the gradient-only
+    sensitivity. Budgets and stage counts in `clients` are updated in place.
     """
     models = [model] if isinstance(model, ModelState) else list(model)
     num_runs = len(models)
@@ -600,19 +583,8 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     # per-sample gradients are rank one, so they are clipped from their factors
     clipped = clip_outer_rows(factors, with_intercept(features), settings.clip)
     means = np.add.reduceat(clipped, starts, axis=0) / counts[:, None]
-    # each responder's velocity before this round's noise, in gradient units
-    unnoised = means
-    if settings.weight_decay > 0:
-        weights = np.stack([m.weights for m in models])
-        unnoised = unnoised + settings.weight_decay * weights[run]
-    if settings.momentum > 0:
-        if learning_rate <= 0:
-            raise ParameterError("momentum needs a positive learning rate")
-        if clients.velocity is None:
-            clients.velocity = np.zeros((len(clients.num_samples), dim))
-        unnoised = settings.momentum * clients.velocity[ids] + unnoised
     # the locally updated model of the loss report takes the unnoised step
-    steps = learning_rate * unnoised
+    steps = learning_rate * means
 
     mech = settings.mechanism
     eta = _check_scalar("learning_rate", learning_rate, "nonnegative")
@@ -662,12 +634,7 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
             drawn = sample_noise(spec, blocks, gen)
             noise[part if released is None else released[part], :drawn.shape[1]] = drawn
             lo = hi
-    if settings.momentum > 0:
-        velocity = unnoised + noise[:, :dim] / learning_rate
-        clients.velocity[ids] = velocity
-        gradients = learning_rate * velocity
-    else:
-        gradients = steps + noise[:, :dim]
+    gradients = steps + noise[:, :dim]
 
     losses = None
     if any_report:
@@ -705,8 +672,8 @@ def _per_run(flag, num_runs: int) -> np.ndarray:
     return out
 
 
-def aggregate(gradients, k: int, divide_by_count: bool = False) -> np.ndarray:
-    """Sum of noisy gradients over the nominal K (or the responder count).
+def aggregate(gradients, k: int) -> np.ndarray:
+    """Sum of noisy gradients over the nominal K.
 
     `gradients` is a list of vectors or a stacked (responders, d) array.
     """
@@ -714,8 +681,7 @@ def aggregate(gradients, k: int, divide_by_count: bool = False) -> np.ndarray:
         raise ParameterError("cannot aggregate an empty gradient list")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    divisor = len(gradients) if divide_by_count else k
-    return np.sum(gradients, axis=0) / divisor
+    return np.sum(gradients, axis=0) / k
 
 
 def sample_selection(probabilities: np.ndarray, candidates, k: int,
@@ -969,8 +935,7 @@ class _Run:
                 eps = clients.epsilon[release.ids]
                 update = np.sum((eps / eps.sum())[:, None] * release.gradients, axis=0)
             else:
-                update = aggregate(release.gradients, settings.clients_per_round,
-                                   settings.aggregate_by_count)
+                update = aggregate(release.gradients, settings.clients_per_round)
             self.state = self.state.replaced(self.state.weights - update)
         else:
             logger.warning("round %d: no responders, aggregation skipped", t)

@@ -121,9 +121,6 @@ def settings_from_config(config: ExperimentConfig) -> RunSettings:
         loss_cap=config.resolved_loss_cap(),
         schedule=schedule,
         c2=config.c2,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        aggregate_by_count=config.aggregate_by_count,
         dp_enabled=not config.zero_noise,
         force_uniform_plan=config.force_uniform_plan,
         winsorize_percentile=config.winsorize_percentile)

@@ -79,7 +79,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type =
 
 
 def test_float_fields_cover_the_config():
-    assert {"clip_bound", "loss_cap", "weight_decay", "epsilon_max",
+    assert {"clip_bound", "loss_cap", "lr_initial", "epsilon_max",
             "test_fraction"} <= set(FLOAT_FIELDS)
 
 
@@ -90,16 +90,33 @@ def test_config_rejects_non_finite_float(name, value):
         ExperimentConfig(**{name: value}).validate()
 
 
-@pytest.mark.parametrize("override", ["weight_decay=nan", "epsilon_max=inf",
+@pytest.mark.parametrize("override", ["target_noise_std=nan", "epsilon_max=inf",
                                       "clip_bound=inf"])
 def test_run_rejects_non_finite_override(tmp_path, capsys, override):
-    # before the check: nan weight decay trained without decay (exit 0), an
+    # before the check: a nan target noise passed its `< 0` check, an
     # infinite epsilon_max failed inside numpy (exit 2), and an infinite clip
     # bound failed deep in the run with a message that named no config field
     name, _, value = override.partition("=")
     assert main(["run", "--set", override, "--out", str(tmp_path / "o")]) == 1
     assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source, key, value", [("set", "momentum", "0.5"),
+                                                ("set", "weight_decay", "0.01"),
+                                                ("config", "aggregate_by_count", "true")])
+def test_run_refuses_removed_update_rule_keys(tmp_path, capsys, source, key, value):
+    # momentum, weight decay and divide-by-count aggregation change the update
+    # rule that the plan's bound models, so they are not keys: an override or
+    # an old config snapshot naming one fails before any output is written
+    if source == "set":
+        args = ["--set", f"{key}={value}"]
+    else:
+        args = ["--config", _write_config(tmp_path / "exp.cfg", **{key: value})]
+    out = tmp_path / "o"
+    assert main(["run", *args, "--out", str(out)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_seed_override_changes_history(tmp_path):

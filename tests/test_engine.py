@@ -274,11 +274,9 @@ def _batch_problem(mechanism):
 
 @pytest.mark.parametrize("mechanism", [GM, LM])
 @pytest.mark.parametrize("report_losses", [False, True])
-@pytest.mark.parametrize("momentum", [0.0, 0.8])
-def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momentum):
+def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
     data, budgets, state = _batch_problem(mechanism)
-    settings = _settings(mechanism=mechanism, clip_bound=0.8, loss_cap=2.0,
-                         momentum=momentum, weight_decay=0.01 if momentum else 0.0)
+    settings = _settings(mechanism=mechanism, clip_bound=0.8, loss_cap=2.0)
     plan = [3, 2, 4, 1, 5, 2]
     ids = [0, 1, 3, 4, 5]
     dim = state.model_kind.dim
@@ -291,8 +289,6 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
     batch_clients = fresh()
     single_clients = fresh()
     for t, eta in enumerate([0.3, 0.2], start=1):
-        velocity_before = (None if single_clients.velocity is None
-                           else single_clients.velocity.copy())
         batch = client_round(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
                              report_losses)
         # the one-responder rounds draw in turn from one generator keyed like
@@ -328,25 +324,12 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses, momen
             else:
                 scale = plan[n] * sens[i] / budgets.epsilon[n]
                 noise = rng.laplace(0.0, scale, size=width)
-            if momentum:
-                # the release is eta times the velocity, which holds the noise
-                np.testing.assert_allclose(batch.gradients[i],
-                                           eta * single_clients.velocity[n],
-                                           rtol=1e-12, atol=0)
-                previous = 0.0 if velocity_before is None else velocity_before[n]
-                base = (local_gradient(state, data[n], 1.0, settings.clip)
-                        + settings.weight_decay * state.weights)
-                step = eta * (momentum * previous + base)
-            else:
-                step = local_gradient(state, data[n], eta, settings.clip)
+            step = local_gradient(state, data[n], eta, settings.clip)
             np.testing.assert_allclose(batch.gradients[i], step + noise[:dim],
                                        rtol=1e-12, atol=0)
     for name in ("epsilon_remaining", "delta_remaining", "slice_sum", "stage_count",
                  "exhausted"):
         assert np.array_equal(getattr(batch_clients, name), getattr(single_clients, name))
-    if momentum:
-        np.testing.assert_allclose(batch_clients.velocity, single_clients.velocity,
-                                   rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("classification", [False, True])
@@ -410,77 +393,6 @@ def test_runs_never_materialize_per_sample_gradients(monkeypatch):
     local_gradient(ModelState(problem.model.init_weights(), problem.model),
                    _rows(problem.train, problem.num_samples, 0), 0.1, settings.clip)
     assert calls == {"gradients": 1, "clip": 1}
-
-
-def test_momentum_weight_decay_run_matches_per_client_velocity():
-    # Reference loop: every selected client keeps its own velocity of clipped
-    # mean gradients plus weight decay, and releases eta_t times it.
-    problem = _problem(num_clients=4)
-    settings = _settings(momentum=0.9, weight_decay=0.05, dp_enabled=False,
-                         record_weights=True)
-    res = run_baseline("uniform_dp", problem, settings, seed=4)
-    k = settings.clients_per_round
-    probs = np.full(4, 0.25)
-    w = problem.model.init_weights()
-    velocity = {}
-    for t in range(1, settings.total_rounds + 1):
-        selected = sample_selection(probs, range(4), k, _stream(4, 1, t))
-        assert list(res.rounds[t - 1].selected) == selected
-        eta = settings.schedule.rate(t)
-        state = ModelState(w, problem.model)
-        steps = []
-        for n in selected:
-            base = local_gradient(state, _rows(problem.train, problem.num_samples, n),
-                                  1.0, settings.clip)
-            base = base + settings.weight_decay * w
-            velocity[n] = settings.momentum * velocity.get(n, 0.0) + base
-            steps.append(eta * velocity[n])
-        w = w - aggregate(steps, k)
-        np.testing.assert_allclose(res.weight_trajectory[t], w, rtol=1e-12, atol=1e-15)
-
-
-def test_momentum_velocity_is_post_processing_of_releases(monkeypatch):
-    # With DP on, every release is eta_t times the stored velocity, and the
-    # velocity moves only by this round's noised step: release minus
-    # eta_t * m * v_prev minus eta_t * base is the round's noise, replayed
-    # responder by responder from the (seed, 2, t) stream.
-    problem = _problem(num_clients=4)
-    settings = _settings(momentum=0.9, weight_decay=0.05, total_rounds=8)
-    seed = 6
-    real_round = engine.client_round
-    checked = []
-
-    def client_round_checked(clients, ids, models, eta, rng, round_settings, report_losses,
-                             noise_enabled=True):
-        # a run of its own passes its one model, as its run's entry
-        model, = models
-        t = len(checked) + 1
-        previous = (np.zeros((len(clients.num_samples), model.model_kind.dim))
-                    if clients.velocity is None else clients.velocity.copy())
-        release = real_round(clients, ids, models, eta, rng, round_settings, report_losses,
-                             noise_enabled)
-        ids = release.ids
-        np.testing.assert_allclose(release.gradients, eta * clients.velocity[ids],
-                                   rtol=1e-12, atol=0)
-        sens = gradient_sensitivity(GM, eta, settings.clip_bound, clients.num_samples[ids])
-        scale = gaussian_sigma(sens, clients.stage_epsilon[ids], clients.stage_delta[ids],
-                               clients.planned[ids], settings.c2)
-        noise_rng = _stream(seed, 2, t)
-        for i, n in enumerate(ids):
-            base = (local_gradient(model, _rows(clients.train, clients.num_samples, n),
-                                   1.0, settings.clip)
-                    + settings.weight_decay * model.weights)
-            noise = noise_rng.normal(0.0, scale[i], size=model.model_kind.dim)
-            np.testing.assert_allclose(
-                release.gradients[i] - eta * settings.momentum * previous[n] - eta * base,
-                noise, rtol=1e-9, atol=1e-12)
-        checked.append(len(ids))
-        return release
-
-    monkeypatch.setattr(engine, "client_round", client_round_checked)
-    res = run_baseline("uniform_dp", problem, settings, seed=seed)
-    assert len(checked) == len(res.rounds) == settings.total_rounds
-    assert sum(checked) > settings.total_rounds  # some clients release twice or more
 
 
 def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
@@ -632,8 +544,6 @@ def test_aggregate_examples():
     # nominal-K divisor shrinks the update when responders are missing
     short = aggregate([np.array([3.0, 3.0])], 2)
     assert np.array_equal(short, np.array([1.5, 1.5]))
-    by_count = aggregate([np.array([3.0, 3.0])], 2, divide_by_count=True)
-    assert np.array_equal(by_count, np.array([3.0, 3.0]))
     with pytest.raises(ParameterError):
         aggregate([], 2)
 
@@ -641,8 +551,6 @@ def test_aggregate_examples():
 def test_aggregate_stacked_array_matches_list():
     grads = np.random.default_rng(3).normal(size=(5, 4))
     assert np.array_equal(aggregate(grads, 7), aggregate(list(grads), 7))
-    assert np.array_equal(aggregate(grads, 7, divide_by_count=True),
-                          aggregate(list(grads), 7, divide_by_count=True))
     with pytest.raises(ParameterError):
         aggregate(np.zeros((0, 4)), 2)
 
@@ -827,15 +735,14 @@ def _assert_same_run(got, alone):
     assert got.rounds == alone.rounds
     assert got.ended_early == alone.ended_early
     assert got.final_state.weights.tobytes() == alone.final_state.weights.tobytes()
-    for name in ClientArrays._COLUMNS + ("velocity",):
+    for name in ClientArrays._COLUMNS:
         assert (getattr(got.clients, name).tobytes()
                 == getattr(alone.clients, name).tobytes()), name
     assert got.ledger == alone.ledger
 
 
 @pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
-@pytest.mark.parametrize("momentum", [0.0, 0.5])
-def test_lockstep_runs_equal_runs_of_their_own(mechanism, momentum):
+def test_lockstep_runs_equal_runs_of_their_own(mechanism):
     # a round's batch mixes unnoised fedsgd rows with DP rows, and dpfl_bcs's
     # loss-reporting rows (noise width d + 2) with gradient-only ones (d);
     # each run still comes out bit for bit as the algorithm run alone
@@ -843,8 +750,7 @@ def test_lockstep_runs_equal_runs_of_their_own(mechanism, momentum):
     problem.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0, 1.5],
                                1e-4 if mechanism is GM else 0.0)
     settings = _settings(mechanism=mechanism, clients_per_round=3, total_rounds=12,
-                         estimation_rounds=4, momentum=momentum,
-                         weight_decay=0.01 if momentum else 0.0, record_weights=True)
+                         estimation_rounds=4, record_weights=True)
     together = engine.run_lockstep(problem, settings, 3, engine.ALGORITHMS)
     assert [r.algorithm for r in together] == list(engine.ALGORITHMS)
     for got in together:
@@ -887,7 +793,6 @@ def test_stacked_client_arrays_are_views_of_one_block():
         for name in ClientArrays._COLUMNS:
             assert np.array_equal(getattr(view, name), getattr(one, name)), name
             assert np.shares_memory(getattr(view, name), getattr(block, name)), name
-        assert view.velocity.shape == (3, problem.model.dim)
     # a stage installed through a view lands in the block's rows of its run
     views[1].install([2, 0, 1], _settings())
     assert block.planned.tolist() == [0, 0, 0, 2, 0, 1]
@@ -926,8 +831,7 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
 
 
 @pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
-@pytest.mark.parametrize("momentum", [0.0, 0.5])
-def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism, momentum):
+def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism):
     # three seeds' problems in one batch; on the middle one every client
     # arrives spent, so its DP runs end in round 1 while the other seeds'
     # runs, and its own fedsgd, go on; on the last one two clients arrive
@@ -938,8 +842,7 @@ def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism, momentum):
     for p, spent in zip(problems, [(), range(5), (1, 3)]):
         p.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0], delta, spent=spent)
     settings = _settings(mechanism=mechanism, clients_per_round=2, total_rounds=10,
-                         estimation_rounds=3, momentum=momentum,
-                         weight_decay=0.01 if momentum else 0.0, record_weights=True)
+                         estimation_rounds=3, record_weights=True)
     seeds = [7, 8, 9]
     records = []
     together = engine.run_lockstep_seeds(problems, seeds, settings, engine.ALGORITHMS,
@@ -1154,7 +1057,7 @@ def test_run_validation_errors():
         _settings(total_rounds=3, estimation_rounds=3)
 
 
-@pytest.mark.parametrize("name", ["clip_bound", "loss_cap", "c2", "weight_decay"])
+@pytest.mark.parametrize("name", ["clip_bound", "loss_cap", "c2", "winsorize_percentile"])
 def test_settings_reject_nan(name):
     # a NaN fails every comparison, so `x < 0` would let it through
     with pytest.raises(ParameterError, match=name):

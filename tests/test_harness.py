@@ -341,7 +341,6 @@ def _spending_seed(spent_seed):
                  id=f"{mechanism}-{dataset}")
     for mechanism, extra in (("gaussian", {}), ("laplace", _NO_DELTA))
     for dataset in ("synthetic_regression", "synthetic_classification")] + [
-    pytest.param(dict(momentum=0.5, weight_decay=0.01), id="momentum-weight-decay"),
     pytest.param(_ENDS_EARLY, id="dpfl-bcs-ends-early-on-one-seed"),
 ])
 def test_comparison_seed_batches_equal_runs_of_their_own(monkeypatch, tmp_path, overrides):

@@ -133,17 +133,19 @@ def _random_configs():
                 num_clients = int(rng.integers(2, 12))
                 total_rounds = int(rng.integers(4, 16))
                 delta = {} if mechanism == "gaussian" else dict(delta_min=0.0, delta_max=0.0)
+                clients_per_round = int(rng.integers(1, num_clients + 1))
+                estimation_rounds = int(rng.integers(2, total_rounds))
+                dataset = str(rng.choice(["synthetic_regression", "synthetic_classification"]))
+                feature_dim = int(rng.integers(1, 4))
+                # the draw of a field since removed, kept so that every later
+                # draw, and so every case, stays as it was
+                rng.choice([0.0, 0.5])
                 configs.append(ExperimentConfig(
                     algorithm=algorithm, mechanism=mechanism, zero_noise=zero_noise,
-                    num_clients=num_clients,
-                    clients_per_round=int(rng.integers(1, num_clients + 1)),
-                    total_rounds=total_rounds,
-                    estimation_rounds=int(rng.integers(2, total_rounds)),
-                    dataset=str(rng.choice(["synthetic_regression",
-                                            "synthetic_classification"])),
-                    num_classes=3, feature_dim=int(rng.integers(1, 4)),
+                    num_clients=num_clients, clients_per_round=clients_per_round,
+                    total_rounds=total_rounds, estimation_rounds=estimation_rounds,
+                    dataset=dataset, num_classes=3, feature_dim=feature_dim,
                     num_samples=20 * num_clients, test_samples=30,
-                    momentum=float(rng.choice([0.0, 0.5])),
                     force_uniform_plan=bool(rng.random() < 0.2),
                     epsilon_min=0.2, epsilon_max=float(rng.uniform(0.2, 8.0)),
                     seed=int(rng.integers(0, 10_000)), **delta))

@@ -27,9 +27,6 @@ def small_configs(draw):
         estimation_rounds=draw(st.integers(2, total_rounds - 1)),
         epsilon_min=eps_min,
         epsilon_max=eps_min * draw(st.floats(1.0, 20.0)),
-        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
-        weight_decay=draw(st.sampled_from([0.0, 0.01])),
-        aggregate_by_count=draw(st.booleans()),
         dataset=draw(st.sampled_from(["synthetic_regression",
                                       "synthetic_classification"])),
         num_classes=3,

@@ -9,17 +9,17 @@ temporary directory that is removed on exit:
   from that file) at config seeds 0 and 3, with ``paired-ref``'s replayed
   ``estimated_params`` and summary CSV;
 - a 32-history matrix: the four algorithms x {gaussian, laplace} x
-  {synthetic_regression, synthetic_classification} x seeds {0, 1}, momentum
-  0.5 on seed 1, N=30, K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays;
+  {synthetic_regression, synthetic_classification} x seeds {0, 1}, N=30,
+  K=6, T=40, T0=5, with the eight ``dpfl_bcs`` replays;
 - a comparison matrix: ``run_comparison`` of the four algorithms x
-  {gaussian, laplace} x {synthetic_regression, synthetic_classification} at
-  the matrix's sizes, seed 0 plain and seed 1 with momentum 0.5 and weight
-  decay 0.01, with each comparison's summary CSV and ``dpfl_bcs`` replay;
+  {gaussian, laplace} x {synthetic_regression, synthetic_classification} x
+  seeds {0, 1} at the matrix's sizes, with each comparison's summary CSV and
+  ``dpfl_bcs`` replay;
 - a seed-batch matrix: ``run_comparison`` of the four algorithms over three
   seeds (0, 1, 2) per {gaussian, laplace} x {synthetic_regression,
-  synthetic_classification} cell at the matrix's sizes, with momentum 0.5 and
-  weight decay 0.01, so each cell's seeds run in one lock-step batch, with
-  each comparison's summary CSV and ``dpfl_bcs`` replays;
+  synthetic_classification} cell at the matrix's sizes, so each cell's seeds
+  run in one lock-step batch, with each comparison's summary CSV and
+  ``dpfl_bcs`` replays;
 - the ``plan.csv`` that ``dpflsim plan`` writes for three fixed seeded
   rosters of 500 clients with shuffled ids: a Gaussian and a Laplace
   budget-only plan, and a Gaussian ``--gamma-file`` plan (the rosters and the
@@ -94,9 +94,8 @@ def write_matrix(root: Path) -> None:
     for algorithm in dpflsim.ALGORITHMS:
         for mechanism, dataset, cell in _cells():
             for seed in (0, 1):
-                cfg = dpflsim.ExperimentConfig(
-                    algorithm=algorithm, seed=seed, momentum=0.5 if seed else 0.0,
-                    **MATRIX, **cell)
+                cfg = dpflsim.ExperimentConfig(algorithm=algorithm, seed=seed, **MATRIX,
+                                               **cell)
                 _single(cfg, out, f"{algorithm}_{mechanism}_{dataset}_seed{seed}.jsonl")
     _write_replays(out)
 
@@ -105,9 +104,9 @@ def write_comparisons(root: Path) -> None:
     # every algorithm of a seed in one comparison: unnoised fedsgd next to the
     # DP runs, dpfl_bcs's loss-reporting rounds next to gradient-only ones
     for mechanism, dataset, cell in _cells():
-        for seed, extra in ((0, {}), (1, {"momentum": 0.5, "weight_decay": 0.01})):
+        for seed in (0, 1):
             out = root / "comparisons" / f"{mechanism}_{dataset}_seed{seed}"
-            cfg = dpflsim.ExperimentConfig(seed=seed, **MATRIX, **cell, **extra)
+            cfg = dpflsim.ExperimentConfig(seed=seed, **MATRIX, **cell)
             dpflsim.run_comparison(cfg, dpflsim.ALGORITHMS, 1, out_dir=str(out))
             _write_replays(out)
 
@@ -117,8 +116,7 @@ def write_seed_batches(root: Path) -> None:
     # from that seed's streams next to the other seeds' runs
     for mechanism, dataset, cell in _cells():
         out = root / "seed_batches" / f"{mechanism}_{dataset}"
-        cfg = dpflsim.ExperimentConfig(seed=0, momentum=0.5, weight_decay=0.01, **MATRIX,
-                                       **cell)
+        cfg = dpflsim.ExperimentConfig(seed=0, **MATRIX, **cell)
         dpflsim.run_comparison(cfg, dpflsim.ALGORITHMS, 3, out_dir=str(out))
         _write_replays(out)
 
