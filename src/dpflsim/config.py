@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .mechanisms import EXHAUSTION_ABS_TOL, EXHAUSTION_REL_TOL
 
 ALGORITHM_CHOICES = ("dpfl_bcs", "fedsgd", "uniform_dp", "weiavg")
 MECHANISM_CHOICES = ("gaussian", "laplace")
@@ -114,6 +115,15 @@ class ExperimentConfig:
         if not 0 < self.epsilon_min <= self.epsilon_max:
             fail(f"need 0 < epsilon_min <= epsilon_max, got "
                  f"epsilon_min={self.epsilon_min}, epsilon_max={self.epsilon_max}")
+        # a plan gives a client at most K * T participations, so its smallest
+        # slice is epsilon_min / (K * T); at or under the exhaustion floor, a
+        # client runs out of budget before its plan does
+        smallest = self.epsilon_min / (self.clients_per_round * self.total_rounds)
+        floor = EXHAUSTION_REL_TOL * self.epsilon_min + EXHAUSTION_ABS_TOL
+        if smallest <= floor:
+            fail(f"epsilon_min={self.epsilon_min} is too small: its smallest slice "
+                 f"epsilon_min / (clients_per_round * total_rounds) = {smallest:.3g} "
+                 f"is at or under the budget exhaustion floor {floor:.3g}")
         if not 0 <= self.delta_min <= self.delta_max < 1:
             fail(f"need 0 <= delta_min <= delta_max < 1, got "
                  f"delta_min={self.delta_min}, delta_max={self.delta_max}")

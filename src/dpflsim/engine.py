@@ -11,8 +11,11 @@ arrays of `ClientArrays`.
 `run_lockstep_seeds` runs several algorithms on each of several seeds'
 problems together, one round at a time: one `client_round` call per round
 does the client work of every run's responders, over one `ClientArrays` that
-stacks the runs. `run_lockstep` is the case of one seed, and a single run the
-case of one seed and one algorithm, so the engine has one loop.
+stacks the runs, and one call each to `sample_selection`, `aggregate` and the
+model's `metrics` selects, aggregates and evaluates for every run. A single
+call is the case of one run of these same bodies. `run_lockstep` is the case
+of one seed, and a single run the case of one seed and one algorithm, so the
+engine has one loop.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -205,7 +208,8 @@ class FederatedProblem:
         return len(self.num_samples)
 
 
-@dataclass(frozen=True)
+# slotted: a run keeps one per round, so a lock-step batch holds thousands
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     t: int
     stage: int
@@ -488,10 +492,10 @@ class ClientArrays:
             return False
         return True
 
-    def eligible(self, dp: bool) -> np.ndarray:
-        if not dp:
-            return np.arange(len(self.num_samples))
-        return np.flatnonzero(~self.exhausted & (self.stage_count < self.planned))
+    def candidates(self) -> np.ndarray:
+        """Mask of the entries a DP run may select: not exhausted and still
+        under the stage's plan."""
+        return ~self.exhausted & (self.stage_count < self.planned)
 
 
 @dataclass(frozen=True)
@@ -527,15 +531,15 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     started, which checked their stage columns: the round calibrates their
     noise with the unchecked formulas and checks only `learning_rate`. A
     responder's release is eta_t times the mean of its per-sample clipped
-    gradients, plus noise. The noise comes from one `sample_noise` call per
-    generator, over the noised runs that share it, one block per run, each
-    block's rows in the order of `ids` and drawn from the generator's state
-    on entry: the runs of a generator share the round's stream (common
-    random numbers). During a loss-reporting round the noise vector has d+2
-    coordinates drawn at the joint (gradient + two losses) sensitivity; the
-    last two distort eta_t * F at the incoming and the locally updated model,
-    then divide by eta_t. Otherwise d coordinates at the gradient-only
-    sensitivity. Budgets and stage counts in `clients` are updated in place.
+    gradients, plus noise. The noise comes from one `sample_noise` call, one
+    block per noised run, each block's rows in the order of `ids` and drawn
+    from its run's generator's state on entry: the runs of a generator share
+    the round's stream (common random numbers). During a loss-reporting
+    round the noise vector has d+2 coordinates drawn at the joint (gradient
+    + two losses) sensitivity; the last two distort eta_t * F at the incoming
+    and the locally updated model, then divide by eta_t. Otherwise d
+    coordinates at the gradient-only sensitivity. Budgets and stage counts
+    in `clients` are updated in place.
     """
     models = [model] if isinstance(model, ModelState) else list(model)
     num_runs = len(models)
@@ -607,33 +611,22 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
                                     planned, float(settings.c2))
         else:
             scale = _laplace_scale(sens, clients.stage_epsilon[own], planned)
-        # the noised runs by generator, consecutive runs sharing one: one
-        # block per run, each drawn from its generator's stream at its start,
-        # as a run of its own draws
+        # one block per noised run, in run order, each drawn from its
+        # generator's stream at its start, as a run of its own draws
         generators = [rng] * num_runs if isinstance(rng, np.random.Generator) else rng
         if len(generators) != num_runs:
             raise ParameterError(f"{len(generators)} noise generators for {num_runs} runs")
-        groups = []
-        for r in noised_runs:
-            block = (bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
-            if groups and groups[-1][0] is generators[r]:
-                groups[-1][1].append(block)
-            else:
-                groups.append((generators[r], [block]))
-        if len(groups) > 1 and len({id(gen) for gen, _ in groups}) < len(groups):
+        generators = [generators[r] for r in noised_runs]
+        # the first run of each stretch of runs that share a generator
+        firsts = [gen for i, gen in enumerate(generators)
+                  if not i or gen is not generators[i - 1]]
+        if len(set(map(id, firsts))) < len(firsts):
             raise ParameterError("runs that share a noise generator must be consecutive")
-        # a group's charged rows lo:hi are the same rows of the release in a
-        # round with no unnoised run
-        released = None if isinstance(charged, slice) else np.flatnonzero(charged)
-        lo = 0
-        for gen, blocks in groups:
-            hi = lo + sum(size for size, _ in blocks)
-            part = slice(lo, hi)
-            spec, = _unchecked(NoiseSpec, [(mech, sens[part], scale[part], slice_eps[part],
-                                            slice_delta[part], planned[part])])
-            drawn = sample_noise(spec, blocks, gen)
-            noise[part if released is None else released[part], :drawn.shape[1]] = drawn
-            lo = hi
+        blocks = [(bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
+                  for r in noised_runs]
+        spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
+        drawn = sample_noise(spec, blocks, generators)
+        noise[charged, :drawn.shape[1]] = drawn
     gradients = steps + noise[:, :dim]
 
     losses = None
@@ -672,20 +665,49 @@ def _per_run(flag, num_runs: int) -> np.ndarray:
     return out
 
 
-def aggregate(gradients, k: int) -> np.ndarray:
+def aggregate(gradients, k, starts=None) -> np.ndarray:
     """Sum of noisy gradients over the nominal K.
 
-    `gradients` is a list of vectors or a stacked (responders, d) array.
+    `gradients` is a list of vectors or a stacked (responders, d) array. With
+    `starts`, the rows are several runs' responders, run r's from starts[r]
+    up to the next start, and the result has one row per run: its rows' sum
+    over `k`, or over k[r] when `k` has one entry per run. Without, every
+    row is one run's: the case of one run.
+
+    The runs' rows are laid out as one (runs, most rows, d) block padded
+    with -0.0, which adds exactly nothing, and summed over its middle axis
+    at once. For d >= 2 numpy adds that axis's rows in order, as it adds a
+    run's own (rows, d) block over its first axis, so each run's sum has
+    the bits of a call of its own. (`np.add.reduceat` does not: it adds a
+    run's first row to the sum of the others.)
     """
     if len(gradients) == 0:
         raise ParameterError("cannot aggregate an empty gradient list")
-    if k < 1:
+    gradients = np.asarray(gradients)
+    divisors = np.asarray(k)
+    if not (divisors >= 1).all():
         raise ParameterError("k must be >= 1")
-    return np.sum(gradients, axis=0) / k
+    # few runs, so their bounds are Python ints
+    bounds = [0] if starts is None else [int(start) for start in starts]
+    bounds.append(len(gradients))
+    counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    if not counts or bounds[0] != 0 or min(counts) < 1:
+        raise ParameterError(f"starts {bounds[:-1]} must rise from 0 through the "
+                             f"{len(gradients)} rows, one nonempty run each")
+    shape = (len(counts), max(counts)) + gradients.shape[1:]
+    if min(counts) == shape[1]:
+        block = gradients.reshape(shape)
+    else:
+        block = np.full(shape, -0.0)
+        block[np.arange(len(counts)).repeat(counts),
+              np.arange(len(gradients)) - np.repeat(bounds[:-1], counts)] = gradients
+    sums = block.sum(axis=1)
+    if starts is None:
+        return sums[0] / divisors
+    return sums / (divisors[:, None] if divisors.ndim else divisors)
 
 
-def sample_selection(probabilities: np.ndarray, candidates, k: int,
-                     rng: np.random.Generator) -> list:
+def sample_selection(probabilities: np.ndarray, candidates, k: int, rng):
     """Weighted sampling without replacement from the candidate set.
 
     Efraimidis-Spirakis: one uniform u_n per client id, key log(u_n) / w_n for
@@ -697,29 +719,71 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int,
     candidate set has at most k members, or at most k positive weights, those
     are returned without drawing; an empty set yields an empty round.
     Returned ids are sorted.
+
+    Stacked form: `probabilities` is a (G, N) matrix, one row per run,
+    `candidates` a (G, N) boolean mask of each row's candidates, and `rng`
+    one generator for every row or a list of one per row (None for a row
+    without candidates). Each row is sampled as a call of its own would
+    sample it from its generator's state on entry: the rows that share a
+    generator share its N uniforms, drawn once, and a generator that no row
+    draws from is left as it is. The result is the array of the flat ids
+    g * N + n of every row's selection, sorted. A 1-d `probabilities` with
+    a sequence of candidate ids is the case G = 1, and returns its ids as a
+    sorted list.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
     probabilities = np.asarray(probabilities, dtype=float)
-    # array methods in place of their module functions, which add a layer of
-    # Python calls to a few microseconds of work
-    ids = np.array(candidates, dtype=int)
-    ids.sort()
-    if len(ids) <= k:
-        return ids.tolist()
-    weights = probabilities[ids]
-    # a NaN minimum fails the test too
-    if not weights.min() >= 0:
-        raise ParameterError("selection probabilities must be nonnegative")
-    positive = weights > 0
-    ids = ids[positive]
-    if len(ids) <= k:
-        return ids.tolist()
-    u = rng.random(len(probabilities))
-    keys = np.log(u[ids]) / weights[positive]
-    chosen = ids[keys.argpartition(len(ids) - k)[len(ids) - k:]]
-    chosen.sort()
-    return chosen.tolist()
+    one = probabilities.ndim == 1
+    if one:
+        ids = np.asarray(candidates, dtype=int)
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(probabilities):
+            raise ParameterError(f"candidate ids must lie in [0, {len(probabilities)})")
+        mask = np.zeros((1, len(probabilities)), dtype=bool)
+        mask[0, ids] = True
+        probabilities = probabilities[None]
+    else:
+        mask = np.asarray(candidates, dtype=bool)
+        if mask.shape != probabilities.shape:
+            raise ParameterError(f"candidate mask of shape {mask.shape} for "
+                                 f"probabilities of shape {probabilities.shape}")
+    num_rows, num_clients = probabilities.shape
+    generators = rng if isinstance(rng, list) else [rng] * num_rows
+    if len(generators) != num_rows:
+        raise ParameterError(f"{len(generators)} generators for {num_rows} rows")
+    # a row within the first shortcut selects every candidate; past it, its
+    # positive-weight candidates, or draws among them when it has more than
+    # k. Its candidates' weights must then be nonnegative (a NaN fails too).
+    past = mask.sum(axis=1) > k
+    chosen, drawing = mask, []
+    if past.any():
+        if (not probabilities.min(initial=0.0) >= 0
+                and (mask[past] & ~(probabilities[past] >= 0)).any()):
+            raise ParameterError("selection probabilities must be nonnegative")
+        chosen = mask & (probabilities > 0)
+        if not past.all():
+            chosen[~past] = mask[~past]
+        drawing = np.flatnonzero(chosen.sum(axis=1) > k)
+    if len(drawing):
+        # each drawing row's generator, numbered in order of first use
+        slots = {}
+        which = [slots.setdefault(generators[g], len(slots)) for g in drawing.tolist()]
+        u = np.array([gen.random(num_clients) for gen in slots])
+        if len(slots) < len(which):
+            u = u[which]
+        # the negated keys -log(u_n) / w_n of a row's positive candidates and
+        # +inf elsewhere: the k smallest are the k largest keys. A candidate's
+        # infinite key (u_n = 0, or w_n under about 1e-307) is capped at the
+        # largest float, so it still sorts before every non-candidate.
+        rows = slice(None) if len(drawing) == num_rows else drawing
+        drawn = chosen[rows]
+        keys = np.where(drawn, np.minimum(-np.log(u) / np.where(drawn, probabilities[rows], 1.0),
+                                          np.finfo(float).max), np.inf)
+        top = keys.argpartition(k - 1, axis=1)[:, :k]
+        chosen[rows] = False
+        chosen[drawing[:, None], top] = True
+    flat = np.flatnonzero(chosen)
+    return flat.tolist() if one else flat
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
@@ -762,19 +826,22 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
 
     For each seed, round t derives its selection generator from
     SeedSequence([seed, 1, t]) and its noise generator from [seed, 2, t],
-    once, and every run of that seed draws from each at its start: a seed's
-    runs share every client's selection uniform and the unit noise of every
-    responder row (common random numbers), and each run's outputs are those
-    of a run of its own. The problems must share N and the model's
-    dimensions. All the runs' client state is one `ClientArrays.stacked`
-    block, which holds every seed's problem at once, and one `client_round`
-    call per round does the client work of every seed's responders, with
-    each seed's noise generator for its runs; the rest of a round
-    (selection, aggregation, metrics, the replan) and the ledger check are
-    each run's own. An exception of any run ends the whole call; one raised
-    in a run's own step (its set-up, selection, round finish or ledger
-    check) carries `failed_run = (seed, algorithm)` naming that run, and one
-    raised in the shared `client_round` carries none.
+    once: a seed's runs share every client's selection uniform, drawn once,
+    and the unit noise of every responder row (common random numbers), and
+    each run's outputs are those of a run of its own. The problems must
+    share N, the model's dimensions and the shape of their test blocks.
+
+    The runs' client state is one `ClientArrays.stacked` block, which holds
+    every seed's problem at once. Their selection probabilities and weights
+    are the rows of two (runs, ...) matrices, and the seeds' test blocks are
+    copied once into one (seeds, rows, feature_dim) block. A round makes one
+    call for every run to each of `sample_selection`, `client_round`,
+    `aggregate` and the model's `metrics`, then each run records the round
+    and, at T0, replans on its own. An exception of any run ends the whole
+    call. One raised in a run's own step (its set-up, round record, replan
+    or ledger check), and the non-finite weights of a run's update, carry
+    `failed_run = (seed, algorithm)` naming that run; one raised in a shared
+    call carries none.
     `on_round(record)`, if given, is called with each run's `RoundRecord` as
     the run finishes the round, seeds in order and each seed's runs in the
     order of `algorithms`.
@@ -796,58 +863,85 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     if any(seed < 0 for seed in seeds):
         raise ParameterError("seed must be nonnegative")
     block, views = ClientArrays.stacked(problems, len(algorithms))
+    test_features, test_targets = _stacked_tests(problems)
     num_clients = problems[0].num_clients
     k = settings.clients_per_round
     if k > num_clients:
         raise ParameterError(f"clients_per_round {k} exceeds num_clients {num_clients}")
-    # run g = p * A + a is algorithm a on seed p's problem
-    width = len(algorithms)
+    model = problems[0].model
+    # run g = p * A + a is algorithm a on seed p's problem; its selection
+    # probabilities and weights are row g of these
+    num_seeds, width = len(seeds), len(algorithms)
+    probabilities = np.empty((len(views), num_clients))
+    weights = np.empty((len(views), model.dim))
     runs = []
     for g, view in enumerate(views):
         seed, algorithm = seeds[g // width], algorithms[g % width]
         try:
-            runs.append(_Run(problems[g // width], settings, algorithm, seed, view))
+            runs.append(_Run(problems[g // width], settings, algorithm, seed, view,
+                             probabilities[g], weights[g]))
         except Exception as exc:
             exc.failed_run = (seed, algorithm)
             raise
+    states = [run.state for run in runs]
+    seed_of = [g // width for g in range(len(runs))]
+    dp = np.array([run.dp for run in runs])
+    two_stage = np.array([run.two_stage for run in runs])
+    weiavg = np.array([run.algorithm == "weiavg" for run in runs])
+    # every entry is a candidate of a non-DP run
+    free = [g for g, run in enumerate(runs) if not run.dp]
+    # the nominal K divides an update, except weiavg's budget-weighted sum
+    divisors = np.where(weiavg, 1, k)
+    # run g's client n is entry g * N + n of the block
+    offsets = np.arange(len(runs) + 1) * num_clients
 
     for t in range(1, settings.total_rounds + 1):
-        batch, generators = [], [None] * len(runs)
-        for p, seed in enumerate(seeds):
-            live = [(g, run) for g, run in enumerate(runs[p * width:(p + 1) * width],
-                                                      start=p * width) if not run.ended]
-            if not live:
-                continue
-            rng = _stream(seed, 1, t)
-            start = rng.bit_generator.state if len(live) > 1 else None
-            selecting = len(batch)
-            for i, (g, run) in enumerate(live):
-                if i:
-                    rng.bit_generator.state = start
-                try:
-                    selected = run.select(t, rng)
-                except Exception as exc:
-                    run.blame(exc)
-                    raise
-                if selected:
-                    batch.append((g, run, selected))
-            if len(batch) > selecting:
-                generators[p * width:(p + 1) * width] = [_stream(seed, 2, t)] * width
-        if not batch:
+        candidates = block.candidates().reshape(len(runs), num_clients)
+        candidates[free] = True
+        candidates[[g for g, run in enumerate(runs) if run.ended]] = False
+        selecting = candidates.any(axis=1).tolist()
+        for run, on in zip(runs, selecting):
+            if not (run.ended or on):
+                run._end_early("round %d: candidate set empty, ending run early", t)
+        streams = [_stream(seed, 1, t) if any(selecting[p * width:(p + 1) * width]) else None
+                   for p, seed in enumerate(seeds)]
+        ids = sample_selection(probabilities, candidates, k, [streams[p] for p in seed_of])
+        # run g's selected entries are bounds[g]:bounds[g + 1] of ids
+        bounds = ids.searchsorted(offsets).tolist()
+        for g, on in enumerate(selecting):
+            if on and bounds[g] == bounds[g + 1]:
+                runs[g]._end_early("round %d: no selectable client, ending run early", t)
+        if len(ids) == 0:
             break
-        # run g's client n is entry g * N + n of the block
-        ids = np.concatenate([g * num_clients + np.asarray(selected)
-                              for g, _, selected in batch])
-        release = client_round(block, ids, [run.state for run in runs],
-                               settings.schedule.rate(t), generators, settings,
-                               [run.reports(t) for run in runs], [run.dp for run in runs])
-        bounds = np.searchsorted(release.ids, np.arange(len(runs) + 1) * num_clients).tolist()
-        for g, run, _ in batch:
-            lo, hi = bounds[g], bounds[g + 1]
+        batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
+        streams = [_stream(seed, 2, t) if bounds[p * width] < bounds[(p + 1) * width] else None
+                   for p, seed in enumerate(seeds)]
+        release = client_round(block, ids, states, settings.schedule.rate(t),
+                               [streams[p] for p in seed_of], settings,
+                               two_stage & (t <= settings.estimation_rounds), dp)
+        # run g's responders are rows bounds[g]:bounds[g + 1] of the release
+        bounds = release.ids.searchsorted(offsets).tolist()
+        present = [g for g in batch if bounds[g] < bounds[g + 1]]
+        if present:
+            rows = slice(None) if len(present) == len(runs) else present
+            weights[rows] -= aggregate(
+                _weighted(release, block.epsilon, num_clients, weiavg, present, bounds),
+                divisors[rows], [bounds[g] for g in present])
+            if not np.isfinite(weights[rows]).all():
+                exc = ParameterError("weights must be finite")
+                runs[next(g for g in present if not np.isfinite(weights[g]).all())].blame(exc)
+                raise exc
+        losses, accuracies = model.metrics(weights.reshape(num_seeds, width, model.dim),
+                                           test_features, test_targets)
+        losses = losses.ravel().tolist()
+        accuracies = [None] * len(runs) if accuracies is None else accuracies.ravel().tolist()
+        for g in batch:
+            run, lo, hi = runs[g], bounds[g], bounds[g + 1]
             try:
-                run.finish(t, RoundRelease(
-                    release.ids[lo:hi] - g * num_clients, release.gradients[lo:hi],
-                    None if release.losses is None else release.losses[lo:hi]), on_round)
+                record = run.record(t, release.ids[lo:hi] - g * num_clients,
+                                    None if release.losses is None else release.losses[lo:hi],
+                                    losses[g], accuracies[g])
+                run.finish(t, record, on_round)
             except Exception as exc:
                 run.blame(exc)
                 raise
@@ -858,15 +952,50 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         except Exception as exc:
             run.blame(exc)
             raise
-    return [results[p * width:(p + 1) * width] for p in range(len(seeds))]
+    return [results[p * width:(p + 1) * width] for p in range(num_seeds)]
+
+
+def _stacked_tests(problems) -> tuple:
+    """The problems' test blocks as one (problems, rows, feature_dim) block of
+    features and one (problems, rows) block of targets: views of one
+    problem's, and a copy of several problems', which must share a shape."""
+    tests = [p.test_data for p in problems]
+    shapes = [test.features.shape for test in tests]
+    if len(set(shapes)) > 1:
+        raise ParameterError(f"the seeds' test blocks must share a shape, got {shapes}")
+    if len(tests) == 1:
+        return tests[0].features[None], tests[0].targets[None]
+    return (np.stack([test.features for test in tests]),
+            np.stack([test.targets for test in tests]))
+
+
+def _weighted(release: RoundRelease, epsilon: np.ndarray, num_clients: int,
+              weiavg: np.ndarray, present: list, bounds: list) -> np.ndarray:
+    """The release's gradients, with the rows of each weiavg run weighted by
+    its responders' budgets (`epsilon`, by block entry) over their sum. The
+    release's runs are `present`, run g's rows bounds[g]:bounds[g + 1]. numpy
+    adds one run's budgets pairwise, and no sum over several runs' rows
+    matches that, so each run sums its own."""
+    runs = [g for g in present if weiavg[g]]
+    if not runs:
+        return release.gradients
+    eps = epsilon[release.ids]
+    totals = np.ones(len(weiavg))
+    for g in runs:
+        totals[g] = eps[bounds[g]:bounds[g + 1]].sum()
+    rows = release.ids // num_clients
+    return np.where(weiavg[rows][:, None], (eps / totals[rows])[:, None] * release.gradients,
+                    release.gradients)
 
 
 class _Run:
-    """One algorithm's run inside `run_lockstep_seeds`: its plans, model,
-    records and stages, over its own view of the block's client columns."""
+    """One algorithm's run inside `run_lockstep_seeds`: its plans, records
+    and stages, over its own view of the block's client columns and its own
+    rows of the batch's selection probabilities and weights."""
 
     def __init__(self, problem: FederatedProblem, settings: RunSettings, algorithm: str,
-                 seed: int, clients: ClientArrays):
+                 seed: int, clients: ClientArrays, select_probs: np.ndarray,
+                 weights: np.ndarray):
         self.problem, self.settings, self.algorithm = problem, settings, algorithm
         self.seed = seed
         self.clients = clients
@@ -887,16 +1016,20 @@ class _Run:
             self.plan1 = approximate_plan(self.initial_constants[1], k * total_rounds,
                                           settings.mechanism.noise_exponent,
                                           per_round_selected=k)
-            self.select_probs = self.plan1.probabilities
+            select_probs[:] = self.plan1.probabilities
         else:
             self.plan1 = _uniform_plan(num_clients, total_rounds, k)
-            self.select_probs = self.uniform_probs
+            select_probs[:] = self.uniform_probs
+        # the batch's row, which a replan rewrites
+        self.select_probs = select_probs
         clients.install(self.plan1.counts, settings if self.dp else None)
         # (realised, planned) participations per stage, filled as stages end
         self.stages = []
         self.stage2_slices = self.epsilon_at_replan = None
-        self.state = ModelState(model.init_weights(), model)
-        self.trajectory = [self.state.weights.copy()] if settings.record_weights else None
+        weights[:] = model.init_weights()
+        # over the batch's row, which the batch's update moves in place
+        self.state = ModelState(weights, model)
+        self.trajectory = [weights.copy()] if settings.record_weights else None
         self.records = []
         self.plan2 = self.est_params = None
         self.ended = self.ended_early = False
@@ -913,53 +1046,35 @@ class _Run:
         """Whether round t's responders report their losses."""
         return self.two_stage and t <= self.settings.estimation_rounds
 
-    def select(self, t: int, rng: np.random.Generator) -> list:
-        """Round t's selected clients; none ends the run."""
-        eligible = self.clients.eligible(self.dp)
-        if len(eligible) == 0:
-            self._end_early("round %d: candidate set empty, ending run early", t)
-            return []
-        selected = sample_selection(self.select_probs, eligible,
-                                    self.settings.clients_per_round, rng)
-        if not selected:
-            self._end_early("round %d: no selectable client, ending run early", t)
-        return selected
-
-    def finish(self, t: int, release: RoundRelease, on_round) -> None:
-        """Aggregate round t's release, record the round and, at T0, replan."""
-        settings, clients, model = self.settings, self.clients, self.problem.model
-        t0 = settings.estimation_rounds
-        responders = tuple(release.ids.tolist())
-        if responders:
-            if self.algorithm == "weiavg":
-                eps = clients.epsilon[release.ids]
-                update = np.sum((eps / eps.sum())[:, None] * release.gradients, axis=0)
-            else:
-                update = aggregate(release.gradients, settings.clients_per_round)
-            self.state = self.state.replaced(self.state.weights - update)
-        else:
+    def record(self, t: int, responders: np.ndarray, losses: np.ndarray | None,
+               test_loss: float, test_accuracy: float | None) -> RoundRecord:
+        """Round t's record: its responders, their loss reports in a
+        loss-reporting round, and the test metrics at the updated weights."""
+        responders = tuple(responders.tolist())
+        if not responders:
             logger.warning("round %d: no responders, aggregation skipped", t)
+        if self.reports(t):
+            losses = dict(zip(responders, map(tuple, losses.tolist())))
+        else:
+            losses = None
+        stage = 1 if (not self.two_stage or t <= self.settings.estimation_rounds) else 2
+        return RoundRecord(t=t, stage=stage, selected=responders, losses=losses,
+                           test_loss=test_loss, test_accuracy=test_accuracy)
+
+    def finish(self, t: int, record: RoundRecord, on_round) -> None:
+        """Keep round t's record, pass it to `on_round` and, at T0, replan."""
+        settings, clients = self.settings, self.clients
         if self.trajectory is not None:
             self.trajectory.append(self.state.weights.copy())
-
-        test = self.problem.test_data
-        test_loss, test_accuracy = model.metrics(self.state.weights, test.features,
-                                                 test.targets)
-        losses = None
-        if self.reports(t):
-            losses = dict(zip(responders, map(tuple, release.losses.tolist())))
-        record = RoundRecord(
-            t=t, stage=1 if (not self.two_stage or t <= t0) else 2, selected=responders,
-            losses=losses, test_loss=test_loss, test_accuracy=test_accuracy)
         self.records.append(record)
         logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, record.stage,
-                    len(responders), test_loss)
+                    len(record.selected), record.test_loss)
         if on_round is not None:
             on_round(record)
 
-        if self.two_stage and t == t0:
+        if self.two_stage and t == settings.estimation_rounds:
             self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
-            self.plan2, self.est_params, self.select_probs = _replan(
+            self.plan2, self.est_params, self.select_probs[:] = _replan(
                 self.problem, settings, clients, self.initial_constants,
                 StageOneLog.from_rounds(r.losses for r in self.records), self.dp,
                 self.uniform_probs)
@@ -977,16 +1092,16 @@ class _Run:
             # close the stage in progress; a replan that found no plan closed it
             self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
         _check_ledger(clients, self.epsilon_at_start, self.stages if self.dp else [])
+        weights = self.state.weights.copy()
         if self.records:
             final_loss = self.records[-1].test_loss
             final_accuracy = self.records[-1].test_accuracy
         else:
             test = self.problem.test_data
-            final_loss, final_accuracy = model.metrics(self.state.weights, test.features,
-                                                       test.targets)
+            final_loss, final_accuracy = model.metrics(weights, test.features, test.targets)
         return RunResult(
             algorithm=self.algorithm, seed=self.seed, rounds=self.records,
-            final_state=self.state, final_test_loss=final_loss,
+            final_state=ModelState(weights, model), final_test_loss=final_loss,
             final_test_accuracy=final_accuracy, plan_stage1=self.plan1,
             plan_stage2=self.plan2, estimated_params=self.est_params,
             ended_early=self.ended_early, settings=self.settings, clients=clients,

@@ -276,7 +276,7 @@ def _gradient_sensitivity(learning_rate, clip_bound, num_samples, loss_cap,
     return sens
 
 
-def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(spec: NoiseSpec, dimension, rng) -> np.ndarray:
     """Draw the i.i.d. noise of a round's release.
 
     A scalar spec gives one (dimension,) vector, an array spec a (clients,
@@ -285,12 +285,14 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     to one call per row.
 
     `dimension` may instead be a list of (rows, width) blocks that split an
-    array spec's rows in order: the releases of several runs that share one
-    round's stream. Each block gets the noise a call of its own, at its
-    width, would draw from `rng`'s state on entry, so every block scales a
-    prefix of one unit draw as long as the longest block needs, and `rng`
-    ends past that draw. The result has the widest block's width, and zeros
-    past each block's own.
+    array spec's rows in order: the releases of several runs in one round.
+    `rng` is then one generator for every block or a list of one per block.
+    Each block gets the noise a call of its own, at its width, would draw
+    from its generator's state on entry, so the blocks of one generator
+    (runs that share a round's stream) scale prefixes of one unit draw as
+    long as the longest of them needs, and the generator ends past that
+    draw. The result has the widest block's width, and zeros past each
+    block's own.
 
     The draw is one unit draw times each row's scale. numpy draws
     `loc + scale * z` (normal) and `loc -/+ scale * log(...)` (laplace)
@@ -299,41 +301,69 @@ def sample_noise(spec: NoiseSpec, dimension, rng: np.random.Generator) -> np.nda
     `rng.normal(0.0, scale[:, None], size)` or `rng.laplace(...)`.
     """
     scale = np.asarray(spec.scale, dtype=float)
-    if isinstance(dimension, list):
-        blocks = [(int(rows), _check_rounds("dimension", width)) for rows, width in dimension]
-        if (scale.ndim != 1 or any(rows < 0 for rows, _ in blocks)
-                or sum(rows for rows, _ in blocks) != len(scale)):
-            raise ParameterError(f"blocks {dimension} must split the spec's "
-                                 f"{scale.size} rows in order")
-        return _draw_blocks(spec.mechanism, scale, blocks, rng)
-    dimension = _check_rounds("dimension", dimension)
-    out = _draw_blocks(spec.mechanism, scale.reshape(-1), [(scale.size, dimension)], rng)
-    return out.reshape(scale.shape + (dimension,))
+    if not isinstance(dimension, list):
+        dimension = _check_rounds("dimension", dimension)
+        out = _draw_blocks(spec.mechanism, scale.reshape(-1), [scale.size], [dimension], [rng])
+        return out.reshape(scale.shape + (dimension,))
+    table = np.array(dimension).reshape(-1, 2)
+    # the widths are whole numbers >= 1, checked as one array
+    if table.dtype.kind not in "iu" or table[:, 1].min(initial=1) < 1:
+        _check_rounds("dimension", table[:, 1].astype(float))
+    rows, widths = table.astype(int).T.tolist()
+    if scale.ndim != 1 or min(rows, default=0) < 0 or sum(rows) != len(scale):
+        raise ParameterError(f"blocks {dimension} must split the spec's "
+                             f"{scale.size} rows in order")
+    generators = rng if isinstance(rng, list) else [rng] * len(rows)
+    if len(generators) != len(rows):
+        raise ParameterError(f"{len(generators)} generators for {len(rows)} blocks")
+    return _draw_blocks(spec.mechanism, scale, rows, widths, generators)
 
 
-def _draw_blocks(mechanism: MechanismKind, scale: np.ndarray, blocks: list,
-                 rng: np.random.Generator) -> np.ndarray:
-    """The noise of `sample_noise`'s blocks over the rows of `scale`."""
-    drawn = scale > 0.0
-    out = np.zeros((len(scale), max((width for _, width in blocks), default=0)))
-    start, spans = 0, []
-    for rows, width in blocks:
-        stop = start + rows
-        spans.append((start, stop, width, int(np.count_nonzero(drawn[start:stop]))))
-        start = stop
-    need = max((count * width for _, _, width, count in spans), default=0)
-    if need == 0:
+def _draw_blocks(mechanism: MechanismKind, scale: np.ndarray, rows: list, widths: list,
+                 generators: list) -> np.ndarray:
+    """The noise of `sample_noise`'s blocks over the rows of `scale`: block b
+    spans the next rows[b] rows at width widths[b], and its i-th drawn row
+    scales row i of its generator's unit draw laid out at that width."""
+    shape = (len(scale), max(widths, default=0))
+    if not scale.min(initial=1.0) > 0.0:
+        # the drawn rows alone, each block keeping its own
+        drawn = scale > 0.0
+        ends = np.cumsum(rows, dtype=int)
+        before = np.concatenate(([0], np.cumsum(drawn)))
+        out = np.zeros(shape)
+        out[drawn] = _draw_blocks(mechanism, scale[drawn],
+                                  (before[ends] - before[ends - rows]).tolist(), widths,
+                                  generators)
         return out
-    unit = (rng.standard_normal(need) if mechanism is MechanismKind.GAUSSIAN
-            else rng.laplace(0.0, 1.0, need))
-    for start, stop, width, count in spans:
-        block = out[start:stop, :width]
-        prefix = unit[:count * width].reshape(count, width)
-        if count == stop - start:
-            block[...] = 0.0 + scale[start:stop, None] * prefix
-        elif count:
-            own = drawn[start:stop]
-            block[own] = 0.0 + scale[start:stop][own][:, None] * prefix
+    # one draw per generator, numbered in order of first use, as long as its
+    # longest block needs; block b's rows read its generator's draw from
+    # first[b] on, and the draws lie end to end
+    slots = {}
+    slot = [slots.setdefault(gen, len(slots)) for gen in generators]
+    need = [0] * len(slots)
+    for s, r, w in zip(slot, rows, widths):
+        need[s] = max(need[s], r * w)
+    units = [gen.standard_normal(n) if mechanism is MechanismKind.GAUSSIAN
+             else gen.laplace(0.0, 1.0, n) for gen, n in zip(slots, need) if n]
+    if not units:
+        return np.zeros(shape)
+    if len(rows) == 1:
+        # one block: its rows are the draw laid out at its width
+        return 0.0 + scale[:, None] * units[0].reshape(shape)
+    unit = np.concatenate(units)
+    first = (np.cumsum(need) - need)[slot]
+    # row i of block b reads widths[b] entries from first[b] + (i - the
+    # block's first row) * widths[b] on
+    width = np.repeat(widths, rows)
+    start = np.repeat(first - (np.cumsum(rows) - rows) * widths, rows)
+    index = (start + np.arange(len(scale)) * width)[:, None] + np.arange(shape[1])
+    narrow = width < shape[1]
+    if narrow.any():
+        # a row narrower than the widest block reads on, then is cut back
+        index = np.minimum(index, len(unit) - 1)
+    out = 0.0 + scale[:, None] * unit[index]
+    if narrow.any():
+        out[np.arange(shape[1]) >= width[:, None]] = 0.0
     return out
 
 

@@ -68,10 +68,18 @@ class LinearRegression:
         return outer_rows(self.output_gradients(weights, features, targets),
                           with_intercept(features))
 
-    def metrics(self, weights, features, targets) -> tuple[float, float | None]:
+    def metrics(self, weights, features, targets) -> tuple:
+        """(mean test loss, None); see `_stacked` for the stacked form."""
+        weights, features, targets, one = _stacked(weights, features, targets)
+        # one gemv per (seed, run) slice, as one run's `features @ weights`;
+        # the residuals and their squares overwrite the predictions
+        losses = np.matmul(features[:, None], weights[..., :-1, None])[..., 0]
+        losses += weights[..., -1:]
+        losses -= targets[:, None]
+        losses *= losses
         # the sum over the count is np.mean's arithmetic without its layers of calls
-        losses = self.per_sample_losses(weights, features, targets)
-        return float(losses.sum() / len(losses)), None
+        loss = losses.sum(axis=-1) / losses.shape[-1]
+        return (float(loss[0, 0]) if one else loss), None
 
 
 class LogisticRegression:
@@ -100,25 +108,27 @@ class LogisticRegression:
         return np.zeros(self.dim)
 
     def _probs(self, weights, features) -> np.ndarray:
-        w = weights.reshape(self.num_classes, self.feature_dim + 1)
-        logits = features @ w[:, :-1].T + w[:, -1]
+        """Class probabilities of the rows of `features` at `weights`: (rows,
+        classes) for one (dim,) weight vector, or (..., rows, classes) for
+        stacked weights (..., dim) over features that broadcast with them."""
+        w = weights.reshape(weights.shape[:-1] + (self.num_classes, self.feature_dim + 1))
+        logits = np.matmul(features, np.swapaxes(w[..., :-1], -1, -2)) + w[..., None, :, -1]
         # a max is exact in any order, so a running maximum over the columns
         # gives the row max's bits without a reduction over the short axis;
         # exp is elementwise and runs in place, and the row sum keeps its order
-        top = logits[:, 0].copy()
+        top = logits[..., 0].copy()
         for c in range(1, self.num_classes):
-            np.maximum(top, logits[:, c], out=top)
-        logits -= top[:, None]
+            np.maximum(top, logits[..., c], out=top)
+        logits -= top[..., None]
         np.exp(logits, out=logits)
-        return logits / logits.sum(axis=1, keepdims=True)
+        return logits / logits.sum(axis=-1, keepdims=True)
 
     def predict(self, weights, features) -> np.ndarray:
         return np.argmax(self._probs(weights, features), axis=1)
 
     @staticmethod
     def _losses(probs, labels) -> np.ndarray:
-        picked = probs[np.arange(len(labels)), labels]
-        return -np.log(np.maximum(picked, _LOG_FLOOR))
+        return _nll(probs[np.arange(len(labels)), labels])
 
     def per_sample_losses(self, weights, features, targets) -> np.ndarray:
         return self._losses(self._probs(weights, features), targets.astype(int))
@@ -134,14 +144,43 @@ class LogisticRegression:
         return outer_rows(self.output_gradients(weights, features, targets),
                           with_intercept(features))
 
-    def metrics(self, weights, features, targets) -> tuple[float, float]:
+    def metrics(self, weights, features, targets) -> tuple:
+        """(mean test loss, accuracy); see `_stacked` for the stacked form."""
+        weights, features, targets, one = _stacked(weights, features, targets)
         # one softmax pass serves both the loss and the accuracy
-        probs = self._probs(weights, features)
+        probs = self._probs(weights, features[:, None])
         labels = targets.astype(int)
-        losses = self._losses(probs, labels)
-        loss = float(losses.sum() / len(losses))
-        accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
+        # each (seed, run, row)'s probability of its label, as one gather
+        runs, rows = probs.shape[1:3]
+        picked = probs.reshape(-1, self.num_classes)[
+            np.arange(probs.size // self.num_classes), labels.repeat(runs, axis=0).ravel()]
+        losses = _nll(picked).reshape(probs.shape[:3])
+        loss = losses.sum(axis=-1) / rows
+        # a count over the rows is np.mean's exact sum of ones
+        accuracy = (probs.argmax(axis=-1) == labels[:, None]).sum(axis=-1) / rows
+        if one:
+            return float(loss[0, 0]), float(accuracy[0, 0])
         return loss, accuracy
+
+
+def _nll(picked: np.ndarray) -> np.ndarray:
+    """-ln of the picked class probabilities, floored before the log."""
+    return -np.log(np.maximum(picked, _LOG_FLOOR))
+
+
+def _stacked(weights, features, targets) -> tuple:
+    """`metrics`' arguments as (S, A, dim) weights, (S, rows, feature_dim)
+    features and (S, rows) targets, and whether they were one run's.
+
+    Stacked, `weights` holds A runs' weights on each of S test blocks, and
+    `metrics` returns (S, A) arrays: the metrics of run a on block s at
+    [s, a], each with the bits of a call of its own. One run's (dim,)
+    weights on one (rows, feature_dim) block is the case S = A = 1, and
+    `metrics` then returns floats."""
+    weights = np.asarray(weights)
+    if weights.ndim == 1:
+        return weights[None, None], features[None], targets[None], True
+    return weights, features, targets, False
 
 
 @dataclass(frozen=True)

@@ -576,12 +576,14 @@ def _coordinate_minimize(f, lo: float, hi: float, tol: float) -> tuple[float, fl
     residual |target - bound| being multimodal along a coordinate."""
     if hi <= lo:
         return lo, f(lo)
-    grid = np.linspace(lo, hi, 33)
+    # Python floats: the golden section's arithmetic on numpy scalars costs
+    # several times as much, for the same bits
+    grid = np.linspace(lo, hi, 33).tolist()
     vals = np.array([f(x) for x in grid])
     i = int(np.argmin(vals))
     x, fx = _golden_section(f, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], tol)
     if vals[i] < fx:
-        return float(grid[i]), float(vals[i])
+        return grid[i], float(vals[i])
     return float(x), float(fx)
 
 

@@ -102,6 +102,34 @@ def test_run_rejects_non_finite_override(tmp_path, capsys, override):
     assert not (tmp_path / "o").exists()
 
 
+# N = 2, K = 1, T = 8, T0 = 3 with budgets in [1e-16, 1e-14]: a slice of
+# epsilon_min / (K * T) = 1.25e-17 lies under the 1e-15 exhaustion floor, and
+# dpfl_bcs ran out of budget before its plan, ending at round 6 or 7
+FLOOR_BUDGETS = dict(num_clients=2, clients_per_round=1, total_rounds=8,
+                     estimation_rounds=3, epsilon_min=1e-16, epsilon_max=1e-14)
+
+
+def test_config_refuses_budgets_at_the_exhaustion_floor():
+    with pytest.raises(ConfigError, match=r"^epsilon_min=1e-16 is too small"):
+        ExperimentConfig(**FLOOR_BUDGETS).validate()
+    # the floor grows with epsilon_min: a slice just over it passes, and one
+    # just under it fails
+    ok = ExperimentConfig(**{**FLOOR_BUDGETS, "epsilon_min": 8.1e-15})
+    ok.validate()
+    with pytest.raises(ConfigError, match="epsilon_min"):
+        dataclasses.replace(ok, epsilon_min=8e-15 * (1 + 1e-9)).validate()
+    ExperimentConfig().validate()
+
+
+def test_run_refuses_budgets_at_the_exhaustion_floor(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = [arg for key, value in FLOOR_BUDGETS.items()
+            for arg in ("--set", f"{key}={value}")]
+    assert main(["run", *args, "--out", str(out)]) == 1
+    assert "error: epsilon_min=1e-16 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source, key, value", [("set", "momentum", "0.5"),
                                                 ("set", "weight_decay", "0.01"),
                                                 ("config", "aggregate_by_count", "true")])

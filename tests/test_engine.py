@@ -216,8 +216,7 @@ def test_budget_arriving_exhausted_is_never_eligible():
     clients = _clients([data] * 3, _budgets([1.0, 1.0, 2.0], 1e-3, spent=[1]))
     clients.install([4, 4, 4], _settings())
     assert clients.exhausted.tolist() == [False, True, False]
-    assert clients.eligible(dp=True).tolist() == [0, 2]
-    assert clients.eligible(dp=False).tolist() == [0, 1, 2]
+    assert clients.candidates().tolist() == [True, False, True]
     assert clients.slice_epsilon.tolist() == [0.25, 0.0, 0.5]
     assert clients.slice_delta[1] == 0.0 and clients.stage_epsilon[1] == 0.0
     # in a run such a client is never selected, so it never refuses
@@ -555,6 +554,32 @@ def test_aggregate_stacked_array_matches_list():
         aggregate(np.zeros((0, 4)), 2)
 
 
+def test_aggregate_of_several_runs_equals_their_own_sums():
+    # one call over several runs' rows, of equal or ragged counts, gives each
+    # run the bits of np.sum over its own rows divided by its own K
+    gen = np.random.default_rng(18)
+    for case in range(300):
+        runs, dim = int(gen.integers(1, 12)), int(gen.integers(2, 9))
+        counts = (np.full(runs, int(gen.integers(1, 9))) if case % 2
+                  else gen.integers(1, 9, size=runs))
+        rows = gen.normal(size=(counts.sum(), dim)) * 10.0 ** gen.uniform(-3, 5)
+        k = gen.integers(1, 6, size=runs)
+        starts = np.cumsum(counts) - counts
+        got = aggregate(rows, k, starts)
+        assert got.shape == (runs, dim)
+        for r in range(runs):
+            own = rows[starts[r]:starts[r] + counts[r]]
+            assert got[r].tobytes() == (np.sum(own, axis=0) / k[r]).tobytes()
+        assert aggregate(rows, 3, starts).tobytes() == np.array(
+            [np.sum(rows[a:a + c], axis=0) / 3 for a, c in zip(starts, counts)]).tobytes()
+
+
+@pytest.mark.parametrize("starts", [[], [1, 3], [0, 2, 2], [0, 4]])
+def test_aggregate_refuses_starts_that_leave_a_run_empty(starts):
+    with pytest.raises(ParameterError, match="must rise from 0"):
+        aggregate(np.ones((4, 2)), 2, starts)
+
+
 # -------------------------------------------------------------------- sampling
 
 def test_sample_selection_degenerate_weight():
@@ -686,6 +711,89 @@ def test_sample_selection_uniform_frequency():
     expect = k / n
     se = math.sqrt(expect * (1 - expect) / rounds)
     assert np.all(np.abs(freq - expect) <= 3 * se)
+
+
+def _reference_selection(p, candidates, k, rng):
+    """Efraimidis-Spirakis over the candidates alone, one row at a time."""
+    ids = np.sort(np.asarray(candidates, dtype=int))
+    if len(ids) <= k:
+        return ids.tolist()
+    ids = ids[p[ids] > 0]
+    if len(ids) <= k:
+        return ids.tolist()
+    keys = np.log(rng.random(len(p))[ids]) / p[ids]
+    return np.sort(ids[np.argsort(keys)[len(ids) - k:]]).tolist()
+
+
+def test_stacked_sample_selection_equals_per_run_calls():
+    # rows share a generator in consecutive groups, as a seed's runs do, and
+    # sometimes out of order; masks leave clients out, some weights are zero,
+    # and k covers both shortcuts: each row selects what a call of its own
+    # selects from its generator's state on entry, and each generator ends
+    # one draw of N past that state if a row drew from it
+    gen = np.random.default_rng(2026)
+    shortcuts = {"candidates": 0, "positive": 0, "drawn": 0}
+    for case in range(400):
+        rows, n = int(gen.integers(1, 9)), int(gen.integers(1, 25))
+        k = int(gen.integers(1, n + 3))
+        p = gen.dirichlet(np.full(n, 0.7), size=rows)
+        p[gen.random((rows, n)) < 0.25] = 0.0
+        mask = gen.random((rows, n)) < gen.uniform(0.2, 1.0)
+        seeds = np.sort(gen.integers(0, 4, size=rows)) if case % 3 else gen.integers(0, 4,
+                                                                                    size=rows)
+        generators = {int(seed): np.random.default_rng([case, int(seed)]) for seed in seeds}
+        got = sample_selection(p, mask, k, [generators[int(seed)] for seed in seeds])
+        assert got.dtype.kind == "i" and np.all(np.diff(got) > 0)
+        drew = set()
+        for g in range(rows):
+            rng = np.random.default_rng([case, int(seeds[g])])
+            expected = _reference_selection(p[g], np.flatnonzero(mask[g]), k, rng)
+            assert got[got // n == g].tolist() == [g * n + c for c in expected]
+            positive = np.count_nonzero(mask[g] & (p[g] > 0))
+            if mask[g].sum() <= k:
+                shortcuts["candidates"] += 1
+            elif positive <= k:
+                shortcuts["positive"] += 1
+            else:
+                shortcuts["drawn"] += 1
+                drew.add(int(seeds[g]))
+        for seed, rng in generators.items():
+            after = np.random.default_rng([case, seed])
+            if seed in drew:
+                after.random(n)
+            assert rng.bit_generator.state == after.bit_generator.state
+    assert min(shortcuts.values()) >= 40
+
+
+def test_sample_selection_never_picks_a_non_candidate_over_an_infinite_key():
+    # weights under about 1e-307 overflow their candidates' keys, which then
+    # tie with the non-candidates' fill: the picks stay among the candidates
+    p = np.array([0.3, 0.3, 0.3, 1e-310, 1e-310, 1e-310, 0.5, 0.5])
+    mask = np.array([[False] * 3 + [True] * 5])
+    for seed in range(20):
+        with np.errstate(over="ignore"):
+            got = sample_selection(p[None], mask, 3, np.random.default_rng(seed)).tolist()
+        assert len(got) == 3 and {6, 7} <= set(got) <= set(range(3, 8))
+
+
+def test_stacked_sample_selection_checks_its_rows():
+    p, mask = np.full((2, 4), 0.25), np.ones((2, 4), dtype=bool)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="candidate mask of shape"):
+        sample_selection(p, mask[:, :3], 2, rng)
+    with pytest.raises(ParameterError, match="3 generators for 2 rows"):
+        sample_selection(p, mask, 2, [rng] * 3)
+    with pytest.raises(ParameterError, match="candidate ids must lie in"):
+        sample_selection(p[0], [0, 4], 1, rng)
+    # a negative weight fails only where a row draws or looks past its
+    # first shortcut, as a call of its own does
+    p[1, 3] = -0.5
+    with pytest.raises(ParameterError, match="nonnegative"):
+        sample_selection(p, mask, 2, rng)
+    mask[1, 3] = False
+    assert len(sample_selection(p, mask, 2, rng)) == 4
+    mask[1] = [True, False, False, True]
+    assert sample_selection(p, mask, 2, rng).tolist()[2:] == [4, 7]
 
 
 # ------------------------------------------------------------------- full runs
@@ -864,6 +972,94 @@ def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism):
     expected = [(1, r.rounds[0].selected) for results in together for r in results
                 if r.rounds]
     assert first == expected
+
+
+def _refusing_round(monkeypatch, refused_round):
+    """Make every DP run's selection of round `refused_round` its clients 1
+    and 3, which arrive spent and so refuse; a round makes one selection
+    call, and the clients a DP run may not select are the spent ones."""
+    real = engine.sample_selection
+    calls = [0]
+
+    def refusing(probabilities, candidates, k, rng):
+        ids = real(probabilities, candidates, k, rng)
+        calls[0] += 1
+        if calls[0] != refused_round:
+            return ids
+        n = probabilities.shape[1]
+        rows = sorted(set((ids // n).tolist()))
+        kept = [i for i in ids.tolist() if candidates[i // n, 1]]
+        spent = [g * n + c for g in rows if not candidates[g, 1] for c in (1, 3)]
+        return np.array(sorted(kept + spent))
+
+    def reset():
+        calls[0] = 0
+
+    monkeypatch.setattr(engine, "sample_selection", refusing)
+    return reset
+
+
+@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
+def test_lockstep_seeds_batch_with_refusals_equals_runs_of_their_own(monkeypatch, mechanism):
+    # two seeds whose clients 1 and 3 arrive spent: in round 2 every DP run
+    # selects only them, so they all refuse and the DP runs aggregate
+    # nothing that round while fedsgd trains on; the uniform runs then use
+    # up their plan and end in round 8, mid-batch, while dpfl_bcs and fedsgd
+    # go on. Each run equals the algorithm run alone under the same rounds.
+    delta = 1e-4 if mechanism is GM else 0.0
+    problems = [_problem(num_clients=5, seed=s, samples_per=20 + 5 * s) for s in range(2)]
+    for p in problems:
+        p.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0], delta, spent=(1, 3))
+    settings = _settings(mechanism=mechanism, clients_per_round=2, total_rounds=10,
+                         estimation_rounds=3, record_weights=True)
+    reset = _refusing_round(monkeypatch, 2)
+    together = engine.run_lockstep_seeds(problems, [7, 8], settings, engine.ALGORITHMS)
+    for problem, seed, results in zip(problems, [7, 8], together):
+        assert [(r.ended_early, len(r.rounds)) for r in results] == [
+            (False, 10), (False, 10), (True, 8), (True, 8)]
+        for got in results:
+            assert (got.rounds[1].selected == ()) == (got.algorithm != "fedsgd")
+            reset()
+            alone = _alone(got.algorithm, problem, settings, seed)
+            _assert_same_run(got, alone)
+            assert got.weight_trajectory.tobytes() == alone.weight_trajectory.tobytes()
+    # the refused round leaves a DP run's weights where they were
+    weiavg = together[0][3].weight_trajectory
+    assert weiavg[2].tobytes() == weiavg[1].tobytes()
+
+
+def test_lockstep_seeds_name_the_first_run_whose_weights_turn_non_finite(monkeypatch):
+    # in round 4 an infinite release reaches seed 8's weiavg run, and in one
+    # case seed 7's fedsgd run too: the batch's one finiteness check names
+    # the first such run as the one that failed
+    real = engine.client_round
+    problems = [_problem(num_clients=4, seed=s) for s in range(2)]
+    settings = _settings(total_rounds=6)
+    algorithms = ["fedsgd", "uniform_dp", "weiavg"]
+    for poisoned, failed in (([5], (8, "weiavg")), ([5, 0], (7, "fedsgd"))):
+        rounds = [0]
+
+        def poisoning(clients, ids, *args):
+            release = real(clients, ids, *args)
+            rounds[0] += 1
+            if rounds[0] == 4:
+                run = release.ids // 4
+                for g in poisoned:
+                    release.gradients[run == g] = np.inf
+            return release
+
+        monkeypatch.setattr(engine, "client_round", poisoning)
+        with pytest.raises(ParameterError, match="weights must be finite") as err:
+            engine.run_lockstep_seeds(problems, [7, 8], settings, algorithms)
+        assert err.value.failed_run == failed
+
+
+def test_lockstep_seeds_refuse_test_blocks_of_other_shapes():
+    problems = [_problem(num_clients=3, seed=s) for s in range(2)]
+    test = problems[1].test_data
+    problems[1].test_data = Dataset(test.features[:50], test.targets[:50])
+    with pytest.raises(ParameterError, match="test blocks must share a shape"):
+        engine.run_lockstep_seeds(problems, [0, 1], _settings(), ["fedsgd"])
 
 
 def test_stacked_client_arrays_of_several_problems():

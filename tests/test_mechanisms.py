@@ -447,6 +447,43 @@ def test_sample_noise_blocks_each_draw_from_the_stream_start(mechanism):
         assert got_rng.bit_generator.state == longest[1]
 
 
+@pytest.mark.parametrize("mechanism", [GM, LM])
+def test_sample_noise_blocks_draw_from_their_own_generators(mechanism):
+    # one generator per block, several blocks sharing one, in runs or not:
+    # each block is what a call of its own makes from its generator's state
+    # on entry, and each generator ends past its longest block's draw
+    gen = np.random.default_rng(18)
+    for case in range(80):
+        sizes = gen.integers(0, 6, size=int(gen.integers(1, 9))).tolist()
+        widths = gen.integers(1, 9, size=len(sizes)).tolist()
+        owners = gen.integers(0, 3, size=len(sizes))
+        if case % 2:
+            owners.sort()
+        scale = 10.0 ** gen.uniform(-3, 3, size=sum(sizes))
+        scale[gen.random(len(scale)) < 0.2 * (case % 3)] = 0.0
+        generators = [np.random.default_rng([case, o]) for o in range(3)]
+        got = sample_noise(_array_spec(mechanism, scale), list(zip(sizes, widths)),
+                           [generators[o] for o in owners])
+        assert got.shape == (len(scale), max(widths))
+        start, longest = 0, {}
+        for rows, width, owner in zip(sizes, widths, owners.tolist()):
+            ref_rng = np.random.default_rng([case, owner])
+            ref = sample_noise(_array_spec(mechanism, scale[start:start + rows]), width,
+                               ref_rng)
+            block = got[start:start + rows]
+            assert block[:, :width].tobytes() == ref.tobytes()
+            assert not block[:, width:].any()
+            drawn = np.count_nonzero(scale[start:start + rows]) * width
+            if drawn > longest.get(owner, (0, None))[0]:
+                longest[owner] = drawn, ref_rng.bit_generator.state
+            start += rows
+        for owner, rng in enumerate(generators):
+            untouched = np.random.default_rng([case, owner]).bit_generator.state
+            assert rng.bit_generator.state == longest.get(owner, (0, untouched))[1]
+    with pytest.raises(ParameterError, match="2 generators for 1 blocks"):
+        sample_noise(_array_spec(mechanism, [1.0]), [(1, 2)], [generators[0]] * 2)
+
+
 def test_sample_noise_refuses_blocks_that_do_not_split_the_rows():
     spec = _array_spec(GM, [1.0, 2.0, 3.0])
     for blocks in ([(2, 4)], [(2, 4), (2, 4)], [(4, 4), (-1, 4)]):

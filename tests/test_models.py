@@ -106,6 +106,36 @@ def test_metrics_equal_mean_loss_and_accuracy():
                                          == targets.astype(int)))
 
 
+@pytest.mark.parametrize("classification", [False, True])
+def test_stacked_metrics_equal_calls_of_their_own(classification):
+    # A runs' weights on each of S seeds' test blocks in one call: entry
+    # [s, a] has the bits of run a's own call on block s, and of the mean of
+    # its per-sample losses
+    rng = np.random.default_rng(18)
+    for case in range(100):
+        seeds, runs = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        rows, feature_dim = int(rng.integers(1, 300)), int(rng.integers(1, 8))
+        if classification:
+            model = LogisticRegression(feature_dim, int(rng.integers(2, 11)))
+            targets = rng.integers(0, model.num_classes, size=(seeds, rows))
+        else:
+            model = LinearRegression(feature_dim)
+            targets = rng.normal(size=(seeds, rows))
+        features = rng.normal(scale=3.0, size=(seeds, rows, feature_dim))
+        weights = rng.normal(scale=[0.1, 1.0, 30.0][case % 3], size=(seeds, runs, model.dim))
+        loss, accuracy = model.metrics(weights, features, targets)
+        assert loss.shape == (seeds, runs)
+        assert (accuracy is None) == (not classification)
+        for s in range(seeds):
+            for a in range(runs):
+                one = model.metrics(weights[s, a], features[s], targets[s])
+                assert loss[s, a] == one[0] == float(np.mean(model.per_sample_losses(
+                    weights[s, a], features[s], targets[s])))
+                if classification:
+                    assert accuracy[s, a] == one[1] == float(np.mean(model.predict(
+                        weights[s, a], features[s]) == targets[s]))
+
+
 def test_linear_regression_perfect_fit_has_zero_loss():
     rng = np.random.default_rng(3)
     model = LinearRegression(4)
