@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .engine import ALGORITHMS
 from .errors import ConfigError
-from .mechanisms import EXHAUSTION_ABS_TOL, EXHAUSTION_REL_TOL
+from .mechanisms import exhaustion_floor
 
-ALGORITHM_CHOICES = ("dpfl_bcs", "fedsgd", "uniform_dp", "weiavg")
 MECHANISM_CHOICES = ("gaussian", "laplace")
 DATASET_CHOICES = ("synthetic_regression", "synthetic_classification", "csv")
-LR_KIND_CHOICES = ("constant", "experiment_decay", "theory_decay")
 
 # loss_cap accepts the literal "auto": ln(num_classes) for classification
 # (the capped loss of a uniform guess), 10.0 for regression.
@@ -31,14 +30,10 @@ class ExperimentConfig:
     clip_bound: float = 1.0
     loss_cap: float = _AUTO
     c2: float = 1.0
-    lr_kind: str = "experiment_decay"
     lr_initial: float = 0.05
     lr_decay_horizon: float = 200.0
-    lr_mu: float = 0.0
-    lr_gamma: float = 0.0
     zero_noise: bool = False
     force_uniform_plan: bool = False
-    winsorize_percentile: float = 95.0
     dirichlet_alpha: float = 3.0
     epsilon_min: float = 0.5
     epsilon_max: float = 3.0
@@ -76,14 +71,12 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 fail(f"{f.name} must be finite, got {value}")
-        if self.algorithm not in ALGORITHM_CHOICES:
-            fail(f"algorithm must be one of {ALGORITHM_CHOICES}, got {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            fail(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.mechanism not in MECHANISM_CHOICES:
             fail(f"mechanism must be one of {MECHANISM_CHOICES}, got {self.mechanism!r}")
         if self.dataset not in DATASET_CHOICES:
             fail(f"dataset must be one of {DATASET_CHOICES}, got {self.dataset!r}")
-        if self.lr_kind not in LR_KIND_CHOICES:
-            fail(f"lr_kind must be one of {LR_KIND_CHOICES}, got {self.lr_kind!r}")
         if self.num_clients < 1:
             fail(f"num_clients must be >= 1, got {self.num_clients}")
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -96,22 +89,11 @@ class ExperimentConfig:
             fail(f"estimation_rounds must be >= 2 for algorithm dpfl_bcs "
                  f"(the skew estimator divides by estimation_rounds - 1), "
                  f"got estimation_rounds={self.estimation_rounds}")
-        for name in ("clip_bound", "c2", "dirichlet_alpha"):
+        for name in ("clip_bound", "c2", "lr_initial", "lr_decay_horizon", "dirichlet_alpha"):
             if not getattr(self, name) > 0:
                 fail(f"{name} must be positive, got {getattr(self, name)}")
         if self.loss_cap != _AUTO and self.loss_cap < 0:
             fail(f"loss_cap must be nonnegative or 'auto', got {self.loss_cap}")
-        if self.lr_kind in ("constant", "experiment_decay") and not self.lr_initial > 0:
-            fail(f"lr_initial must be positive, got {self.lr_initial}")
-        if self.lr_kind == "experiment_decay" and not self.lr_decay_horizon > 0:
-            fail(f"lr_decay_horizon must be positive, got {self.lr_decay_horizon}")
-        if self.lr_kind == "theory_decay":
-            if not self.lr_mu > 0:
-                fail(f"lr_mu must be positive for theory_decay, got {self.lr_mu}")
-            if self.lr_gamma < 0:
-                fail(f"lr_gamma must be nonnegative, got {self.lr_gamma}")
-        if not 0 < self.winsorize_percentile <= 100:
-            fail(f"winsorize_percentile must lie in (0, 100], got {self.winsorize_percentile}")
         if not 0 < self.epsilon_min <= self.epsilon_max:
             fail(f"need 0 < epsilon_min <= epsilon_max, got "
                  f"epsilon_min={self.epsilon_min}, epsilon_max={self.epsilon_max}")
@@ -119,7 +101,7 @@ class ExperimentConfig:
         # slice is epsilon_min / (K * T); at or under the exhaustion floor, a
         # client runs out of budget before its plan does
         smallest = self.epsilon_min / (self.clients_per_round * self.total_rounds)
-        floor = EXHAUSTION_REL_TOL * self.epsilon_min + EXHAUSTION_ABS_TOL
+        floor = exhaustion_floor(self.epsilon_min)
         if smallest <= floor:
             fail(f"epsilon_min={self.epsilon_min} is too small: its smallest slice "
                  f"epsilon_min / (clients_per_round * total_rounds) = {smallest:.3g} "

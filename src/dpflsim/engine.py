@@ -83,39 +83,6 @@ def _stream(seed: int, *key) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class LearningRateSchedule:
-    """eta_t for t >= 1: constant eta0, eta0/(1 + t/h), or 2/(mu (t + gamma))."""
-
-    kind: str
-    eta0: float = 0.05
-    decay_horizon: float = 200.0
-    mu: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "experiment_decay", "theory_decay"):
-            raise ParameterError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("constant", "experiment_decay") and not self.eta0 > 0:
-            raise ParameterError("eta0 must be positive")
-        if self.kind == "experiment_decay" and not self.decay_horizon > 0:
-            raise ParameterError("decay_horizon must be positive")
-        if self.kind == "theory_decay":
-            if not self.mu > 0:
-                raise ParameterError("theory_decay needs mu > 0")
-            if self.gamma < 0:
-                raise ParameterError("theory_decay needs gamma >= 0")
-
-    def rate(self, t: int) -> float:
-        if t < 1:
-            raise ParameterError(f"round index must be >= 1, got {t}")
-        if self.kind == "constant":
-            return self.eta0
-        if self.kind == "experiment_decay":
-            return self.eta0 / (1.0 + t / self.decay_horizon)
-        return 2.0 / (self.mu * (t + self.gamma))
-
-
-@dataclass(frozen=True)
 class RunSettings:
     """Everything a training loop needs besides the data and budgets."""
 
@@ -125,7 +92,11 @@ class RunSettings:
     estimation_rounds: int
     clip_bound: float
     loss_cap: float
-    schedule: LearningRateSchedule
+    # eta_t = lr_initial / (1 + t / lr_decay_horizon), the step size
+    # 2 / (mu (gamma + t)) of the bound with gamma = lr_decay_horizon and
+    # mu = 2 / (lr_initial * lr_decay_horizon)
+    lr_initial: float
+    lr_decay_horizon: float
     c2: float = 1.0
     # dp_enabled=False zeroes all noise AND disables budget accounting and
     # participation caps, so the biased algorithm under a uniform plan reduces
@@ -133,7 +104,6 @@ class RunSettings:
     dp_enabled: bool = True
     force_uniform_plan: bool = False
     record_weights: bool = False
-    winsorize_percentile: float = 95.0
 
     def __post_init__(self):
         if not isinstance(self.mechanism, MechanismKind):
@@ -152,12 +122,20 @@ class RunSettings:
             raise ParameterError("loss_cap must be nonnegative")
         if not self.c2 > 0:
             raise ParameterError("c2 must be positive")
-        if not 0 < self.winsorize_percentile <= 100:
-            raise ParameterError("winsorize_percentile must lie in (0, 100]")
+        if not self.lr_initial > 0:
+            raise ParameterError("lr_initial must be positive")
+        if not self.lr_decay_horizon > 0:
+            raise ParameterError("lr_decay_horizon must be positive")
 
     @cached_property
     def clip(self) -> ClipConfig:
         return ClipConfig.for_mechanism(self.mechanism, self.clip_bound)
+
+    def learning_rate(self, t: int) -> float:
+        """The step size eta_t of round t >= 1."""
+        if t < 1:
+            raise ParameterError(f"round index must be >= 1, got {t}")
+        return self.lr_initial / (1.0 + t / self.lr_decay_horizon)
 
 
 @dataclass
@@ -916,7 +894,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
         streams = [_stream(seed, 2, t) if bounds[p * width] < bounds[(p + 1) * width] else None
                    for p, seed in enumerate(seeds)]
-        release = client_round(block, ids, states, settings.schedule.rate(t),
+        release = client_round(block, ids, states, settings.learning_rate(t),
                                [streams[p] for p in seed_of], settings,
                                two_stage & (t <= settings.estimation_rounds), dp)
         # run g's responders are rows bounds[g]:bounds[g + 1] of the release
@@ -1193,7 +1171,7 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
             clients.num_samples[active], client_ids=active)
     else:
         phi_active = phi_initial[active]
-    gamma_for_plan = winsorize_upper(est.gamma_hat_n, settings.winsorize_percentile)
+    gamma_for_plan = winsorize_upper(est.gamma_hat_n)
     params_active = replace(est, phi_n=phi_active, gamma_hat_n=gamma_for_plan[active])
     sub = optimal_plan(params_active, horizon, k, z)
     counts = np.zeros(num_clients, dtype=int)

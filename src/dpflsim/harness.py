@@ -23,9 +23,7 @@ from .data import (
     sample_budgets,
 )
 from .engine import (
-    ALGORITHMS,
     FederatedProblem,
-    LearningRateSchedule,
     RoundRecord,
     RunResult,
     RunSettings,
@@ -109,9 +107,6 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
 
 
 def settings_from_config(config: ExperimentConfig) -> RunSettings:
-    schedule = LearningRateSchedule(
-        kind=config.lr_kind, eta0=config.lr_initial,
-        decay_horizon=config.lr_decay_horizon, mu=config.lr_mu, gamma=config.lr_gamma)
     return RunSettings(
         mechanism=MechanismKind.parse(config.mechanism),
         clients_per_round=config.clients_per_round,
@@ -119,11 +114,11 @@ def settings_from_config(config: ExperimentConfig) -> RunSettings:
         estimation_rounds=config.estimation_rounds,
         clip_bound=config.clip_bound,
         loss_cap=config.resolved_loss_cap(),
-        schedule=schedule,
+        lr_initial=config.lr_initial,
+        lr_decay_horizon=config.lr_decay_horizon,
         c2=config.c2,
         dp_enabled=not config.zero_noise,
-        force_uniform_plan=config.force_uniform_plan,
-        winsorize_percentile=config.winsorize_percentile)
+        force_uniform_plan=config.force_uniform_plan)
 
 
 def dispatch_run(algorithm: str, problem: FederatedProblem, settings: RunSettings,
@@ -177,16 +172,16 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("algorithm list is empty")
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
     repeated = sorted({alg for alg in algorithms if algorithms.count(alg) > 1})
     if repeated:
         raise ConfigError(f"algorithm list repeats {', '.join(map(repr, repeated))}; "
                           f"each algorithm is one row of the comparison")
     if num_seeds < 1:
         raise ConfigError("num_seeds must be >= 1")
-    config.validate()
+    # each listed algorithm runs under this config, so each must be known and
+    # accept it, whichever algorithm the config itself names
+    for alg in algorithms:
+        replace(config, algorithm=alg).validate()
     seeds = [config.seed + i for i in range(num_seeds)]
     classification = config.dataset == "synthetic_classification"
     finals = {alg: [] for alg in algorithms}

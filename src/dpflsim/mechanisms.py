@@ -22,10 +22,13 @@ import numpy as np
 from .errors import ParameterError
 from .models import outer_rows
 
-# Remaining budget at or below this relative floor counts as exhausted; float
-# dust from summing T equal slices is ~1e-13 relative, real slices are >= 1/T.
-EXHAUSTION_REL_TOL = 1e-9
-EXHAUSTION_ABS_TOL = 1e-15
+
+def exhaustion_floor(epsilon):
+    """The remaining epsilon at or below which a total `epsilon` is spent.
+
+    The floor is relative: float dust from summing T equal slices is ~1e-13
+    relative, and real slices are >= 1/T."""
+    return 1e-9 * epsilon + 1e-15
 
 
 class MechanismKind(enum.Enum):
@@ -164,8 +167,7 @@ class PrivacyBudget:
 
     @property
     def exhausted(self) -> bool:
-        floor = EXHAUSTION_REL_TOL * self.epsilon + EXHAUSTION_ABS_TOL
-        return self.epsilon_remaining <= floor
+        return self.epsilon_remaining <= exhaustion_floor(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -509,8 +511,7 @@ def consume_budget(budget: PrivacyBudget, per_round_epsilon: float,
             np.shape(new_delta) != np.shape(budget.epsilon):
         raise ParameterError(f"slices must match the budget's shape "
                              f"{np.shape(budget.epsilon)}")
-    floor = EXHAUSTION_REL_TOL * budget.epsilon + EXHAUSTION_ABS_TOL
-    exhausted = new_eps <= floor
+    exhausted = new_eps <= exhaustion_floor(budget.epsilon)
     # nonnegative slices keep 0 <= new remaining <= old remaining <= total,
     # so the result needs no second check
     out, = _unchecked(PrivacyBudget, [(budget.epsilon, budget.delta,

@@ -130,13 +130,21 @@ def test_run_refuses_budgets_at_the_exhaustion_floor(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source, key, value", [("set", "momentum", "0.5"),
-                                                ("set", "weight_decay", "0.01"),
-                                                ("config", "aggregate_by_count", "true")])
+REMOVED_SCHEDULE_KEYS = [("lr_kind", "theory_decay"), ("lr_mu", "0.5"), ("lr_gamma", "3.0"),
+                         ("winsorize_percentile", "90")]
+
+
+@pytest.mark.parametrize("source, key, value", [
+    ("set", "momentum", "0.5"), ("set", "weight_decay", "0.01"),
+    ("config", "aggregate_by_count", "true"),
+    *[(source, key, value) for key, value in REMOVED_SCHEDULE_KEYS
+      for source in ("set", "config")]])
 def test_run_refuses_removed_update_rule_keys(tmp_path, capsys, source, key, value):
-    # momentum, weight decay and divide-by-count aggregation change the update
-    # rule that the plan's bound models, so they are not keys: an override or
-    # an old config snapshot naming one fails before any output is written
+    # momentum, weight decay, divide-by-count aggregation and a step size
+    # other than eta0 / (1 + t / h) change the update rule that the plan's
+    # bound models, and the replan's winsorization is fixed at the 95th
+    # percentile, so none of these is a key: an override or an old config
+    # snapshot naming one fails before any output is written
     if source == "set":
         args = ["--set", f"{key}={value}"]
     else:

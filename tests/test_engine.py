@@ -13,7 +13,6 @@ from dpflsim.data import Dataset
 from dpflsim.engine import (
     ClientArrays,
     FederatedProblem,
-    LearningRateSchedule,
     RunSettings,
     _check_ledger,
     _stream,
@@ -46,20 +45,22 @@ LM = MechanismKind.LAPLACE
 # ------------------------------------------------------------------- schedules
 
 def test_learning_rate_schedules():
-    const = LearningRateSchedule("constant", eta0=0.3)
-    assert const.rate(1) == const.rate(100) == 0.3
-    exp = LearningRateSchedule("experiment_decay", eta0=0.1, decay_horizon=10.0)
-    assert exp.rate(10) == pytest.approx(0.05)
-    theory = LearningRateSchedule("theory_decay", mu=0.5, gamma=3.0)
-    assert theory.rate(1) == pytest.approx(2.0 / (0.5 * 4.0))
-    for sched in (const, exp, theory):
-        rates = [sched.rate(t) for t in range(1, 50)]
-        assert all(r > 0 for r in rates)
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-    with pytest.raises(ParameterError):
-        LearningRateSchedule("theory_decay", mu=0.0)
-    with pytest.raises(ParameterError):
-        LearningRateSchedule("warm_restart")
+    # eta0 / (1 + t / h) is the bound's 2 / (mu (gamma + t)) with gamma = h
+    # and mu = 2 / (eta0 h); the rate is the first expression to the bit
+    settings = _settings(lr_initial=0.1, lr_decay_horizon=10.0)
+    mu = 2.0 / (0.1 * 10.0)
+    for t in (1, 2, 7, 10, 199, 10**6):
+        assert settings.learning_rate(t) == 0.1 / (1.0 + t / 10.0)
+        assert settings.learning_rate(t) == pytest.approx(2.0 / (mu * (10.0 + t)))
+    rates = [settings.learning_rate(t) for t in range(1, 50)]
+    assert all(a > b > 0 for a, b in zip(rates, rates[1:]))
+    for t in (0, -1):
+        with pytest.raises(ParameterError, match="round index must be >= 1"):
+            settings.learning_rate(t)
+    for name in ("lr_initial", "lr_decay_horizon"):
+        for value in (0.0, -0.5, math.nan):
+            with pytest.raises(ParameterError, match=f"{name} must be positive"):
+                _settings(**{name: value})
 
 
 # ---------------------------------------------------------------- local pieces
@@ -816,7 +817,7 @@ def _problem(num_clients=4, eps=None, samples_per=30, seed=0, feature_dim=2):
 def _settings(**kw):
     defaults = dict(mechanism=GM, clients_per_round=2, total_rounds=10,
                     estimation_rounds=3, clip_bound=1.0, loss_cap=10.0,
-                    schedule=LearningRateSchedule("experiment_decay", eta0=0.05))
+                    lr_initial=0.05, lr_decay_horizon=200.0)
     defaults.update(kw)
     return RunSettings(**defaults)
 
@@ -1190,9 +1191,7 @@ def test_uniform_dp_huge_budget_approaches_fedsgd():
     # on final losses within 1e-3 of each other.
     problem = _problem(num_clients=4, eps=[1e6] * 4, samples_per=60)
     settings = _settings(total_rounds=120, estimation_rounds=3,
-                         schedule=LearningRateSchedule("experiment_decay",
-                                                       eta0=0.1,
-                                                       decay_horizon=120.0))
+                         lr_initial=0.1, lr_decay_horizon=120.0)
     dp = run_baseline("uniform_dp", problem, settings, seed=12)
     fed = run_baseline("fedsgd", problem, settings, seed=12)
     assert abs(dp.final_test_loss - fed.final_test_loss) < 1e-3
@@ -1229,9 +1228,7 @@ def test_fedsgd_mean_training_loss_decreases():
     curves = []
     for seed in range(5):
         problem = _problem(num_clients=4, samples_per=50, seed=100 + seed)
-        settings = _settings(total_rounds=15, estimation_rounds=3,
-                             schedule=LearningRateSchedule("experiment_decay",
-                                                           eta0=0.08),
+        settings = _settings(total_rounds=15, estimation_rounds=3, lr_initial=0.08,
                              record_weights=True)
         res = run_baseline("fedsgd", problem, settings, seed=seed)
         model = problem.model
@@ -1253,7 +1250,8 @@ def test_run_validation_errors():
         _settings(total_rounds=3, estimation_rounds=3)
 
 
-@pytest.mark.parametrize("name", ["clip_bound", "loss_cap", "c2", "winsorize_percentile"])
+@pytest.mark.parametrize("name", ["clip_bound", "loss_cap", "c2", "lr_initial",
+                                  "lr_decay_horizon"])
 def test_settings_reject_nan(name):
     # a NaN fails every comparison, so `x < 0` would let it through
     with pytest.raises(ParameterError, match=name):

@@ -189,6 +189,20 @@ def test_comparison_fedsgd_bounds_dp_algorithms():
     assert means["fedsgd"] <= means["weiavg"]
 
 
+def test_comparison_validates_the_config_for_every_listed_algorithm(monkeypatch, tmp_path):
+    # a config naming fedsgd passes with T0 = 1, but dpfl_bcs needs T0 >= 2:
+    # the comparison refuses the input as a ConfigError before it builds a
+    # problem, not as a run failure of the lock-step batch
+    def no_build(config):
+        raise AssertionError("an invalid comparison builds no problem")
+
+    monkeypatch.setattr(harness, "build_problem", no_build)
+    cfg = _config(algorithm="fedsgd", estimation_rounds=1)
+    with pytest.raises(ConfigError, match="estimation_rounds must be >= 2 for algorithm"):
+        run_comparison(cfg, ["dpfl_bcs", "fedsgd"], num_seeds=2, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_comparison_failure_names_seed_and_algorithm(monkeypatch):
     # the seed's runs go in lock-step; the one whose own step fails is named
     real = engine._Run.finish

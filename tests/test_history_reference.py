@@ -18,7 +18,7 @@ import pytest
 
 from dpflsim.config import ExperimentConfig
 from dpflsim.harness import build_problem, round_to_json, run_single, write_history
-from dpflsim.mechanisms import EXHAUSTION_ABS_TOL, EXHAUSTION_REL_TOL, PrivacyBudget
+from dpflsim.mechanisms import PrivacyBudget, exhaustion_floor
 
 
 _Client = namedtuple("_Client", "client_id epsilon delta num_samples")
@@ -155,9 +155,8 @@ def _random_configs():
 def _nearly_spent(problem, margin):
     """Every budget arrives with `margin` times its exhaustion floor left."""
     b = problem.budgets
-    problem.budgets = PrivacyBudget(
-        b.epsilon, b.delta,
-        margin * (EXHAUSTION_REL_TOL * b.epsilon + EXHAUSTION_ABS_TOL), b.delta)
+    problem.budgets = PrivacyBudget(b.epsilon, b.delta, margin * exhaustion_floor(b.epsilon),
+                                    b.delta)
     return problem
 
 
