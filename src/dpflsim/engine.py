@@ -612,17 +612,23 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
         if learning_rate <= 0:
             raise ParameterError("loss distortion needs a positive learning rate")
         losses = np.full((len(ids), 2), np.nan)
-        reporting = np.flatnonzero(reports).tolist()
-        # rows of the checked block, so not checked again
-        data = _unchecked(Dataset, ((features[edges[i]:edges[i + 1]],
-                                     targets[edges[i]:edges[i + 1]]) for i in reporting))
-        for i, d in zip(reporting, data):
-            state = models[run[i]]
-            f_current = local_loss(state, d, settings.loss_cap)
-            f_updated = local_loss(state.replaced(state.weights - steps[i]), d,
-                                   settings.loss_cap)
-            losses[i, 0] = (eta * f_current + noise[i, dim]) / eta
-            losses[i, 1] = (eta * f_updated + noise[i, dim + 1]) / eta
+        reporting = np.flatnonzero(reports)
+        if len(reporting):
+            # each reporting responder's capped mean losses at its run's
+            # weights and at its locally updated model, `local_loss`'s
+            # arithmetic on rows cut from the gathered ones; one check
+            # covers every updated model, as `ModelState` checks one
+            incoming = [models[r].weights for r in run[reporting].tolist()]
+            updated = np.array(incoming) - steps[reporting]
+            if not np.isfinite(updated).all():
+                raise ParameterError("weights must be finite")
+            mean_losses = np.empty((len(reporting), 2))
+            for j, i in enumerate(reporting.tolist()):
+                x, y = features[edges[i]:edges[i + 1]], targets[edges[i]:edges[i + 1]]
+                for m, w in enumerate((incoming[j], updated[j])):
+                    capped = np.clip(kind.per_sample_losses(w, x, y), 0.0, loss_cap)
+                    mean_losses[j, m] = capped.sum() / len(capped)
+            losses[reporting] = (eta * mean_losses + noise[reporting, dim:]) / eta
 
     if noised_runs:
         before = clients.epsilon_remaining[own]

@@ -56,6 +56,12 @@ _DOMAIN_SPLIT = 13
 # fast as one seed at a time, while batching seeds of 20,000 rows gained
 # nothing and only raised the peak RSS, so those run alone.
 BATCH_BYTES = 2 ** 20
+# A batch also closes at this many seeds, because it holds its runs' results
+# until its last round, and narrow rows put many seeds under BATCH_BYTES. On
+# a comparison of 200 seeds of 50 rows at feature_dim 1 (N = 20, T = 200),
+# batches of 10, 20, 40 and 100 seeds ran at about 55k, 63k, 67k and 66k
+# client-rounds/s, at 42, 45, 51 and 68 MB of peak RSS.
+BATCH_SEEDS = 40
 
 
 def _derived_seed(seed: int, domain: int) -> int:
@@ -162,10 +168,11 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     regression.
 
     The seeds' problems are built in order, and consecutive seeds run in one
-    lock-step batch (`engine.run_lockstep_seeds`) while their training rows
-    add up to at most `BATCH_BYTES`, so a batch holds its seeds' problems at
-    once; a seed with more runs alone. Every run still draws what it draws
-    alone, and each history equals that of the algorithm run on its own. A
+    lock-step batch (`engine.run_lockstep_seeds`) of at most `BATCH_SEEDS`
+    seeds while their training rows add up to at most `BATCH_BYTES`, so a
+    batch holds its seeds' problems and results at once; a seed with more
+    rows runs alone. Every run still draws what it draws alone, and each
+    history equals that of the algorithm run on its own. A
     batch writes its histories once all its runs are done: when a run fails,
     none of its batch's histories is written (earlier batches' are), and the
     StateError raised names the failing (seed, algorithm)."""
@@ -196,8 +203,9 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
         seed_bytes = problem.train.features.nbytes + problem.train.targets.nbytes
         batch_bytes += seed_bytes
         # every seed of one config has as many training rows, so the batch
-        # closes when one more seed would pass the cap
-        if i + 1 < num_seeds and batch_bytes + seed_bytes <= BATCH_BYTES:
+        # closes when one more seed would pass either cap
+        if (i + 1 < num_seeds and len(batch) < BATCH_SEEDS
+                and batch_bytes + seed_bytes <= BATCH_BYTES):
             continue
         batch_seeds, problems = (list(column) for column in zip(*batch))
         try:
@@ -269,8 +277,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, default=_json_default)
+# one encoder renders every history line: `json.dumps` with these options
+# builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
+
+
+def _write_line(fh, obj) -> None:
+    """Write `obj` as one JSON line; the newline is a write of its own, so a
+    long line is not copied to append it."""
+    fh.write(_ENCODER.encode(obj))
+    fh.write("\n")
 
 
 def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.ndarray,
@@ -346,7 +362,7 @@ class HistoryWriter:
         self._line(header)
 
     def _line(self, obj) -> None:
-        self._fh.write(_dump(obj) + "\n")
+        _write_line(self._fh, obj)
         self._fh.flush()
 
     def write_round(self, record: RoundRecord) -> None:
@@ -358,22 +374,20 @@ class HistoryWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def write_history(path, result: RunResult) -> None:
+    """Write a finished run's history, the lines `HistoryWriter` streams, in
+    one buffered pass with no per-line flush. Each line's object is dropped
+    once written, so the header's per-client records are released before the
+    summary's are built."""
     clients = result.clients
-    header = history_header(result.algorithm, result.settings,
-                            result.final_state.model_kind, clients.epsilon, clients.delta,
-                            clients.num_samples, result.seed)
-    with HistoryWriter(path, header) as writer:
+    with open(path, "w") as fh:
+        _write_line(fh, history_header(result.algorithm, result.settings,
+                                       result.final_state.model_kind, clients.epsilon,
+                                       clients.delta, clients.num_samples, result.seed))
         for record in result.rounds:
-            writer.write_round(record)
-        writer.write_summary(result)
+            _write_line(fh, round_to_json(record))
+        _write_line(fh, summary_to_json(result))
 
 
 @dataclass

@@ -30,6 +30,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # L > mu enforced as L >= mu * (1 + MARGIN) during the fit's coordinate steps.
 _LM_MARGIN = 1e-6
 
+# The fit's coordinates, in the order it steps through them and passes them
+# to `_bound_terms`; L_smooth and mu_convex bound each other's box.
+_FIT_ORDER = ("init_dist_sq", "gamma", "sigma_sq", "L_smooth", "mu_convex")
+_L_SMOOTH, _MU_CONVEX = _FIT_ORDER.index("L_smooth"), _FIT_ORDER.index("mu_convex")
+
 
 @dataclass(frozen=True)
 class SelectionPlan:
@@ -372,10 +377,11 @@ def _client_sums(counts: np.ndarray, gamma_hat_n: np.ndarray, phi_n: np.ndarray,
 
 
 def _bound_terms(init_dist_sq: float, gamma: float, sigma_sq: float, L: float, mu: float,
-                 *, sums: tuple[float, float, float], rho_min_hat: float, Lambda: float,
+                 sums: tuple[float, float, float], rho_min_hat: float, Lambda: float,
                  elapsed: int, K: int, num_clients: int) -> float:
     """Predicted global-loss bound after `elapsed` rounds from `_client_sums`;
-    inf when undefined."""
+    inf when undefined. The fit calls it positionally, the five fitted
+    parameters first, in the order of `_FIT_ORDER`."""
     if mu <= 0 or L <= 0:
         return math.inf
     g_tau = gamma + elapsed
@@ -612,50 +618,43 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
     counts = log.counters(elapsed, num_clients).astype(float)
     sums = _client_sums(counts, gamma_hat_n, phi_n, z)
 
-    point = {"init_dist_sq": 1.0, "gamma": 1.0, "sigma_sq": 0.0,
-             "L_smooth": 1.0, "mu_convex": 0.5}
-
-    def residual_at(p: dict) -> float:
-        value = _bound_terms(
-            p["init_dist_sq"], p["gamma"], p["sigma_sq"], p["L_smooth"], p["mu_convex"],
-            sums=sums, rho_min_hat=rho_min_hat, Lambda=Lambda, elapsed=elapsed, K=K,
-            num_clients=num_clients)
-        return abs(observed_loss - value)
-
-    residual = residual_at(point)
+    # the fitted parameters in `_FIT_ORDER`, from the neutral start
+    point = [1.0, 1.0, 0.0, 1.0, 0.5]
+    fixed = (sums, rho_min_hat, Lambda, elapsed, K, num_clients)
+    residual = abs(observed_loss - _bound_terms(*point, *fixed))
     history = [residual]
-    order = ("init_dist_sq", "gamma", "sigma_sq", "L_smooth", "mu_convex")
     if residual > residual_tol:
         for _ in range(max_sweeps):
             improved = False
-            for name in order:
-                if name == "L_smooth":
-                    lo = point["mu_convex"] * (1.0 + _LM_MARGIN)
+            for j in range(len(point)):
+                if j == _L_SMOOTH:
+                    lo = point[_MU_CONVEX] * (1.0 + _LM_MARGIN)
                     hi = max(box_upper, lo)
-                elif name == "mu_convex":
-                    lo, hi = 0.0, point["L_smooth"] / (1.0 + _LM_MARGIN)
+                elif j == _MU_CONVEX:
+                    lo, hi = 0.0, point[_L_SMOOTH] / (1.0 + _LM_MARGIN)
                 else:
                     lo, hi = 0.0, box_upper
+                # the point with coordinate j at x, evaluated in place
+                trial = point.copy()
 
-                def f(x, _name=name):
-                    trial = dict(point)
-                    trial[_name] = x
-                    return residual_at(trial)
+                def f(x, _trial=trial, _j=j):
+                    _trial[_j] = x
+                    return abs(observed_loss - _bound_terms(*_trial, *fixed))
 
                 x, fx = _coordinate_minimize(f, lo, hi, golden_tol)
                 if fx < residual:
-                    point[name] = x
+                    point[j] = x
                     residual = fx
                     improved = True
             history.append(residual)
             if residual <= residual_tol or not improved:
                 break
 
-    omega_a, omega_b = convergence_coefficients(
-        point["L_smooth"], point["mu_convex"], point["gamma"], Lambda, K, elapsed)
+    init_dist_sq, gamma, sigma_sq, L_smooth, mu_convex = point
+    omega_a, omega_b = convergence_coefficients(L_smooth, mu_convex, gamma, Lambda, K,
+                                                elapsed)
     return EstimatedParams(
         gamma_hat_n=gamma_hat_n, rho_min_hat=float(rho_min_hat), Lambda=float(Lambda),
-        phi_n=phi_n, gamma=point["gamma"], L_smooth=point["L_smooth"],
-        mu_convex=point["mu_convex"], sigma_sq=point["sigma_sq"],
-        init_dist_sq=point["init_dist_sq"], omega_a=omega_a, omega_b=omega_b,
+        phi_n=phi_n, gamma=gamma, L_smooth=L_smooth, mu_convex=mu_convex,
+        sigma_sq=sigma_sq, init_dist_sq=init_dist_sq, omega_a=omega_a, omega_b=omega_b,
         fit_residual=residual, residual_history=tuple(history))

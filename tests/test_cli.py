@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from dpflsim.cli import main, read_roster
-from dpflsim.config import ExperimentConfig
+from dpflsim.config import ExperimentConfig, load_config
 from dpflsim.errors import ConfigError
-from dpflsim.harness import build_problem, estimate_from_history, read_history
+from dpflsim.harness import (
+    build_problem,
+    estimate_from_history,
+    read_history,
+    run_single,
+    write_history,
+)
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import EstimatedParams, compute_phi_lambda, predicted_loss_bound
 
@@ -65,6 +71,23 @@ def test_run_snapshot_alone_reproduces_history(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out1 / "history.jsonl").read_bytes() == \
         (out2 / "history.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])
+def test_run_streamed_history_equals_write_history(tmp_path, mechanism):
+    # `run` streams its history a line at a time, flushing each, while
+    # `write_history` writes a finished run in one buffered pass; the bytes
+    # must agree
+    delta = {} if mechanism == "gaussian" else dict(delta_min=0.0, delta_max=0.0)
+    cfg_path = _write_config(tmp_path / "exp.cfg", algorithm="dpfl_bcs",
+                             estimation_rounds=4, mechanism=mechanism, **delta)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    config = load_config(cfg_path)
+    write_history(tmp_path / "written.jsonl", run_single(config))
+    streamed = (out / "history.jsonl").read_bytes()
+    assert streamed == (tmp_path / "written.jsonl").read_bytes()
+    assert json.loads(streamed.splitlines()[0])["mechanism"] == mechanism
 
 
 def test_run_rejects_estimation_rounds_at_total(tmp_path, capsys):

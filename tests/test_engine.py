@@ -939,6 +939,72 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
     assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
 
 
+def _loss_problem(seed, classification):
+    """Five clients of 1-12 rows, under a linear or a logistic model."""
+    rng = np.random.default_rng(seed)
+    model = LogisticRegression(3, 4) if classification else LinearRegression(3)
+
+    def targets(m):
+        return rng.integers(0, 4, size=m) if classification else rng.normal(size=m)
+
+    data = [Dataset(rng.normal(size=(m, 3)), targets(m)) for m in (1, 7, 3, 12, 5)]
+    test = Dataset(rng.normal(size=(10, 3)), targets(10))
+    return FederatedProblem(model, *_block(data), _budgets([0.4, 1.0, 2.5, 0.7, 3.0], 1e-4),
+                            test), data
+
+
+@pytest.mark.parametrize("classification", [False, True], ids=["linear", "logistic"])
+def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
+    # two seeds' problems, three runs on each: runs 0, 2, 3 and 5 report
+    # their losses (dpfl_bcs in stage one), runs 1 and 4 do not, and run 5
+    # has no responder this round. Every reported loss is `local_loss` at the
+    # run's incoming weights and at the responder's locally updated model,
+    # distorted by the responder's noise, to the bit
+    problems, data = zip(*(_loss_problem(seed, classification) for seed in (5, 6)))
+    settings = _settings(clip_bound=0.8, loss_cap=2.0)
+    report = [True, False, True, True, False, True]
+    chosen = {0: [0, 1, 3], 1: [2, 4], 2: [1, 2, 4], 3: [0, 3, 4], 4: [1], 5: []}
+    ids = [5 * g + n for g, clients in chosen.items() for n in clients]
+    rng = np.random.default_rng(8)
+    model = problems[0].model
+    states = [ModelState(rng.normal(scale=0.5, size=model.dim), model) for _ in report]
+    eta = 0.3
+
+    def round_of(noised):
+        block, views = ClientArrays.stacked(problems, 3)
+        for view in views:
+            view.install([3, 2, 4, 1, 5], settings)
+        generators = [np.random.default_rng(p) for p in (0, 1)]
+        return client_round(block, ids, states, eta, [generators[g // 3] for g in range(6)],
+                            settings, report, noised)
+
+    # the unnoised round's releases are the responders' steps
+    steps = round_of(False).gradients
+    drawn = []
+    real_noise = engine.sample_noise
+
+    def recording_noise(*args):
+        drawn.append(real_noise(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(engine, "sample_noise", recording_noise)
+    out = round_of(True)
+    noise, = drawn
+    assert out.ids.tolist() == ids
+    dim = model.dim
+    for i, entry in enumerate(ids):
+        g, n = divmod(entry, 5)
+        if not report[g]:
+            assert np.isnan(out.losses[i]).all()
+            continue
+        state, rows = states[g], data[g // 3][n]
+        current = local_loss(state, rows, settings.loss_cap)
+        updated = local_loss(state.replaced(state.weights - steps[i]), rows, settings.loss_cap)
+        assert out.losses[i, 0] == (eta * current + noise[i, dim]) / eta
+        assert out.losses[i, 1] == (eta * updated + noise[i, dim + 1]) / eta
+        assert out.gradients[i].tolist() == (steps[i] + noise[i, :dim]).tolist()
+
+
 @pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
 def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism):
     # three seeds' problems in one batch; on the middle one every client

@@ -424,6 +424,38 @@ def test_comparison_batches_seeds_under_the_byte_cap(monkeypatch):
     assert cfg.total_rounds < len(calls) <= 3 * cfg.total_rounds
 
 
+def test_comparison_closes_a_narrow_row_batch_at_the_seed_cap(monkeypatch, tmp_path):
+    # 30 rows at feature_dim 1 take 480 bytes a seed, so the byte cap alone
+    # would batch about 2,000 such seeds; the seed cap splits them, and every
+    # history still equals, byte for byte, that of the run made alone
+    batches = []
+    real_seeds = harness.run_lockstep_seeds
+
+    def recording_seeds(problems, seeds, *args):
+        batches.append(list(seeds))
+        return real_seeds(problems, seeds, *args)
+
+    monkeypatch.setattr(harness, "run_lockstep_seeds", recording_seeds)
+    cfg = _config(num_clients=4, clients_per_round=2, total_rounds=5, estimation_rounds=2,
+                  num_samples=30, test_samples=10, feature_dim=1)
+    num_seeds = 2 * harness.BATCH_SEEDS + 1
+    train = build_problem(cfg).train
+    assert num_seeds * (train.features.nbytes + train.targets.nbytes) <= harness.BATCH_BYTES
+    run_comparison(cfg, ALGORITHMS, num_seeds, out_dir=tmp_path / "batch")
+    seeds = list(range(42, 42 + num_seeds))
+    cap = harness.BATCH_SEEDS
+    assert batches == [seeds[:cap], seeds[cap:2 * cap], seeds[2 * cap:]]
+    for seed in seeds:
+        cfg_seed = dataclasses.replace(cfg, seed=seed)
+        problem = build_problem(cfg_seed)
+        settings = settings_from_config(cfg_seed)
+        for alg in ALGORITHMS:
+            name = f"history_{alg}_seed{seed}.jsonl"
+            write_history(tmp_path / name, dispatch_run(alg, problem, settings, seed))
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / "batch" / name).read_bytes()), name
+
+
 def test_comparison_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         run_comparison(_config(), [], num_seeds=1)
