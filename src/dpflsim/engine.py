@@ -62,7 +62,6 @@ from .selection import (
     estimate_gamma_n,
     estimate_problem_params,
     estimate_rho_min,
-    largest_remainder_round,
     observed_stage_loss,
     optimal_plan,
     winsorize_upper,
@@ -277,15 +276,6 @@ class RunResult:
                 stage2_planned, stage2_per_round, at_replan,
                 clients.exhausted.tolist(), clients.trained_after_exhaustion.tolist()))
         ]
-
-
-def local_loss(model: ModelState, data: Dataset, loss_cap: float) -> float:
-    """Mean per-sample loss with each per-sample loss capped to [0, loss_cap]."""
-    if data.feature_dim != model.model_kind.feature_dim:
-        raise ParameterError(
-            f"data feature_dim {data.feature_dim} != model {model.model_kind.feature_dim}")
-    losses = model.model_kind.per_sample_losses(model.weights, data.features, data.targets)
-    return float(np.mean(np.clip(losses, 0.0, loss_cap)))
 
 
 def local_gradient(model: ModelState, data: Dataset, learning_rate: float,
@@ -614,10 +604,10 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
         losses = np.full((len(ids), 2), np.nan)
         reporting = np.flatnonzero(reports)
         if len(reporting):
-            # each reporting responder's capped mean losses at its run's
-            # weights and at its locally updated model, `local_loss`'s
-            # arithmetic on rows cut from the gathered ones; one check
-            # covers every updated model, as `ModelState` checks one
+            # each reporting responder's mean of its per-sample losses, each
+            # capped to [0, loss_cap], at its run's weights and at its
+            # locally updated model, on rows cut from the gathered ones; one
+            # check covers every updated model, as `ModelState` checks one
             incoming = [models[r].weights for r in run[reporting].tolist()]
             updated = np.array(incoming) - steps[reporting]
             if not np.isfinite(updated).all():
@@ -771,9 +761,8 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int, rng):
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
-    total = horizon * k
-    counts = largest_remainder_round(np.full(num_clients, total / num_clients), total)
-    return SelectionPlan.from_counts(counts, horizon, k)
+    """The budget-only plan with every Phi_n equal."""
+    return approximate_plan(np.ones(num_clients), horizon * k, 1, per_round_selected=k)
 
 
 def run_dpfl_bcs(problem: FederatedProblem, settings: RunSettings, seed: int,
@@ -1182,5 +1171,5 @@ def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArr
     sub = optimal_plan(params_active, horizon, k, z)
     counts = np.zeros(num_clients, dtype=int)
     counts[active] = sub.counts
-    plan2 = SelectionPlan.from_counts(counts, horizon, k)
+    plan2 = SelectionPlan(counts, horizon, k)
     return plan2, est, plan2.probabilities

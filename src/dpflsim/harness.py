@@ -329,7 +329,8 @@ def round_to_json(record: RoundRecord) -> dict:
         "test_accuracy": record.test_accuracy,
     }
     if record.losses is not None:
-        obj["losses"] = {str(n): [cur, upd] for n, (cur, upd) in sorted(record.losses.items())}
+        # the encoder sorts the keys, as strings
+        obj["losses"] = {str(n): [cur, upd] for n, (cur, upd) in record.losses.items()}
     return obj
 
 

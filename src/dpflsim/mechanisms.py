@@ -407,31 +407,6 @@ def _row_norms(matrix: np.ndarray, norm_kind: str) -> np.ndarray:
     return np.sum(np.abs(matrix), axis=1)
 
 
-def clip_per_sample_gradient(gradient: np.ndarray, config: ClipConfig) -> np.ndarray:
-    """Project one per-sample gradient onto the clipping ball.
-
-    Vectors already inside the ball are returned unchanged (bit-identical);
-    others are rescaled to norm config.bound.
-    """
-    gradient = np.asarray(gradient, dtype=float)
-    if gradient.ndim != 1:
-        raise ParameterError(f"gradient must be 1-d, got shape {gradient.shape}")
-    norm = _row_norms(gradient[None, :], config.norm_kind)[0]
-    if not math.isfinite(norm):
-        raise ParameterError("gradient has non-finite entries")
-    if norm <= config.bound:
-        return gradient
-    out = gradient * (config.bound / norm)
-    # One or two refinement passes absorb rounding so the output never exceeds
-    # the bound and a second clip call is a bitwise no-op.
-    for _ in range(4):
-        n = _row_norms(out[None, :], config.norm_kind)[0]
-        if n <= config.bound:
-            break
-        out = out * (config.bound / n)
-    return out
-
-
 def clip_gradient_matrix(gradients: np.ndarray, config: ClipConfig) -> np.ndarray:
     """Row-wise clipping of a (num_samples, dim) per-sample gradient matrix."""
     gradients = np.asarray(gradients, dtype=float)
@@ -478,8 +453,7 @@ def _refine_clipped(out: np.ndarray, config: ClipConfig) -> np.ndarray:
     """Rescale, in place, the rows that rounding left just outside the ball.
 
     A rescale can itself land an ulp outside, so the rows still over the
-    bound are rescaled again, at most four times, as in
-    `clip_per_sample_gradient`.
+    bound are rescaled again, at most four times.
     """
     norms = _row_norms(out, config.norm_kind)
     rows = np.arange(len(out))

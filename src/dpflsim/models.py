@@ -198,6 +198,3 @@ class ModelState:
                 f"weights have shape {weights.shape}, model needs ({self.model_kind.dim},)")
         if not np.isfinite(weights).all():
             raise ParameterError("weights must be finite")
-
-    def replaced(self, weights: np.ndarray) -> "ModelState":
-        return ModelState(weights, self.model_kind)

@@ -38,18 +38,19 @@ _L_SMOOTH, _MU_CONVEX = _FIT_ORDER.index("L_smooth"), _FIT_ORDER.index("mu_conve
 
 @dataclass(frozen=True)
 class SelectionPlan:
-    """Participation counts T_n and probabilities p_n over a horizon."""
+    """Participation counts T_n over a horizon; p_n = T_n / (K * horizon)."""
 
     counts: np.ndarray
-    probabilities: np.ndarray
     horizon_rounds: int
     per_round_selected: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        probs = np.asarray(self.probabilities, dtype=float)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            if not (np.isfinite(counts).all() and (counts == np.round(counts)).all()):
+                raise ParameterError("plan counts must be whole numbers")
+        counts = np.asarray(counts, dtype=int)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "probabilities", probs)
         if self.horizon_rounds < 1:
             raise ParameterError("horizon_rounds must be >= 1")
         if self.per_round_selected < 1:
@@ -60,18 +61,10 @@ class SelectionPlan:
         if int(counts.sum()) != total:
             raise ParameterError(
                 f"plan counts sum to {int(counts.sum())}, expected K*horizon = {total}")
-        if probs.shape != counts.shape:
-            raise ParameterError("probabilities and counts length mismatch")
-        if not np.allclose(probs, counts / total, rtol=0, atol=1e-9):
-            raise ParameterError("probabilities must equal counts / (K*horizon)")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ParameterError("probabilities must sum to 1 within 1e-9")
 
-    @classmethod
-    def from_counts(cls, counts, horizon_rounds: int, per_round_selected: int) -> "SelectionPlan":
-        counts = np.asarray(counts, dtype=int)
-        total = horizon_rounds * per_round_selected
-        return cls(counts, counts / total, horizon_rounds, per_round_selected)
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.counts / (self.horizon_rounds * self.per_round_selected)
 
     def to_dict(self) -> dict:
         return {
@@ -302,13 +295,14 @@ def approximate_plan(phi_n: np.ndarray, budget_rounds: int, z: int,
         raise ParameterError("budget_rounds must be >= 1")
     if z not in (1, 2):
         raise ParameterError(f"z must be 1 or 2, got {z}")
+    if per_round_selected < 1:
+        raise ParameterError("per_round_selected must be >= 1")
     if budget_rounds % per_round_selected != 0:
         raise ParameterError("budget_rounds must be divisible by per_round_selected")
     weights = phi_n ** (-1.0 / z)
     cont = budget_rounds * weights / weights.sum()
     counts = largest_remainder_round(cont, budget_rounds)
-    return SelectionPlan.from_counts(counts, budget_rounds // per_round_selected,
-                                     per_round_selected)
+    return SelectionPlan(counts, budget_rounds // per_round_selected, per_round_selected)
 
 
 def estimate_gamma_n(log: StageOneLog, num_clients: int) -> np.ndarray:
@@ -507,7 +501,7 @@ def solve_plan(phi_n, gamma_n, omega_a: float, omega_b: float, horizon_rounds: i
     counts sum to K * horizon exactly."""
     total = K * horizon_rounds
     cont, _ = water_fill_continuous(phi_n, gamma_n, omega_a, omega_b, total, z)
-    return SelectionPlan.from_counts(largest_remainder_round(cont, total), horizon_rounds, K)
+    return SelectionPlan(largest_remainder_round(cont, total), horizon_rounds, K)
 
 
 def optimal_plan(params: EstimatedParams, horizon_rounds: int, K: int, z: int) -> SelectionPlan:

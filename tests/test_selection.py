@@ -25,6 +25,7 @@ from dpflsim.selection import (
     optimal_plan,
     predicted_loss_bound,
     selection_skew,
+    solve_plan,
     water_fill_continuous,
     winsorize_upper,
 )
@@ -83,6 +84,9 @@ def test_approximate_plan_symmetry():
     assert plan.counts.tolist() == [4] * 5
     with pytest.raises(ParameterError):
         approximate_plan(np.array([1.0, 0.0]), 8, 1)
+    for per_round in (0, -1):
+        with pytest.raises(ParameterError, match="per_round_selected must be >= 1"):
+            approximate_plan(np.ones(3), 10, 1, per_round_selected=per_round)
 
 
 def test_budget_only_closed_form_beats_fine_grid():
@@ -155,14 +159,32 @@ def test_largest_remainder_properties():
 # ---------------------------------------------------------------- SelectionPlan
 
 def test_selection_plan_validation():
-    plan = SelectionPlan.from_counts(np.array([6, 2]), horizon_rounds=4,
-                                     per_round_selected=2)
+    plan = SelectionPlan(np.array([6, 2]), horizon_rounds=4, per_round_selected=2)
     assert plan.probabilities.tolist() == [0.75, 0.25]
     with pytest.raises(ParameterError):
-        SelectionPlan.from_counts(np.array([6, 1]), horizon_rounds=4,
-                                  per_round_selected=2)
-    with pytest.raises(ParameterError):
-        SelectionPlan(np.array([6, 2]), np.array([0.5, 0.5]), 4, 2)
+        SelectionPlan(np.array([6, 1]), horizon_rounds=4, per_round_selected=2)
+
+
+def test_selection_plan_refuses_counts_that_are_not_whole_numbers():
+    for counts in ([3.9, 0.1], [3.5, 0.5], [np.nan, 3.0], [np.inf, 0.0]):
+        with pytest.raises(ParameterError, match="plan counts must be whole numbers"):
+            SelectionPlan(np.array(counts), horizon_rounds=3, per_round_selected=1)
+    plan = SelectionPlan(np.array([3.0, 0.0]), horizon_rounds=3, per_round_selected=1)
+    assert plan.counts.dtype == int and plan.counts.tolist() == [3, 0]
+
+
+def test_plan_probabilities_are_counts_over_k_horizon():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n + 1))
+        horizon = int(rng.integers(1, 30))
+        z = int(rng.integers(1, 3))
+        phi = rng.uniform(0.01, 3.0, size=n)
+        gamma = rng.uniform(0.0, 2.0, size=n)
+        for plan in (approximate_plan(phi, k * horizon, z, per_round_selected=k),
+                     solve_plan(phi, gamma, 0.7, 0.3, horizon, k, z)):
+            assert (plan.probabilities == plan.counts / (k * horizon)).all()
 
 
 def test_stage_one_log_counters_and_validation():
