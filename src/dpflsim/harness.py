@@ -4,9 +4,11 @@ multi-seed comparisons, and persist line-delimited run histories."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +37,7 @@ from .engine import (
 from .errors import ConfigError, StateError
 from .mechanisms import MechanismKind
 from .models import LinearRegression, LogisticRegression
-from .selection import EstimatedParams, StageOneLog, compute_phi_lambda
+from .selection import EstimatedParams, SelectionPlan, StageOneLog, compute_phi_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -267,33 +269,112 @@ def write_summary_csv(path, rows) -> None:
                              repr(row.std_final_metric), row.num_seeds])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+# one encoder renders every history line's object: `json.dumps` with these
+# options builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+# A string "\x00name" in an object stands for text rendered apart, as JSON,
+# and `_render` puts that text in its place. The encoder writes the string as
+# "\u0000name", which no other string of a history line is.
+_HOLE = re.compile(r'"\\u0000(\w+)"')
 
 
-# one encoder renders every history line: `json.dumps` with these options
-# builds a new encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
+def _hole(name: str) -> str:
+    return "\x00" + name
+
+
+def _render(obj, texts: dict) -> str:
+    """The encoder's JSON text of `obj`, with each hole `_hole(name)` in it
+    replaced by texts[name]."""
+    parts = _HOLE.split(_ENCODER.encode(obj))
+    parts[1::2] = [texts[name] for name in parts[1::2]]
+    return "".join(parts)
+
+
+def _write_text(fh, line: str) -> None:
+    """Write one line of JSON text; the newline is a write of its own, so a
+    long line is not copied to append it."""
+    fh.write(line)
+    fh.write("\n")
 
 
 def _write_line(fh, obj) -> None:
-    """Write `obj` as one JSON line; the newline is a write of its own, so a
-    long line is not copied to append it."""
+    """Write `obj` as one JSON line, as `_write_text` writes its text."""
     fh.write(_ENCODER.encode(obj))
     fh.write("\n")
 
 
+def _float_texts(**columns) -> dict:
+    """Each float column's entries as lists of their JSON texts, spelled as
+    `_ENCODER` spells them (`float.__repr__`, or NaN, Infinity, -Infinity).
+
+    Each distinct float64 bit pattern is rendered once, over all the columns
+    at once: a wide history's columns repeat few values (a plan's
+    probabilities take a handful, a remaining budget often equals the
+    header's epsilon), and rendering a float costs far more than looking its
+    text up. Values are told apart by their bits, not by `==`, which would
+    merge -0.0 with 0.0 and never match a NaN."""
+    values = np.concatenate(list(columns.values()), dtype=np.float64)
+    distinct, which = np.unique(values.view(np.int64), return_inverse=True)
+    # the encoder renders the distinct values as one list; no float's text
+    # holds the list's separator
+    texts = _ENCODER.encode(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    texts = np.array(texts, dtype=object)[which].tolist()
+    out, start = {}, 0
+    for name, column in columns.items():
+        out[name] = texts[start:start + len(column)]
+        start += len(column)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _client_ids(n: int) -> tuple:
+    """(ids, order, keys) of an n-client history: the client ids as text, the
+    ids in the order the encoder sorts a budget object's keys ("0", "1",
+    "10", ...), and their texts in that order."""
+    ids = tuple(map(str, range(n)))
+    order = tuple(sorted(range(n), key=ids.__getitem__))
+    return ids, order, tuple(ids[i] for i in order)
+
+
+def _join_rows(n: int, *pieces) -> str:
+    """Join n rows with ", ", row i being the i-th entry of each sequence
+    piece and each str piece itself, in the order given."""
+    parts = [", "] * ((len(pieces) + 1) * n)
+    for k, piece in enumerate(pieces):
+        parts[k::len(pieces) + 1] = [piece] * n if isinstance(piece, str) else piece
+    return "".join(parts[:-1])
+
+
+def _client_list(epsilon: list, delta: list, num_samples: np.ndarray) -> str:
+    """The header's client list from the epsilon and delta columns' texts."""
+    n = len(epsilon)
+    return "[" + _join_rows(n, '{"client_id": ', _client_ids(n)[0], ', "delta": ', delta,
+                            ', "epsilon": ', epsilon, ', "num_samples": ',
+                            list(map(str, num_samples.tolist())), "}") + "]"
+
+
+def _budget_object(texts: list) -> str:
+    """A budget object, client id to value, from one column's texts."""
+    n = len(texts)
+    _, order, keys = _client_ids(n)
+    return "{" + _join_rows(n, '"', keys, '": ', list(map(texts.__getitem__, order))) + "}"
+
+
+def _array(texts: list) -> str:
+    return "[" + ", ".join(texts) + "]"
+
+
 def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.ndarray,
-                   delta: np.ndarray, num_samples: np.ndarray, seed: int) -> dict:
-    """The header record; the three columns give each client's budget and
-    sample count."""
-    return {
+                   delta: np.ndarray, num_samples: np.ndarray, seed: int,
+                   texts: dict | None = None) -> str:
+    """The header line: the run's settings, and a client list whose entries
+    give each client's budget and sample count. `texts` holds the epsilon
+    and delta columns' texts (`_float_texts`) when the caller has rendered
+    them already."""
+    if texts is None:
+        texts = _float_texts(epsilon=epsilon, delta=delta)
+    return _render({
         "kind": "header",
         "format_version": HISTORY_FORMAT_VERSION,
         "algorithm": algorithm,
@@ -311,12 +392,8 @@ def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.nda
         "loss_cap": settings.loss_cap,
         "c2": settings.c2,
         "seed": int(seed),
-        "clients": [
-            {"client_id": i, "epsilon": eps, "delta": dlt, "num_samples": samples}
-            for i, (eps, dlt, samples) in enumerate(zip(
-                epsilon.tolist(), delta.tolist(), num_samples.tolist()))
-        ],
-    }
+        "clients": _hole("clients"),
+    }, {"clients": _client_list(texts["epsilon"], texts["delta"], num_samples)})
 
 
 def round_to_json(record: RoundRecord) -> dict:
@@ -334,43 +411,77 @@ def round_to_json(record: RoundRecord) -> dict:
     return obj
 
 
-def summary_to_json(result: RunResult) -> dict:
-    clients = result.clients
-    ids = [str(i) for i in range(len(clients.epsilon))]
-    return {
+# the summary's float columns written as arrays, where the run has them
+_ARRAY_COLUMNS = ("plan_stage1", "plan_stage2", "gamma_hat_n", "phi_n")
+
+
+def _summary_columns(result: RunResult) -> dict:
+    """The summary's float columns, by name."""
+    columns = {"epsilon_consumed": result.clients.epsilon_consumed,
+               "epsilon_remaining": result.clients.epsilon_remaining,
+               "plan_stage1": result.plan_stage1.probabilities}
+    if result.plan_stage2 is not None:
+        columns["plan_stage2"] = result.plan_stage2.probabilities
+    if result.estimated_params is not None:
+        columns["gamma_hat_n"] = result.estimated_params.gamma_hat_n
+        columns["phi_n"] = result.estimated_params.phi_n
+    return columns
+
+
+def _plan(plan: SelectionPlan | None, name: str) -> dict | None:
+    """A plan's record, its probabilities the hole `name`."""
+    if plan is None:
+        return None
+    return {"counts": plan.counts.tolist(), "probabilities": _hole(name),
+            "horizon_rounds": int(plan.horizon_rounds),
+            "per_round_selected": int(plan.per_round_selected)}
+
+
+def summary_line(result: RunResult, texts: dict | None = None) -> str:
+    """The summary line: final metrics, both plans, the estimated parameters
+    and each client's epsilon consumed and remaining. `texts` holds the
+    summary's float columns' texts (`_float_texts` of `_summary_columns`)
+    when the caller has rendered them already."""
+    if texts is None:
+        texts = _float_texts(**_summary_columns(result))
+    params = result.estimated_params
+    columns = {name: _budget_object(texts[name])
+               for name in ("epsilon_consumed", "epsilon_remaining")}
+    columns.update((name, _array(texts[name])) for name in _ARRAY_COLUMNS if name in texts)
+    return _render({
         "kind": "summary",
         "final_test_loss": result.final_test_loss,
         "final_test_accuracy": result.final_test_accuracy,
-        "plan_stage1": result.plan_stage1.to_dict(),
-        "plan_stage2": result.plan_stage2.to_dict() if result.plan_stage2 else None,
-        "estimated_params": (result.estimated_params.to_dict()
-                             if result.estimated_params else None),
+        "plan_stage1": _plan(result.plan_stage1, "plan_stage1"),
+        "plan_stage2": _plan(result.plan_stage2, "plan_stage2"),
+        "estimated_params": (None if params is None else {
+            **params.to_dict(), "gamma_hat_n": _hole("gamma_hat_n"),
+            "phi_n": _hole("phi_n")}),
         "ended_early": result.ended_early,
-        "budget": {
-            "epsilon_consumed": dict(zip(ids, clients.epsilon_consumed.tolist())),
-            "epsilon_remaining": dict(zip(ids, clients.epsilon_remaining.tolist())),
-        },
-    }
+        "budget": {"epsilon_consumed": _hole("epsilon_consumed"),
+                   "epsilon_remaining": _hole("epsilon_remaining")},
+    }, columns)
 
 
 class HistoryWriter:
-    """Streams one run to a line-delimited JSON file: header line first, one
-    round object per line as rounds complete, one summary line at the end.
-    Flushed per line so a crashed run leaves a readable partial history."""
+    """Streams one run to a line-delimited JSON file: the header line
+    (`history_header`) first, one round object per line as rounds complete,
+    one summary line at the end. Flushed per line so a crashed run leaves a
+    readable partial history."""
 
-    def __init__(self, path, header: dict):
+    def __init__(self, path, header: str):
         self._fh = open(path, "w")
         self._line(header)
 
-    def _line(self, obj) -> None:
-        _write_line(self._fh, obj)
+    def _line(self, line: str) -> None:
+        _write_text(self._fh, line)
         self._fh.flush()
 
     def write_round(self, record: RoundRecord) -> None:
-        self._line(round_to_json(record))
+        self._line(_ENCODER.encode(round_to_json(record)))
 
     def write_summary(self, result: RunResult) -> None:
-        self._line(summary_to_json(result))
+        self._line(summary_line(result))
 
     def close(self) -> None:
         self._fh.close()
@@ -378,17 +489,20 @@ class HistoryWriter:
 
 def write_history(path, result: RunResult) -> None:
     """Write a finished run's history, the lines `HistoryWriter` streams, in
-    one buffered pass with no per-line flush. Each line's object is dropped
-    once written, so the header's per-client records are released before the
-    summary's are built."""
+    one buffered pass with no per-line flush. The header's and the summary's
+    float columns are rendered together, so a value both lines hold is
+    rendered once."""
     clients = result.clients
+    texts = _float_texts(epsilon=clients.epsilon, delta=clients.delta,
+                         **_summary_columns(result))
     with open(path, "w") as fh:
-        _write_line(fh, history_header(result.algorithm, result.settings,
+        _write_text(fh, history_header(result.algorithm, result.settings,
                                        result.final_state.model_kind, clients.epsilon,
-                                       clients.delta, clients.num_samples, result.seed))
+                                       clients.delta, clients.num_samples, result.seed,
+                                       texts))
         for record in result.rounds:
             _write_line(fh, round_to_json(record))
-        _write_line(fh, summary_to_json(result))
+        _write_text(fh, summary_line(result, texts))
 
 
 @dataclass
@@ -399,27 +513,54 @@ class ParsedHistory:
 
 
 def read_history(path) -> ParsedHistory:
+    """Parse one history file. Raises ConfigError on a file that is not one
+    run's history, naming `path:line` where a line breaks it: a line that is
+    not a JSON object, a first line that is no header, or what a
+    concatenation of histories holds, a second header or summary, a round
+    after the summary, or a second round with one `t`."""
     try:
         with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read history file {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"history file {path} is empty")
-    objs = []
+    header, rounds, summary = None, [], None
+    # line numbers of the summary and of each integer t's round
+    summary_at, round_at = None, {}
     for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            objs.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{i}: invalid JSON: {exc}") from exc
-        if not isinstance(objs[-1], dict):
+        if not isinstance(obj, dict):
             raise ConfigError(f"{path}:{i}: not a JSON object")
-    header = objs[0]
-    if header.get("kind") != "header":
-        raise ConfigError(f"{path}: first line is not a history header")
-    rounds = [o for o in objs[1:] if o.get("kind") == "round"]
-    summaries = [o for o in objs[1:] if o.get("kind") == "summary"]
-    return ParsedHistory(header, rounds, summaries[-1] if summaries else None)
+        kind = obj.get("kind")
+        if header is None:
+            if kind != "header":
+                raise ConfigError(f"{path}: first line is not a history header")
+            header = obj
+        elif kind == "header":
+            raise ConfigError(f"{path}:{i}: a second header line; a history holds one run")
+        elif kind == "summary":
+            if summary is not None:
+                raise ConfigError(f"{path}:{i}: a second summary line, after the one at "
+                                  f"line {summary_at}; a history holds one run")
+            summary, summary_at = obj, i
+        elif kind == "round":
+            if summary is not None:
+                raise ConfigError(f"{path}:{i}: a round line after the summary at line "
+                                  f"{summary_at}")
+            t = obj.get("t")
+            if type(t) is int:
+                if t in round_at:
+                    raise ConfigError(f"{path}:{i}: a second round t = {t}, after the one "
+                                      f"at line {round_at[t]}")
+                round_at[t] = i
+            rounds.append(obj)
+    if header is None:
+        raise ConfigError(f"history file {path} is empty")
+    return ParsedHistory(header, rounds, summary)
 
 
 def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:

@@ -66,14 +66,6 @@ class SelectionPlan:
     def probabilities(self) -> np.ndarray:
         return self.counts / (self.horizon_rounds * self.per_round_selected)
 
-    def to_dict(self) -> dict:
-        return {
-            "counts": self.counts.tolist(),
-            "probabilities": self.probabilities.tolist(),
-            "horizon_rounds": int(self.horizon_rounds),
-            "per_round_selected": int(self.per_round_selected),
-        }
-
 
 @dataclass(frozen=True)
 class StageOneLog:

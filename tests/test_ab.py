@@ -1,0 +1,64 @@
+"""Smoke test of `tools/ab.py`, the A/B benchmark tool."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _in_git_checkout() -> bool:
+    if shutil.which("git") is None:
+        return False
+    proc = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                          capture_output=True, check=False)
+    return proc.returncode == 0
+
+
+def test_differing_files_names_what_one_tree_changes(tmp_path):
+    ab = _load_tool()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "perfbench" / "__pycache__").mkdir(parents=True)
+        (tree / "perfbench" / "bench.py").write_text("x = 1\n")
+        (tree / "BENCHMARK.json").write_text("{}\n")
+    (trees[1] / "perfbench" / "__pycache__" / "bench.cpython-311.pyc").write_bytes(b"\0")
+    assert ab.differing_files(*trees) == []
+    (trees[1] / "perfbench" / "bench.py").write_text("x = 2\n")
+    (trees[0] / "perfbench" / "extra.py").write_text("")
+    (trees[1] / "BENCHMARK.json").write_text("[]\n")
+    assert ab.differing_files(*trees) == ["perfbench/bench.py", "perfbench/extra.py",
+                                          "BENCHMARK.json"]
+
+
+def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
+    if not _in_git_checkout():
+        pytest.skip("tools/ab.py exports its base with git archive")
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--base", "HEAD", "--workload", "wide-bcs", "--smoke",
+         "--pairs", "1", "--seconds", "0", "--label", "smoke", "--out", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert len(bench["base"]["commit"]) == len(bench["change"]["commit"]) == 40
+    assert bench["environment"]["cpus_usable"] == 1
+    pair, = bench["workloads"]["wide-bcs"]["pairs"]
+    assert pair["first"] == "base" and pair["base"]["correct"] and pair["change"]["correct"]
+    metrics = bench["workloads"]["wide-bcs"]["metrics"]
+    assert set(metrics) == {"client_rounds_per_s", "setup_s", "peak_rss_mb"}
+    for entry in metrics.values():
+        assert entry["pairs"] == 1 and entry["base"]["median"] > 0
+        assert entry["change_wins"] in (0, 1)

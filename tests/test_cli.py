@@ -394,6 +394,23 @@ def test_estimate_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_estimate_rejects_concatenated_histories(tmp_path, capsys):
+    texts = []
+    for seed in (1, 2):
+        cfg = _write_config(tmp_path / f"exp{seed}.cfg", algorithm="dpfl_bcs",
+                            estimation_rounds=4, seed=seed)
+        out = tmp_path / f"out{seed}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        texts.append((out / "history.jsonl").read_text())
+    both = tmp_path / "both.jsonl"
+    both.write_text("".join(texts))
+    second_header = texts[0].count("\n") + 1
+    capsys.readouterr()
+    assert main(["estimate", "--history", str(both), "--out", str(tmp_path / "e")]) == 1
+    assert f"{both}:{second_header}: a second header line" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "estimated_params.json").exists()
+
+
 def test_estimate_rejects_header_clients_out_of_id_order(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.cfg", algorithm="dpfl_bcs",
                         estimation_rounds=4)

@@ -541,6 +541,38 @@ def test_history_rejects_garbage(tmp_path):
         read_history(tmp_path / "missing.jsonl")
 
 
+def test_read_history_refuses_more_than_one_run(tmp_path):
+    cfg = _config(algorithm="dpfl_bcs", total_rounds=8, estimation_rounds=3)
+    runs = []
+    for seed in (1, 2):
+        path = tmp_path / f"seed{seed}.jsonl"
+        write_history(path, run_single(dataclasses.replace(cfg, seed=seed)))
+        runs.append(path.read_text().splitlines(keepends=True))
+    first, second = runs
+    n = len(first)
+    cases = {
+        # `cat` of two runs' histories
+        "concatenated": (first + second, n + 1, "a second header line"),
+        "second_summary": (first + first[-1:], n + 1, f"a second summary line, after the "
+                           f"one at line {n}"),
+        "round_after_summary": (first + second[1:2], n + 1,
+                                f"a round line after the summary at line {n}"),
+        "repeated_round": (first[:3] + second[2:3] + first[3:], 4,
+                           "a second round t = 2, after the one at line 3"),
+    }
+    for name, (lines, line_no, message) in cases.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as err:
+            read_history(path)
+        assert str(err.value).startswith(f"{path}:{line_no}: {message}"), name
+    # blank lines are skipped but still counted
+    path = tmp_path / "blank.jsonl"
+    path.write_text("".join(first[:2] + ["\n"] + first[1:2]))
+    with pytest.raises(ConfigError, match=r":4: a second round t = 1, after the one at line 2"):
+        read_history(path)
+
+
 def test_estimate_from_history_replays_run(tmp_path):
     cfg = _config(algorithm="dpfl_bcs", total_rounds=8, estimation_rounds=3)
     result = run_single(cfg)

@@ -178,8 +178,19 @@ def _ended_early_cases():
     return runs
 
 
+def _wide_case():
+    """A dpfl_bcs run wide enough that client ids pass 999, so the budget
+    objects' string key order interleaves ids of four widths, and that plans a
+    stage two, so every per-client column of the summary is written."""
+    cfg = ExperimentConfig(algorithm="dpfl_bcs", mechanism="gaussian",
+                           dataset="synthetic_regression", num_clients=1200,
+                           clients_per_round=30, total_rounds=12, estimation_rounds=4,
+                           num_samples=24_000, test_samples=200, feature_dim=3, seed=17)
+    return [("wide", cfg, None)]
+
+
 CASES = ([(f"random{i}", cfg, None) for i, cfg in enumerate(_random_configs())]
-         + _ended_early_cases())
+         + _ended_early_cases() + _wide_case())
 
 
 @pytest.mark.parametrize("label, cfg, margin", CASES, ids=[c[0] for c in CASES])
@@ -199,6 +210,9 @@ def test_history_bytes_match_reference_writer(tmp_path, label, cfg, margin):
             # stage two went unfunded after a full stage one
             assert result.plan_stage2 is None and result.estimated_params is not None
             assert len(result.rounds) == cfg.estimation_rounds
+    if label == "wide":
+        assert result.plan_stage2 is not None and result.estimated_params is not None
+        assert result.clients.epsilon.size >= 1000
 
 
 def test_reference_cases_cover_the_run_kinds():
