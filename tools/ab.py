@@ -1,7 +1,7 @@
 """A/B benchmark of this checkout against an earlier commit, in alternating pinned pairs.
 
     python tools/ab.py --base <rev> --workload W [--workload W2 ...] --pairs N
-                       --seconds S --label L [--seed K] [--cpu C] [--smoke] [--out DIR]
+                       --seconds S --label L [--seed K] [--smoke] [--out DIR]
 
 The base tree is exported from ``<rev>`` with ``git archive`` into a temporary
 directory; the change is this checkout's working tree. The tool refuses to run
@@ -11,9 +11,9 @@ then the two sides would not measure the same thing.
 For each workload it runs ``perfbench/run.py --trace 0`` in each tree, ``N``
 pairs of runs of ``S`` seconds. Pair i runs workload seed ``K + i`` on both
 sides, the base first in even pairs and the change first in odd ones. Each run
-is a child process pinned to one CPU (``--cpu``, by default the last one this
-process may use) with ``os.sched_setaffinity``; the peak-RSS child that
-perfbench starts inherits the pinning.
+is a child process pinned with ``os.sched_setaffinity`` to the last CPU this
+process may use; the peak-RSS child that perfbench starts inherits the
+pinning.
 
 It writes ``BENCH_<label>.json`` into ``--out`` (default: the checkout's root):
 both commits, the environment block of the change's first run, and for every
@@ -88,9 +88,9 @@ def differing_files(base: Path, change: Path) -> list:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, smoke: bool,
-             cpu: int) -> dict:
-    """One pinned perfbench run in `tree`: its result line and info block, or
-    the error that stopped it."""
+             cpu: int) -> tuple:
+    """One pinned perfbench run in `tree`: its result and the environment
+    block of its info line, or the error that stopped it and None."""
     cmd = [sys.executable, str(tree / RUN), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
     try:
@@ -98,15 +98,15 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, smoke: bool,
                               timeout=seconds + CHILD_MARGIN_S,
                               preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     except subprocess.TimeoutExpired:
-        return {"error": "timed out"}
+        return {"error": "timed out"}, None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("info "):
-        return {"error": f"exit status {proc.returncode}: {proc.stderr[-2000:]}"}
+        return {"error": f"exit status {proc.returncode}: {proc.stderr[-2000:]}"}, None
     result = json.loads(lines[-1])
     info = json.loads(lines[-2][len("info "):])
-    return {"correct": result["correct"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "environment": info["environment"]}
+    return ({"correct": result["correct"],
+             "metrics": {name: m["value"] for name, m in result["metrics"].items()}},
+            info["environment"])
 
 
 def _stats(values: list) -> dict:
@@ -153,8 +153,6 @@ def parse_args(argv):
     p.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     p.add_argument("--seed", type=int, default=0,
                    help="workload seed of the first pair; pair i runs seed + i")
-    p.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)),
-                   help="the CPU every run is pinned to")
     p.add_argument("--smoke", action="store_true", help="perfbench's tiny workloads")
     p.add_argument("--out", type=Path, default=ROOT, help="directory of the output file")
     args = p.parse_args(argv)
@@ -164,8 +162,6 @@ def parse_args(argv):
         p.error("--seconds and --seed must be nonnegative")
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         p.error("--label may hold only letters, digits, '.', '_' and '-'")
-    if args.cpu not in os.sched_getaffinity(0):
-        p.error(f"--cpu {args.cpu} is not one this process may use")
     return args
 
 
@@ -178,6 +174,7 @@ def main(argv=None) -> int:
         print(f"ab: unknown workloads {unknown}; BENCHMARK.json lists {sorted(known)}",
               file=sys.stderr)
         return 2
+    cpu = max(os.sched_getaffinity(0))
     change_commit = git("rev-parse", "HEAD").strip()
     uncommitted = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
@@ -197,8 +194,10 @@ def main(argv=None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_side(trees[side], workload, seed, args.seconds,
-                                          args.smoke, args.cpu)
+                    pair[side], env = run_side(trees[side], workload, seed, args.seconds,
+                                               args.smoke, cpu)
+                    if side == "change":
+                        environment = environment or env
                 for side in order:
                     if not pair[side].get("correct", False):
                         failed += 1
@@ -209,11 +208,6 @@ def main(argv=None) -> int:
                     f"{side} {pair[side].get('metrics')}" for side in ("base", "change")),
                     file=sys.stderr)
                 pairs.append(pair)
-            environment = environment or next((p["change"]["environment"] for p in pairs
-                                               if "environment" in p["change"]), None)
-            for pair in pairs:
-                for side in ("base", "change"):
-                    pair[side].pop("environment", None)
             workloads[workload] = {"pairs": pairs,
                                    "metrics": summarise(pairs, benchmark["end_to_end"])}
     bench = {
@@ -222,7 +216,7 @@ def main(argv=None) -> int:
         "base": {"rev": args.base, "commit": base_commit},
         "change": {"commit": change_commit, "uncommitted_changes": uncommitted},
         "pairs": args.pairs, "seconds": args.seconds, "first_seed": args.seed,
-        "cpu": args.cpu, "smoke": args.smoke,
+        "cpu": cpu, "smoke": args.smoke,
         "environment": environment,
         "workloads": workloads,
     }
