@@ -1,140 +1,18 @@
 """Simulator for differentially private federated learning with per-client
-privacy budgets and budget-aware biased client selection."""
+privacy budgets and budget-aware biased client selection.
 
-from .config import ExperimentConfig, load_config, parse_config_file
-from .data import (
-    BudgetSamplingConfig,
-    Dataset,
-    PartitionConfig,
-    dirichlet_partition,
-    generate_synthetic_classification,
-    generate_synthetic_regression,
-    ingest_csv,
-    sample_budgets,
-)
-from .engine import (
-    ALGORITHMS,
-    FederatedProblem,
-    RoundRecord,
-    RunResult,
-    RunSettings,
-    aggregate,
-    local_gradient,
-    run_baseline,
-    run_dpfl_bcs,
-    sample_selection,
-)
-from .errors import (
-    ConfigError,
-    DpflsimError,
-    EvaluationError,
-    ParameterError,
-    StateError,
-)
+The package root holds the operations a run is driven by; every other name is
+imported from its module (`dpflsim.engine`, `dpflsim.selection`, ...)."""
+
+from .config import ExperimentConfig
+from .engine import ALGORITHMS
 from .harness import (
-    ComparisonRow,
-    ComparisonSummary,
     build_problem,
     estimate_from_history,
     read_history,
     run_comparison,
     run_single,
-    settings_from_config,
     write_history,
-)
-from .mechanisms import (
-    ClipConfig,
-    MechanismKind,
-    NoiseSpec,
-    PrivacyBudget,
-    clip_gradient_matrix,
-    consume_budget,
-    expected_noise_sq_norm,
-    gaussian_sigma,
-    gradient_sensitivity,
-    laplace_scale,
-    sample_noise,
-)
-from .models import LinearRegression, LogisticRegression, ModelState
-from .selection import (
-    EstimatedParams,
-    SelectionPlan,
-    StageOneLog,
-    approximate_plan,
-    compute_phi_lambda,
-    estimate_gamma_n,
-    estimate_problem_params,
-    estimate_rho_min,
-    objective_value,
-    optimal_plan,
-    predicted_loss_bound,
-    selection_skew,
-    water_fill_continuous,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "BudgetSamplingConfig",
-    "ClipConfig",
-    "ComparisonRow",
-    "ComparisonSummary",
-    "ConfigError",
-    "Dataset",
-    "DpflsimError",
-    "EstimatedParams",
-    "EvaluationError",
-    "ExperimentConfig",
-    "FederatedProblem",
-    "LinearRegression",
-    "LogisticRegression",
-    "MechanismKind",
-    "ModelState",
-    "NoiseSpec",
-    "ParameterError",
-    "PartitionConfig",
-    "PrivacyBudget",
-    "RoundRecord",
-    "RunResult",
-    "RunSettings",
-    "SelectionPlan",
-    "StageOneLog",
-    "StateError",
-    "aggregate",
-    "approximate_plan",
-    "build_problem",
-    "clip_gradient_matrix",
-    "compute_phi_lambda",
-    "consume_budget",
-    "dirichlet_partition",
-    "estimate_from_history",
-    "estimate_gamma_n",
-    "estimate_problem_params",
-    "estimate_rho_min",
-    "expected_noise_sq_norm",
-    "gaussian_sigma",
-    "generate_synthetic_classification",
-    "generate_synthetic_regression",
-    "gradient_sensitivity",
-    "ingest_csv",
-    "laplace_scale",
-    "load_config",
-    "local_gradient",
-    "objective_value",
-    "optimal_plan",
-    "parse_config_file",
-    "predicted_loss_bound",
-    "read_history",
-    "run_baseline",
-    "run_comparison",
-    "run_dpfl_bcs",
-    "run_single",
-    "sample_budgets",
-    "sample_noise",
-    "sample_selection",
-    "selection_skew",
-    "settings_from_config",
-    "water_fill_continuous",
-    "write_history",
-]

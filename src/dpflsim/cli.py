@@ -24,10 +24,10 @@ from .harness import (
     ComparisonRow,
     HistoryWriter,
     build_problem,
-    dispatch_run,
     estimate_from_history,
     history_header,
     read_history,
+    run_single,
     settings_from_config,
     write_summary_csv,
 )
@@ -56,15 +56,13 @@ def cmd_run(args) -> int:
     with open(snapshot_path, "w") as fh:
         fh.write(config.snapshot_text())
     problem = build_problem(config)
-    settings = settings_from_config(config)
-    header = history_header(config.algorithm, settings, problem.model,
+    header = history_header(config.algorithm, settings_from_config(config), problem.model,
                             problem.budgets.epsilon, problem.budgets.delta,
                             problem.num_samples, config.seed)
     history_path = os.path.join(out, "history.jsonl")
     writer = HistoryWriter(history_path, header)
     try:
-        result = dispatch_run(config.algorithm, problem, settings, config.seed,
-                              on_round=writer.write_round)
+        result = run_single(config, problem, on_round=writer.write_round)
         writer.write_summary(result)
     finally:
         writer.close()
@@ -79,12 +77,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _roster_row(row: dict) -> tuple:
-    """(client_id, epsilon, delta, num_samples) of one roster row; a
-    ValueError or TypeError names the first field that does not parse or
-    lies out of range."""
-    client_id, epsilon = int(row["client_id"]), float(row["epsilon"])
-    delta, num_samples = float(row["delta"]), int(row["num_samples"])
+def _roster_row(cells: list) -> tuple:
+    """(client_id, epsilon, delta, num_samples) of one roster row, its cells
+    in `ROSTER_COLUMNS` order; a ValueError names the first field that does
+    not parse or lies out of range."""
+    client_id, epsilon = int(cells[0]), float(cells[1])
+    delta, num_samples = float(cells[2]), int(cells[3])
     if client_id < 0:
         raise ValueError(f"client_id must be >= 0, got {client_id}")
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -98,24 +96,33 @@ def _roster_row(row: dict) -> tuple:
 
 def read_roster(path) -> tuple:
     """The roster's columns (client ids, epsilon, delta, num_samples), one
-    entry per row. Every row that does not parse, holds a value out of range
-    or repeats an earlier client id is listed with its line number."""
+    entry per row. Header names may carry spaces around them. Every row that
+    has another number of cells than the header, does not parse, holds a
+    value out of range or repeats an earlier client id is listed with its
+    line number."""
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read roster file {path}: {exc}") from exc
-    reader = csv.DictReader(lines)
-    names = [c.strip() for c in reader.fieldnames or []]
+    reader = csv.reader(lines)
+    names = [c.strip() for c in next(reader, [])]
     if names != list(ROSTER_COLUMNS):
         raise ConfigError(
             f"{path}: expected header {','.join(ROSTER_COLUMNS)}, "
             f"got {','.join(names) if names else 'nothing'}")
     rows, bad, line_of = [], [], {}
-    for lineno, row in enumerate(reader, start=2):
+    for cells in reader:
+        lineno = reader.line_num
+        if not cells:
+            continue
+        if len(cells) != len(names):
+            bad.append(f"line {lineno}: has {len(cells)} cells, the header has "
+                       f"{len(names)}")
+            continue
         try:
-            values = _roster_row(row)
-        except (TypeError, ValueError) as exc:
+            values = _roster_row(cells)
+        except ValueError as exc:
             bad.append(f"line {lineno}: {exc}")
             continue
         first = line_of.setdefault(values[0], lineno)
@@ -164,14 +171,17 @@ def write_plan_csv(path, client_ids, plan: SelectionPlan) -> None:
 
 
 def cmd_plan(args) -> int:
+    omegas = (args.omega_a, args.omega_b)
+    if args.gamma_file and None in omegas:
+        raise ConfigError("--gamma-file requires --omega-a and --omega-b")
+    if not args.gamma_file and omegas != (None, None):
+        raise ConfigError("--omega-a and --omega-b apply only with --gamma-file")
     client_ids, epsilon, delta, num_samples = read_roster(args.roster)
     mechanism = MechanismKind.parse(args.mechanism)
     _, phi = compute_phi_lambda(mechanism, args.model_dim, args.clip_bound, args.c2,
                                 epsilon, delta, num_samples, client_ids=client_ids)
     z = mechanism.noise_exponent
     if args.gamma_file:
-        if args.omega_a is None or args.omega_b is None:
-            raise ConfigError("--gamma-file requires --omega-a and --omega-b")
         gamma = _read_gamma_file(args.gamma_file, len(client_ids))
         plan = solve_plan(phi, gamma, args.omega_a, args.omega_b, args.rounds,
                           args.clients_per_round, z)
@@ -218,13 +228,16 @@ def cmd_partition(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="override the experiment seed")
-    shared.add_argument("--out", default=None, help="output directory")
-    shared.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config key (repeatable; used by "
-                             "config-driven commands)")
+    # every command writes into --out; only the config-driven ones read a config
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    configured = argparse.ArgumentParser(add_help=False, parents=[out])
+    configured.add_argument("--config", default=None,
+                            help="flat key=value config file (defaults apply if omitted)")
+    configured.add_argument("--seed", type=int, default=None,
+                            help="override the experiment seed")
+    configured.add_argument("--set", action="append", metavar="KEY=VALUE",
+                            help="override a config key (repeatable)")
 
     parser = argparse.ArgumentParser(
         prog="dpflsim",
@@ -232,13 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "budget-aware client selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[shared],
+    p_run = sub.add_parser("run", parents=[configured],
                            help="run one experiment from a config file")
-    p_run.add_argument("--config", default=None,
-                       help="flat key=value config file (defaults apply if omitted)")
     p_run.set_defaults(func=cmd_run)
 
-    p_plan = sub.add_parser("plan", parents=[shared],
+    p_plan = sub.add_parser("plan", parents=[out],
                             help="compute a selection plan for a client roster")
     p_plan.add_argument("--roster", required=True,
                         help=f"CSV with header {','.join(ROSTER_COLUMNS)}")
@@ -253,19 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--gamma-file", default=None,
                         help="per-client loss-gap file (one value per roster row); "
                              "switches from the budget-only plan to the "
-                             "bound-minimizing plan")
+                             "bound-minimizing plan, weighed by --omega-a and "
+                             "--omega-b, which apply only with it")
     p_plan.add_argument("--omega-a", type=float, default=None)
     p_plan.add_argument("--omega-b", type=float, default=None)
     p_plan.set_defaults(func=cmd_plan)
 
-    p_est = sub.add_parser("estimate", parents=[shared],
+    p_est = sub.add_parser("estimate", parents=[out],
                            help="re-estimate problem parameters from a run history")
     p_est.add_argument("--history", required=True, help="history.jsonl from a run")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_part = sub.add_parser("partition", parents=[shared],
+    p_part = sub.add_parser("partition", parents=[configured],
                             help="dry-run the client partition and report sizes")
-    p_part.add_argument("--config", default=None)
     p_part.set_defaults(func=cmd_partition)
 
     return parser

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from dpflsim.cli import main, read_roster
+import dpflsim.engine as engine
+from dpflsim.cli import build_parser, main, read_roster
 from dpflsim.config import ExperimentConfig, load_config
 from dpflsim.errors import ConfigError
 from dpflsim.harness import (
@@ -189,6 +190,48 @@ def test_run_seed_override_changes_history(tmp_path):
     assert "seed = 999" in (out2 / "config.txt").read_text()
 
 
+@pytest.mark.parametrize("command, artifact", [("run", "history.jsonl"),
+                                               ("partition", "partition.csv")])
+def test_seed_flag_wins_over_set_seed(tmp_path, command, artifact):
+    cfg = _write_config(tmp_path / "exp.cfg")
+    both, flag = tmp_path / "both", tmp_path / "flag"
+    assert main([command, "--config", cfg, "--set", "seed=5", "--seed", "999",
+                 "--out", str(both)]) == 0
+    assert main([command, "--config", cfg, "--seed", "999", "--out", str(flag)]) == 0
+    assert (both / artifact).read_bytes() == (flag / artifact).read_bytes()
+
+
+def test_crashed_run_leaves_a_history_that_reads_back_and_replays(tmp_path, capsys,
+                                                                   monkeypatch):
+    # `run` streams its history through `HistoryWriter`, which flushes each
+    # line: a run that fails in round T0 + 2 leaves the header and rounds
+    # 1..T0 + 1, enough to replay the stage-one fit
+    cfg = _write_config(tmp_path / "exp.cfg", algorithm="dpfl_bcs", estimation_rounds=4)
+    whole, crashed = tmp_path / "whole", tmp_path / "crashed"
+    assert main(["run", "--config", cfg, "--out", str(whole)]) == 0
+    calls, client_round = [], engine.client_round
+
+    def failing_round(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4 + 2:
+            raise RuntimeError("client round failed")
+        return client_round(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "client_round", failing_round)
+    assert main(["run", "--config", cfg, "--out", str(crashed)]) == 2
+    assert "runtime failure: client round failed" in capsys.readouterr().err
+    kinds = [json.loads(line)["kind"]
+             for line in (crashed / "history.jsonl").read_text().splitlines()]
+    assert kinds == ["header"] + ["round"] * 5
+    parsed = read_history(crashed / "history.jsonl")
+    assert [r["t"] for r in parsed.rounds] == [1, 2, 3, 4, 5] and parsed.summary is None
+    for out in (whole, crashed):
+        assert main(["estimate", "--history", str(out / "history.jsonl"),
+                     "--out", str(out / "est")]) == 0
+    assert (crashed / "est" / "estimated_params.json").read_bytes() == \
+        (whole / "est" / "estimated_params.json").read_bytes()
+
+
 def test_run_runtime_failure_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.cfg")
     blocker = tmp_path / "not_a_dir"
@@ -322,6 +365,39 @@ def test_plan_rejects_duplicate_client_ids(tmp_path, capsys):
     assert not (tmp_path / "o" / "plan.csv").exists()
 
 
+def test_plan_reads_a_roster_header_with_spaces(tmp_path):
+    rows = [(0, 1.0, 1e-5, 100), (1, 2.0, 1e-4, 40), (2, 0.5, 1e-5, 70)]
+    plain = _write_roster(tmp_path / "plain.csv", rows)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("client_id, epsilon, delta , num_samples\n" + "".join(
+        ", ".join(str(v) for v in row) + "\n" for row in rows))
+    for roster, out in ((plain, "a"), (str(spaced), "b")):
+        assert main(["plan", "--roster", roster, "--model-dim", "4", "--clients-per-round",
+                     "1", "--rounds", "6", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "b" / "plan.csv").read_bytes() == \
+        (tmp_path / "a" / "plan.csv").read_bytes()
+
+
+def test_plan_lists_a_row_with_more_or_fewer_cells_than_the_header(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("client_id,epsilon,delta,num_samples\n0,1.0,1e-5,100\n"
+                      "1,1.0,1e-5\n\n2,1.0,1e-5,100,7\n3,1.0,1e-5,100\n")
+    assert main(["plan", "--roster", str(roster), "--model-dim", "4",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: has 3 cells, the header has 4" in err
+    assert "line 5: has 5 cells, the header has 4" in err
+    assert "line 2:" not in err and "line 6:" not in err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("omega", ["--omega-a", "--omega-b"])
+def test_plan_refuses_omegas_without_gamma_file(tmp_path, capsys, omega):
+    assert main(_plan_args(tmp_path, omega, "1")) == 1
+    assert "--gamma-file" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
 def test_plan_gamma_file_requires_omegas(tmp_path, capsys):
     roster = _write_roster(tmp_path / "roster.csv", [(0, 1.0, 1e-5, 100)])
     gamma = tmp_path / "gamma.txt"
@@ -356,6 +432,39 @@ def test_plan_gamma_file_length_mismatch(tmp_path, capsys):
                  "--gamma-file", str(gamma), "--omega-a", "1.0",
                  "--omega-b", "1.0", "--out", str(tmp_path / "o")]) == 1
     assert "2 clients" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- the options
+
+CONFIG_OPTIONS = {"--out", "--config", "--seed", "--set"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("run", CONFIG_OPTIONS),
+    ("partition", CONFIG_OPTIONS),
+    ("plan", {"--out", "--roster", "--mechanism", "--clients-per-round", "--rounds",
+              "--model-dim", "--clip-bound", "--c2", "--gamma-file", "--omega-a",
+              "--omega-b"}),
+    ("estimate", {"--out", "--history"}),
+])
+def test_each_command_takes_exactly_the_options_it_reads(command, options):
+    subcommands, = (action.choices for action in build_parser()._actions
+                    if isinstance(action.choices, dict))
+    taken = {flag for action in subcommands[command]._actions
+             for flag in action.option_strings}
+    assert taken - {"-h", "--help"} == options
+
+
+@pytest.mark.parametrize("option", [["--seed", "7"], ["--set", "seed=7"],
+                                    ["--config", "exp.cfg"]])
+@pytest.mark.parametrize("command", ["plan", "estimate"])
+def test_plan_and_estimate_refuse_config_options(tmp_path, capsys, command, option):
+    args = (_plan_args(tmp_path) if command == "plan"
+            else ["estimate", "--history", "h.jsonl", "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as exc:
+        main(args + option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- estimate
