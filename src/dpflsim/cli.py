@@ -227,6 +227,16 @@ def cmd_partition(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed or unknown option as a `ConfigError`, so `main`
+    exits 1 as for any other invalid input, where argparse would exit 2;
+    `--help` still exits 0. Subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # every command writes into --out; only the config-driven ones read a config
     out = argparse.ArgumentParser(add_help=False)
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     configured.add_argument("--set", action="append", metavar="KEY=VALUE",
                             help="override a config key (repeatable)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpflsim",
         description="Differentially private federated learning simulator with "
                     "budget-aware client selection.")
@@ -285,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

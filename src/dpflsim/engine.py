@@ -78,7 +78,9 @@ LEDGER_TOL = 1e-9
 
 def _stream(seed: int, *key) -> np.random.Generator:
     """Independent generator derived from (master seed, domain key...)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(k) for k in key]))
+    # the generator `default_rng` builds, without its `errstate` wrapper
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(seed)] + [int(k) for k in key])))
 
 
 @dataclass(frozen=True)
@@ -538,8 +540,8 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     ends = counts.cumsum()
     starts = ends - counts
     rows = (clients.row_start[ids] - starts).repeat(counts) + np.arange(ends[-1])
-    features = clients.train.features[rows]
-    targets = clients.train.targets[rows]
+    features = clients.train.features.take(rows, axis=0)
+    targets = clients.train.targets.take(rows)
     if features.shape[1] != kind.feature_dim:
         raise ParameterError(
             f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")

@@ -35,7 +35,7 @@ from .engine import (
     run_lockstep_seeds,
 )
 from .errors import ConfigError, StateError
-from .mechanisms import MechanismKind
+from .mechanisms import MechanismKind, _unchecked
 from .models import LinearRegression, LogisticRegression
 from .selection import EstimatedParams, SelectionPlan, StageOneLog, compute_phi_lambda
 
@@ -74,21 +74,21 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
     """Dataset, partition, budgets, and test split for one experiment seed."""
     config.validate()
     data_seed = _derived_seed(config.seed, _DOMAIN_DATA)
-    if config.dataset == "synthetic_regression":
+    if config.dataset != "csv":
         total = config.num_samples + config.test_samples
-        full, _ = generate_synthetic_regression(
-            total, config.feature_dim, config.target_noise_std, data_seed)
-        train = Dataset(full.features[:config.num_samples], full.targets[:config.num_samples])
+        if config.dataset == "synthetic_regression":
+            full, _ = generate_synthetic_regression(
+                total, config.feature_dim, config.target_noise_std, data_seed)
+            model = LinearRegression(config.feature_dim)
+        else:
+            full = generate_synthetic_classification(
+                total, config.num_classes, config.feature_dim, config.class_separation,
+                data_seed)
+            model = LogisticRegression(config.feature_dim, config.num_classes)
+        # rows of the checked `full`, so not checked again
+        train, = _unchecked(Dataset, [(full.features[:config.num_samples],
+                                       full.targets[:config.num_samples])])
         test = full.subset(np.arange(config.num_samples, total))
-        model = LinearRegression(config.feature_dim)
-    elif config.dataset == "synthetic_classification":
-        total = config.num_samples + config.test_samples
-        full = generate_synthetic_classification(
-            total, config.num_classes, config.feature_dim, config.class_separation,
-            data_seed)
-        train = Dataset(full.features[:config.num_samples], full.targets[:config.num_samples])
-        test = full.subset(np.arange(config.num_samples, total))
-        model = LogisticRegression(config.feature_dim, config.num_classes)
     else:
         full, dropped = ingest_csv(config.csv_path, config.csv_target_column,
                                    config.feature_columns(), config.csv_standardize)

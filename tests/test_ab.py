@@ -1,5 +1,6 @@
 """Smoke test of `tools/ab.py`, the A/B benchmark tool."""
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -44,6 +45,39 @@ def test_differing_files_names_what_one_tree_changes(tmp_path):
                                           "BENCHMARK.json"]
 
 
+def _tracked(*paths) -> list:
+    out = subprocess.run(["git", "ls-files", "-z", *paths], cwd=ROOT, capture_output=True,
+                         check=True).stdout.decode()
+    return [name for name in out.split("\0") if name]
+
+
+def _source_sha256(files) -> str:
+    """perfbench's hash of the package: each `src/dpflsim/*.py` file's name and
+    bytes, in name order, from (name, bytes) pairs."""
+    digest = hashlib.sha256()
+    for name, data in sorted(files):
+        digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+def _package_files(names) -> list:
+    return [name for name in names
+            if Path(name).parent == Path("src/dpflsim") and name.endswith(".py")]
+
+
+def test_snapshot_copies_the_tracked_working_tree(tmp_path):
+    if not _in_git_checkout():
+        pytest.skip("the snapshot lists the checkout's files with git ls-files")
+    ab = _load_tool()
+    ab.snapshot(tmp_path)
+    tracked = [name for name in _tracked() if (ROOT / name).is_file()]
+    copied = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+                    if path.is_file())
+    assert copied == sorted(tracked)
+    for name in tracked:
+        assert (tmp_path / name).read_bytes() == (ROOT / name).read_bytes(), name
+
+
 def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
     if not _in_git_checkout():
         pytest.skip("tools/ab.py exports its base with git archive")
@@ -54,6 +88,15 @@ def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert len(bench["base"]["commit"]) == len(bench["change"]["commit"]) == 40
+    # the base side ran the committed package, the change side the working tree's
+    package = _package_files(_tracked("src/dpflsim"))
+    committed = [(Path(name).name, subprocess.run(
+        ["git", "show", f"HEAD:{name}"], cwd=ROOT, capture_output=True, check=True).stdout)
+        for name in package]
+    working = [(Path(name).name, (ROOT / name).read_bytes()) for name in package]
+    assert bench["base"]["source_sha256"] == _source_sha256(committed)
+    assert bench["change"]["source_sha256"] == _source_sha256(working)
+    assert bench["environment"]["source_sha256"] == bench["change"]["source_sha256"]
     assert bench["environment"]["cpus_usable"] == 1
     pair, = bench["workloads"]["wide-bcs"]["pairs"]
     assert pair["first"] == "base" and pair["base"]["correct"] and pair["change"]["correct"]

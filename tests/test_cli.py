@@ -461,10 +461,28 @@ def test_each_command_takes_exactly_the_options_it_reads(command, options):
 def test_plan_and_estimate_refuse_config_options(tmp_path, capsys, command, option):
     args = (_plan_args(tmp_path) if command == "plan"
             else ["estimate", "--history", "h.jsonl", "--out", str(tmp_path / "o")])
-    with pytest.raises(SystemExit) as exc:
-        main(args + option)
-    assert exc.value.code == 2
+    assert main(args + option) == 1
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["plan", "--roster", "r.csv"], "the following arguments are required: --model-dim"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_lines_exit_one(capsys, args, message):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dpflsim") and "error: dpflsim" in err and message in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["plan", "--help"]])
+def test_help_exits_zero(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dpflsim")
 
 
 # ------------------------------------------------------------------- estimate

@@ -28,6 +28,10 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ParameterError):
         Dataset(np.array([[np.nan]]), np.zeros(1))
+    for bad in (np.array([0.0, np.nan]), np.array([np.inf, 0.0], dtype=np.float32),
+                np.array([1.0, np.inf], dtype=object)):
+        with pytest.raises(ParameterError, match="targets must be finite"):
+            Dataset(np.zeros((2, 1)), bad)
     ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
     assert ds.is_classification
     assert not Dataset(np.zeros((3, 2)), np.zeros(3)).is_classification

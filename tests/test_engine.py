@@ -62,6 +62,21 @@ def test_learning_rate_schedules():
                 _settings(**{name: value})
 
 
+# --------------------------------------------------------------------- streams
+
+@pytest.mark.parametrize("seed, key", [(0, (1, 1)), (9, (2, 7)), (2**32 + 5, (1, 0)),
+                                       (123456789, (10, 3, 4)), (5, ())])
+def test_stream_draws_equal_default_rng(seed, key):
+    reference = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    rng = _stream(seed, *key)
+    assert type(rng.bit_generator) is type(reference.bit_generator)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    drawn, expected = ([gen.random(64), gen.standard_normal(64), gen.laplace(0.0, 2.0, 64),
+                        gen.choice(1000, 20, replace=False)] for gen in (rng, reference))
+    for a, b in zip(drawn, expected):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------- local pieces
 
 def _regression_state(feature_dim=1):

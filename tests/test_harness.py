@@ -13,7 +13,13 @@ import pytest
 import dpflsim.engine as engine
 import dpflsim.harness as harness
 from dpflsim.config import ExperimentConfig
-from dpflsim.data import Dataset
+from dpflsim.data import (
+    Dataset,
+    PartitionConfig,
+    dirichlet_partition,
+    generate_synthetic_classification,
+    generate_synthetic_regression,
+)
 from dpflsim.engine import ALGORITHMS, ClientLedger
 from dpflsim.errors import ConfigError, StateError
 from dpflsim.harness import (
@@ -85,6 +91,39 @@ def test_build_problem_holds_no_per_client_datasets():
         live.append(sum(type(obj) is Dataset for obj in gc.get_objects()))
         del problem
     assert live[0] == live[1]
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
+def test_build_problem_blocks_equal_the_fancy_index_gather(dataset):
+    # the blocks are gathered with `take`; they must hold the bytes of
+    # `rows[index]` and stay C-contiguous (train read-only), the layout the
+    # round's gather and its einsum read
+    cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
+    problem = build_problem(cfg)
+    n, total = cfg.num_samples, cfg.num_samples + cfg.test_samples
+    data_seed = harness._derived_seed(cfg.seed, harness._DOMAIN_DATA)
+    if dataset == "synthetic_regression":
+        full, _ = generate_synthetic_regression(total, cfg.feature_dim,
+                                                cfg.target_noise_std, data_seed)
+    else:
+        full = generate_synthetic_classification(total, cfg.num_classes, cfg.feature_dim,
+                                                 cfg.class_separation, data_seed)
+    # the partition's draws depend on the targets alone, so partitioning row
+    # numbers with the same targets yields the gather's order
+    numbered = Dataset(np.arange(n, dtype=float)[:, None], full.targets[:n])
+    numbered, _ = dirichlet_partition(numbered, PartitionConfig(
+        cfg.num_clients, cfg.dirichlet_alpha,
+        harness._derived_seed(cfg.seed, harness._DOMAIN_PARTITION)))
+    order = numbered.features[:, 0].astype(int)
+    test_rows = np.arange(n, total)
+    for block, rows in ((problem.train, order), (problem.test_data, test_rows)):
+        for got, column in ((block.features, full.features), (block.targets, full.targets)):
+            expected = column[rows]
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.c_contiguous
+    assert not problem.train.features.flags.writeable
+    assert not problem.train.targets.flags.writeable
 
 
 @pytest.mark.parametrize("algorithm", ["dpfl_bcs", "uniform_dp"])

@@ -4,9 +4,12 @@
                        --seconds S --label L [--seed K] [--smoke] [--out DIR]
 
 The base tree is exported from ``<rev>`` with ``git archive`` into a temporary
-directory; the change is this checkout's working tree. The tool refuses to run
-when ``perfbench/`` or ``BENCHMARK.json`` differ between the two trees, because
-then the two sides would not measure the same thing.
+directory. The change side is a snapshot taken before the first pair: this
+checkout's tracked files, copied as they are in the working tree (uncommitted
+edits included, untracked files left out) into another temporary directory, so
+an edit made while a batch runs does not change what is measured. The tool
+refuses to run when ``perfbench/`` or ``BENCHMARK.json`` differ between the two
+trees, because then the two sides would not measure the same thing.
 
 For each workload it runs ``perfbench/run.py --trace 0`` in each tree, ``N``
 pairs of runs of ``S`` seconds. Pair i runs workload seed ``K + i`` on both
@@ -16,11 +19,12 @@ process may use; the peak-RSS child that perfbench starts inherits the
 pinning.
 
 It writes ``BENCH_<label>.json`` into ``--out`` (default: the checkout's root):
-both commits, the environment block of the change's first run, and for every
-workload and every end-to-end metric of ``BENCHMARK.json``: the per-pair
-values, each side's median and quartiles, how many pairs the change won, the
-median per-pair ratio change/base, and whether the medians differ by more than
-the base's interquartile range. The exit status is 1 when a run failed or
+both commits, each side's ``source_sha256`` (perfbench's hash of the
+``src/dpflsim/*.py`` its first run imported), the environment block of the
+change's first run, and for every workload and every end-to-end metric of
+``BENCHMARK.json``: the per-pair values, each side's median and quartiles, how
+many pairs the change won, the median per-pair ratio change/base, and whether
+the medians differ by more than the base's interquartile range. The exit status is 1 when a run failed or
 reported itself incorrect, 2 when the tool refused to run.
 """
 
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,6 +69,17 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def snapshot(dest: Path) -> None:
+    """Copy this checkout's tracked files, as they are in the working tree,
+    into `dest`; a tracked file deleted in the working tree is left out."""
+    for name in git("ls-files", "-z").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def _files(tree: Path, name: str) -> dict:
@@ -177,16 +193,19 @@ def main(argv=None) -> int:
     cpu = max(os.sched_getaffinity(0))
     change_commit = git("rev-parse", "HEAD").strip()
     uncommitted = bool(git("status", "--porcelain", "--untracked-files=no").strip())
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        base_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="ab-change-") as change_tmp:
+        base_tree, change_tree = Path(base_tmp), Path(change_tmp)
         base_commit = export(args.base, base_tree)
-        differ = differing_files(base_tree, ROOT)
+        snapshot(change_tree)
+        differ = differing_files(base_tree, change_tree)
         if differ:
             print("ab: the trees differ in what the benchmark is made of; refusing:\n  "
                   + "\n  ".join(differ), file=sys.stderr)
             return 2
-        trees = {"base": base_tree, "change": ROOT}
+        trees = {"base": base_tree, "change": change_tree}
         workloads, failed, environment = {}, 0, None
+        sources = {}
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -196,6 +215,8 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side], env = run_side(trees[side], workload, seed, args.seconds,
                                                args.smoke, cpu)
+                    if env is not None:
+                        sources.setdefault(side, env["source_sha256"])
                     if side == "change":
                         environment = environment or env
                 for side in order:
@@ -213,8 +234,10 @@ def main(argv=None) -> int:
     bench = {
         "label": args.label,
         "command": ["python", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])],
-        "base": {"rev": args.base, "commit": base_commit},
-        "change": {"commit": change_commit, "uncommitted_changes": uncommitted},
+        "base": {"rev": args.base, "commit": base_commit,
+                 "source_sha256": sources.get("base")},
+        "change": {"commit": change_commit, "uncommitted_changes": uncommitted,
+                   "source_sha256": sources.get("change")},
         "pairs": args.pairs, "seconds": args.seconds, "first_seed": args.seed,
         "cpu": cpu, "smoke": args.smoke,
         "environment": environment,
