@@ -60,11 +60,6 @@ def _source_sha256(files) -> str:
     return digest.hexdigest()
 
 
-def _package_files(names) -> list:
-    return [name for name in names
-            if Path(name).parent == Path("src/dpflsim") and name.endswith(".py")]
-
-
 def test_snapshot_copies_the_tracked_working_tree(tmp_path):
     if not _in_git_checkout():
         pytest.skip("the snapshot lists the checkout's files with git ls-files")
@@ -89,7 +84,8 @@ def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert len(bench["base"]["commit"]) == len(bench["change"]["commit"]) == 40
     # the base side ran the committed package, the change side the working tree's
-    package = _package_files(_tracked("src/dpflsim"))
+    package = [name for name in _tracked("src/dpflsim")
+               if Path(name).parent == Path("src/dpflsim") and name.endswith(".py")]
     committed = [(Path(name).name, subprocess.run(
         ["git", "show", f"HEAD:{name}"], cwd=ROOT, capture_output=True, check=True).stdout)
         for name in package]
