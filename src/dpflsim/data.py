@@ -55,7 +55,13 @@ class Dataset:
         return np.issubdtype(self.targets.dtype, np.integer)
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=int)
+        """The rows at `indices`, an array of row numbers: a boolean mask or
+        float indices are refused, not read as row numbers."""
+        indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu" and indices.size:
+            raise ParameterError(f"subset indices must be integer row numbers, "
+                                 f"got dtype {indices.dtype}")
+        indices = indices.astype(int, copy=False)
         return Dataset(self.features.take(indices, axis=0), self.targets.take(indices))
 
 

@@ -76,11 +76,128 @@ ALGORITHMS = ("dpfl_bcs",) + BASELINE_KINDS
 LEDGER_TOL = 1e-9
 
 
-def _stream(seed: int, *key) -> np.random.Generator:
-    """Independent generator derived from (master seed, domain key...)."""
-    # the generator `default_rng` builds, without its `errstate` wrapper
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed)] + [int(k) for k in key])))
+# Rounds per block of a `RoundStreams` table: its memory is bounded by the
+# batch's seeds, not by total_rounds.
+STREAM_BLOCK = 256
+
+# numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
+# and PCG64's multiplier; NEP 19 keeps both streams stable across versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """A nonnegative integer's 32-bit words, low first, as SeedSequence reads
+    an entropy integer (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashes(constant: int, multiplier: int):
+    """SeedSequence's running hash constant: yields the (xor, multiply) pair
+    of each hash, the multiply constant being the next xor constant."""
+    while True:
+        following = constant * multiplier & _MASK32
+        yield np.uint32(constant), np.uint32(following)
+        constant = following
+
+
+def _hash(words: np.ndarray, hashes) -> np.ndarray:
+    xor, multiply = next(hashes)
+    words = (words ^ xor) * multiply
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = x * _MIX_L - y * _MIX_R
+    return words ^ (words >> 16)
+
+
+def _generated_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` of every row of an
+    (M, L) uint32 block of entropy words, in uint32 arithmetic (which wraps)
+    over the rows at once: the pool of four words takes the entropy in
+    order, then every word mixes into every other, then any entropy past the
+    pool mixes into each word."""
+    hashes = _hashes(_INIT_A, _MULT_A)
+    length = entropy.shape[1]
+    pool = [_hash(entropy[:, i] if i < length else np.zeros(len(entropy), np.uint32), hashes)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], hashes))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(entropy[:, src], hashes))
+    hashes = _hashes(_INIT_B, _MULT_B)
+    words = np.stack([_hash(pool[i % 4], hashes) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _round_states(seeds: list, start: int, stop: int) -> np.ndarray:
+    """The (seeds, 2, stop - start, 4) uint64 table of
+    `SeedSequence([seed, domain, t]).generate_state(4, np.uint64)` for every
+    seed, domain 1 and 2, and round t in [start, stop). A row's entropy is
+    the words of seed, domain and t in turn, so the rows are hashed in groups
+    of one word count: a seed or round of 2**32 or more has two words."""
+    table = np.empty((len(seeds), 2, stop - start, 4), np.uint64)
+    words = [_uint32_words(seed) for seed in seeds]
+    domains = np.array([1, 2], np.uint32)[:, None, None]
+    for count in sorted(set(map(len, words))):
+        group = [p for p, w in enumerate(words) if len(w) == count]
+        group_words = np.array([words[p] for p in group], np.uint32)[:, None, None, :]
+        for lo, hi in ((start, min(stop, 1 << 32)), (max(start, 1 << 32), stop)):
+            if lo >= hi:
+                continue
+            t = np.arange(lo, hi, dtype=np.uint64)[:, None]
+            shifts = np.array([0] if hi <= 1 << 32 else [0, 32], np.uint64)
+            rounds = (t >> shifts & np.uint64(_MASK32)).astype(np.uint32)
+            shape = (len(group), 2, hi - lo)
+            entropy = np.concatenate([np.broadcast_to(group_words, shape + (count,)),
+                                      np.broadcast_to(domains, shape + (1,)),
+                                      np.broadcast_to(rounds, shape + rounds.shape[1:])],
+                                     axis=-1)
+            table[group, :, lo - start:hi - start] = _generated_states(
+                entropy.reshape(-1, entropy.shape[-1])).reshape(shape + (4,))
+    return table
+
+
+class RoundStreams:
+    """The per-round generators of a batch's seeds: one reused
+    `Generator(PCG64())` per seed and domain (1 selection, 2 noise).
+    `install(domain, p, t)` gives seed p's generator of `domain` the state of
+    `Generator(PCG64(SeedSequence([seed, domain, t])))` and returns it. The
+    states come from a `_round_states` table of `STREAM_BLOCK` rounds, built
+    when a round falls outside the current one."""
+
+    def __init__(self, seeds: list, total_rounds: int):
+        self.seeds, self.total_rounds = seeds, total_rounds
+        self.generators = [[np.random.Generator(np.random.PCG64()) for _ in seeds]
+                           for _ in (1, 2)]
+        self.start = self.stop = 0
+        self.table = None
+
+    def install(self, domain: int, p: int, t: int) -> np.random.Generator:
+        if not self.start <= t < self.stop:
+            self.start, self.stop = t, min(t + STREAM_BLOCK, self.total_rounds + 1)
+            self.table = _round_states(self.seeds, self.start, self.stop)
+        s_hi, s_lo, i_hi, i_lo = self.table[p, domain - 1, t - self.start].tolist()
+        # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from 0
+        # with initstate added between them
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        generator = self.generators[domain - 1][p]
+        generator.bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+        return generator
 
 
 @dataclass(frozen=True)
@@ -799,12 +916,14 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     and `seeds`, all together, one round at a time; returns one list of
     `RunResult`s per seed, in order, each in the order of `algorithms`.
 
-    For each seed, round t derives its selection generator from
-    SeedSequence([seed, 1, t]) and its noise generator from [seed, 2, t],
-    once: a seed's runs share every client's selection uniform, drawn once,
-    and the unit noise of every responder row (common random numbers), and
-    each run's outputs are those of a run of its own. The problems must
-    share N, the model's dimensions and the shape of their test blocks.
+    For each seed, round t installs, once, its selection generator of
+    SeedSequence([seed, 1, t]) and its noise generator of [seed, 2, t], with
+    PCG64, from a `RoundStreams` table that computes the seeding words of a
+    block of rounds for every seed at once: a seed's runs share every
+    client's selection uniform, drawn once, and the unit noise of every
+    responder row (common random numbers), and each run's outputs are those
+    of a run of its own. The problems must share N, the model's dimensions
+    and the shape of their test blocks.
 
     The runs' client state is one `ClientArrays.stacked` block, which holds
     every seed's problem at once. Their selection probabilities and weights
@@ -869,6 +988,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     divisors = np.where(weiavg, 1, k)
     # run g's client n is entry g * N + n of the block
     offsets = np.arange(len(runs) + 1) * num_clients
+    generators = RoundStreams(seeds, settings.total_rounds)
 
     for t in range(1, settings.total_rounds + 1):
         candidates = block.candidates().reshape(len(runs), num_clients)
@@ -878,8 +998,8 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         for run, on in zip(runs, selecting):
             if not (run.ended or on):
                 run._end_early("round %d: candidate set empty, ending run early", t)
-        streams = [_stream(seed, 1, t) if any(selecting[p * width:(p + 1) * width]) else None
-                   for p, seed in enumerate(seeds)]
+        streams = [generators.install(1, p, t) if any(selecting[p * width:(p + 1) * width])
+                   else None for p in range(num_seeds)]
         ids = sample_selection(probabilities, candidates, k, [streams[p] for p in seed_of])
         # run g's selected entries are bounds[g]:bounds[g + 1] of ids
         bounds = ids.searchsorted(offsets).tolist()
@@ -889,8 +1009,8 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         if len(ids) == 0:
             break
         batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
-        streams = [_stream(seed, 2, t) if bounds[p * width] < bounds[(p + 1) * width] else None
-                   for p, seed in enumerate(seeds)]
+        streams = [generators.install(2, p, t) if bounds[p * width] < bounds[(p + 1) * width]
+                   else None for p in range(num_seeds)]
         release = client_round(block, ids, states, settings.learning_rate(t),
                                [streams[p] for p in seed_of], settings,
                                two_stage & (t <= settings.estimation_rounds), dp)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -226,9 +227,11 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     be positive, every delta in [0, 1) (in (0, 1) for the Gaussian
     mechanism) and every sample count at least 1. model_dim counts
     the d base model coordinates; the two stage-one loss slots raise
-    sensitivity, not Phi_n. Phi_n is evaluated one client at a time in
-    Python floats: numpy's vectorised log and square round differently
-    from `math.log` and `pow` in the last bit for some inputs.
+    sensitivity, not Phi_n. Phi_n equals the per-client Python expression
+    bit for bit: numpy's vectorised log and square round differently from
+    `math.log` and `pow` in the last bit for some inputs, so those two are
+    applied one client at a time, and the rest is numpy's elementwise IEEE
+    arithmetic (sample counts below 2**26 square exactly in floats).
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
@@ -259,15 +262,14 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
             raise ParameterError(
                 f"client {name}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
         raise ParameterError(f"client {name}: delta must lie in [0, 1), got {dlt[i]}")
-    eps, samples = eps.tolist(), samples.tolist()
+    # n**2 * e**2 with e**2 from libm's pow; the products and the quotients
+    # are IEEE operations, which numpy rounds as Python does
+    denominators = samples.astype(float)**2 * np.array(list(map(pow, eps.tolist(), repeat(2))))
     if gaussian:
         lam = 4.0 * clip_bound**2 * model_dim * c2**2
-        phi = [math.log(1.0 / d) / (n**2 * e**2)
-               for e, d, n in zip(eps, dlt.tolist(), samples)]
-    else:
-        lam = 8.0 * model_dim * clip_bound**2
-        phi = [1.0 / (n**2 * e**2) for e, n in zip(eps, samples)]
-    return lam, np.array(phi, dtype=float)
+        return lam, np.array(list(map(math.log, (1.0 / dlt).tolist()))) / denominators
+    lam = 8.0 * model_dim * clip_bound**2
+    return lam, 1.0 / denominators
 
 
 def approximate_plan(phi_n: np.ndarray, budget_rounds: int, z: int,

@@ -101,3 +101,13 @@ def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
     for entry in metrics.values():
         assert entry["pairs"] == 1 and entry["base"]["median"] > 0
         assert entry["change_wins"] in (0, 1)
+    # after the file's path, one summary line per workload and metric
+    path, *lines = proc.stdout.splitlines()
+    assert path == str(tmp_path / "BENCH_smoke.json")
+    printed = {line.split(":")[0].removeprefix("wide-bcs "): line for line in lines}
+    assert len(lines) == len(printed) and set(printed) == set(metrics)
+    for name, entry in metrics.items():
+        line = printed[name]
+        assert f"base {entry['base']['median']:.6g} [IQR " in line
+        assert f"change wins {entry['change_wins']}/1, ratio_median " in line
+        assert line.endswith(f"gain_exceeds_base_iqr {entry['gain_exceeds_base_iqr']}")

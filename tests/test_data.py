@@ -120,6 +120,19 @@ def test_partition_client_blocks_are_read_only():
     assert np.array_equal(num_samples, counts_before)
 
 
+def test_subset_refuses_masks_and_float_indices():
+    # a boolean mask was read as row numbers 0 and 1, and float indices were
+    # truncated; both are refused, naming the dtype
+    data = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]))
+    for indices, dtype in ((np.array([True, False, True]), "bool"),
+                           (np.array([0.0, 2.7]), "float64"), ([1.5], "float64")):
+        with pytest.raises(ParameterError, match=f"got dtype {dtype}"):
+            data.subset(indices)
+    assert data.subset(np.flatnonzero([True, False, True])).targets.tolist() == [0, 2]
+    assert data.subset([2, 0]).targets.tolist() == [2, 0]
+    assert data.subset(np.array([1], dtype=np.uint8)).features.tolist() == [[2.0, 3.0]]
+
+
 def test_split_needs_sizes_that_cover_the_rows():
     # a problem's row counts cut its block into the clients' rows, and must
     # cover every row with at least one row per client

@@ -6,16 +6,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import dpflsim.engine as engine
 import dpflsim.mechanisms as mechanisms
+from dpflsim.config import ExperimentConfig
 from dpflsim.data import Dataset
 from dpflsim.engine import (
     ClientArrays,
     FederatedProblem,
     RunSettings,
+    RoundStreams,
     _check_ledger,
-    _stream,
+    _round_states,
     aggregate,
     client_round,
     local_gradient,
@@ -24,6 +29,7 @@ from dpflsim.engine import (
     sample_selection,
 )
 from dpflsim.errors import ParameterError, StateError
+from dpflsim.harness import run_comparison
 from dpflsim.mechanisms import (
     ClipConfig,
     MechanismKind,
@@ -64,6 +70,19 @@ def test_learning_rate_schedules():
 
 # --------------------------------------------------------------------- streams
 
+def _stream(seed: int, *key) -> np.random.Generator:
+    """The reference generator of (seed, key...): the one `default_rng` builds
+    from SeedSequence([seed, *key]), without its `errstate` wrapper. The
+    engine's `RoundStreams` installs its state for (seed, domain, round)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(seed)] + [int(k) for k in key])))
+
+
+def _draws(gen):
+    return [gen.random(64), gen.standard_normal(64), gen.laplace(0.0, 2.0, 64),
+            gen.choice(1000, 20, replace=False)]
+
+
 @pytest.mark.parametrize("seed, key", [(0, (1, 1)), (9, (2, 7)), (2**32 + 5, (1, 0)),
                                        (123456789, (10, 3, 4)), (5, ())])
 def test_stream_draws_equal_default_rng(seed, key):
@@ -71,10 +90,95 @@ def test_stream_draws_equal_default_rng(seed, key):
     rng = _stream(seed, *key)
     assert type(rng.bit_generator) is type(reference.bit_generator)
     assert rng.bit_generator.state == reference.bit_generator.state
-    drawn, expected = ([gen.random(64), gen.standard_normal(64), gen.laplace(0.0, 2.0, 64),
-                        gen.choice(1000, 20, replace=False)] for gen in (rng, reference))
-    for a, b in zip(drawn, expected):
+    for a, b in zip(_draws(rng), _draws(reference)):
         assert a.tobytes() == b.tobytes()
+
+
+def _assert_installed(generator, seed, domain, t):
+    reference = np.random.default_rng(np.random.SeedSequence([seed, domain, t]))
+    assert type(generator.bit_generator) is type(reference.bit_generator)
+    assert generator.bit_generator.state == reference.bit_generator.state
+    for a, b in zip(_draws(generator), _draws(reference)):
+        assert a.tobytes() == b.tobytes()
+
+
+_TABLE_SEEDS = [0, 2**32 - 1, 2**32, 2**40 + 3, 10**12]
+
+
+def test_round_streams_install_seed_sequence_generators():
+    # one- and two-word seeds, both domains, and rounds on both sides of each
+    # block boundary (blocks [1, B], [B + 1, 2B] and [2B + 1, 2B + 3])
+    block = engine.STREAM_BLOCK
+    total = 2 * block + 3
+    streams = RoundStreams(_TABLE_SEEDS, total)
+    generators = set()
+    for t in (1, 2, block - 1, block, block + 1, block + 2, 2 * block, 2 * block + 1, total):
+        for p, seed in enumerate(_TABLE_SEEDS):
+            for domain in (1, 2):
+                generator = streams.install(domain, p, t)
+                generators.add(id(generator))
+                _assert_installed(generator, seed, domain, t)
+    # one generator per seed and domain, reused round after round
+    assert len(generators) == 2 * len(_TABLE_SEEDS)
+
+
+@pytest.mark.parametrize("start", [2**32 - 3, 2**40, 2**63])
+def test_round_table_equals_generate_state_past_one_word_rounds(start):
+    # rounds of 2**32 and more have two entropy words, seeds of 2**64 three
+    seeds = [5, 2**33, 2**64 + 9]
+    table = _round_states(seeds, start, start + 6)
+    assert table.shape == (3, 2, 6, 4) and table.dtype == np.uint64
+    for p, seed in enumerate(seeds):
+        for domain in (1, 2):
+            for i, t in enumerate(range(start, start + 6)):
+                expected = np.random.SeedSequence([seed, domain, t]).generate_state(4, np.uint64)
+                assert table[p, domain - 1, i].tolist() == expected.tolist()
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), t=st.integers(1, 10_000), domain=st.sampled_from([1, 2]))
+def test_round_streams_match_seed_sequence_property(seed, t, domain):
+    streams = RoundStreams([7, seed], 10_000)
+    _assert_installed(streams.install(domain, 1, t), seed, domain, t)
+
+
+def test_installing_a_round_carries_no_state_from_the_last():
+    # an odd number of 32-bit draws leaves half a 64-bit output buffered
+    # (has_uint32); installing the next round must drop it
+    streams = RoundStreams([3, 2**40 + 3], 20)
+    for domain in (1, 2):
+        for t in range(1, 20):
+            generator = streams.install(domain, 1, t)
+            generator.integers(0, 10, size=3, dtype=np.uint32)
+            assert generator.bit_generator.state["has_uint32"] == 1
+            generator = streams.install(domain, 1, t + 1)
+            reference = _stream(2**40 + 3, domain, t + 1)
+            assert generator.bit_generator.state == reference.bit_generator.state
+            assert (generator.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+                    == reference.integers(0, 2**32, size=5, dtype=np.uint32).tolist())
+
+
+@pytest.mark.parametrize("block", [4, None], ids=["block4", "default_block"])
+def test_histories_across_table_blocks_equal_per_round_derivations(tmp_path, monkeypatch,
+                                                                   block):
+    # a batch whose rounds span several table blocks writes the histories of
+    # generators derived round by round from SeedSequence([seed, domain, t])
+    if block:
+        monkeypatch.setattr(engine, "STREAM_BLOCK", block)
+    cfg = ExperimentConfig(num_clients=6, clients_per_round=2,
+                           total_rounds=13 if block else engine.STREAM_BLOCK + 5,
+                           estimation_rounds=4, num_samples=120, test_samples=40,
+                           feature_dim=2, seed=42)
+    run_comparison(cfg, engine.ALGORITHMS, num_seeds=2, out_dir=tmp_path / "table")
+    monkeypatch.setattr(engine.RoundStreams, "install",
+                        lambda self, domain, p, t: _stream(self.seeds[p], domain, t))
+    run_comparison(cfg, engine.ALGORITHMS, num_seeds=2, out_dir=tmp_path / "reference")
+    names = sorted(path.name for path in (tmp_path / "table").iterdir())
+    assert len(names) > 8
+    assert names == sorted(path.name for path in (tmp_path / "reference").iterdir())
+    for name in names:
+        assert ((tmp_path / "table" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
 
 
 # ---------------------------------------------------------------- local pieces
@@ -419,31 +523,34 @@ def test_runs_never_materialize_per_sample_gradients(monkeypatch):
 
 
 def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
-    # at most one selection and one noise generator per round, and one noise
-    # draw call for all responders together
-    calls = {"stream": 0, "noise": 0}
-    real_stream, real_noise = engine._stream, engine.sample_noise
+    # at most one selection and one noise generator installed per round, and
+    # one noise draw call for all responders together
+    calls, installs = {"noise": 0}, []
+    real_install, real_noise = engine.RoundStreams.install, engine.sample_noise
 
-    def counting_stream(*key):
-        calls["stream"] += 1
-        return real_stream(*key)
+    def counting_install(self, domain, p, t):
+        installs.append((self.seeds[p], domain, t))
+        return real_install(self, domain, p, t)
 
     def counting_noise(*args):
         calls["noise"] += 1
         return real_noise(*args)
 
-    monkeypatch.setattr(engine, "_stream", counting_stream)
+    monkeypatch.setattr(engine.RoundStreams, "install", counting_install)
     monkeypatch.setattr(engine, "sample_noise", counting_noise)
     problem = _problem(num_clients=6)
     settings = _settings(clients_per_round=3, total_rounds=10, estimation_rounds=3)
     for run in (lambda: run_baseline("uniform_dp", problem, settings, seed=3),
                 lambda: run_dpfl_bcs(problem, settings, seed=3)):
-        calls.update(stream=0, noise=0)
+        calls.update(noise=0)
+        installs.clear()
         res = run()
         rounds = len(res.rounds)
         assert not res.ended_early and rounds == settings.total_rounds
         assert 0 < calls["noise"] <= rounds
-        assert calls["stream"] <= 2 * rounds
+        # every round selects and noises: one install per domain and round
+        assert sorted(installs) == [(3, domain, t) for domain in (1, 2)
+                                    for t in range(1, rounds + 1)]
 
 
 @pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])

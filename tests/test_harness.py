@@ -332,21 +332,22 @@ def test_comparison_client_round_failure_reruns_the_batch_to_name_the_seed(monke
 
 
 def test_comparison_derives_each_round_stream_once_per_seed(monkeypatch):
-    # the algorithms of one seed share its per-round streams, so a seed makes
-    # at most one selection and one noise derivation per round however many
-    # algorithms run on it
-    derivations = {}
-    real_stream = engine._stream
+    # the algorithms of one seed share its per-round streams, so a seed has
+    # at most one selection and one noise generator installed per round
+    # however many algorithms run on it
+    installs = []
+    real_install = engine.RoundStreams.install
 
-    def counting_stream(seed, *key):
-        derivations[seed] = derivations.get(seed, 0) + 1
-        return real_stream(seed, *key)
+    def counting_install(self, domain, p, t):
+        installs.append((self.seeds[p], domain, t))
+        return real_install(self, domain, p, t)
 
-    monkeypatch.setattr(engine, "_stream", counting_stream)
+    monkeypatch.setattr(engine.RoundStreams, "install", counting_install)
     cfg = _config()
     run_comparison(cfg, ["dpfl_bcs", "uniform_dp", "weiavg"], num_seeds=2)
-    assert set(derivations) == {42, 43}
-    assert all(0 < count <= 2 * cfg.total_rounds for count in derivations.values())
+    assert {seed for seed, _, _ in installs} == {42, 43}
+    assert len(set(installs)) == len(installs)
+    assert all(domain in (1, 2) and 1 <= t <= cfg.total_rounds for _, domain, t in installs)
 
 
 @pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])

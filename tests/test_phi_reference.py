@@ -100,6 +100,27 @@ def test_phi_is_bit_identical_to_reference():
     assert log_differs + square_differs > 0
 
 
+@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
+def test_phi_columns_equal_the_per_client_loop(mechanism):
+    # a wide-bcs sized roster: every Phi_n equals the per-client Python
+    # expression bit for bit, on a sample where numpy's square (and, for
+    # Gaussian, its log) would change some of them
+    rng = np.random.default_rng(2025)
+    n = 10_000
+    epsilon = rng.uniform(0.5, 8.0, n)
+    delta = 10 ** rng.uniform(-7, -0.3, n) if mechanism is GM else np.zeros(n)
+    samples = rng.integers(1, 20_000, n)
+    _, phi = compute_phi_lambda(mechanism, 6, 1.0, 1.0, epsilon, delta, samples)
+    if mechanism is GM:
+        loop = [math.log(1.0 / d) / (m**2 * e**2)
+                for e, d, m in zip(epsilon.tolist(), delta.tolist(), samples.tolist())]
+        assert (np.log(1.0 / delta) != [math.log(1.0 / d) for d in delta.tolist()]).any()
+    else:
+        loop = [1.0 / (m**2 * e**2) for e, m in zip(epsilon.tolist(), samples.tolist())]
+    assert (epsilon * epsilon != [e**2 for e in epsilon.tolist()]).any()
+    assert phi.dtype == np.float64 and phi.tobytes() == np.array(loop).tobytes()
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(delta=[1e-5, 0.0]), "client 1: Gaussian mechanism needs delta in (0,1), got 0.0"),
     (dict(delta=[1e-5, 1.0]), "client 1: Gaussian mechanism needs delta in (0,1), got 1.0"),

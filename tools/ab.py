@@ -24,8 +24,10 @@ both commits, each side's ``source_sha256`` (perfbench's hash of the
 change's first run, and for every workload and every end-to-end metric of
 ``BENCHMARK.json``: the per-pair values, each side's median and quartiles, how
 many pairs the change won, the median per-pair ratio change/base, and whether
-the medians differ by more than the base's interquartile range. The exit status is 1 when a run failed or
-reported itself incorrect, 2 when the tool refused to run.
+the medians differ by more than the base's interquartile range. After the
+file's path it prints one line per workload and metric with those figures. The
+exit status is 1 when a run failed or reported itself incorrect, 2 when the
+tool refused to run.
 """
 
 from __future__ import annotations
@@ -158,6 +160,27 @@ def summarise(pairs: list, metrics: list) -> dict:
     return summary
 
 
+def summary_lines(workloads: dict) -> list:
+    """One line per workload and metric: the base's median and interquartile
+    range, the change's median, its wins, the median per-pair ratio and
+    whether the gain exceeds the base's interquartile range."""
+    lines = []
+    for workload, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            if not m["pairs"]:
+                lines.append(f"{workload} {name}: no pair where both sides ran")
+                continue
+            base, ratio = m["base"], m["ratio_median"]
+            lines.append(
+                f"{workload} {name}: base {base['median']:.6g} "
+                f"[IQR {base['q1']:.6g}-{base['q3']:.6g}], "
+                f"change {m['change']['median']:.6g}, "
+                f"change wins {m['change_wins']}/{m['pairs']}, ratio_median "
+                f"{'n/a' if ratio is None else f'{ratio:.4f}'}, "
+                f"gain_exceeds_base_iqr {m['gain_exceeds_base_iqr']}")
+    return lines
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the base side")
@@ -246,6 +269,8 @@ def main(argv=None) -> int:
     out = args.out / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(out)
+    for line in summary_lines(workloads):
+        print(line)
     return 1 if failed else 0
 
 
