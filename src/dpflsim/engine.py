@@ -12,10 +12,9 @@ arrays of `ClientArrays`.
 problems together, one round at a time: one `client_round` call per round
 does the client work of every run's responders, over one `ClientArrays` that
 stacks the runs, and one call each to `sample_selection`, `aggregate` and the
-model's `metrics` selects, aggregates and evaluates for every run. A single
-call is the case of one run of these same bodies. `run_lockstep` is the case
-of one seed, and a single run the case of one seed and one algorithm, so the
-engine has one loop.
+model's `metrics` selects, aggregates and evaluates for every run. Each of
+these takes the batch's (runs, ...) arrays only; a single run is a batch of
+one seed and one algorithm, so the engine has one loop.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -599,19 +598,20 @@ class RoundRelease:
     losses: np.ndarray | None
 
 
-def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_rate: float,
-                 rng: np.random.Generator | list, settings: RunSettings,
-                 report_losses: bool | list, noise_enabled: bool | list = True) -> RoundRelease:
-    """The selected clients' contributions to one round, computed as one batch.
+def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticRegression,
+                 weights: np.ndarray, learning_rate: float, generators: list,
+                 settings: RunSettings, report_losses: np.ndarray,
+                 noise_enabled: np.ndarray) -> RoundRelease:
+    """The selected clients' contributions to one round of R runs, computed as
+    one batch.
 
-    `clients` may stack R runs on one or more problems (see
-    `ClientArrays.stacked`): then `model` is a sequence of the R runs'
-    `ModelState`s, `ids` are block entries grouped by run in run order, and
-    `report_losses` and `noise_enabled` are a bool for every run or one bool
-    per run. `rng` is one noise generator for every run or one per run, and
-    the runs that share a generator are consecutive. A plain `ClientArrays`
-    with one `ModelState` is the case R = 1. Each run's rows come out as they
-    would from a round of its own on its generator.
+    `clients` stacks the R runs on one or more problems (see
+    `ClientArrays.stacked`), `ids` are its entries grouped by run in run
+    order, `model` is the runs' model kind and `weights` their (R, d) weight
+    matrix. `report_losses` and `noise_enabled` are (R,) bool arrays and
+    `generators` the R runs' noise generators; the runs that share a
+    generator are consecutive. Each run's rows come out as they would from a
+    round of its own on its generator.
 
     With noise enabled, clients whose budget is exhausted refuse and are left
     out, and the others must be funded by the stage `clients.install`
@@ -628,27 +628,26 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     coordinates at the gradient-only sensitivity. Budgets and stage counts
     in `clients` are updated in place.
     """
-    models = [model] if isinstance(model, ModelState) else list(model)
-    num_runs = len(models)
-    report = _per_run(report_losses, num_runs)
-    noised = _per_run(noise_enabled, num_runs)
+    num_runs = len(weights)
     num_clients, rest = divmod(len(clients.num_samples), num_runs)
     if rest:
         raise ParameterError(f"{len(clients.num_samples)} client entries do not stack "
                              f"{num_runs} runs")
+    if report_losses.shape != (num_runs,) or noise_enabled.shape != (num_runs,):
+        raise ParameterError(f"need one loss-report and one noise flag per run of {num_runs}, "
+                             f"got {report_losses.shape} and {noise_enabled.shape}")
     ids = np.asarray(ids, dtype=int)
     run = ids // num_clients
     if num_runs > 1 and (run[1:] < run[:-1]).any():
         raise ParameterError("ids must be grouped by run, in run order")
-    refused = clients.exhausted[ids] & noised[run]
+    refused = clients.exhausted[ids] & noise_enabled[run]
     if refused.any():
         for n in ids[refused] % num_clients:
             logger.warning("client %d refused (budget exhausted)", n)
         ids, run = ids[~refused], run[~refused]
-    kind = models[0].model_kind
-    dim = kind.dim
-    reports = report[run]
-    any_report = bool(report.any())
+    dim = model.dim
+    reports = report_losses[run]
+    any_report = bool(report_losses.any())
     if len(ids) == 0:
         return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if any_report else None)
     # the responders' rows in one gather from the block, responder i's at
@@ -659,17 +658,17 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     rows = (clients.row_start[ids] - starts).repeat(counts) + np.arange(ends[-1])
     features = clients.train.features.take(rows, axis=0)
     targets = clients.train.targets.take(rows)
-    if features.shape[1] != kind.feature_dim:
+    if features.shape[1] != model.feature_dim:
         raise ParameterError(
-            f"data feature_dim {features.shape[1]} != model {kind.feature_dim}")
+            f"data feature_dim {features.shape[1]} != model {model.feature_dim}")
     bounds = run.searchsorted(np.arange(num_runs + 1)).tolist()
     present = [r for r in range(num_runs) if bounds[r] < bounds[r + 1]]
     # output gradients with each run's weights, one call per run; run r's
     # rows are edges[bounds[r]]:edges[bounds[r + 1]]
     edges = [0] + ends.tolist()
-    factors = [models[r].model_kind.output_gradients(
-        models[r].weights, features[edges[bounds[r]]:edges[bounds[r + 1]]],
-        targets[edges[bounds[r]]:edges[bounds[r + 1]]]) for r in present]
+    factors = [model.output_gradients(weights[r], features[edges[bounds[r]]:edges[bounds[r + 1]]],
+                                      targets[edges[bounds[r]]:edges[bounds[r + 1]]])
+               for r in present]
     factors = factors[0] if len(factors) == 1 else np.concatenate(factors)
     # per-sample gradients are rank one, so they are clipped from their factors
     clipped = clip_outer_rows(factors, with_intercept(features), settings.clip)
@@ -685,9 +684,9 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
         sens = np.where(reports, _gradient_sensitivity(eta, clip_bound, counts, loss_cap,
                                                        True), sens)
     noise = np.zeros((len(ids), dim + 2 if any_report else dim))
-    noised_runs = [r for r in present if noised[r]]
+    noised_runs = [r for r in present if noise_enabled[r]]
     # the noised runs' rows, all of them in a round with no unnoised run
-    charged = slice(None) if len(noised_runs) == len(present) else noised[run]
+    charged = slice(None) if len(noised_runs) == len(present) else noise_enabled[run]
     own = ids[charged]
     if noised_runs:
         sens = sens[charged]
@@ -700,19 +699,17 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
             scale = _laplace_scale(sens, clients.stage_epsilon[own], planned)
         # one block per noised run, in run order, each drawn from its
         # generator's stream at its start, as a run of its own draws
-        generators = [rng] * num_runs if isinstance(rng, np.random.Generator) else rng
         if len(generators) != num_runs:
             raise ParameterError(f"{len(generators)} noise generators for {num_runs} runs")
-        generators = [generators[r] for r in noised_runs]
+        drawing = [generators[r] for r in noised_runs]
         # the first run of each stretch of runs that share a generator
-        firsts = [gen for i, gen in enumerate(generators)
-                  if not i or gen is not generators[i - 1]]
+        firsts = [gen for i, gen in enumerate(drawing) if not i or gen is not drawing[i - 1]]
         if len(set(map(id, firsts))) < len(firsts):
             raise ParameterError("runs that share a noise generator must be consecutive")
-        blocks = [(bounds[r + 1] - bounds[r], dim + 2 if report[r] else dim)
+        blocks = [(bounds[r + 1] - bounds[r], dim + 2 if report_losses[r] else dim)
                   for r in noised_runs]
         spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
-        drawn = sample_noise(spec, blocks, generators)
+        drawn = sample_noise(spec, blocks, drawing)
         noise[charged, :drawn.shape[1]] = drawn
     gradients = steps + noise[:, :dim]
 
@@ -727,15 +724,15 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
             # capped to [0, loss_cap], at its run's weights and at its
             # locally updated model, on rows cut from the gathered ones; one
             # check covers every updated model, as `ModelState` checks one
-            incoming = [models[r].weights for r in run[reporting].tolist()]
-            updated = np.array(incoming) - steps[reporting]
+            incoming = weights[run[reporting]]
+            updated = incoming - steps[reporting]
             if not np.isfinite(updated).all():
                 raise ParameterError("weights must be finite")
             mean_losses = np.empty((len(reporting), 2))
             for j, i in enumerate(reporting.tolist()):
                 x, y = features[edges[i]:edges[i + 1]], targets[edges[i]:edges[i + 1]]
                 for m, w in enumerate((incoming[j], updated[j])):
-                    capped = np.clip(kind.per_sample_losses(w, x, y), 0.0, loss_cap)
+                    capped = np.clip(model.per_sample_losses(w, x, y), 0.0, loss_cap)
                     mean_losses[j, m] = capped.sum() / len(capped)
             losses[reporting] = (eta * mean_losses + noise[reporting, dim:]) / eta
 
@@ -751,21 +748,13 @@ def client_round(clients: ClientArrays, ids, model: ModelState | list, learning_
     return RoundRelease(ids, gradients, losses)
 
 
-def _per_run(flag, num_runs: int) -> np.ndarray:
-    """`flag`, a bool for every run or one per run, as one bool per run."""
-    out = np.empty(num_runs, dtype=bool)
-    out[:] = flag
-    return out
+def aggregate(gradients, k, starts=(0,)) -> np.ndarray:
+    """The runs' updates: the sum of each run's noisy gradients over its
+    nominal K, one row per run.
 
-
-def aggregate(gradients, k, starts=None) -> np.ndarray:
-    """Sum of noisy gradients over the nominal K.
-
-    `gradients` is a list of vectors or a stacked (responders, d) array. With
-    `starts`, the rows are several runs' responders, run r's from starts[r]
-    up to the next start, and the result has one row per run: its rows' sum
-    over `k`, or over k[r] when `k` has one entry per run. Without, every
-    row is one run's: the case of one run.
+    `gradients` is a stacked (responders, d) array whose rows are several
+    runs' responders, run r's from starts[r] up to the next start, and `k`
+    one divisor for every run or one per run.
 
     The runs' rows are laid out as one (runs, most rows, d) block padded
     with -0.0, which adds exactly nothing, and summed over its middle axis
@@ -781,8 +770,7 @@ def aggregate(gradients, k, starts=None) -> np.ndarray:
     if not (divisors >= 1).all():
         raise ParameterError("k must be >= 1")
     # few runs, so their bounds are Python ints
-    bounds = [0] if starts is None else [int(start) for start in starts]
-    bounds.append(len(gradients))
+    bounds = [int(start) for start in starts] + [len(gradients)]
     counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
     if not counts or bounds[0] != 0 or min(counts) < 1:
         raise ParameterError(f"starts {bounds[:-1]} must rise from 0 through the "
@@ -794,54 +782,40 @@ def aggregate(gradients, k, starts=None) -> np.ndarray:
         block = np.full(shape, -0.0)
         block[np.arange(len(counts)).repeat(counts),
               np.arange(len(gradients)) - np.repeat(bounds[:-1], counts)] = gradients
-    sums = block.sum(axis=1)
-    if starts is None:
-        return sums[0] / divisors
-    return sums / (divisors[:, None] if divisors.ndim else divisors)
+    return block.sum(axis=1) / divisors.reshape(-1, 1)
 
 
-def sample_selection(probabilities: np.ndarray, candidates, k: int, rng):
-    """Weighted sampling without replacement from the candidate set.
+def sample_selection(probabilities: np.ndarray, candidates: np.ndarray, k: int,
+                     generators: list) -> np.ndarray:
+    """Weighted sampling without replacement from each run's candidate set.
+
+    `probabilities` is a (G, N) matrix, one row per run, `candidates` a
+    (G, N) boolean mask of each row's candidates, and `generators` a list of
+    one generator per row (None for a row without candidates). Returns the
+    sorted array of the flat ids g * N + n of every row's selection.
 
     Efraimidis-Spirakis: one uniform u_n per client id, key log(u_n) / w_n for
     each positive-weight candidate, and the k largest keys win. This has the
     distribution of k successive weighted draws that renormalize over the
     candidates left (Efraimidis & Spirakis, IPL 97(5), 2006). A client's key
-    does not depend on the other candidates, so two runs sharing `rng` state
-    pick the same clients wherever their candidate sets agree. If the
-    candidate set has at most k members, or at most k positive weights, those
-    are returned without drawing; an empty set yields an empty round.
-    Returned ids are sorted.
+    does not depend on the other candidates, so two runs sharing a
+    generator's state pick the same clients wherever their candidate sets
+    agree. If a row's candidate set has at most k members, or at most k
+    positive weights, those are selected without drawing; an empty set
+    selects nothing.
 
-    Stacked form: `probabilities` is a (G, N) matrix, one row per run,
-    `candidates` a (G, N) boolean mask of each row's candidates, and `rng`
-    one generator for every row or a list of one per row (None for a row
-    without candidates). Each row is sampled as a call of its own would
-    sample it from its generator's state on entry: the rows that share a
-    generator share its N uniforms, drawn once, and a generator that no row
-    draws from is left as it is. The result is the array of the flat ids
-    g * N + n of every row's selection, sorted. A 1-d `probabilities` with
-    a sequence of candidate ids is the case G = 1, and returns its ids as a
-    sorted list.
+    Each row is sampled as it would be alone from its generator's state on
+    entry: the rows that share a generator share its N uniforms, drawn once,
+    and a generator that no row draws from is left as it is.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
     probabilities = np.asarray(probabilities, dtype=float)
-    one = probabilities.ndim == 1
-    if one:
-        ids = np.asarray(candidates, dtype=int)
-        if len(ids) and not 0 <= ids.min() <= ids.max() < len(probabilities):
-            raise ParameterError(f"candidate ids must lie in [0, {len(probabilities)})")
-        mask = np.zeros((1, len(probabilities)), dtype=bool)
-        mask[0, ids] = True
-        probabilities = probabilities[None]
-    else:
-        mask = np.asarray(candidates, dtype=bool)
-        if mask.shape != probabilities.shape:
-            raise ParameterError(f"candidate mask of shape {mask.shape} for "
-                                 f"probabilities of shape {probabilities.shape}")
+    mask = np.asarray(candidates, dtype=bool)
+    if probabilities.ndim != 2 or mask.shape != probabilities.shape:
+        raise ParameterError(f"need a (G, N) probability matrix and a candidate mask of its "
+                             f"shape, got {probabilities.shape} and {mask.shape}")
     num_rows, num_clients = probabilities.shape
-    generators = rng if isinstance(rng, list) else [rng] * num_rows
     if len(generators) != num_rows:
         raise ParameterError(f"{len(generators)} generators for {num_rows} rows")
     # a row within the first shortcut selects every candidate; past it, its
@@ -875,8 +849,7 @@ def sample_selection(probabilities: np.ndarray, candidates, k: int, rng):
         top = keys.argpartition(k - 1, axis=1)[:, :k]
         chosen[rows] = False
         chosen[drawing[:, None], top] = True
-    flat = np.flatnonzero(chosen)
-    return flat.tolist() if one else flat
+    return np.flatnonzero(chosen)
 
 
 def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
@@ -887,7 +860,7 @@ def _uniform_plan(num_clients: int, horizon: int, k: int) -> SelectionPlan:
 def run_dpfl_bcs(problem: FederatedProblem, settings: RunSettings, seed: int,
                  on_round=None) -> RunResult:
     """Two-stage biased-selection run."""
-    result, = run_lockstep(problem, settings, seed, ["dpfl_bcs"], on_round)
+    (result,), = run_lockstep_seeds([problem], [seed], settings, ["dpfl_bcs"], on_round)
     return result
 
 
@@ -896,18 +869,8 @@ def run_baseline(kind: str, problem: FederatedProblem, settings: RunSettings, se
     """Single-stage reference run: fedsgd, uniform_dp, or weiavg."""
     if kind not in BASELINE_KINDS:
         raise ParameterError(f"unknown baseline {kind!r}; expected one of {BASELINE_KINDS}")
-    result, = run_lockstep(problem, settings, seed, [kind], on_round)
+    (result,), = run_lockstep_seeds([problem], [seed], settings, [kind], on_round)
     return result
-
-
-def run_lockstep(problem: FederatedProblem, settings: RunSettings, seed: int,
-                 algorithms, on_round=None) -> list:
-    """Run each of `algorithms` on `problem` and `seed`, all together, one
-    round at a time; returns their `RunResult`s in order. This is
-    `run_lockstep_seeds` with one seed: each run's outputs are those of a
-    run of its own."""
-    results, = run_lockstep_seeds([problem], [seed], settings, algorithms, on_round)
-    return results
 
 
 def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
@@ -957,7 +920,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     if any(seed < 0 for seed in seeds):
         raise ParameterError("seed must be nonnegative")
     block, views = ClientArrays.stacked(problems, len(algorithms))
-    test_features, test_targets = _stacked_tests(problems)
+    test_features, test_targets = _test_blocks(problems)
     num_clients = problems[0].num_clients
     k = settings.clients_per_round
     if k > num_clients:
@@ -977,7 +940,6 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         except Exception as exc:
             exc.failed_run = (seed, algorithm)
             raise
-    states = [run.state for run in runs]
     seed_of = [g // width for g in range(len(runs))]
     dp = np.array([run.dp for run in runs])
     two_stage = np.array([run.two_stage for run in runs])
@@ -1011,7 +973,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
         streams = [generators.install(2, p, t) if bounds[p * width] < bounds[(p + 1) * width]
                    else None for p in range(num_seeds)]
-        release = client_round(block, ids, states, settings.learning_rate(t),
+        release = client_round(block, ids, model, weights, settings.learning_rate(t),
                                [streams[p] for p in seed_of], settings,
                                two_stage & (t <= settings.estimation_rounds), dp)
         # run g's responders are rows bounds[g]:bounds[g + 1] of the release
@@ -1050,7 +1012,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     return [results[p * width:(p + 1) * width] for p in range(num_seeds)]
 
 
-def _stacked_tests(problems) -> tuple:
+def _test_blocks(problems) -> tuple:
     """The problems' test blocks as one (problems, rows, feature_dim) block of
     features and one (problems, rows) block of targets: views of one
     problem's, and a copy of several problems', which must share a shape."""
@@ -1122,8 +1084,8 @@ class _Run:
         self.stages = []
         self.stage2_slices = self.epsilon_at_replan = None
         weights[:] = model.init_weights()
-        # over the batch's row, which the batch's update moves in place
-        self.state = ModelState(weights, model)
+        # the batch's row, which the batch's update moves in place
+        self.weights = weights
         self.trajectory = [weights.copy()] if settings.record_weights else None
         self.records = []
         self.plan2 = self.est_params = None
@@ -1160,7 +1122,7 @@ class _Run:
         """Keep round t's record, pass it to `on_round` and, at T0, replan."""
         settings, clients = self.settings, self.clients
         if self.trajectory is not None:
-            self.trajectory.append(self.state.weights.copy())
+            self.trajectory.append(self.weights.copy())
         self.records.append(record)
         logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, record.stage,
                     len(record.selected), record.test_loss)
@@ -1187,13 +1149,16 @@ class _Run:
             # close the stage in progress; a replan that found no plan closed it
             self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
         _check_ledger(clients, self.epsilon_at_start, self.stages if self.dp else [])
-        weights = self.state.weights.copy()
+        weights = self.weights.copy()
         if self.records:
             final_loss = self.records[-1].test_loss
             final_accuracy = self.records[-1].test_accuracy
         else:
             test = self.problem.test_data
-            final_loss, final_accuracy = model.metrics(weights, test.features, test.targets)
+            loss, accuracy = model.metrics(weights[None, None], test.features[None],
+                                           test.targets[None])
+            final_loss = float(loss[0, 0])
+            final_accuracy = None if accuracy is None else float(accuracy[0, 0])
         return RunResult(
             algorithm=self.algorithm, seed=self.seed, rounds=self.records,
             final_state=ModelState(weights, model), final_test_loss=final_loss,

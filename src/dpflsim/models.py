@@ -69,8 +69,10 @@ class LinearRegression:
                           with_intercept(features))
 
     def metrics(self, weights, features, targets) -> tuple:
-        """(mean test loss, None); see `_stacked` for the stacked form."""
-        weights, features, targets, one = _stacked(weights, features, targets)
+        """(mean test losses, None) of A runs' weights on each of S test
+        blocks: `weights` is (S, A, dim), `features` (S, rows, feature_dim)
+        and `targets` (S, rows), and the losses an (S, A) array whose [s, a]
+        is run a's on block s, with the bits of a batch of that run alone."""
         # one gemv per (seed, run) slice, as one run's `features @ weights`;
         # the residuals and their squares overwrite the predictions
         losses = np.matmul(features[:, None], weights[..., :-1, None])[..., 0]
@@ -78,8 +80,7 @@ class LinearRegression:
         losses -= targets[:, None]
         losses *= losses
         # the sum over the count is np.mean's arithmetic without its layers of calls
-        loss = losses.sum(axis=-1) / losses.shape[-1]
-        return (float(loss[0, 0]) if one else loss), None
+        return losses.sum(axis=-1) / losses.shape[-1], None
 
 
 class LogisticRegression:
@@ -145,8 +146,11 @@ class LogisticRegression:
                           with_intercept(features))
 
     def metrics(self, weights, features, targets) -> tuple:
-        """(mean test loss, accuracy); see `_stacked` for the stacked form."""
-        weights, features, targets, one = _stacked(weights, features, targets)
+        """(mean test losses, accuracies) of A runs' weights on each of S
+        test blocks: `weights` is (S, A, dim), `features` (S, rows,
+        feature_dim) and `targets` (S, rows), and each result an (S, A) array
+        whose [s, a] is run a's on block s, with the bits of a batch of that
+        run alone."""
         # one softmax pass serves both the loss and the accuracy
         probs = self._probs(weights, features[:, None])
         labels = targets.astype(int)
@@ -158,29 +162,12 @@ class LogisticRegression:
         loss = losses.sum(axis=-1) / rows
         # a count over the rows is np.mean's exact sum of ones
         accuracy = (probs.argmax(axis=-1) == labels[:, None]).sum(axis=-1) / rows
-        if one:
-            return float(loss[0, 0]), float(accuracy[0, 0])
         return loss, accuracy
 
 
 def _nll(picked: np.ndarray) -> np.ndarray:
     """-ln of the picked class probabilities, floored before the log."""
     return -np.log(np.maximum(picked, _LOG_FLOOR))
-
-
-def _stacked(weights, features, targets) -> tuple:
-    """`metrics`' arguments as (S, A, dim) weights, (S, rows, feature_dim)
-    features and (S, rows) targets, and whether they were one run's.
-
-    Stacked, `weights` holds A runs' weights on each of S test blocks, and
-    `metrics` returns (S, A) arrays: the metrics of run a on block s at
-    [s, a], each with the bits of a call of its own. One run's (dim,)
-    weights on one (rows, feature_dim) block is the case S = A = 1, and
-    `metrics` then returns floats."""
-    weights = np.asarray(weights)
-    if weights.ndim == 1:
-        return weights[None, None], features[None], targets[None], True
-    return weights, features, targets, False
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,27 @@ def test_plan_gamma_file_length_mismatch(tmp_path, capsys):
     assert "2 clients" in capsys.readouterr().err
 
 
+def test_plan_rejects_a_roster_without_client_rows(tmp_path, capsys):
+    roster = _write_roster(tmp_path / "roster.csv", [])
+    assert main(_plan_args(tmp_path, roster=roster)) == 1
+    assert f"error: {roster}: roster has no client rows" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("# gaps\n0.5\nwide\n", ":3: not a number: 'wide'"),
+    ("0.5\n-1.0\n", ": gamma values must be finite and >= 0"),
+    ("nan\n1.0\n", ": gamma values must be finite and >= 0"),
+], ids=["not_a_number", "negative", "nan"])
+def test_plan_rejects_bad_gamma_values(tmp_path, capsys, content, message):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text(content)
+    assert main(_plan_args(tmp_path, "--gamma-file", str(gamma), "--omega-a", "1.0",
+                           "--omega-b", "1.0")) == 1
+    assert f"error: {gamma}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
 # ---------------------------------------------------------------- the options
 
 CONFIG_OPTIONS = {"--out", "--config", "--seed", "--set"}
@@ -513,6 +534,27 @@ def test_estimate_truncated_history_names_round(tmp_path, capsys):
     assert main(["estimate", "--history", str(trimmed),
                  "--out", str(tmp_path / "e")]) == 1
     assert "round 3" in capsys.readouterr().err
+
+
+def test_estimate_refuses_a_history_without_loss_reports(tmp_path, capsys):
+    # a uniform_dp run reports no losses, so it has no stage-one fit to replay
+    cfg = _write_config(tmp_path / "exp.cfg", algorithm="uniform_dp", estimation_rounds=4)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["estimate", "--history", str(out / "history.jsonl"),
+                 "--out", str(tmp_path / "e")]) == 1
+    assert ("error: history round 1 has no stage-one loss records"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "e" / "estimated_params.json").exists()
+
+
+def test_estimate_names_the_header_fields_missing(tmp_path, capsys, stage_one_history):
+    header, *rest = json.loads(json.dumps(stage_one_history))
+    del header["c2"], header["model_dim"]
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rest]))
+    assert main(["estimate", "--history", str(path), "--out", str(tmp_path / "e")]) == 1
+    assert "error: history header is missing fields: model_dim, c2" in capsys.readouterr().err
 
 
 def test_estimate_missing_file_exits_one(tmp_path, capsys):

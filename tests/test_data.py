@@ -59,8 +59,8 @@ def _fit_logistic(data, steps=400, lr=0.5):
     for _ in range(steps):
         grad = model.per_sample_gradients(w, data.features, data.targets).mean(axis=0)
         w = w - lr * grad
-    _, acc = model.metrics(w, data.features, data.targets)
-    return acc
+    _, acc = model.metrics(w[None, None], data.features[None], data.targets[None])
+    return float(acc[0, 0])
 
 
 def test_classification_generator_separation():

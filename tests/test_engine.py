@@ -273,6 +273,12 @@ def _rows(train, num_samples, n):
     return Dataset(train.features[start:stop], train.targets[start:stop])
 
 
+def _round_of_one(clients, ids, state, eta, rng, settings, report_losses, noise_enabled=True):
+    """`client_round` over a batch of one run at `state`'s weights."""
+    return client_round(clients, ids, state.model_kind, state.weights[None], eta, [rng],
+                        settings, np.array([report_losses]), np.array([noise_enabled]))
+
+
 def _one_client(data, spent=False, **settings_kw):
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0, **settings_kw)
     clients = _clients([data], _budgets([1.0], 1e-3, spent=[0] if spent else []))
@@ -284,8 +290,8 @@ def test_client_round_zero_noise_exact():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                       report_losses=True, noise_enabled=False)
+    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
+                        report_losses=True, noise_enabled=False)
     g = local_gradient(state, data, ETA, settings.clip)
     assert out.ids.tolist() == [0]
     assert np.array_equal(out.gradients[0], g)
@@ -301,8 +307,8 @@ def test_client_round_loss_distortion_rule():
     data = Dataset(np.array([[0.0]]), np.array([-math.sqrt(2.0)]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = client_round(clients, [0], state, ETA, np.random.default_rng(77), settings,
-                       report_losses=True)
+    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(77), settings,
+                        report_losses=True)
     f = local_loss(state, data, 10.0)  # = 2.0
     assert f == pytest.approx(2.0)
     # replay the identical stream to recover the drawn noise
@@ -328,13 +334,13 @@ def test_client_round_refuses_when_exhausted():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     state = _regression_state()
     clients, settings = _one_client(data, spent=True)
-    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                       report_losses=False)
+    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
+                        report_losses=False)
     assert out.ids.tolist() == [] and out.gradients.shape == (0, 2)
     assert clients.stage_count[0] == 0
     # diagnostics mode ignores the ledger
-    out = client_round(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                       report_losses=False, noise_enabled=False)
+    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
+                        report_losses=False, noise_enabled=False)
     assert out.ids.tolist() == [0]
     assert np.array_equal(out.gradients[0], local_gradient(state, data, ETA, settings.clip))
 
@@ -378,8 +384,8 @@ def test_client_round_monte_carlo_unbiased():
     clients = _clients([data] * n, _budgets([1.0] * n, 1e-3))
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
     clients.install(np.full(n, PLANNED), settings)
-    out = client_round(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
-                       settings, report_losses=False)
+    out = _round_of_one(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
+                        settings, report_losses=False)
     g = local_gradient(state, data, ETA, settings.clip)
     scale = gaussian_sigma(gradient_sensitivity(GM, ETA, 1.0, 2), 1.0, 1e-3, PLANNED)
     mean = out.gradients.mean(axis=0)
@@ -416,13 +422,13 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
     batch_clients = fresh()
     single_clients = fresh()
     for t, eta in enumerate([0.3, 0.2], start=1):
-        batch = client_round(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
-                             report_losses)
+        batch = _round_of_one(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
+                              report_losses)
         # the one-responder rounds draw in turn from one generator keyed like
         # the batch's, so they see the batch's noise rows in order
         rng = _stream(9, 2, t)
-        singles = [client_round(single_clients, [n], state, eta, rng, settings,
-                                report_losses) for n in ids]
+        singles = [_round_of_one(single_clients, [n], state, eta, rng, settings,
+                                 report_losses) for n in ids]
         # client 3 plans one round, so it refuses in round two
         responders = [n for n in ids if t == 1 or n != 3]
         assert batch.ids.tolist() == responders
@@ -485,8 +491,8 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
     settings = _settings(mechanism=mechanism, clip_bound=bound)
     clients.install([3] * len(data), settings)
     eta = 0.3
-    out = client_round(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
-                       settings, report_losses=False, noise_enabled=False)
+    out = _round_of_one(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
+                        settings, report_losses=False, noise_enabled=False)
     assert out.ids.tolist() == list(range(len(data)))
     for i, d in enumerate(data):
         expected = local_gradient(state, d, eta, settings.clip)
@@ -639,8 +645,8 @@ def test_round_calibration_matches_the_public_primitives(monkeypatch):
         clients.install(planned, settings)
         specs.clear()
         results.clear()
-        client_round(clients, np.arange(n), ModelState(rng.normal(size=3), model), eta,
-                     np.random.default_rng(i), settings, report_losses)
+        _round_of_one(clients, np.arange(n), ModelState(rng.normal(size=3), model), eta,
+                      np.random.default_rng(i), settings, report_losses)
         (spec,), ((after, exhausted),) = specs, results
         sens = gradient_sensitivity(mechanism, eta, settings.clip_bound, samples,
                                     settings.loss_cap, report_losses)
@@ -667,13 +673,14 @@ def test_round_calibration_matches_the_public_primitives(monkeypatch):
 # ------------------------------------------------------------------ aggregation
 
 def test_aggregate_examples():
+    # one run's rows give one row
     got = aggregate([np.array([1.0, 1.0]), np.array([3.0, 3.0])], 2)
-    assert np.array_equal(got, np.array([2.0, 2.0]))
-    assert np.array_equal(aggregate([np.array([5.0])], 1), np.array([5.0]))
-    assert np.array_equal(aggregate([np.zeros(3), np.zeros(3)], 2), np.zeros(3))
+    assert np.array_equal(got, np.array([[2.0, 2.0]]))
+    assert np.array_equal(aggregate([np.array([5.0])], 1), np.array([[5.0]]))
+    assert np.array_equal(aggregate([np.zeros(3), np.zeros(3)], 2), np.zeros((1, 3)))
     # nominal-K divisor shrinks the update when responders are missing
     short = aggregate([np.array([3.0, 3.0])], 2)
-    assert np.array_equal(short, np.array([1.5, 1.5]))
+    assert np.array_equal(short, np.array([[1.5, 1.5]]))
     with pytest.raises(ParameterError):
         aggregate([], 2)
 
@@ -713,29 +720,37 @@ def test_aggregate_refuses_starts_that_leave_a_run_empty(starts):
 
 # -------------------------------------------------------------------- sampling
 
+def _select_one(p, candidates, k, rng):
+    """The sorted client ids that `sample_selection` picks from the candidate
+    ids `candidates` in a batch of one run."""
+    mask = np.zeros((1, len(p)), dtype=bool)
+    mask[0, np.asarray(candidates, dtype=int)] = True
+    return sample_selection(np.asarray(p)[None], mask, k, [rng]).tolist()
+
+
 def test_sample_selection_degenerate_weight():
     p = np.array([1.0, 0.0, 0.0])
     for seed in range(20):
-        assert sample_selection(p, [0, 1, 2], 1, np.random.default_rng(seed)) == [0]
+        assert _select_one(p, [0, 1, 2], 1, np.random.default_rng(seed)) == [0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.1])
 def test_sample_selection_rejects_nan_and_negative_weights(bad):
     p = np.array([bad, 0.2, 0.3, 0.1, 0.4])
     with pytest.raises(ParameterError, match="nonnegative"):
-        sample_selection(p, range(5), 2, np.random.default_rng(0))
+        _select_one(p, range(5), 2, np.random.default_rng(0))
 
 
 def test_sample_selection_small_candidate_set():
     p = np.full(6, 1 / 6)
-    assert sample_selection(p, [4, 2], 5, np.random.default_rng(0)) == [2, 4]
-    assert sample_selection(p, [], 3, np.random.default_rng(0)) == []
+    assert _select_one(p, [4, 2], 5, np.random.default_rng(0)) == [2, 4]
+    assert _select_one(p, [], 3, np.random.default_rng(0)) == []
 
 
 def test_sample_selection_determinism_and_distinctness():
     p = np.array([0.4, 0.3, 0.2, 0.05, 0.05])
-    a = sample_selection(p, range(5), 3, np.random.default_rng(11))
-    b = sample_selection(p, range(5), 3, np.random.default_rng(11))
+    a = _select_one(p, range(5), 3, np.random.default_rng(11))
+    b = _select_one(p, range(5), 3, np.random.default_rng(11))
     assert a == b
     assert len(set(a)) == 3
 
@@ -784,7 +799,7 @@ def test_sample_selection_exact_subset_distribution(weights, candidates, k):
     rng = np.random.default_rng(sum(candidates) + 10 * k)
     counts = {}
     for _ in range(draws):
-        subset = tuple(sample_selection(p, candidates, k, rng))
+        subset = tuple(_select_one(p, candidates, k, rng))
         counts[subset] = counts.get(subset, 0) + 1
     assert set(counts) <= set(law)
     for subset, prob in law.items():
@@ -803,7 +818,7 @@ def test_sample_selection_structure_fuzz():
         k = int(gen.integers(1, n + 3))  # includes k >= len(candidates)
         rng = np.random.default_rng(case)
         before = rng.bit_generator.state
-        got = sample_selection(p, candidates, k, rng)
+        got = _select_one(p, candidates, k, rng)
         assert all(type(x) is int for x in got)
         assert got == sorted(set(got))
         positive = sorted(c for c in candidates if p[c] > 0)
@@ -825,10 +840,10 @@ def test_sample_selection_unselected_removal_keeps_selection():
         p = gen.dirichlet(np.full(n, 0.5)) + 1e-6
         candidates = gen.choice(n, size=int(gen.integers(2, n + 1)), replace=False)
         k = int(gen.integers(1, len(candidates)))
-        got = sample_selection(p, candidates, k, np.random.default_rng(case))
+        got = _select_one(p, candidates, k, np.random.default_rng(case))
         for dropped in set(candidates.tolist()) - set(got):
             rest = [c for c in candidates if c != dropped]
-            assert sample_selection(p, rest, k, np.random.default_rng(case)) == got
+            assert _select_one(p, rest, k, np.random.default_rng(case)) == got
 
 
 def test_sample_selection_uniform_frequency():
@@ -836,7 +851,7 @@ def test_sample_selection_uniform_frequency():
     p = np.full(n, 1.0 / n)
     counts = np.zeros(n)
     for t in range(rounds):
-        for idx in sample_selection(p, range(n), k, np.random.default_rng(t)):
+        for idx in _select_one(p, range(n), k, np.random.default_rng(t)):
             counts[idx] += 1
     freq = counts / rounds
     expect = k / n
@@ -903,28 +918,29 @@ def test_sample_selection_never_picks_a_non_candidate_over_an_infinite_key():
     mask = np.array([[False] * 3 + [True] * 5])
     for seed in range(20):
         with np.errstate(over="ignore"):
-            got = sample_selection(p[None], mask, 3, np.random.default_rng(seed)).tolist()
+            got = sample_selection(p[None], mask, 3, [np.random.default_rng(seed)]).tolist()
         assert len(got) == 3 and {6, 7} <= set(got) <= set(range(3, 8))
 
 
 def test_stacked_sample_selection_checks_its_rows():
     p, mask = np.full((2, 4), 0.25), np.ones((2, 4), dtype=bool)
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="candidate mask of shape"):
-        sample_selection(p, mask[:, :3], 2, rng)
+    with pytest.raises(ParameterError, match="candidate mask of its shape"):
+        sample_selection(p, mask[:, :3], 2, [rng] * 2)
     with pytest.raises(ParameterError, match="3 generators for 2 rows"):
         sample_selection(p, mask, 2, [rng] * 3)
-    with pytest.raises(ParameterError, match="candidate ids must lie in"):
-        sample_selection(p[0], [0, 4], 1, rng)
+    # one run is a batch of one row, not a bare row
+    with pytest.raises(ParameterError, match=r"\(G, N\) probability matrix"):
+        sample_selection(p[0], mask[0], 1, [rng])
     # a negative weight fails only where a row draws or looks past its
     # first shortcut, as a call of its own does
     p[1, 3] = -0.5
     with pytest.raises(ParameterError, match="nonnegative"):
-        sample_selection(p, mask, 2, rng)
+        sample_selection(p, mask, 2, [rng] * 2)
     mask[1, 3] = False
-    assert len(sample_selection(p, mask, 2, rng)) == 4
+    assert len(sample_selection(p, mask, 2, [rng] * 2)) == 4
     mask[1] = [True, False, False, True]
-    assert sample_selection(p, mask, 2, rng).tolist()[2:] == [4, 7]
+    assert sample_selection(p, mask, 2, [rng] * 2).tolist()[2:] == [4, 7]
 
 
 # ------------------------------------------------------------------- full runs
@@ -990,7 +1006,7 @@ def test_lockstep_runs_equal_runs_of_their_own(mechanism):
                                1e-4 if mechanism is GM else 0.0)
     settings = _settings(mechanism=mechanism, clients_per_round=3, total_rounds=12,
                          estimation_rounds=4, record_weights=True)
-    together = engine.run_lockstep(problem, settings, 3, engine.ALGORITHMS)
+    together, = engine.run_lockstep_seeds([problem], [3], settings, engine.ALGORITHMS)
     assert [r.algorithm for r in together] == list(engine.ALGORITHMS)
     for got in together:
         alone = _alone(got.algorithm, problem, settings, 3)
@@ -1004,7 +1020,8 @@ def test_lockstep_run_that_ends_leaves_the_others_running():
     problem = _problem(num_clients=4)
     problem.budgets = _budgets([1.0] * 4, 1e-4, spent=range(4))
     settings = _settings(total_rounds=6)
-    together = engine.run_lockstep(problem, settings, 2, ["uniform_dp", "fedsgd", "dpfl_bcs"])
+    together, = engine.run_lockstep_seeds([problem], [2], settings,
+                                          ["uniform_dp", "fedsgd", "dpfl_bcs"])
     assert [(r.ended_early, len(r.rounds)) for r in together] == [(True, 0), (False, 6),
                                                                    (True, 0)]
     for got in together:
@@ -1014,12 +1031,12 @@ def test_lockstep_run_that_ends_leaves_the_others_running():
 def test_lockstep_refuses_bad_algorithm_lists():
     problem, settings = _problem(), _settings()
     with pytest.raises(ParameterError, match="no algorithm"):
-        engine.run_lockstep(problem, settings, 0, [])
+        engine.run_lockstep_seeds([problem], [0], settings, [])
     with pytest.raises(ParameterError, match="'sgd'"):
-        engine.run_lockstep(problem, settings, 0, ["fedsgd", "sgd"])
+        engine.run_lockstep_seeds([problem], [0], settings, ["fedsgd", "sgd"])
     with pytest.raises(ParameterError, match="estimation_rounds >= 2"):
-        engine.run_lockstep(problem, _settings(estimation_rounds=1), 0,
-                            ["fedsgd", "dpfl_bcs"])
+        engine.run_lockstep_seeds([problem], [0], _settings(estimation_rounds=1),
+                                  ["fedsgd", "dpfl_bcs"])
 
 
 def test_stacked_client_arrays_are_views_of_one_block():
@@ -1045,12 +1062,19 @@ def test_stacked_round_refuses_ids_out_of_run_order():
     block, views = ClientArrays.stacked([problem], 2)
     for view in views:
         view.install([2, 2, 2], settings)
-    state = ModelState(problem.model.init_weights(), problem.model)
+    model, rng = problem.model, np.random.default_rng(0)
     with pytest.raises(ParameterError, match="grouped by run"):
-        client_round(block, [4, 0], [state, state], 0.1, np.random.default_rng(0), settings,
-                     False)
+        client_round(block, [4, 0], model, np.zeros((2, model.dim)), 0.1, [rng] * 2, settings,
+                     np.zeros(2, bool), np.ones(2, bool))
     with pytest.raises(ParameterError, match="do not stack 4 runs"):
-        client_round(block, [0], [state] * 4, 0.1, np.random.default_rng(0), settings, False)
+        client_round(block, [0], model, np.zeros((4, model.dim)), 0.1, [rng] * 4, settings,
+                     np.zeros(4, bool), np.ones(4, bool))
+    # one flag of each kind per run
+    for report, noised in ((np.zeros(3, bool), np.ones(2, bool)),
+                           (np.zeros(2, bool), np.ones(1, bool))):
+        with pytest.raises(ParameterError, match="one loss-report and one noise flag per run"):
+            client_round(block, [0, 4], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
+                         settings, report, noised)
 
 
 def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
@@ -1062,9 +1086,9 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
     block, views = ClientArrays.stacked([problem], 2)
     for view in views:
         view.install([2, 2, 2], settings)
-    state = ModelState(problem.model.init_weights(), problem.model)
-    out = client_round(block, [0, 1, 5], [state, state], 0.1, np.random.default_rng(0),
-                       settings, [True, False])
+    model, rng = problem.model, np.random.default_rng(0)
+    out = client_round(block, [0, 1, 5], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
+                       settings, np.array([True, False]), np.ones(2, bool))
     assert out.ids.tolist() == [5]
     assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
 
@@ -1105,8 +1129,9 @@ def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
         for view in views:
             view.install([3, 2, 4, 1, 5], settings)
         generators = [np.random.default_rng(p) for p in (0, 1)]
-        return client_round(block, ids, states, eta, [generators[g // 3] for g in range(6)],
-                            settings, report, noised)
+        return client_round(block, ids, model, np.array([s.weights for s in states]), eta,
+                            [generators[g // 3] for g in range(6)], settings, np.array(report),
+                            np.full(6, noised))
 
     # the unnoised round's releases are the responders' steps
     steps = round_of(False).gradients
@@ -1179,8 +1204,8 @@ def _refusing_round(monkeypatch, refused_round):
     real = engine.sample_selection
     calls = [0]
 
-    def refusing(probabilities, candidates, k, rng):
-        ids = real(probabilities, candidates, k, rng)
+    def refusing(probabilities, candidates, k, generators):
+        ids = real(probabilities, candidates, k, generators)
         calls[0] += 1
         if calls[0] != refused_round:
             return ids
@@ -1295,12 +1320,13 @@ def test_stacked_round_refuses_generators_out_of_run_order():
     block, views = ClientArrays.stacked([problem], 3)
     for view in views:
         view.install([2, 2, 2], settings)
-    state = ModelState(problem.model.init_weights(), problem.model)
+    model, weights = problem.model, np.zeros((3, problem.model.dim))
+    flags = np.zeros(3, bool), np.ones(3, bool)
     a, b = np.random.default_rng(0), np.random.default_rng(1)
     with pytest.raises(ParameterError, match="must be consecutive"):
-        client_round(block, [0, 3, 6], [state] * 3, 0.1, [a, b, a], settings, False)
+        client_round(block, [0, 3, 6], model, weights, 0.1, [a, b, a], settings, *flags)
     with pytest.raises(ParameterError, match="2 noise generators for 3 runs"):
-        client_round(block, [0, 3, 6], [state] * 3, 0.1, [a, b], settings, False)
+        client_round(block, [0, 3, 6], model, weights, 0.1, [a, b], settings, *flags)
 
 
 def test_zero_noise_uniform_plan_reduces_to_fedsgd():

@@ -12,6 +12,7 @@ import pytest
 
 import dpflsim.engine as engine
 import dpflsim.harness as harness
+from dpflsim.cli import main
 from dpflsim.config import ExperimentConfig
 from dpflsim.data import (
     Dataset,
@@ -23,6 +24,7 @@ from dpflsim.data import (
 from dpflsim.engine import ALGORITHMS, ClientLedger
 from dpflsim.errors import ConfigError, StateError
 from dpflsim.harness import (
+    ParsedHistory,
     build_problem,
     dispatch_run,
     estimate_from_history,
@@ -33,7 +35,8 @@ from dpflsim.harness import (
     write_history,
     write_summary_csv,
 )
-from dpflsim.mechanisms import PrivacyBudget
+from dpflsim.mechanisms import MechanismKind, PrivacyBudget
+from dpflsim.selection import optimal_plan, winsorize_upper
 
 
 def _config(**kw):
@@ -637,6 +640,30 @@ def test_estimate_from_history_names_missing_round(tmp_path):
     assert "round 2" in str(err.value)
 
 
+def test_estimate_from_history_refuses_a_header_that_is_not_an_object():
+    with pytest.raises(ConfigError, match=r"^history header must be an object, got \['header'\]$"):
+        estimate_from_history(ParsedHistory(["header"], [], None))
+
+
+def test_dpfl_bcs_without_noise_plans_every_client_and_spends_nothing(tmp_path):
+    # zero_noise turns the accounting off, so the replan takes every client
+    # as active and plans stage two from the incoming Phi_n
+    cfg = _config(algorithm="dpfl_bcs", zero_noise=True, num_clients=20, clients_per_round=5,
+                  total_rounds=30, estimation_rounds=5)
+    result = run_single(cfg)
+    assert not result.ended_early and len(result.rounds) == 30
+    est = result.estimated_params
+    whole = optimal_plan(dataclasses.replace(est, gamma_hat_n=winsorize_upper(est.gamma_hat_n)),
+                         25, 5, MechanismKind.GAUSSIAN.noise_exponent)
+    assert len(whole.counts) == 20 and whole.counts.sum() == 5 * 25
+    assert result.plan_stage2.counts.tolist() == whole.counts.tolist()
+    assert not result.clients.epsilon_consumed.any()
+    assert not result.clients.slice_sum.any()
+    path = tmp_path / "history.jsonl"
+    write_history(path, result)
+    assert estimate_from_history(read_history(path)).to_dict() == est.to_dict()
+
+
 def test_write_summary_csv_format(tmp_path):
     rows = [harness.ComparisonRow("fedsgd", "gaussian", 0.125, 0.5, 3)]
     path = tmp_path / "summary.csv"
@@ -646,3 +673,69 @@ def test_write_summary_csv_format(tmp_path):
     assert parsed[0]["algorithm"] == "fedsgd"
     assert float(parsed[0]["mean_final_metric"]) == 0.125
     assert parsed[0]["num_seeds"] == "3"
+
+
+# ----------------------------------------------------------------- CSV dataset
+
+def _write_csv(path, rows):
+    """Write a headered regression CSV of `rows` usable rows and one more,
+    the fifth, whose x2 is NA: target y, features x1 and x2 and a constant c.
+    Returns the usable rows' targets."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(rows + 1, 2))
+    y = x @ np.array([1.5, -0.5]) + 0.3 + 0.1 * rng.normal(size=rows + 1)
+    lines = [f"{a!r},{b!r},{c!r},7.25" for a, (b, c) in zip(y.tolist(), x.tolist())]
+    lines[4] = lines[4].rsplit(",", 2)[0] + ",NA,7.25"
+    path.write_text("\n".join(["y,x1,x2,c"] + lines) + "\n")
+    return y[np.arange(rows + 1) != 4]
+
+
+def _csv_config(tmp_path, **kw):
+    return _config(dataset="csv", csv_path=str(tmp_path / "data.csv"), csv_target_column="y",
+                   csv_feature_columns="x1, x2, c", **kw)
+
+
+@pytest.mark.parametrize("test_fraction", [0.2, 0.001])
+def test_build_problem_from_csv_drops_the_missing_row_and_splits_the_rest(tmp_path,
+                                                                          test_fraction):
+    targets = _write_csv(tmp_path / "data.csv", 500)
+    problem = build_problem(_csv_config(tmp_path, test_fraction=test_fraction))
+    n_test = max(1, round(test_fraction * 500))
+    assert problem.test_data.num_samples == n_test
+    assert problem.train.num_samples == problem.num_samples.sum() == 500 - n_test
+    assert problem.model.feature_dim == 3 and not problem.model.is_classification
+    # the split is a permutation of the usable rows
+    split = np.concatenate([problem.train.targets, problem.test_data.targets])
+    assert sorted(split.tolist()) == sorted(targets.tolist())
+    # standardised over the usable rows: the constant column becomes zeros
+    features = np.concatenate([problem.train.features, problem.test_data.features])
+    assert not features[:, 2].any()
+    np.testing.assert_allclose(features[:, :2].mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(features[:, :2].std(axis=0), 1.0, rtol=1e-12)
+
+
+def test_csv_test_fraction_that_leaves_no_training_row_is_refused(tmp_path):
+    # four usable rows: round(0.9 * 4) = 4 test rows
+    _write_csv(tmp_path / "data.csv", 4)
+    with pytest.raises(ConfigError, match="^test_fraction leaves no training rows$"):
+        build_problem(_csv_config(tmp_path, test_fraction=0.9))
+
+
+def test_csv_runs_compare_and_replay(tmp_path, capsys):
+    _write_csv(tmp_path / "data.csv", 500)
+    cfg = _csv_config(tmp_path, algorithm="dpfl_bcs", total_rounds=12, estimation_rounds=4)
+    result = run_single(cfg)
+    assert len(result.rounds) == 12 and math.isfinite(result.final_test_loss)
+    summary = run_comparison(cfg, ["dpfl_bcs", "uniform_dp"], num_seeds=2)
+    assert all(math.isfinite(row.mean_final_metric) for row in summary.rows)
+    assert summary.finals["dpfl_bcs"][0] == result.final_test_loss
+    # the command line runs it, and the replay of its history is the recorded fit
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                              for f in dataclasses.fields(cfg) if f.name != "output_dir"))
+    out, est = tmp_path / "out", tmp_path / "est"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["estimate", "--history", str(out / "history.jsonl"), "--out", str(est)]) == 0
+    replayed = json.loads((est / "estimated_params.json").read_text())
+    assert replayed == read_history(out / "history.jsonl").summary["estimated_params"]
+    assert replayed == result.estimated_params.to_dict()

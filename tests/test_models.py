@@ -89,6 +89,14 @@ def test_gradients_are_outer_products_of_output_gradients():
                               expected)
 
 
+def _metrics_of_one(model, weights, features, targets) -> tuple:
+    """`metrics` of one run's (dim,) weights on one test block, as floats
+    (None for no accuracy), through a batch of one."""
+    loss, accuracy = model.metrics(weights[None, None], features[None], targets[None])
+    assert loss.shape == (1, 1)
+    return float(loss[0, 0]), None if accuracy is None else float(accuracy[0, 0])
+
+
 def test_metrics_equal_mean_loss_and_accuracy():
     # one softmax pass in metrics gives exactly the separate computations
     rng = np.random.default_rng(13)
@@ -100,7 +108,7 @@ def test_metrics_equal_mean_loss_and_accuracy():
         weights = rng.normal(scale=[0.1, 1.0, 30.0][case % 3], size=model.dim)
         features = rng.normal(size=(rows, model.feature_dim))
         targets = rng.integers(0, classes, size=rows).astype(float if case % 2 else int)
-        loss, accuracy = model.metrics(weights, features, targets)
+        loss, accuracy = _metrics_of_one(model, weights, features, targets)
         assert loss == float(np.mean(model.per_sample_losses(weights, features, targets)))
         assert accuracy == float(np.mean(model.predict(weights, features)
                                          == targets.astype(int)))
@@ -128,7 +136,7 @@ def test_stacked_metrics_equal_calls_of_their_own(classification):
         assert (accuracy is None) == (not classification)
         for s in range(seeds):
             for a in range(runs):
-                one = model.metrics(weights[s, a], features[s], targets[s])
+                one = _metrics_of_one(model, weights[s, a], features[s], targets[s])
                 assert loss[s, a] == one[0] == float(np.mean(model.per_sample_losses(
                     weights[s, a], features[s], targets[s])))
                 if classification:
@@ -143,7 +151,7 @@ def test_linear_regression_perfect_fit_has_zero_loss():
     X = rng.normal(size=(30, 4))
     y = X @ w[:-1] + w[-1]
     assert model.per_sample_losses(w, X, y).max() < 1e-18
-    mse, acc = model.metrics(w, X, y)
+    mse, acc = _metrics_of_one(model, w, X, y)
     assert mse == pytest.approx(0.0, abs=1e-18)
     assert acc is None
 
@@ -155,7 +163,7 @@ def test_logistic_uniform_at_zero_weights():
     y = np.arange(20) % 10
     losses = model.per_sample_losses(w, X, y)
     assert np.allclose(losses, math.log(10.0))
-    ce, acc = model.metrics(w, X, y)
+    ce, acc = _metrics_of_one(model, w, X, y)
     assert ce == pytest.approx(math.log(10.0))
     assert 0.0 <= acc <= 1.0
 

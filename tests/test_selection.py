@@ -128,6 +128,16 @@ def test_largest_remainder_refuses_values_past_int64():
     assert largest_remainder_round(np.array([2.0**62, 0.0]), 2**62).tolist() == [2**62, 0]
 
 
+def test_largest_remainder_trims_floors_above_the_total():
+    # floors summing past the total lose a unit each, smallest fraction first
+    # (ties by index), skipping the entries already at zero
+    assert largest_remainder_round(np.array([1.2, 2.7, 0.0]), 2).tolist() == [0, 2, 0]
+    assert largest_remainder_round(np.array([2.0, 3.0]), 4).tolist() == [1, 3]
+    for values, total in (([0.4, 0.6], -1), ([1.5], -1)):
+        with pytest.raises(ParameterError, match="cannot round values down"):
+            largest_remainder_round(np.array(values), total)
+
+
 @pytest.mark.parametrize("omega_a, omega_b, why", [
     (1e-320, 1.0, "continuous counts sum to"),
     (1.0, 1e308, "continuous counts sum to"),
