@@ -176,7 +176,12 @@ def cmd_plan(args) -> int:
         raise ConfigError("--gamma-file requires --omega-a and --omega-b")
     if not args.gamma_file and omegas != (None, None):
         raise ConfigError("--omega-a and --omega-b apply only with --gamma-file")
+    if args.rounds < 1:
+        raise ConfigError(f"--rounds must be >= 1, got {args.rounds}")
     client_ids, epsilon, delta, num_samples = read_roster(args.roster)
+    if not 1 <= args.clients_per_round <= len(client_ids):
+        raise ConfigError(f"--clients-per-round must lie in 1..{len(client_ids)}, the "
+                          f"roster's clients, got {args.clients_per_round}")
     mechanism = MechanismKind.parse(args.mechanism)
     _, phi = compute_phi_lambda(mechanism, args.model_dim, args.clip_bound, args.c2,
                                 epsilon, delta, num_samples, client_ids=client_ids)

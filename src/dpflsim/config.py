@@ -128,13 +128,18 @@ class ExperimentConfig:
                 fail(f"num_classes must be >= 2, got {self.num_classes}")
             if self.class_separation < 0:
                 fail(f"class_separation must be nonnegative, got {self.class_separation}")
+            if self.num_samples + self.test_samples < self.num_classes:
+                fail(f"num_classes={self.num_classes} exceeds num_samples + test_samples = "
+                     f"{self.num_samples + self.test_samples}: the generator draws at "
+                     f"least one sample of each class")
         if self.dataset == "csv":
             if not self.csv_path:
                 fail("dataset csv requires csv_path")
             if not self.csv_target_column:
                 fail("dataset csv requires csv_target_column")
-            if not self.csv_feature_columns:
-                fail("dataset csv requires csv_feature_columns (comma-separated names)")
+            if not self.feature_columns():
+                fail(f"dataset csv requires csv_feature_columns (comma-separated names), "
+                     f"got {self.csv_feature_columns!r}")
             if not 0 < self.test_fraction < 1:
                 fail(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.seed < 0:

@@ -1,10 +1,14 @@
 """Datasets: synthetic generators, CSV ingestion, non-IID partitioning, and
-privacy-budget sampling."""
+privacy-budget sampling.
+
+The generators, the partition and the budget sampler take plain values that
+`ExperimentConfig.validate` has checked, and do not check them again. What
+they still refuse depends on the data: an unreadable CSV file, class centers
+that cannot be drawn apart, a partition that leaves a client without rows."""
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +60,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """The rows at `indices`, an array of row numbers: a boolean mask or
-        float indices are refused, not read as row numbers."""
+        float indices raise ParameterError instead of being read as row numbers."""
         indices = np.asarray(indices)
         if indices.dtype.kind not in "iu" and indices.size:
             raise ParameterError(f"subset indices must be integer row numbers, "
@@ -65,50 +69,12 @@ class Dataset:
         return Dataset(self.features.take(indices, axis=0), self.targets.take(indices))
 
 
-@dataclass(frozen=True)
-class PartitionConfig:
-    num_clients: int
-    dirichlet_alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ParameterError("num_clients must be >= 1")
-        if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
-            raise ParameterError("dirichlet_alpha must be positive")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BudgetSamplingConfig:
-    epsilon_range: tuple
-    delta_range: tuple
-    seed: int
-
-    def __post_init__(self):
-        lo, hi = self.epsilon_range
-        if not (0 < lo <= hi):
-            raise ParameterError(f"need 0 < epsilon_min <= epsilon_max, got [{lo}, {hi}]")
-        dlo, dhi = self.delta_range
-        if not (0 <= dlo <= dhi < 1):
-            raise ParameterError(f"need 0 <= delta_min <= delta_max < 1, got [{dlo}, {dhi}]")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
-
-
 def generate_synthetic_regression(num_samples: int, feature_dim: int, noise_std: float,
                                   seed: int) -> tuple[Dataset, np.ndarray]:
     """Standard-normal features, targets = features . w* + N(0, noise_std^2).
 
     Returns the dataset and the true weight vector w* for oracle evaluation.
     """
-    if feature_dim < 1:
-        raise ParameterError("feature_dim must be >= 1")
-    if num_samples < 1:
-        raise ParameterError("num_samples must be >= 1")
-    if noise_std < 0:
-        raise ParameterError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
     true_weights = rng.standard_normal(feature_dim)
     features = rng.standard_normal((num_samples, feature_dim))
@@ -121,14 +87,6 @@ def generate_synthetic_classification(num_samples: int, num_classes: int, featur
     """Unit-variance Gaussian blobs in random directions, rescaled so the two
     closest class centers lie exactly class_separation apart. Labels are
     balanced within one sample and shuffled."""
-    if num_classes < 2:
-        raise ParameterError("num_classes must be >= 2")
-    if feature_dim < 1:
-        raise ParameterError("feature_dim must be >= 1")
-    if num_samples < num_classes:
-        raise ParameterError("need at least one sample per class")
-    if class_separation < 0:
-        raise ParameterError("class_separation must be nonnegative")
     rng = np.random.default_rng(seed)
     centers = np.zeros((num_classes, feature_dim))
     if class_separation > 0:
@@ -152,9 +110,9 @@ def generate_synthetic_classification(num_samples: int, num_classes: int, featur
     return Dataset(features, labels.astype(int))
 
 
-def dirichlet_partition(dataset: Dataset,
-                        config: PartitionConfig) -> tuple[Dataset, np.ndarray]:
-    """Split a dataset across clients with Dirichlet(alpha) skew.
+def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float,
+                        seed: int) -> tuple[Dataset, np.ndarray]:
+    """Split a dataset across `num_clients` clients with Dirichlet(alpha) skew.
 
     Classification: per-label client shares are Dirichlet-distributed (label
     skew). Regression: client sizes are Dirichlet-distributed over shuffled
@@ -164,11 +122,10 @@ def dirichlet_partition(dataset: Dataset,
     ascending order, and each client's row count as a read-only column. As
     rows of the checked dataset, the block is not checked again.
     """
-    n_clients = config.num_clients
-    rng = np.random.default_rng(config.seed)
-    alpha_vec = np.full(n_clients, config.dirichlet_alpha)
+    rng = np.random.default_rng(seed)
+    alpha_vec = np.full(num_clients, alpha)
     # the narrowest dtype makes the stable argsort below a radix sort
-    client_ids = np.arange(n_clients, dtype=np.min_scalar_type(n_clients))
+    client_ids = np.arange(num_clients, dtype=np.min_scalar_type(num_clients))
     owner = np.empty(dataset.num_samples, dtype=client_ids.dtype)
     if dataset.is_classification:
         groups = [np.flatnonzero(dataset.targets == label)
@@ -182,7 +139,7 @@ def dirichlet_partition(dataset: Dataset,
             idx = rng.permutation(group)
             counts = largest_remainder_round(rng.dirichlet(alpha_vec) * len(idx), len(idx))
             owner[idx] = np.repeat(client_ids, counts)
-        sizes = np.bincount(owner, minlength=n_clients)
+        sizes = np.bincount(owner, minlength=num_clients)
         if sizes.min() >= 1:
             order = np.argsort(owner, kind="stable")
             # `take` copies the same bytes as `features[order]` about 3x as
@@ -193,19 +150,18 @@ def dirichlet_partition(dataset: Dataset,
                 column.flags.writeable = False
             return train, sizes
     raise ParameterError(
-        f"could not give every one of {n_clients} clients a sample in 100 attempts; "
+        f"could not give every one of {num_clients} clients a sample in 100 attempts; "
         "the dataset is too small or alpha too extreme")
 
 
-def sample_budgets(config: BudgetSamplingConfig, num_clients: int) -> PrivacyBudget:
+def sample_budgets(num_clients: int, epsilon_range: tuple, delta_range: tuple,
+                   seed: int) -> PrivacyBudget:
     """Fresh per-client budgets as one `PrivacyBudget` whose fields are
     read-only columns, one entry per client: epsilon and delta i.i.d. uniform
-    over their ranges."""
-    if num_clients < 1:
-        raise ParameterError("num_clients must be >= 1")
-    rng = np.random.default_rng(config.seed)
-    eps_lo, eps_hi = config.epsilon_range
-    d_lo, d_hi = config.delta_range
+    over their (low, high) ranges."""
+    rng = np.random.default_rng(seed)
+    eps_lo, eps_hi = epsilon_range
+    d_lo, d_hi = delta_range
     epsilons = rng.uniform(eps_lo, eps_hi, num_clients)
     deltas = rng.uniform(d_lo, d_hi, num_clients) if d_hi > 0 else np.zeros(num_clients)
     # read-only, so the total and the remaining budget may share one array
@@ -224,8 +180,6 @@ def ingest_csv(path, target_column: str, feature_columns: list,
     zero-variance columns mapped to all zeros. Returns (dataset, dropped).
     """
     feature_columns = list(feature_columns)
-    if not feature_columns:
-        raise ParameterError("feature_columns must be nonempty")
     rows = []
     dropped = 0
     bad_lines = []

@@ -3,10 +3,13 @@
 One round: the server samples K clients from the candidate set by plan
 probability, each selected client takes one clipped-SGD step on its data,
 noises the step (and during stage one, two distorted loss values), and the
-server applies the mean update divided by the nominal K. `client_round`
-computes a round's client work as one batch over the responders' rows,
-gathered at once from the clients' block, and per-client state lives in the
-arrays of `ClientArrays`.
+server applies the mean update divided by the nominal K. The candidate mask
+alone decides who trains: every selected client responds, and the privacy
+ledger checked at the end of every run (`_check_ledger`) is what detects a
+client trained past its plan or its budget. `client_round` computes a
+round's client work as one batch over the selected clients' rows, gathered
+at once from the clients' block, and per-client state lives in the arrays of
+`ClientArrays`.
 
 `run_lockstep_seeds` runs several algorithms on each of several seeds'
 problems together, one round at a time: one `client_round` call per round
@@ -38,7 +41,6 @@ from .mechanisms import (
     NoiseSpec,
     PrivacyBudget,
     _check,
-    _check_scalar,
     _gaussian_sigma,
     _gradient_sensitivity,
     _laplace_scale,
@@ -586,14 +588,14 @@ class ClientArrays:
 
 @dataclass(frozen=True)
 class RoundRelease:
-    """What the responders of one round release, row i for client ids[i].
+    """What the responders of one round release: row i for entry ids[i] of
+    the round's selection, every selected client being a responder.
 
     losses[i] holds the distorted losses at the incoming and at the locally
     updated model, in loss-reporting rounds only: `losses` is None when no
     run of the round reports, and NaN in the rows of a run that does not.
     """
 
-    ids: np.ndarray
     gradients: np.ndarray
     losses: np.ndarray | None
 
@@ -606,19 +608,24 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     one batch.
 
     `clients` stacks the R runs on one or more problems (see
-    `ClientArrays.stacked`), `ids` are its entries grouped by run in run
-    order, `model` is the runs' model kind and `weights` their (R, d) weight
-    matrix. `report_losses` and `noise_enabled` are (R,) bool arrays and
+    `ClientArrays.stacked`), `ids` are its entries, at least one, grouped
+    by run in run order, `model` is the runs' model kind and `weights` their
+    (R, d) weight matrix. `report_losses` and `noise_enabled` are (R,) bool arrays and
     `generators` the R runs' noise generators; the runs that share a
     generator are consecutive. Each run's rows come out as they would from a
     round of its own on its generator.
 
-    With noise enabled, clients whose budget is exhausted refuse and are left
-    out, and the others must be funded by the stage `clients.install`
-    started, which checked their stage columns: the round calibrates their
-    noise with the unchecked formulas and checks only `learning_rate`. A
-    responder's release is eta_t times the mean of its per-sample clipped
-    gradients, plus noise. The noise comes from one `sample_noise` call, one
+    Every selected client responds: the selection is the responder set. The
+    candidate mask (`ClientArrays.candidates`) keeps a noised run's exhausted
+    and over-plan clients out of every selection, so the round does not look
+    for them; a client selected past its plan or its budget is recorded in
+    `stage_count` and `trained_after_exhaustion`, and the run's ledger check
+    (`_check_ledger`) fails on it. A noised client must be funded by the
+    stage `clients.install` started, which checked its stage columns, and
+    the run's settings are trusted as `RunSettings` checked them, so the
+    round calibrates the noise with the unchecked formulas. A client's
+    release is eta_t times the mean of its per-sample clipped gradients,
+    plus noise. The noise comes from one `sample_noise` call, one
     block per noised run, each block's rows in the order of `ids` and drawn
     from its run's generator's state on entry: the runs of a generator share
     the round's stream (common random numbers). During a loss-reporting
@@ -640,16 +647,9 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     run = ids // num_clients
     if num_runs > 1 and (run[1:] < run[:-1]).any():
         raise ParameterError("ids must be grouped by run, in run order")
-    refused = clients.exhausted[ids] & noise_enabled[run]
-    if refused.any():
-        for n in ids[refused] % num_clients:
-            logger.warning("client %d refused (budget exhausted)", n)
-        ids, run = ids[~refused], run[~refused]
     dim = model.dim
     reports = report_losses[run]
     any_report = bool(report_losses.any())
-    if len(ids) == 0:
-        return RoundRelease(ids, np.zeros((0, dim)), np.zeros((0, 2)) if any_report else None)
     # the responders' rows in one gather from the block, responder i's at
     # starts[i]:ends[i], and run r's responders at bounds[r]:bounds[r + 1]
     counts = clients.num_samples[ids]
@@ -658,9 +658,6 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     rows = (clients.row_start[ids] - starts).repeat(counts) + np.arange(ends[-1])
     features = clients.train.features.take(rows, axis=0)
     targets = clients.train.targets.take(rows)
-    if features.shape[1] != model.feature_dim:
-        raise ParameterError(
-            f"data feature_dim {features.shape[1]} != model {model.feature_dim}")
     bounds = run.searchsorted(np.arange(num_runs + 1)).tolist()
     present = [r for r in range(num_runs) if bounds[r] < bounds[r + 1]]
     # output gradients with each run's weights, one call per run; run r's
@@ -677,7 +674,7 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     steps = learning_rate * means
 
     mech = settings.mechanism
-    eta = _check_scalar("learning_rate", learning_rate, "nonnegative")
+    eta = float(learning_rate)
     clip_bound, loss_cap = float(settings.clip_bound), float(settings.loss_cap)
     sens = _gradient_sensitivity(eta, clip_bound, counts, loss_cap, False)
     if reports.any():
@@ -715,8 +712,6 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
 
     losses = None
     if any_report:
-        if learning_rate <= 0:
-            raise ParameterError("loss distortion needs a positive learning rate")
         losses = np.full((len(ids), 2), np.nan)
         reporting = np.flatnonzero(reports)
         if len(reporting):
@@ -745,7 +740,7 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
         clients.trained_after_exhaustion[own] |= clients.exhausted[own]
         clients.exhausted[own] |= exhausted
     clients.stage_count[ids] += 1
-    return RoundRelease(ids, gradients, losses)
+    return RoundRelease(gradients, losses)
 
 
 def aggregate(gradients, k, starts=(0,)) -> np.ndarray:
@@ -767,8 +762,6 @@ def aggregate(gradients, k, starts=(0,)) -> np.ndarray:
         raise ParameterError("cannot aggregate an empty gradient list")
     gradients = np.asarray(gradients)
     divisors = np.asarray(k)
-    if not (divisors >= 1).all():
-        raise ParameterError("k must be >= 1")
     # few runs, so their bounds are Python ints
     bounds = [int(start) for start in starts] + [len(gradients)]
     counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
@@ -808,8 +801,6 @@ def sample_selection(probabilities: np.ndarray, candidates: np.ndarray, k: int,
     entry: the rows that share a generator share its N uniforms, drawn once,
     and a generator that no row draws from is left as it is.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
     probabilities = np.asarray(probabilities, dtype=float)
     mask = np.asarray(candidates, dtype=bool)
     if probabilities.ndim != 2 or mask.shape != probabilities.shape:
@@ -963,31 +954,25 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         streams = [generators.install(1, p, t) if any(selecting[p * width:(p + 1) * width])
                    else None for p in range(num_seeds)]
         ids = sample_selection(probabilities, candidates, k, [streams[p] for p in seed_of])
-        # run g's selected entries are bounds[g]:bounds[g + 1] of ids
+        # run g's selected entries are bounds[g]:bounds[g + 1] of ids, and
+        # rows bounds[g]:bounds[g + 1] of the release
         bounds = ids.searchsorted(offsets).tolist()
-        for g, on in enumerate(selecting):
-            if on and bounds[g] == bounds[g + 1]:
-                runs[g]._end_early("round %d: no selectable client, ending run early", t)
-        if len(ids) == 0:
-            break
         batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
+        if not batch:
+            break
         streams = [generators.install(2, p, t) if bounds[p * width] < bounds[(p + 1) * width]
                    else None for p in range(num_seeds)]
         release = client_round(block, ids, model, weights, settings.learning_rate(t),
                                [streams[p] for p in seed_of], settings,
                                two_stage & (t <= settings.estimation_rounds), dp)
-        # run g's responders are rows bounds[g]:bounds[g + 1] of the release
-        bounds = release.ids.searchsorted(offsets).tolist()
-        present = [g for g in batch if bounds[g] < bounds[g + 1]]
-        if present:
-            rows = slice(None) if len(present) == len(runs) else present
-            weights[rows] -= aggregate(
-                _weighted(release, block.epsilon, num_clients, weiavg, present, bounds),
-                divisors[rows], [bounds[g] for g in present])
-            if not np.isfinite(weights[rows]).all():
-                exc = ParameterError("weights must be finite")
-                runs[next(g for g in present if not np.isfinite(weights[g]).all())].blame(exc)
-                raise exc
+        rows = slice(None) if len(batch) == len(runs) else batch
+        weights[rows] -= aggregate(
+            _weighted(ids, release.gradients, block.epsilon, num_clients, weiavg, batch,
+                      bounds), divisors[rows], [bounds[g] for g in batch])
+        if not np.isfinite(weights[rows]).all():
+            exc = ParameterError("weights must be finite")
+            runs[next(g for g in batch if not np.isfinite(weights[g]).all())].blame(exc)
+            raise exc
         losses, accuracies = model.metrics(weights.reshape(num_seeds, width, model.dim),
                                            test_features, test_targets)
         losses = losses.ravel().tolist()
@@ -995,7 +980,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         for g in batch:
             run, lo, hi = runs[g], bounds[g], bounds[g + 1]
             try:
-                record = run.record(t, release.ids[lo:hi] - g * num_clients,
+                record = run.record(t, ids[lo:hi] - g * num_clients,
                                     None if release.losses is None else release.losses[lo:hi],
                                     losses[g], accuracies[g])
                 run.finish(t, record, on_round)
@@ -1026,23 +1011,23 @@ def _test_blocks(problems) -> tuple:
             np.stack([test.targets for test in tests]))
 
 
-def _weighted(release: RoundRelease, epsilon: np.ndarray, num_clients: int,
-              weiavg: np.ndarray, present: list, bounds: list) -> np.ndarray:
-    """The release's gradients, with the rows of each weiavg run weighted by
-    its responders' budgets (`epsilon`, by block entry) over their sum. The
-    release's runs are `present`, run g's rows bounds[g]:bounds[g + 1]. numpy
-    adds one run's budgets pairwise, and no sum over several runs' rows
-    matches that, so each run sums its own."""
-    runs = [g for g in present if weiavg[g]]
+def _weighted(ids: np.ndarray, gradients: np.ndarray, epsilon: np.ndarray, num_clients: int,
+              weiavg: np.ndarray, batch: list, bounds: list) -> np.ndarray:
+    """The round's gradients, row i for block entry ids[i], with the rows of
+    each weiavg run weighted by its responders' budgets (`epsilon`, by block
+    entry) over their sum. The round's runs are `batch`, run g's rows
+    bounds[g]:bounds[g + 1]. numpy adds one run's budgets pairwise, and no
+    sum over several runs' rows matches that, so each run sums its own."""
+    runs = [g for g in batch if weiavg[g]]
     if not runs:
-        return release.gradients
-    eps = epsilon[release.ids]
+        return gradients
+    eps = epsilon[ids]
     totals = np.ones(len(weiavg))
     for g in runs:
         totals[g] = eps[bounds[g]:bounds[g + 1]].sum()
-    rows = release.ids // num_clients
-    return np.where(weiavg[rows][:, None], (eps / totals[rows])[:, None] * release.gradients,
-                    release.gradients)
+    rows = ids // num_clients
+    return np.where(weiavg[rows][:, None], (eps / totals[rows])[:, None] * gradients,
+                    gradients)
 
 
 class _Run:
@@ -1108,8 +1093,6 @@ class _Run:
         """Round t's record: its responders, their loss reports in a
         loss-reporting round, and the test metrics at the updated weights."""
         responders = tuple(responders.tolist())
-        if not responders:
-            logger.warning("round %d: no responders, aggregation skipped", t)
         if self.reports(t):
             losses = dict(zip(responders, map(tuple, losses.tolist())))
         else:

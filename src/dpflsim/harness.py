@@ -15,9 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import (
-    BudgetSamplingConfig,
     Dataset,
-    PartitionConfig,
     dirichlet_partition,
     generate_synthetic_classification,
     generate_synthetic_regression,
@@ -104,13 +102,11 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         train = full.subset(order[n_test:])
         model = LinearRegression(full.feature_dim)
     train, num_samples = dirichlet_partition(
-        train, PartitionConfig(config.num_clients, config.dirichlet_alpha,
-                               _derived_seed(config.seed, _DOMAIN_PARTITION)))
+        train, config.num_clients, config.dirichlet_alpha,
+        _derived_seed(config.seed, _DOMAIN_PARTITION))
     budgets = sample_budgets(
-        BudgetSamplingConfig((config.epsilon_min, config.epsilon_max),
-                             (config.delta_min, config.delta_max),
-                             _derived_seed(config.seed, _DOMAIN_BUDGETS)),
-        config.num_clients)
+        config.num_clients, (config.epsilon_min, config.epsilon_max),
+        (config.delta_min, config.delta_max), _derived_seed(config.seed, _DOMAIN_BUDGETS))
     return FederatedProblem(model, train, num_samples, budgets, test)
 
 

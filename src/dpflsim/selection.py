@@ -36,6 +36,10 @@ _LM_MARGIN = 1e-6
 _FIT_ORDER = ("init_dist_sq", "gamma", "sigma_sq", "L_smooth", "mu_convex")
 _L_SMOOTH, _MU_CONVEX = _FIT_ORDER.index("L_smooth"), _FIT_ORDER.index("mu_convex")
 
+# The percentile at which `winsorize_upper` caps the stage-two plan's
+# per-client loss-gap estimates.
+WINSORIZE_PERCENTILE = 95.0
+
 
 @dataclass(frozen=True)
 class SelectionPlan:
@@ -185,11 +189,17 @@ class EstimatedParams:
 
 
 def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
-    """Round a nonnegative vector to integers preserving its (integer) sum.
+    """Round a nonnegative vector to integers that sum to `total`.
 
     Floors every entry, then hands the leftover units to the largest
-    fractional parts (ties broken by index). Each entry moves by < 1. Values
-    at or above 2**63 are refused, because their floors would not fit an int.
+    fractional parts (ties broken by index); for values that sum to `total`,
+    each entry moves by < 1. The floors alone exceed `total` only when the
+    values sum above it by at least one whole unit, which
+    `water_fill_continuous` allows by up to N - 1 units, or when `total` is
+    negative: then the surplus units are taken back one at a time from the
+    smallest fractional parts (ties broken by index), skipping zero floors,
+    and ParameterError is raised if the floors cannot cover them, as it is
+    for values at or above 2**63, whose floors would not fit an int.
     """
     values = np.asarray(values, dtype=float)
     # NaN fails both comparisons
@@ -200,7 +210,9 @@ def largest_remainder_round(values: np.ndarray, total: int) -> np.ndarray:
     floors = np.floor(values).astype(int)
     remainder = int(total) - int(floors.sum())
     if remainder < 0:
-        # Float noise pushed the sum above total; trim the smallest fractions.
+        # the values exceed total by a whole unit or more (float noise alone
+        # never gets here: the floors sum to at most the values' sum), or
+        # total is negative; trim the smallest fractions
         order = np.lexsort((np.arange(len(values)), values - floors))
         for idx in order:
             if remainder == 0:
@@ -462,7 +474,7 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
         base = np.maximum(0.0, (lam - thresholds) / denom)
         return base if z == 1 else base ** (1.0 / z)
 
-    # out-of-range scales give inf or NaN, refused below, not a warning
+    # out-of-range scales give inf or NaN, rejected below, not a warning
     with np.errstate(all="ignore"):
         thresholds = omega_b * gamma_n
         denom = (z + 1) * omega_a * phi_n
@@ -522,12 +534,13 @@ def selection_skew(weights, local_losses, local_optima, global_loss: float) -> f
     return float(np.sum(weights * (local_losses - local_optima))) / denom
 
 
-def winsorize_upper(values: np.ndarray, percentile: float = 95.0) -> np.ndarray:
-    """Cap values above the given percentile (guards the plan solver against loss-noise outliers)."""
+def winsorize_upper(values: np.ndarray) -> np.ndarray:
+    """Cap values above their `WINSORIZE_PERCENTILE`-th percentile (guards
+    the plan solver against loss-noise outliers)."""
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         return values.copy()
-    cap = float(np.percentile(values, percentile))
+    cap = float(np.percentile(values, WINSORIZE_PERCENTILE))
     return np.minimum(values, cap)
 
 

@@ -428,7 +428,7 @@ def test_plan_gamma_file_length_mismatch(tmp_path, capsys):
                            [(0, 1.0, 1e-5, 100), (1, 1.0, 1e-5, 100)])
     gamma = tmp_path / "gamma.txt"
     gamma.write_text("0.5\n")
-    assert main(["plan", "--roster", roster, "--model-dim", "4",
+    assert main(["plan", "--roster", roster, "--model-dim", "4", "--clients-per-round", "1",
                  "--gamma-file", str(gamma), "--omega-a", "1.0",
                  "--omega-b", "1.0", "--out", str(tmp_path / "o")]) == 1
     assert "2 clients" in capsys.readouterr().err
@@ -758,6 +758,19 @@ def _plan_args(tmp_path, *extra, roster=None):
                                [(0, 1.0, 1e-5, 100), (1, 2.0, 1e-5, 100)])
     return ["plan", "--roster", roster, "--model-dim", "4", "--clients-per-round", "1",
             "--rounds", "4", "--out", str(tmp_path / "o"), *extra]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--clients-per-round", "0", "--clients-per-round must lie in 1..2, the roster's clients"),
+    ("--clients-per-round", "3", "--clients-per-round must lie in 1..2, the roster's clients"),
+    ("--rounds", "0", "--rounds must be >= 1, got 0"),
+], ids=["no-clients-per-round", "more-clients-per-round-than-clients", "no-rounds"])
+def test_plan_refuses_flags_out_of_range(tmp_path, capsys, flag, value, message):
+    # the plan's own flags are checked against the roster, not left to the
+    # plan solver or to a plan that no sampler can carry out
+    assert main(_plan_args(tmp_path, flag, value)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "plan.csv").exists()
 
 
 def test_estimate_history_not_utf8_exits_one(tmp_path, capsys):

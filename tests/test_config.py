@@ -33,6 +33,7 @@ REFUSALS = [
     ("epsilon_min", dict(epsilon_min=4.0), "need 0 < epsilon_min <= epsilon_max"),
     ("epsilon_min", dict(epsilon_min=1e-16), "epsilon_min=1e-16 is too small"),
     ("delta_min", dict(delta_min=2e-4), "need 0 <= delta_min <= delta_max < 1"),
+    ("delta_max", dict(delta_max=1.0), "delta_max=1.0"),
     ("delta_max", dict(mechanism="laplace"), "mechanism laplace requires delta_min = delta_max"),
     ("delta_min", dict(delta_min=0.0), "mechanism gaussian requires delta_min > 0"),
     ("num_samples", dict(num_samples=0), "num_samples must be >= 1"),
@@ -43,11 +44,16 @@ REFUSALS = [
      "num_classes must be >= 2"),
     ("class_separation", dict(dataset="synthetic_classification", class_separation=-1.0),
      "class_separation must be nonnegative"),
+    ("num_classes", dict(dataset="synthetic_classification", num_classes=6, num_samples=3,
+                         test_samples=2), "exceeds num_samples + test_samples = 5"),
     ("csv_path", dict(CSV, csv_path=""), "dataset csv requires csv_path"),
     ("csv_target_column", dict(CSV, csv_target_column=""),
      "dataset csv requires csv_target_column"),
     ("csv_feature_columns", dict(CSV, csv_feature_columns=""),
      "dataset csv requires csv_feature_columns"),
+    # keys in another order than CSV's, so the case's id differs from the one above
+    ("csv_feature_columns", dict(csv_feature_columns=",", dataset="csv", csv_path="data.csv",
+                                 csv_target_column="y"), "got ','"),
     ("test_fraction", dict(CSV, test_fraction=1.0), "test_fraction must lie in (0, 1)"),
     ("seed", dict(seed=-1), "seed must be nonnegative"),
 ]

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from dpflsim.data import (
-    BudgetSamplingConfig,
     Dataset,
-    PartitionConfig,
     dirichlet_partition,
     generate_synthetic_classification,
     generate_synthetic_regression,
@@ -89,7 +87,7 @@ def _client_rows(train, num_samples) -> list:
 
 def test_partition_conserves_and_disjoint():
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    train, num_samples = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    train, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
     parts = _client_rows(train, num_samples)
     assert sum(p.num_samples for p in parts) == data.num_samples == train.num_samples
     # disjoint union: feature rows across clients form a permutation of input
@@ -102,7 +100,7 @@ def test_partition_conserves_and_disjoint():
 
 def test_partition_client_blocks_are_read_only():
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    train, num_samples = dirichlet_partition(data, PartitionConfig(6, 0.5, seed=11))
+    train, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
     parts = _client_rows(train, num_samples)
     before = [(p.features.copy(), p.targets.copy()) for p in parts]
     counts_before = num_samples.copy()
@@ -156,18 +154,18 @@ def test_split_needs_sizes_that_cover_the_rows():
 
 def test_partition_single_client_and_failure():
     data, _ = generate_synthetic_regression(10, 2, 0.1, seed=6)
-    train, num_samples = dirichlet_partition(data, PartitionConfig(1, 3.0, seed=0))
+    train, num_samples = dirichlet_partition(data, 1, 3.0, seed=0)
     parts = _client_rows(train, num_samples)
     assert len(parts) == 1 and parts[0].num_samples == 10
     tiny, _ = generate_synthetic_regression(3, 2, 0.1, seed=6)
     with pytest.raises(ParameterError):
-        dirichlet_partition(tiny, PartitionConfig(5, 3.0, seed=0))
+        dirichlet_partition(tiny, 5, 3.0, seed=0)
 
 
 def test_partition_high_alpha_is_uniform():
     for draw in range(20):
         data = generate_synthetic_classification(400, 4, 2, 2.0, seed=50 + draw)
-        parts = _client_rows(*dirichlet_partition(data, PartitionConfig(4, 1e6, seed=draw)))
+        parts = _client_rows(*dirichlet_partition(data, 4, 1e6, seed=draw))
         for label in range(4):
             label_total = int(np.sum(data.targets == label))
             for p in parts:
@@ -176,28 +174,19 @@ def test_partition_high_alpha_is_uniform():
 
 
 def test_budget_sampling_degenerate_and_delta_zero():
-    budgets = sample_budgets(BudgetSamplingConfig((1.0, 1.0), (0.0, 0.0), 0), 8)
+    budgets = sample_budgets(8, (1.0, 1.0), (0.0, 0.0), 0)
     assert budgets.epsilon.tolist() == [1.0] * 8
     assert budgets.delta.tolist() == [0.0] * 8
 
 
 def test_budget_sampling_monte_carlo_mean():
-    budgets = sample_budgets(BudgetSamplingConfig((0.1, 3.0), (1e-5, 1e-4), 7), 10**4)
+    budgets = sample_budgets(10**4, (0.1, 3.0), (1e-5, 1e-4), 7)
     eps = budgets.epsilon
     se = (3.0 - 0.1) / math.sqrt(12.0) / math.sqrt(len(eps))
     assert abs(eps.mean() - 1.55) <= 3 * se
     assert eps.min() >= 0.1 and eps.max() <= 3.0
     deltas = budgets.delta
     assert deltas.min() >= 1e-5 and deltas.max() <= 1e-4
-
-
-def test_budget_config_validation():
-    with pytest.raises(ParameterError):
-        BudgetSamplingConfig((0.0, 1.0), (0.0, 0.0), 0)
-    with pytest.raises(ParameterError):
-        BudgetSamplingConfig((2.0, 1.0), (0.0, 0.0), 0)
-    with pytest.raises(ParameterError):
-        BudgetSamplingConfig((0.5, 1.0), (0.1, 1.0), 0)
 
 
 def _write(tmp_path, text, name="data.csv"):

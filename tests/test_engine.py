@@ -29,7 +29,7 @@ from dpflsim.engine import (
     sample_selection,
 )
 from dpflsim.errors import ParameterError, StateError
-from dpflsim.harness import run_comparison
+from dpflsim.harness import run_comparison, run_single
 from dpflsim.mechanisms import (
     ClipConfig,
     MechanismKind,
@@ -293,7 +293,7 @@ def test_client_round_zero_noise_exact():
     out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
                         report_losses=True, noise_enabled=False)
     g = local_gradient(state, data, ETA, settings.clip)
-    assert out.ids.tolist() == [0]
+    assert out.gradients.shape == (1, 2)
     assert np.array_equal(out.gradients[0], g)
     assert out.losses[0, 0] == local_loss(state, data, 10.0)
     assert out.losses[0, 1] == local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
@@ -330,18 +330,15 @@ def test_client_round_distortion_hand_example():
     assert (0.5 * 2.0 + 0.1) / 0.5 == pytest.approx(2.2)
 
 
-def test_client_round_refuses_when_exhausted():
+def test_client_round_without_noise_trains_an_exhausted_client():
+    # a client that arrives spent still trains in diagnostics mode, which
+    # ignores the ledger
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     state = _regression_state()
     clients, settings = _one_client(data, spent=True)
     out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                        report_losses=False)
-    assert out.ids.tolist() == [] and out.gradients.shape == (0, 2)
-    assert clients.stage_count[0] == 0
-    # diagnostics mode ignores the ledger
-    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
                         report_losses=False, noise_enabled=False)
-    assert out.ids.tolist() == [0]
+    assert out.gradients.shape == (1, 2) and clients.stage_count[0] == 1
     assert np.array_equal(out.gradients[0], local_gradient(state, data, ETA, settings.clip))
 
 
@@ -353,7 +350,7 @@ def test_budget_arriving_exhausted_is_never_eligible():
     assert clients.candidates().tolist() == [True, False, True]
     assert clients.slice_epsilon.tolist() == [0.25, 0.0, 0.5]
     assert clients.slice_delta[1] == 0.0 and clients.stage_epsilon[1] == 0.0
-    # in a run such a client is never selected, so it never refuses
+    # so a run never selects it
     problem = _problem(num_clients=4)
     problem.budgets = _budgets([1.0] * 4, 1e-4, spent=[1])
     res = run_baseline("uniform_dp", problem, _settings(total_rounds=12), seed=4)
@@ -411,7 +408,6 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
     data, budgets, state = _batch_problem(mechanism)
     settings = _settings(mechanism=mechanism, clip_bound=0.8, loss_cap=2.0)
     plan = [3, 2, 4, 1, 5, 2]
-    ids = [0, 1, 3, 4, 5]
     dim = state.model_kind.dim
 
     def fresh():
@@ -422,6 +418,8 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
     batch_clients = fresh()
     single_clients = fresh()
     for t, eta in enumerate([0.3, 0.2], start=1):
+        # client 3 plans one round, so round two no longer selects it
+        ids = [n for n in (0, 1, 3, 4, 5) if t == 1 or n != 3]
         batch = _round_of_one(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
                               report_losses)
         # the one-responder rounds draw in turn from one generator keyed like
@@ -429,12 +427,7 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
         rng = _stream(9, 2, t)
         singles = [_round_of_one(single_clients, [n], state, eta, rng, settings,
                                  report_losses) for n in ids]
-        # client 3 plans one round, so it refuses in round two
-        responders = [n for n in ids if t == 1 or n != 3]
-        assert batch.ids.tolist() == responders
-        assert [s.ids.tolist() for s in singles] == [[n] if n in responders else []
-                                                     for n in ids]
-        singles = [s for s in singles if len(s.ids)]
+        assert len(batch.gradients) == len(ids)
         for i, single in enumerate(singles):
             np.testing.assert_allclose(batch.gradients[i], single.gradients[0],
                                        rtol=1e-12, atol=0)
@@ -445,10 +438,10 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
                 assert batch.losses is None and single.losses is None
         # identical noise draws: each responder's step plus its replayed noise
         sens = gradient_sensitivity(mechanism, eta, 0.8,
-                                    batch_clients.num_samples[responders], 2.0,
+                                    batch_clients.num_samples[ids], 2.0,
                                     report_losses)
         rng = _stream(9, 2, t)
-        for i, n in enumerate(responders):
+        for i, n in enumerate(ids):
             width = dim + 2 if report_losses else dim
             if mechanism is GM:
                 scale = gaussian_sigma(sens[i], budgets.epsilon[n], budgets.delta[n],
@@ -493,7 +486,7 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
     eta = 0.3
     out = _round_of_one(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
                         settings, report_losses=False, noise_enabled=False)
-    assert out.ids.tolist() == list(range(len(data)))
+    assert len(out.gradients) == len(data)
     for i, d in enumerate(data):
         expected = local_gradient(state, d, eta, settings.clip)
         assert np.all(np.abs(out.gradients[i] - expected) <= 1e-13 * eta * bound)
@@ -1078,18 +1071,17 @@ def test_stacked_round_refuses_ids_out_of_run_order():
 
 
 def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
-    # run 0 reports, but its clients 0 and 1 arrive spent and refuse; run 1
+    # run 0 reports but selects no client, as a run that ended early; run 1
     # does not report, so its responder's loss row is NaN
     problem = _problem(num_clients=3)
-    problem.budgets = _budgets([1.0] * 3, 1e-4, spent=[0, 1])
     settings = _settings()
     block, views = ClientArrays.stacked([problem], 2)
     for view in views:
         view.install([2, 2, 2], settings)
     model, rng = problem.model, np.random.default_rng(0)
-    out = client_round(block, [0, 1, 5], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
+    out = client_round(block, [5], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
                        settings, np.array([True, False]), np.ones(2, bool))
-    assert out.ids.tolist() == [5]
+    assert out.gradients.shape == (1, model.dim)
     assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
 
 
@@ -1145,7 +1137,7 @@ def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
     monkeypatch.setattr(engine, "sample_noise", recording_noise)
     out = round_of(True)
     noise, = drawn
-    assert out.ids.tolist() == ids
+    assert len(out.gradients) == len(ids)
     dim = model.dim
     for i, entry in enumerate(ids):
         g, n = divmod(entry, 5)
@@ -1197,60 +1189,6 @@ def test_lockstep_seeds_runs_equal_runs_of_their_own(mechanism):
     assert first == expected
 
 
-def _refusing_round(monkeypatch, refused_round):
-    """Make every DP run's selection of round `refused_round` its clients 1
-    and 3, which arrive spent and so refuse; a round makes one selection
-    call, and the clients a DP run may not select are the spent ones."""
-    real = engine.sample_selection
-    calls = [0]
-
-    def refusing(probabilities, candidates, k, generators):
-        ids = real(probabilities, candidates, k, generators)
-        calls[0] += 1
-        if calls[0] != refused_round:
-            return ids
-        n = probabilities.shape[1]
-        rows = sorted(set((ids // n).tolist()))
-        kept = [i for i in ids.tolist() if candidates[i // n, 1]]
-        spent = [g * n + c for g in rows if not candidates[g, 1] for c in (1, 3)]
-        return np.array(sorted(kept + spent))
-
-    def reset():
-        calls[0] = 0
-
-    monkeypatch.setattr(engine, "sample_selection", refusing)
-    return reset
-
-
-@pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
-def test_lockstep_seeds_batch_with_refusals_equals_runs_of_their_own(monkeypatch, mechanism):
-    # two seeds whose clients 1 and 3 arrive spent: in round 2 every DP run
-    # selects only them, so they all refuse and the DP runs aggregate
-    # nothing that round while fedsgd trains on; the uniform runs then use
-    # up their plan and end in round 8, mid-batch, while dpfl_bcs and fedsgd
-    # go on. Each run equals the algorithm run alone under the same rounds.
-    delta = 1e-4 if mechanism is GM else 0.0
-    problems = [_problem(num_clients=5, seed=s, samples_per=20 + 5 * s) for s in range(2)]
-    for p in problems:
-        p.budgets = _budgets([0.5, 1.0, 2.0, 0.8, 3.0], delta, spent=(1, 3))
-    settings = _settings(mechanism=mechanism, clients_per_round=2, total_rounds=10,
-                         estimation_rounds=3, record_weights=True)
-    reset = _refusing_round(monkeypatch, 2)
-    together = engine.run_lockstep_seeds(problems, [7, 8], settings, engine.ALGORITHMS)
-    for problem, seed, results in zip(problems, [7, 8], together):
-        assert [(r.ended_early, len(r.rounds)) for r in results] == [
-            (False, 10), (False, 10), (True, 8), (True, 8)]
-        for got in results:
-            assert (got.rounds[1].selected == ()) == (got.algorithm != "fedsgd")
-            reset()
-            alone = _alone(got.algorithm, problem, settings, seed)
-            _assert_same_run(got, alone)
-            assert got.weight_trajectory.tobytes() == alone.weight_trajectory.tobytes()
-    # the refused round leaves a DP run's weights where they were
-    weiavg = together[0][3].weight_trajectory
-    assert weiavg[2].tobytes() == weiavg[1].tobytes()
-
-
 def test_lockstep_seeds_name_the_first_run_whose_weights_turn_non_finite(monkeypatch):
     # in round 4 an infinite release reaches seed 8's weiavg run, and in one
     # case seed 7's fedsgd run too: the batch's one finiteness check names
@@ -1266,7 +1204,7 @@ def test_lockstep_seeds_name_the_first_run_whose_weights_turn_non_finite(monkeyp
             release = real(clients, ids, *args)
             rounds[0] += 1
             if rounds[0] == 4:
-                run = release.ids // 4
+                run = np.asarray(ids) // 4
                 for g in poisoned:
                     release.gradients[run == g] = np.inf
             return release
@@ -1564,6 +1502,32 @@ def test_undercharging_ledger_fails_the_run(monkeypatch):
     monkeypatch.setattr(engine, "consume_budget", undercharge)
     with pytest.raises(StateError, match="slices charged"):
         run_baseline("uniform_dp", _problem(), _settings(), seed=0)
+
+
+def test_selection_of_a_non_candidate_fails_the_run(monkeypatch):
+    # a sampler fault: every selection also takes its run's first client
+    # that is not a candidate, here one whose stage-one plan ran out during
+    # the run. The round trains every client selected, so the ledger fails
+    # the run, and a comparison names the run that failed.
+    real = engine.sample_selection
+
+    def forcing(probabilities, candidates, k, generators):
+        ids = real(probabilities, candidates, k, generators)
+        n = probabilities.shape[1]
+        selecting = set((ids // n).tolist())
+        extra = [g * n + int(np.argmin(row)) for g, row in enumerate(candidates)
+                 if g in selecting and not row.all()]
+        return np.union1d(ids, extra)
+
+    monkeypatch.setattr(engine, "sample_selection", forcing)
+    cfg = ExperimentConfig(algorithm="uniform_dp", num_clients=6, clients_per_round=2,
+                           total_rounds=30, estimation_rounds=3, num_samples=300,
+                           test_samples=50, feature_dim=2, seed=1)
+    with pytest.raises(StateError, match=re.escape("clients [0] exceeded their stage-1 plan")):
+        run_single(cfg)
+    with pytest.raises(StateError, match=re.escape(
+            "algorithm 'uniform_dp' failed at seed 1: clients [0] exceeded their stage-1 plan")):
+        run_comparison(cfg, ["uniform_dp"], num_seeds=2)
 
 
 def _spent_clients():

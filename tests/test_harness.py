@@ -16,7 +16,6 @@ from dpflsim.cli import main
 from dpflsim.config import ExperimentConfig
 from dpflsim.data import (
     Dataset,
-    PartitionConfig,
     dirichlet_partition,
     generate_synthetic_classification,
     generate_synthetic_regression,
@@ -114,9 +113,9 @@ def test_build_problem_blocks_equal_the_fancy_index_gather(dataset):
     # the partition's draws depend on the targets alone, so partitioning row
     # numbers with the same targets yields the gather's order
     numbered = Dataset(np.arange(n, dtype=float)[:, None], full.targets[:n])
-    numbered, _ = dirichlet_partition(numbered, PartitionConfig(
-        cfg.num_clients, cfg.dirichlet_alpha,
-        harness._derived_seed(cfg.seed, harness._DOMAIN_PARTITION)))
+    numbered, _ = dirichlet_partition(
+        numbered, cfg.num_clients, cfg.dirichlet_alpha,
+        harness._derived_seed(cfg.seed, harness._DOMAIN_PARTITION))
     order = numbered.features[:, 0].astype(int)
     test_rows = np.arange(n, total)
     for block, rows in ((problem.train, order), (problem.test_data, test_rows)):

@@ -9,20 +9,20 @@ client's rows and every budget column must equal the reference's exactly.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from dpflsim.data import (
-    BudgetSamplingConfig,
-    Dataset,
-    PartitionConfig,
-    dirichlet_partition,
-    sample_budgets,
-)
+from dpflsim.data import Dataset, dirichlet_partition, sample_budgets
 from dpflsim.errors import ParameterError
 from dpflsim.mechanisms import PrivacyBudget
 from dpflsim.selection import largest_remainder_round
+
+# the parameter records the references read, as the package's old config
+# classes held them; the package now takes the values themselves
+PartitionConfig = namedtuple("PartitionConfig", "num_clients dirichlet_alpha seed")
+BudgetSamplingConfig = namedtuple("BudgetSamplingConfig", "epsilon_range delta_range seed")
 
 
 def _reference_split_by_proportions(indices: np.ndarray, proportions: np.ndarray) -> list:
@@ -126,10 +126,10 @@ def test_partition_is_bit_identical_to_reference():
             expected = _reference_partition(counted, config)
         except ParameterError:
             with pytest.raises(ParameterError, match="100 attempts"):
-                dirichlet_partition(data, config)
+                dirichlet_partition(data, *config)
             seen["failed"] += 1
             continue
-        train, num_samples = dirichlet_partition(data, config)
+        train, num_samples = dirichlet_partition(data, *config)
         assert len(num_samples) == len(expected), instance
         # client n's slice of the block starts after the rows of clients 0..n-1
         ends = np.cumsum(num_samples).tolist()
@@ -161,7 +161,7 @@ def test_budgets_are_bit_identical_to_reference():
             deltas = tuple(np.sort(10 ** rng.uniform(-8, -1, 2)))
         config = BudgetSamplingConfig(tuple(eps), deltas, int(rng.integers(2**31)))
         num_clients = int(rng.integers(1, 301))
-        got = sample_budgets(config, num_clients)
+        got = sample_budgets(num_clients, *config)
         want = _reference_budgets(config, num_clients)
         assert len(want) == num_clients
         for field in ("epsilon", "delta", "epsilon_remaining", "delta_remaining"):

@@ -1,14 +1,16 @@
 """Property tests: the engine's ledger invariants hold on small random
-configs, and the ledger a result builds on access matches a frozen copy of
-the list the run used to build."""
+configs, run alone or in a lock-step batch, and the ledger a result builds
+on access matches a frozen copy of the list the run used to build."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpflsim.config import ExperimentConfig
-from dpflsim.engine import ClientLedger
-from dpflsim.harness import run_single
+from dpflsim.engine import ALGORITHMS, ClientLedger, run_lockstep_seeds
+from dpflsim.harness import build_problem, run_single, settings_from_config
 
 
 @st.composite
@@ -42,7 +44,29 @@ def small_configs(draw):
 @given(small_configs())
 def test_ledger_invariants_and_determinism(cfg):
     res = run_single(cfg)
-    dp = cfg.algorithm != "fedsgd"
+    _assert_ledger_invariants(res)
+    again = run_single(cfg)
+    assert [r.selected for r in again.rounds] == [r.selected for r in res.rounds]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_lockstep_batch_ledger_invariants(cfg):
+    # every algorithm on two seeds in one batch: the candidate mask alone
+    # keeps a client from training past its plan or budget, and each run's
+    # ledger check (which fails the whole batch) is what would catch a breach
+    seeds = [cfg.seed, cfg.seed + 1]
+    problems = [build_problem(replace(cfg, seed=seed)) for seed in seeds]
+    batch = run_lockstep_seeds(problems, seeds, settings_from_config(cfg), ALGORITHMS)
+    assert [[res.algorithm for res in results] for results in batch] == [list(ALGORITHMS)] * 2
+    for results in batch:
+        for res in results:
+            _assert_ledger_invariants(res)
+
+
+def _assert_ledger_invariants(res):
+    dp = res.algorithm != "fedsgd"
     for e in res.ledger:
         assert e.epsilon_consumed <= e.epsilon_total + 1e-9
         assert abs(e.epsilon_consumed - e.slice_sum) <= 1e-9
@@ -54,8 +78,6 @@ def test_ledger_invariants_and_determinism(cfg):
         else:
             assert e.epsilon_consumed == 0.0
     assert np.all(np.isfinite(res.final_state.weights))
-    again = run_single(cfg)
-    assert [r.selected for r in again.rounds] == [r.selected for r in res.rounds]
 
 
 def _reference_ledger(clients, stages, plan1, plan2, stage2_slices, epsilon_at_replan,

@@ -10,6 +10,7 @@ import pytest
 from dpflsim.errors import EvaluationError, ParameterError, StateError
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import (
+    WINSORIZE_PERCENTILE,
     EstimatedParams,
     SelectionPlan,
     StageOneLog,
@@ -499,7 +500,9 @@ def test_selection_skew_values():
 
 
 def test_winsorize_upper_caps_only_top_tail():
-    values = np.array([1.0, 2.0, 3.0, 100.0])
-    capped = winsorize_upper(values, 75.0)
-    assert capped.max() <= np.percentile(values, 75.0) + 1e-12
-    assert np.array_equal(winsorize_upper(values, 100.0), values)
+    # one outlier above the 95th percentile of 20 values, which lies between
+    # the two largest
+    values = np.append(np.arange(1.0, 20.0), 1000.0)
+    capped = winsorize_upper(values)
+    assert capped[-1] == np.percentile(values, WINSORIZE_PERCENTILE) < 1000.0
+    assert np.array_equal(capped[:-1], values[:-1])
