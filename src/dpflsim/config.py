@@ -144,6 +144,9 @@ class ExperimentConfig:
                 fail(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.seed < 0:
             fail(f"seed must be nonnegative, got {self.seed}")
+        if self.dataset != "csv" and self.num_clients > self.num_samples:
+            fail(f"num_clients={self.num_clients} exceeds num_samples={self.num_samples}: "
+                 f"the partition gives every client at least one training row")
 
     def feature_columns(self) -> list:
         return [c.strip() for c in self.csv_feature_columns.split(",") if c.strip()]

@@ -261,24 +261,32 @@ class RunSettings:
 class FederatedProblem:
     """A model kind, the clients' rows, budgets, and the server test set.
 
-    `train` holds every client's rows in one block, client 0's first, and
-    client n owns `num_samples[n]` of them. `budgets` is one `PrivacyBudget`
-    whose fields are columns with one entry per client; a run copies them,
-    so runs on one problem start alike."""
+    `train` holds the training rows in one block, and `rows` orders them by
+    client: client n owns the rows `rows[row_start[n]:row_start[n] +
+    num_samples[n]]` of `train`, where `row_start[n]` is the sum of the
+    counts before n. `budgets` is one `PrivacyBudget` whose fields are
+    columns with one entry per client; a run copies them, so runs on one
+    problem start alike."""
 
     model: LinearRegression | LogisticRegression
     train: Dataset
+    rows: np.ndarray
     num_samples: np.ndarray
     budgets: PrivacyBudget
     test_data: Dataset
 
     def __post_init__(self):
+        rows = self.rows = np.asarray(self.rows)
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu" or len(rows) != self.train.num_samples
+                or rows.min() < 0 or rows.max() >= self.train.num_samples):
+            raise ParameterError(f"rows must be a 1-d integer column of the "
+                                 f"{self.train.num_samples} training row numbers, got {rows!r}")
         num_samples = self.num_samples = np.asarray(self.num_samples)
         # summed as Python ints, so no entry can wrap the total around
         if (num_samples.ndim != 1 or len(num_samples) == 0 or num_samples.dtype.kind not in "iu"
-                or num_samples.min() < 1 or sum(num_samples.tolist()) != self.train.num_samples):
+                or num_samples.min() < 1 or sum(num_samples.tolist()) != len(rows)):
             raise ParameterError(f"num_samples must be a 1-d integer column of counts >= 1, "
-                                 f"one per client, summing to the {self.train.num_samples} "
+                                 f"one per client, summing to the {len(rows)} "
                                  f"training rows, got {num_samples!r}")
         shape = np.shape(getattr(self.budgets, "epsilon", None))
         if shape != num_samples.shape:
@@ -421,8 +429,10 @@ class ClientArrays:
     `exhausted` starts from the incoming budgets, and an exhausted client is
     never eligible again. `stage` counts the stages installed.
 
+    Client n trains on the rows `rows[row_start[n]:row_start[n] +
+    num_samples[n]]` of `train`, its problem's row order and block.
     `stacked` builds one instance for several runs on one or more problems,
-    and each run's own instance as views of its rows.
+    and each run's own instance as views of its entries.
     """
 
     # the per-client columns, one entry per client
@@ -431,10 +441,13 @@ class ClientArrays:
                 "stage_delta", "slice_epsilon", "slice_delta", "slice_sum", "exhausted",
                 "trained_after_exhaustion")
 
-    def __init__(self, train: Dataset, num_samples: np.ndarray, budgets: PrivacyBudget):
+    def __init__(self, train: Dataset, rows: np.ndarray, num_samples: np.ndarray,
+                 budgets: PrivacyBudget):
         n = len(num_samples)
-        # the problem's checked block; client n's rows start at row_start[n]
+        # the problem's checked block and row order; client n's rows start at
+        # rows[row_start[n]]
         self.train = train
+        self.rows = rows
         self.num_samples = num_samples
         self.row_start = np.cumsum(num_samples) - num_samples
         # copies: the run updates them in place
@@ -466,12 +479,13 @@ class ClientArrays:
         the block for every run at once, and each run reads and installs its
         stages through its view.
 
-        One problem's block reads that problem's row block as it is. Several
-        problems' rows are copied once into one read-only block, problem p's
-        after problem p - 1's, so a round still gathers its rows at once: the
-        block holds all the problems' rows at once. A view still reads its
-        own problem's rows, with that problem's own row starts, as a run of
-        its own does.
+        One problem's block reads that problem's row block and row order as
+        they are. Several problems' rows are copied once into one read-only
+        block, problem p's after problem p - 1's, and their row orders into
+        one order shifted to match, so a round still gathers its rows at
+        once: the block holds all the problems' rows at once. A view still
+        reads its own problem's rows, through that problem's own row order
+        and row starts, as a run of its own does.
         """
         problems = list(problems)
         if not problems:
@@ -482,20 +496,22 @@ class ClientArrays:
             raise ParameterError(f"stacked problems must share N and the model's kind and "
                                  f"dimensions, got (N, model, feature_dim, dim) {shapes}")
         n = problems[0].num_clients
-        ones = [cls(p.train, p.num_samples, p.budgets) for p in problems]
-        # problem p's rows start at row offsets[p] of the block's rows
+        ones = [cls(p.train, p.rows, p.num_samples, p.budgets) for p in problems]
+        # problem p's rows, and its entries of the row order, start at
+        # offsets[p] of the block's
         offsets = np.cumsum([0] + [p.train.num_samples for p in problems[:-1]]).tolist()
         if len(problems) == 1:
-            train = problems[0].train
+            train, rows = problems[0].train, problems[0].rows
         else:
             features = np.concatenate([p.train.features for p in problems])
             targets = np.concatenate([p.train.targets for p in problems])
+            rows = np.concatenate([p.rows + offset for p, offset in zip(problems, offsets)])
             features.flags.writeable = targets.flags.writeable = False
             # rows of checked blocks, so not checked again
             train, = _unchecked(Dataset, [(features, targets)])
         total = len(problems) * runs
         block = object.__new__(cls)
-        block.train, block.stage = train, 0
+        block.train, block.rows, block.stage = train, rows, 0
         parts = {name: [getattr(one, name) for one in ones] for name in cls._COLUMNS}
         parts["row_start"] = [one.row_start + offset for one, offset in zip(ones, offsets)]
         for name, columns in parts.items():
@@ -505,7 +521,7 @@ class ClientArrays:
         for g in range(total):
             p = g // runs
             view = object.__new__(cls)
-            view.train, view.stage = problems[p].train, 0
+            view.train, view.rows, view.stage = problems[p].train, problems[p].rows, 0
             for name in cls._COLUMNS:
                 setattr(view, name, getattr(block, name)[g * n:(g + 1) * n])
             if offsets[p]:
@@ -650,12 +666,14 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     dim = model.dim
     reports = report_losses[run]
     any_report = bool(report_losses.any())
-    # the responders' rows in one gather from the block, responder i's at
-    # starts[i]:ends[i], and run r's responders at bounds[r]:bounds[r + 1]
+    # the responders' rows in one gather from the block through the row
+    # order, responder i's at starts[i]:ends[i], and run r's responders at
+    # bounds[r]:bounds[r + 1]
     counts = clients.num_samples[ids]
     ends = counts.cumsum()
     starts = ends - counts
-    rows = (clients.row_start[ids] - starts).repeat(counts) + np.arange(ends[-1])
+    rows = clients.rows.take((clients.row_start[ids] - starts).repeat(counts)
+                             + np.arange(ends[-1]))
     features = clients.train.features.take(rows, axis=0)
     targets = clients.train.targets.take(rows)
     bounds = run.searchsorted(np.arange(num_runs + 1)).tolist()

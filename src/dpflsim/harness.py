@@ -49,10 +49,11 @@ _DOMAIN_BUDGETS = 12
 _DOMAIN_SPLIT = 13
 
 # `run_comparison` runs consecutive seeds in one lock-step batch while their
-# training rows (features and targets) add up to at most this many bytes; a
-# seed with more is a batch of its own. A batch holds its seeds' problems, a
-# copy of their rows and their runs' results at once. At feature_dim 5 a seed
-# takes 48 bytes a row: batches of 10 seeds of 2,000 rows ran 1.2-1.3x as
+# training rows (features, targets and the row order) add up to at most this
+# many bytes; a seed with more is a batch of its own. A batch holds its
+# seeds' problems, a copy of their rows and orders and their runs' results at
+# once. At feature_dim 5 a regression seed takes 56 bytes a row, 48 of them
+# features and targets: batches of 10 seeds of 2,000 rows ran 1.2-1.3x as
 # fast as one seed at a time, while batching seeds of 20,000 rows gained
 # nothing and only raised the peak RSS, so those run alone.
 BATCH_BYTES = 2 ** 20
@@ -69,7 +70,14 @@ def _derived_seed(seed: int, domain: int) -> int:
 
 
 def build_problem(config: ExperimentConfig) -> FederatedProblem:
-    """Dataset, partition, budgets, and test split for one experiment seed."""
+    """Dataset, partition, budgets, and test split for one experiment seed.
+
+    Synthetic data is generated as one read-only block, its first
+    `num_samples` rows the training rows and the rest the test split, both
+    views of it. CSV rows are split into a training and a test block by a
+    seeded shuffle. The partition copies no row: it gives the problem the
+    row order through which client n owns the rows
+    `rows[row_start[n]:row_start[n] + num_samples[n]]` of `train`."""
     config.validate()
     data_seed = _derived_seed(config.seed, _DOMAIN_DATA)
     if config.dataset != "csv":
@@ -83,10 +91,11 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
                 total, config.num_classes, config.feature_dim, config.class_separation,
                 data_seed)
             model = LogisticRegression(config.feature_dim, config.num_classes)
-        # rows of the checked `full`, so not checked again
-        train, = _unchecked(Dataset, [(full.features[:config.num_samples],
-                                       full.targets[:config.num_samples])])
-        test = full.subset(np.arange(config.num_samples, total))
+        full.features.flags.writeable = full.targets.flags.writeable = False
+        # views of the checked `full`, so not checked again
+        train, test = _unchecked(Dataset, [
+            (full.features[:config.num_samples], full.targets[:config.num_samples]),
+            (full.features[config.num_samples:], full.targets[config.num_samples:])])
     else:
         full, dropped = ingest_csv(config.csv_path, config.csv_target_column,
                                    config.feature_columns(), config.csv_standardize)
@@ -101,13 +110,13 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         test = full.subset(order[:n_test])
         train = full.subset(order[n_test:])
         model = LinearRegression(full.feature_dim)
-    train, num_samples = dirichlet_partition(
+    rows, num_samples = dirichlet_partition(
         train, config.num_clients, config.dirichlet_alpha,
         _derived_seed(config.seed, _DOMAIN_PARTITION))
     budgets = sample_budgets(
         config.num_clients, (config.epsilon_min, config.epsilon_max),
         (config.delta_min, config.delta_max), _derived_seed(config.seed, _DOMAIN_BUDGETS))
-    return FederatedProblem(model, train, num_samples, budgets, test)
+    return FederatedProblem(model, train, rows, num_samples, budgets, test)
 
 
 def settings_from_config(config: ExperimentConfig) -> RunSettings:
@@ -167,11 +176,11 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
 
     The seeds' problems are built in order, and consecutive seeds run in one
     lock-step batch (`engine.run_lockstep_seeds`) of at most `BATCH_SEEDS`
-    seeds while their training rows add up to at most `BATCH_BYTES`, so a
-    batch holds its seeds' problems and results at once; a seed with more
-    rows runs alone. Every run still draws what it draws alone, and each
-    history equals that of the algorithm run on its own. A
-    batch writes its histories once all its runs are done: when a run fails,
+    seeds while their training rows and row orders add up to at most
+    `BATCH_BYTES`, so a batch holds its seeds' problems and results at once;
+    a seed with more runs alone. Every run still draws what it draws alone,
+    and each history equals that of the algorithm run on its own. A batch
+    writes its histories once all its runs are done: when a run fails,
     none of its batch's histories is written (earlier batches' are), and the
     StateError raised names the failing (seed, algorithm)."""
     algorithms = list(algorithms)
@@ -198,7 +207,8 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     for i, seed in enumerate(seeds):
         problem = build_problem(replace(config, seed=seed))
         batch.append((seed, problem))
-        seed_bytes = problem.train.features.nbytes + problem.train.targets.nbytes
+        seed_bytes = (problem.train.features.nbytes + problem.train.targets.nbytes
+                      + problem.rows.nbytes)
         batch_bytes += seed_bytes
         # every seed of one config has as many training rows, so the batch
         # closes when one more seed would pass either cap

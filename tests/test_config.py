@@ -17,50 +17,74 @@ from dpflsim.errors import ConfigError
 CSV = dict(dataset="csv", csv_path="data.csv", csv_target_column="y",
            csv_feature_columns="x1,x2")
 
-# (field named, overrides of the defaults, fragment of the message): one case
-# per refusal of `ExperimentConfig.validate`
+# (id, field named, overrides of the defaults, fragment of the message): one
+# case per refusal of `ExperimentConfig.validate`. Each case carries its own
+# id, so adding or reordering cases renames no other; the ids are unique.
 REFUSALS = [
-    ("clip_bound", dict(clip_bound=math.inf), "clip_bound must be finite, got inf"),
-    ("algorithm", dict(algorithm="sgd"), "algorithm must be one of"),
-    ("estimation_rounds", dict(estimation_rounds=200), "need 1 <= estimation_rounds < total"),
-    ("estimation_rounds", dict(estimation_rounds=1), "must be >= 2 for algorithm dpfl_bcs"),
-    ("mechanism", dict(mechanism="gauss"), "mechanism must be one of"),
-    ("dataset", dict(dataset="mnist"), "dataset must be one of"),
-    ("num_clients", dict(num_clients=0), "num_clients must be >= 1"),
-    ("clients_per_round", dict(clients_per_round=101), "clients_per_round=101"),
-    ("lr_initial", dict(lr_initial=0.0), "lr_initial must be positive"),
-    ("loss_cap", dict(loss_cap=-2.0), "loss_cap must be nonnegative or 'auto'"),
-    ("epsilon_min", dict(epsilon_min=4.0), "need 0 < epsilon_min <= epsilon_max"),
-    ("epsilon_min", dict(epsilon_min=1e-16), "epsilon_min=1e-16 is too small"),
-    ("delta_min", dict(delta_min=2e-4), "need 0 <= delta_min <= delta_max < 1"),
-    ("delta_max", dict(delta_max=1.0), "delta_max=1.0"),
-    ("delta_max", dict(mechanism="laplace"), "mechanism laplace requires delta_min = delta_max"),
-    ("delta_min", dict(delta_min=0.0), "mechanism gaussian requires delta_min > 0"),
-    ("num_samples", dict(num_samples=0), "num_samples must be >= 1"),
-    ("test_samples", dict(test_samples=0), "test_samples must be >= 1"),
-    ("feature_dim", dict(feature_dim=0), "feature_dim must be >= 1"),
-    ("target_noise_std", dict(target_noise_std=-0.1), "target_noise_std must be nonnegative"),
-    ("num_classes", dict(dataset="synthetic_classification", num_classes=1),
-     "num_classes must be >= 2"),
-    ("class_separation", dict(dataset="synthetic_classification", class_separation=-1.0),
+    ("clip_bound-clip_bound", "clip_bound", dict(clip_bound=math.inf),
+     "clip_bound must be finite, got inf"),
+    ("algorithm-algorithm", "algorithm", dict(algorithm="sgd"), "algorithm must be one of"),
+    ("estimation_rounds-estimation_rounds0", "estimation_rounds",
+     dict(estimation_rounds=200), "need 1 <= estimation_rounds < total"),
+    ("estimation_rounds-estimation_rounds1", "estimation_rounds",
+     dict(estimation_rounds=1), "must be >= 2 for algorithm dpfl_bcs"),
+    ("mechanism-mechanism", "mechanism", dict(mechanism="gauss"), "mechanism must be one of"),
+    ("dataset-dataset", "dataset", dict(dataset="mnist"), "dataset must be one of"),
+    ("num_clients-num_clients", "num_clients", dict(num_clients=0),
+     "num_clients must be >= 1"),
+    ("clients_per_round-clients_per_round", "clients_per_round",
+     dict(clients_per_round=101), "clients_per_round=101"),
+    ("lr_initial-lr_initial", "lr_initial", dict(lr_initial=0.0),
+     "lr_initial must be positive"),
+    ("loss_cap-loss_cap", "loss_cap", dict(loss_cap=-2.0),
+     "loss_cap must be nonnegative or 'auto'"),
+    ("epsilon_min-epsilon_min0", "epsilon_min", dict(epsilon_min=4.0),
+     "need 0 < epsilon_min <= epsilon_max"),
+    ("epsilon_min-epsilon_min1", "epsilon_min", dict(epsilon_min=1e-16),
+     "epsilon_min=1e-16 is too small"),
+    ("delta_min-delta_min0", "delta_min", dict(delta_min=2e-4),
+     "need 0 <= delta_min <= delta_max < 1"),
+    ("delta_max-delta_max", "delta_max", dict(delta_max=1.0), "delta_max=1.0"),
+    ("delta_max-mechanism", "delta_max", dict(mechanism="laplace"),
+     "mechanism laplace requires delta_min = delta_max"),
+    ("delta_min-delta_min1", "delta_min", dict(delta_min=0.0),
+     "mechanism gaussian requires delta_min > 0"),
+    ("num_samples-num_samples", "num_samples", dict(num_samples=0),
+     "num_samples must be >= 1"),
+    ("test_samples-test_samples", "test_samples", dict(test_samples=0),
+     "test_samples must be >= 1"),
+    ("feature_dim-feature_dim", "feature_dim", dict(feature_dim=0),
+     "feature_dim must be >= 1"),
+    ("target_noise_std-target_noise_std", "target_noise_std", dict(target_noise_std=-0.1),
+     "target_noise_std must be nonnegative"),
+    ("num_classes-dataset-num_classes", "num_classes",
+     dict(dataset="synthetic_classification", num_classes=1), "num_classes must be >= 2"),
+    ("class_separation-dataset-class_separation", "class_separation",
+     dict(dataset="synthetic_classification", class_separation=-1.0),
      "class_separation must be nonnegative"),
-    ("num_classes", dict(dataset="synthetic_classification", num_classes=6, num_samples=3,
-                         test_samples=2), "exceeds num_samples + test_samples = 5"),
-    ("csv_path", dict(CSV, csv_path=""), "dataset csv requires csv_path"),
-    ("csv_target_column", dict(CSV, csv_target_column=""),
+    ("num_classes-dataset-num_classes-num_samples-test_samples", "num_classes",
+     dict(dataset="synthetic_classification", num_classes=6, num_samples=3, test_samples=2),
+     "exceeds num_samples + test_samples = 5"),
+    ("csv_path-dataset-csv_path-csv_target_column-csv_feature_columns", "csv_path",
+     dict(CSV, csv_path=""), "dataset csv requires csv_path"),
+    ("csv_target_column-dataset-csv_path-csv_target_column-csv_feature_columns",
+     "csv_target_column", dict(CSV, csv_target_column=""),
      "dataset csv requires csv_target_column"),
-    ("csv_feature_columns", dict(CSV, csv_feature_columns=""),
+    ("csv_feature_columns-dataset-csv_path-csv_target_column-csv_feature_columns",
+     "csv_feature_columns", dict(CSV, csv_feature_columns=""),
      "dataset csv requires csv_feature_columns"),
-    # keys in another order than CSV's, so the case's id differs from the one above
-    ("csv_feature_columns", dict(csv_feature_columns=",", dataset="csv", csv_path="data.csv",
-                                 csv_target_column="y"), "got ','"),
-    ("test_fraction", dict(CSV, test_fraction=1.0), "test_fraction must lie in (0, 1)"),
-    ("seed", dict(seed=-1), "seed must be nonnegative"),
+    ("csv_feature_columns-csv_feature_columns-dataset-csv_path-csv_target_column",
+     "csv_feature_columns", dict(CSV, csv_feature_columns=","), "got ','"),
+    ("test_fraction-dataset-csv_path-csv_target_column-csv_feature_columns-test_fraction",
+     "test_fraction", dict(CSV, test_fraction=1.0), "test_fraction must lie in (0, 1)"),
+    ("seed-seed", "seed", dict(seed=-1), "seed must be nonnegative"),
+    ("num_clients-num_samples", "num_clients", dict(num_samples=99),
+     "num_clients=100 exceeds num_samples=99"),
 ]
 
 
-@pytest.mark.parametrize("field, overrides, fragment", REFUSALS,
-                         ids=[f"{field}-{'-'.join(kw)}" for field, kw, _ in REFUSALS])
+@pytest.mark.parametrize("field, overrides, fragment",
+                         [pytest.param(*case, id=id_) for id_, *case in REFUSALS])
 def test_validate_refusal_names_the_field(field, overrides, fragment):
     config = ExperimentConfig(**overrides)
     with pytest.raises(ConfigError) as err:
@@ -74,7 +98,8 @@ def test_refusal_cases_start_from_valid_configs():
     # fails on the one refusal it names
     ExperimentConfig().validate()
     ExperimentConfig(**CSV).validate()
-    assert len({fragment for _, _, fragment in REFUSALS}) == len(REFUSALS)
+    assert len({fragment for *_, fragment in REFUSALS}) == len(REFUSALS)
+    assert len({id_ for id_, *_ in REFUSALS}) == len(REFUSALS)
 
 
 def test_config_file_refuses_a_line_without_equals(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dpflsim.data as data_module
 from dpflsim.data import (
     Dataset,
     dirichlet_partition,
@@ -77,45 +78,44 @@ def test_classification_label_balance():
         assert counts.max() - counts.min() <= 1
 
 
-def _client_rows(train, num_samples) -> list:
-    """Each client's rows of a partition's block, as (features, targets)
-    slices: client n's start is the sum of the counts before it."""
+def _client_rows(data, rows, num_samples) -> list:
+    """Each client's rows of `data` read through a partition's row order:
+    client n's start in the order is the sum of the counts before it."""
     ends = np.cumsum(num_samples)
-    return [Dataset(train.features[end - count:end], train.targets[end - count:end])
+    return [data.subset(rows[end - count:end])
             for end, count in zip(ends.tolist(), num_samples.tolist())]
 
 
 def test_partition_conserves_and_disjoint():
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    train, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
-    parts = _client_rows(train, num_samples)
-    assert sum(p.num_samples for p in parts) == data.num_samples == train.num_samples
-    # disjoint union: feature rows across clients form a permutation of input
-    stacked = np.vstack([p.features for p in parts])
-    order_in = np.lexsort(data.features.T)
-    order_out = np.lexsort(stacked.T)
-    assert np.allclose(data.features[order_in], stacked[order_out])
+    rows, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
+    # every row once: the order is a permutation of the row numbers
+    assert rows.dtype.kind == "i" and sorted(rows.tolist()) == list(range(data.num_samples))
+    parts = _client_rows(data, rows, num_samples)
+    assert sum(p.num_samples for p in parts) == data.num_samples == num_samples.sum()
     assert all(p.num_samples >= 1 for p in parts)
+    # each client's rows in ascending order
+    ends = np.cumsum(num_samples).tolist()
+    for end, count in zip(ends, num_samples.tolist()):
+        assert (np.diff(rows[end - count:end]) > 0).all()
 
 
 def test_partition_client_blocks_are_read_only():
+    # the partition returns the row order and the counts, and copies no row:
+    # both columns are read-only and the dataset is left as it was
     data = generate_synthetic_classification(240, 4, 2, 2.0, seed=4)
-    train, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
-    parts = _client_rows(train, num_samples)
-    before = [(p.features.copy(), p.targets.copy()) for p in parts]
-    counts_before = num_samples.copy()
+    before = (data.features.copy(), data.targets.copy())
+    rows, num_samples = dirichlet_partition(data, 6, 0.5, seed=11)
+    order_before, counts_before = rows.copy(), num_samples.copy()
     with pytest.raises(ValueError):
-        parts[2].features[0, 0] = 99.0
+        rows[0] = 1
     with pytest.raises(ValueError):
-        parts[2].targets[:] = 0
-    with pytest.raises(ValueError):
-        np.multiply(parts[2].features, 2.0, out=parts[2].features)
+        np.add(rows, 1, out=rows)
     with pytest.raises(ValueError):
         num_samples[2] = 1
-    for p, (features, targets) in zip(parts, before):
-        assert np.array_equal(p.features, features)
-        assert np.array_equal(p.targets, targets)
+    assert np.array_equal(rows, order_before)
     assert np.array_equal(num_samples, counts_before)
+    assert np.array_equal(data.features, before[0]) and np.array_equal(data.targets, before[1])
 
 
 def test_subset_refuses_masks_and_float_indices():
@@ -132,19 +132,18 @@ def test_subset_refuses_masks_and_float_indices():
 
 
 def test_split_needs_sizes_that_cover_the_rows():
-    # a problem's row counts cut its block into the clients' rows, and must
-    # cover every row with at least one row per client
+    # a problem's row counts cut its row order into the clients' rows, and
+    # must cover every row with at least one row per client
     data, _ = generate_synthetic_regression(6, 2, 0.1, seed=6)
     order = np.array([5, 0, 3, 1, 4, 2])
-    train = data.subset(order)
 
     def problem(sizes):
         n = len(sizes)
         budgets = PrivacyBudget(np.ones(n), np.zeros(n), np.ones(n), np.zeros(n))
-        return FederatedProblem(LinearRegression(2), train, np.array(sizes, dtype=int),
+        return FederatedProblem(LinearRegression(2), data, order, np.array(sizes, dtype=int),
                                 budgets, data)
 
-    first, second = _client_rows(train, problem([4, 2]).num_samples)
+    first, second = _client_rows(data, order, problem([4, 2]).num_samples)
     assert np.array_equal(first.targets, data.targets[[5, 0, 3, 1]])
     assert np.array_equal(second.features, data.features[[4, 2]])
     for sizes in ([4, 1], [4, 3], [6, 0], []):
@@ -154,18 +153,29 @@ def test_split_needs_sizes_that_cover_the_rows():
 
 def test_partition_single_client_and_failure():
     data, _ = generate_synthetic_regression(10, 2, 0.1, seed=6)
-    train, num_samples = dirichlet_partition(data, 1, 3.0, seed=0)
-    parts = _client_rows(train, num_samples)
-    assert len(parts) == 1 and parts[0].num_samples == 10
+    rows, num_samples = dirichlet_partition(data, 1, 3.0, seed=0)
+    assert rows.tolist() == list(range(10)) and num_samples.tolist() == [10]
+    # some client is left empty in all 100 attempts
+    labels = generate_synthetic_classification(12, 2, 2, 2.0, seed=6)
+    with pytest.raises(ParameterError, match="in 100 attempts"):
+        dirichlet_partition(labels, 12, 0.05, seed=0)
+
+
+def test_partition_refuses_fewer_rows_than_clients_before_drawing(monkeypatch):
+    # no draw can give 5 clients a row each out of 3, so none is made
+    rounded = []
+    monkeypatch.setattr(data_module, "largest_remainder_round",
+                        lambda *args: rounded.append(args))
     tiny, _ = generate_synthetic_regression(3, 2, 0.1, seed=6)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^3 rows cannot give each of 5 clients a sample$"):
         dirichlet_partition(tiny, 5, 3.0, seed=0)
+    assert rounded == []
 
 
 def test_partition_high_alpha_is_uniform():
     for draw in range(20):
         data = generate_synthetic_classification(400, 4, 2, 2.0, seed=50 + draw)
-        parts = _client_rows(*dirichlet_partition(data, 4, 1e6, seed=draw))
+        parts = _client_rows(data, *dirichlet_partition(data, 4, 1e6, seed=draw))
         for label in range(4):
             label_total = int(np.sum(data.targets == label))
             for p in parts:

@@ -255,10 +255,12 @@ def _budgets(epsilon, delta, spent=()):
 
 def _block(data):
     """The clients' datasets stacked into one block, client 0's rows first,
-    and the column of their row counts."""
+    the row order that reads it as it is, and the column of their row
+    counts."""
+    num_samples = np.array([d.num_samples for d in data])
     return (Dataset(np.vstack([d.features for d in data]),
                     np.concatenate([d.targets for d in data])),
-            np.array([d.num_samples for d in data]))
+            np.arange(num_samples.sum()), num_samples)
 
 
 def _clients(data, budgets):
@@ -266,11 +268,11 @@ def _clients(data, budgets):
     return ClientArrays(*_block(data), budgets)
 
 
-def _rows(train, num_samples, n):
-    """Client n's rows of a block whose clients hold `num_samples` rows each."""
-    start = int(np.sum(num_samples[:n]))
-    stop = start + int(num_samples[n])
-    return Dataset(train.features[start:stop], train.targets[start:stop])
+def _rows(problem, n):
+    """Client n's rows of a problem, read through its row order."""
+    start = int(np.sum(problem.num_samples[:n]))
+    rows = problem.rows[start:start + int(problem.num_samples[n])]
+    return Dataset(problem.train.features[rows], problem.train.targets[rows])
 
 
 def _round_of_one(clients, ids, state, eta, rng, settings, report_losses, noise_enabled=True):
@@ -517,7 +519,7 @@ def test_runs_never_materialize_per_sample_gradients(monkeypatch):
     assert calls == {"gradients": 0, "clip": 0}
     # the counters do count the materialized reference path
     local_gradient(ModelState(problem.model.init_weights(), problem.model),
-                   _rows(problem.train, problem.num_samples, 0), 0.1, settings.clip)
+                   _rows(problem, 0), 0.1, settings.clip)
     assert calls == {"gradients": 1, "clip": 1}
 
 
@@ -972,6 +974,26 @@ def test_run_determinism():
     assert [r.test_loss for r in a.rounds] != [r.test_loss for r in c.rounds]
 
 
+def test_runs_read_each_clients_rows_through_the_row_order():
+    # a block's rows may lie in any order: a problem whose block is shuffled,
+    # with the order that reads it back client by client, runs bit for bit
+    # as the problem whose block is in client order, alone and stacked with
+    # another problem, whose order the stacked block shifts past its rows
+    problem = _problem(num_clients=5)
+    shuffle = np.random.default_rng(3).permutation(problem.train.num_samples)
+    shuffled = FederatedProblem(problem.model, problem.train.subset(shuffle),
+                                np.argsort(shuffle), problem.num_samples, problem.budgets,
+                                problem.test_data)
+    settings = _settings()
+    algorithms = ["dpfl_bcs", "uniform_dp", "weiavg"]
+    stacked = engine.run_lockstep_seeds([problem, shuffled], [7, 8], settings, algorithms)
+    for a, algorithm in enumerate(algorithms):
+        _assert_same_run(_alone(algorithm, shuffled, settings, 7),
+                         _alone(algorithm, problem, settings, 7))
+        for seed, results in zip((7, 8), stacked):
+            _assert_same_run(results[a], _alone(algorithm, problem, settings, seed))
+
+
 def _alone(algorithm, problem, settings, seed):
     if algorithm == "dpfl_bcs":
         return run_dpfl_bcs(problem, settings, seed)
@@ -1036,8 +1058,9 @@ def test_stacked_client_arrays_are_views_of_one_block():
     problem = _problem(num_clients=3)
     problem.budgets = _budgets([1.0, 2.0, 3.0], 1e-4, spent=[1])
     block, views = ClientArrays.stacked([problem], 2)
-    one = ClientArrays(problem.train, problem.num_samples, problem.budgets)
+    one = ClientArrays(problem.train, problem.rows, problem.num_samples, problem.budgets)
     assert len(block.epsilon) == 6 and len(views) == 2
+    assert block.rows is problem.rows and all(view.rows is problem.rows for view in views)
     for r, view in enumerate(views):
         for name in ClientArrays._COLUMNS:
             assert np.array_equal(getattr(view, name), getattr(one, name)), name
@@ -1232,10 +1255,13 @@ def test_stacked_client_arrays_of_several_problems():
                                              + problems[1].train.features.tolist())
     assert not block.train.features.flags.writeable
     assert block.row_start.tolist() == [0, 10, 20] * 2 + [30, 41, 52] * 2
+    # and one row order, problem 1's shifted past problem 0's rows
+    assert block.rows.tolist() == (problems[0].rows.tolist()
+                                   + (problems[1].rows + 30).tolist())
     for g, view in enumerate(views):
         problem = problems[g // 2]
-        one = ClientArrays(problem.train, problem.num_samples, problem.budgets)
-        assert view.train is problem.train
+        one = ClientArrays(problem.train, problem.rows, problem.num_samples, problem.budgets)
+        assert view.train is problem.train and view.rows is problem.rows
         for name in ClientArrays._COLUMNS:
             assert np.array_equal(getattr(view, name), getattr(one, name)), name
         assert np.shares_memory(view.epsilon, block.epsilon)
@@ -1485,10 +1511,30 @@ def test_problem_needs_one_budget_column_entry_per_client(budgets):
 def test_problem_needs_row_counts_that_cover_the_block(num_samples, num_budgets, message):
     data = Dataset(np.zeros((6, 2)), np.zeros(6))
     budgets = _budgets([1.0] * num_budgets, 1e-4)
-    assert FederatedProblem(LinearRegression(2), data, [3, 3], _budgets([1.0] * 2, 1e-4),
-                            data).num_clients == 2
+    assert FederatedProblem(LinearRegression(2), data, np.arange(6), [3, 3],
+                            _budgets([1.0] * 2, 1e-4), data).num_clients == 2
     with pytest.raises(ParameterError, match=message):
-        FederatedProblem(LinearRegression(2), data, num_samples, budgets, data)
+        FederatedProblem(LinearRegression(2), data, np.arange(6), num_samples, budgets, data)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(np.arange(5), id="shorter"),
+    pytest.param(np.arange(7) % 6, id="longer"),
+    pytest.param(np.array([0, 1, 2, 3, 4, 6]), id="past_the_rows"),
+    pytest.param(np.array([-1, 1, 2, 3, 4, 5]), id="negative"),
+    pytest.param(np.arange(6.0), id="float"),
+    pytest.param(np.ones(6, dtype=bool), id="bool"),
+    pytest.param(np.arange(6)[None], id="two_dimensional"),
+])
+def test_problem_needs_a_row_order_of_the_block(rows):
+    # the round gathers every client's rows through the order, so it must be
+    # integer row numbers of the block, one entry per training row
+    data = Dataset(np.zeros((6, 2)), np.zeros(6))
+    budgets = _budgets([1.0] * 2, 1e-4)
+    assert FederatedProblem(LinearRegression(2), data, np.arange(6)[::-1], [3, 3], budgets,
+                            data).num_clients == 2
+    with pytest.raises(ParameterError, match="rows must be a 1-d integer column of the 6 "):
+        FederatedProblem(LinearRegression(2), data, rows, [3, 3], budgets, data)
 
 
 # -------------------------------------------------------------- ledger checks

@@ -95,37 +95,60 @@ def test_build_problem_holds_no_per_client_datasets():
     assert live[0] == live[1]
 
 
-@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
-def test_build_problem_blocks_equal_the_fancy_index_gather(dataset):
-    # the blocks are gathered with `take`; they must hold the bytes of
-    # `rows[index]` and stay C-contiguous (train read-only), the layout the
-    # round's gather and its einsum read
-    cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
-    problem = build_problem(cfg)
-    n, total = cfg.num_samples, cfg.num_samples + cfg.test_samples
+def _generated(cfg):
+    """The block `build_problem` generates for a synthetic config, and its
+    partition's row order and counts, drawn again from the same seeds."""
+    total = cfg.num_samples + cfg.test_samples
     data_seed = harness._derived_seed(cfg.seed, harness._DOMAIN_DATA)
-    if dataset == "synthetic_regression":
+    if cfg.dataset == "synthetic_regression":
         full, _ = generate_synthetic_regression(total, cfg.feature_dim,
                                                 cfg.target_noise_std, data_seed)
     else:
         full = generate_synthetic_classification(total, cfg.num_classes, cfg.feature_dim,
                                                  cfg.class_separation, data_seed)
-    # the partition's draws depend on the targets alone, so partitioning row
-    # numbers with the same targets yields the gather's order
-    numbered = Dataset(np.arange(n, dtype=float)[:, None], full.targets[:n])
-    numbered, _ = dirichlet_partition(
-        numbered, cfg.num_clients, cfg.dirichlet_alpha,
+    train = full.subset(np.arange(cfg.num_samples))
+    rows, num_samples = dirichlet_partition(
+        train, cfg.num_clients, cfg.dirichlet_alpha,
         harness._derived_seed(cfg.seed, harness._DOMAIN_PARTITION))
-    order = numbered.features[:, 0].astype(int)
-    test_rows = np.arange(n, total)
-    for block, rows in ((problem.train, order), (problem.test_data, test_rows)):
-        for got, column in ((block.features, full.features), (block.targets, full.targets)):
-            expected = column[rows]
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-            assert got.flags.c_contiguous
-    assert not problem.train.features.flags.writeable
-    assert not problem.train.targets.flags.writeable
+    return full, rows, num_samples
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
+def test_build_problem_blocks_equal_the_fancy_index_gather(dataset):
+    # the round gathers a client's rows with `take` through the row order;
+    # they must hold the bytes of `full[rows]`, the rows the partition gave
+    # the client, and the blocks must stay C-contiguous, the layout the
+    # round's gather and its einsum read
+    cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
+    problem = build_problem(cfg)
+    full, rows, num_samples = _generated(cfg)
+    assert problem.rows.tolist() == rows.tolist()
+    assert problem.num_samples.tolist() == num_samples.tolist()
+    n = cfg.num_samples
+    train, test = problem.train, problem.test_data
+    for got, expected in ((train.features.take(problem.rows, axis=0), full.features[rows]),
+                          (train.targets.take(problem.rows), full.targets[rows]),
+                          (test.features, full.features[n:]), (test.targets, full.targets[n:])):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous
+    for column in (train.features, train.targets, problem.rows):
+        assert column.flags.c_contiguous and not column.flags.writeable
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
+def test_build_problem_views_one_generated_block(dataset):
+    # the training rows and the test split are read-only views of the one
+    # generated block, training rows first, so building copies no row
+    cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
+    problem = build_problem(cfg)
+    train, test = problem.train, problem.test_data
+    for a, b in ((train.features, test.features), (train.targets, test.targets)):
+        assert a.base is not None and a.base is b.base
+        assert len(a.base) == cfg.num_samples + cfg.test_samples
+        assert not a.base.flags.writeable and not b.flags.writeable
+        # the test rows follow the training rows
+        assert b.__array_interface__["data"][0] - a.__array_interface__["data"][0] == a.nbytes
 
 
 @pytest.mark.parametrize("algorithm", ["dpfl_bcs", "uniform_dp"])
@@ -448,8 +471,9 @@ def test_comparison_batches_seeds_under_the_byte_cap(monkeypatch):
     assert batches == [[42, 43, 44]]
     assert 0 < len(calls) <= cfg.total_rounds
     # a cap of two seeds' rows closes the batch after two seeds
-    train = build_problem(cfg).train
-    seed_bytes = train.features.nbytes + train.targets.nbytes
+    problem = build_problem(cfg)
+    seed_bytes = (problem.train.features.nbytes + problem.train.targets.nbytes
+                  + problem.rows.nbytes)
     calls.clear(), batches.clear()
     monkeypatch.setattr(harness, "BATCH_BYTES", 2 * seed_bytes)
     run_comparison(cfg, algorithms, num_seeds=3)
@@ -468,8 +492,8 @@ def test_comparison_batches_seeds_under_the_byte_cap(monkeypatch):
 
 
 def test_comparison_closes_a_narrow_row_batch_at_the_seed_cap(monkeypatch, tmp_path):
-    # 30 rows at feature_dim 1 take 480 bytes a seed, so the byte cap alone
-    # would batch about 2,000 such seeds; the seed cap splits them, and every
+    # 30 rows at feature_dim 1 take 720 bytes a seed with their row order, so
+    # the byte cap alone would batch about 1,450 such seeds; the seed cap splits them, and every
     # history still equals, byte for byte, that of the run made alone
     batches = []
     real_seeds = harness.run_lockstep_seeds
@@ -482,8 +506,9 @@ def test_comparison_closes_a_narrow_row_batch_at_the_seed_cap(monkeypatch, tmp_p
     cfg = _config(num_clients=4, clients_per_round=2, total_rounds=5, estimation_rounds=2,
                   num_samples=30, test_samples=10, feature_dim=1)
     num_seeds = 2 * harness.BATCH_SEEDS + 1
-    train = build_problem(cfg).train
-    assert num_seeds * (train.features.nbytes + train.targets.nbytes) <= harness.BATCH_BYTES
+    problem = build_problem(cfg)
+    assert num_seeds * (problem.train.features.nbytes + problem.train.targets.nbytes
+                        + problem.rows.nbytes) <= harness.BATCH_BYTES
     run_comparison(cfg, ALGORITHMS, num_seeds, out_dir=tmp_path / "batch")
     seeds = list(range(42, 42 + num_seeds))
     cap = harness.BATCH_SEEDS

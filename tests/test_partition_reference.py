@@ -2,10 +2,11 @@
 
 `_reference_partition` (with `_reference_split_by_proportions`) and
 `_reference_budgets` are copies of `dirichlet_partition` and `sample_budgets`
-as they were before the partition recorded each row's owner and gathered all
-clients at once, and before the budgets became one array budget. The
-current functions make the same random draws in the same order, so every
-client's rows and every budget column must equal the reference's exactly.
+as they were before the partition recorded each row's owner and returned a
+row order, and before the budgets became one array budget. The current
+functions make the same random draws in the same order, so every client's
+rows, read through the order, and every budget column must equal the
+reference's exactly.
 """
 
 import math
@@ -125,16 +126,19 @@ def test_partition_is_bit_identical_to_reference():
         try:
             expected = _reference_partition(counted, config)
         except ParameterError:
-            with pytest.raises(ParameterError, match="100 attempts"):
+            # fewer rows than clients is refused before any draw
+            message = ("rows cannot give each of" if data.num_samples < config.num_clients
+                       else "100 attempts")
+            with pytest.raises(ParameterError, match=message):
                 dirichlet_partition(data, *config)
             seen["failed"] += 1
             continue
-        train, num_samples = dirichlet_partition(data, *config)
+        rows, num_samples = dirichlet_partition(data, *config)
         assert len(num_samples) == len(expected), instance
-        # client n's slice of the block starts after the rows of clients 0..n-1
+        # client n's slice of the order starts after the rows of clients 0..n-1
         ends = np.cumsum(num_samples).tolist()
-        assert ends[-1] == train.num_samples, instance
-        parts = [Dataset(train.features[end - count:end], train.targets[end - count:end])
+        assert ends[-1] == len(rows) == data.num_samples, instance
+        parts = [data.subset(rows[end - count:end])
                  for end, count in zip(ends, num_samples.tolist())]
         for got, want in zip(parts, expected):
             for a, b in ((got.features, want.features), (got.targets, want.targets)):
