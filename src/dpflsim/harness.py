@@ -72,9 +72,9 @@ def _derived_seed(seed: int, domain: int) -> int:
 def build_problem(config: ExperimentConfig) -> FederatedProblem:
     """Dataset, partition, budgets, and test split for one experiment seed.
 
-    Synthetic data is generated as one read-only block, its first
-    `num_samples` rows the training rows and the rest the test split, both
-    views of it. CSV rows are split into a training and a test block by a
+    The rows are one read-only block, the training rows first and the test
+    split after them, and `train` and `test_data` are views of it: synthetic
+    rows as generated, CSV rows put in that order by one gather through a
     seeded shuffle. The partition copies no row: it gives the problem the
     row order through which client n owns the rows
     `rows[row_start[n]:row_start[n] + num_samples[n]]` of `train`."""
@@ -91,11 +91,7 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
                 total, config.num_classes, config.feature_dim, config.class_separation,
                 data_seed)
             model = LogisticRegression(config.feature_dim, config.num_classes)
-        full.features.flags.writeable = full.targets.flags.writeable = False
-        # views of the checked `full`, so not checked again
-        train, test = _unchecked(Dataset, [
-            (full.features[:config.num_samples], full.targets[:config.num_samples]),
-            (full.features[config.num_samples:], full.targets[config.num_samples:])])
+        n_train = config.num_samples
     else:
         full, dropped = ingest_csv(config.csv_path, config.csv_target_column,
                                    config.feature_columns(), config.csv_standardize)
@@ -107,9 +103,14 @@ def build_problem(config: ExperimentConfig) -> FederatedProblem:
         n_test = max(1, int(round(config.test_fraction * full.num_samples)))
         if n_test >= full.num_samples:
             raise ConfigError("test_fraction leaves no training rows")
-        test = full.subset(order[:n_test])
-        train = full.subset(order[n_test:])
+        # the shuffle's last rows train and its first n_test test
+        full = full.subset(np.roll(order, -n_test))
+        n_train = full.num_samples - n_test
         model = LinearRegression(full.feature_dim)
+    full.features.flags.writeable = full.targets.flags.writeable = False
+    # views of the checked `full`, so not checked again
+    train, test = _unchecked(Dataset, [(full.features[:n_train], full.targets[:n_train]),
+                                       (full.features[n_train:], full.targets[n_train:])])
     rows, num_samples = dirichlet_partition(
         train, config.num_clients, config.dirichlet_alpha,
         _derived_seed(config.seed, _DOMAIN_PARTITION))

@@ -136,16 +136,22 @@ def test_build_problem_blocks_equal_the_fancy_index_gather(dataset):
         assert column.flags.c_contiguous and not column.flags.writeable
 
 
-@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
-def test_build_problem_views_one_generated_block(dataset):
-    # the training rows and the test split are read-only views of the one
-    # generated block, training rows first, so building copies no row
-    cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification",
+                                     "csv"])
+def test_build_problem_views_one_block(dataset, tmp_path):
+    # the training rows and the test split are read-only views of one block,
+    # the generated one or the shuffled CSV rows, training rows first, so the
+    # partition copies no row
+    if dataset == "csv":
+        _write_csv(tmp_path / "data.csv", 500)
+        cfg = _csv_config(tmp_path, num_clients=7)
+    else:
+        cfg = _config(dataset=dataset, num_classes=3, num_clients=7, num_samples=500)
     problem = build_problem(cfg)
     train, test = problem.train, problem.test_data
     for a, b in ((train.features, test.features), (train.targets, test.targets)):
         assert a.base is not None and a.base is b.base
-        assert len(a.base) == cfg.num_samples + cfg.test_samples
+        assert len(a.base) == train.num_samples + test.num_samples
         assert not a.base.flags.writeable and not b.flags.writeable
         # the test rows follow the training rows
         assert b.__array_interface__["data"][0] - a.__array_interface__["data"][0] == a.nbytes
