@@ -1211,7 +1211,14 @@ def fit_stage_one(log: StageOneLog, lam: float, phi: np.ndarray, k: int,
     """Fit the bound's parameters to a stage-one log of T0 = log.num_rounds
     rounds over N = len(phi) clients, with (Lambda, Phi_n) at the incoming
     budgets. The run's replan and the offline replay both call it, so the two
-    agree bit for bit."""
+    agree bit for bit. Both give it T0 >= 2, K >= 1, a nonempty report per
+    round, ids in 0..N-1 and finite losses, and it checks none of them. It
+    refuses a Phi_n that overflowed (an epsilon whose square underflows),
+    which neither caller rules out: the replay reads the budgets from the
+    history, and a run under `force_uniform_plan` plans without Phi_n."""
+    if not np.isfinite(phi).all():
+        n = int(np.argmin(np.isfinite(phi)))
+        raise ParameterError(f"client {n}: its incoming budget gives Phi_n = {phi[n]}")
     t0 = log.num_rounds
     gamma_hat = estimate_gamma_n(log, len(phi))
     rho_hat = estimate_rho_min(log, k, t0)

@@ -7,6 +7,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, replace
@@ -576,7 +577,10 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
     Produces bit-identical estimates to the ones the run recorded, because it
     builds the same `StageOneLog.from_rounds` log and calls the same
     `fit_stage_one` the engine used at the re-planning round.
-    Raises ConfigError on a header or stage-one round that is malformed.
+    Raises ConfigError, naming the field or the round and client, on a
+    header or stage-one round that is malformed or that no run writes: T0 < 2,
+    K < 1, no clients, a loss report of an id outside 0..num_clients-1 or a
+    loss that is not finite. The fit checks none of these facts again.
     """
     h = parsed.header
     if not isinstance(h, dict):
@@ -591,6 +595,8 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
     if not (isinstance(clients, list) and all(isinstance(c, dict) for c in clients)):
         raise ConfigError(f"history header clients must be a list of objects, "
                           f"got {clients!r}")
+    if not clients:
+        raise ConfigError("history header clients list is empty")
     try:
         t0, k, num_clients, model_dim = (int(h[key]) for key in (
             "estimation_rounds", "clients_per_round", "num_clients", "model_dim"))
@@ -602,6 +608,11 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
         raise ConfigError("history header fields and each client's epsilon, delta and "
                           f"num_samples must be numbers: {type(exc).__name__}: {exc}"
                           ) from exc
+    if t0 < 2:
+        raise ConfigError(f"history header estimation_rounds must be >= 2 for the "
+                          f"stage-one fit, got {t0}")
+    if k < 1:
+        raise ConfigError(f"history header clients_per_round must be >= 1, got {k}")
     # phi_n is built in list order and gamma_hat_n by client id, so the two
     # agree only when the list holds ids 0..num_clients-1 in order
     ids = [c.get("client_id") for c in clients]
@@ -630,12 +641,22 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
             try:
                 if not (isinstance(value, list) and len(value) == 2):
                     raise ValueError("not a pair")
-                losses[int(key)] = float(value[0]), float(value[1])
+                n, pair = int(key), (float(value[0]), float(value[1]))
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"history round {t}: losses must map client ids to "
                                   f"pairs of numbers, got {key!r}: {value!r}") from None
+            if not 0 <= n < num_clients:
+                raise ConfigError(f"history round {t}: client id {n} lies outside "
+                                  f"0..{num_clients - 1}")
+            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+                raise ConfigError(f"history round {t}: client {n}'s losses must be "
+                                  f"finite, got {value!r}")
+            losses[n] = pair
         rounds.append(losses)
     log = StageOneLog.from_rounds(rounds)
-    lam, phi = compute_phi_lambda(mech, model_dim, clip_bound, c2, epsilon, delta,
-                                  num_samples)
+    # an epsilon whose square underflows gives Phi_n = inf, which the fit
+    # refuses, naming the client
+    with np.errstate(divide="ignore"):
+        lam, phi = compute_phi_lambda(mech, model_dim, clip_bound, c2, epsilon, delta,
+                                      num_samples)
     return fit_stage_one(log, lam, phi, k, mech.noise_exponent)

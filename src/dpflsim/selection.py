@@ -10,6 +10,13 @@ The plan objective is J(T_1..T_N) = Omega_A * sum T_n^{z+1} Phi_n
 + Omega_B * sum T_n Gamma_n subject to sum T_n = K * horizon, T_n integer;
 its continuous relaxation is solved in closed form when Gamma = 0 and by
 water-filling bisection on the KKT multiplier otherwise.
+
+Its functions take values that their three callers have checked: the
+engine's replan, `dpflsim plan` and the offline replay
+(`harness.estimate_from_history`). They keep only the checks that depend on
+computed values or guard input no caller sees first: the budget columns in
+`compute_phi_lambda`, an overflowed Phi_n in `approximate_plan`, the plan
+counts, the fitted coefficients and the water-fill's omegas and scale.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, StateError
+from .errors import EvaluationError, ParameterError
 from .mechanisms import MechanismKind
 
 logger = logging.getLogger(__name__)
@@ -35,6 +42,13 @@ _LM_MARGIN = 1e-6
 # to `_bound_terms`; L_smooth and mu_convex bound each other's box.
 _FIT_ORDER = ("init_dist_sq", "gamma", "sigma_sq", "L_smooth", "mu_convex")
 _L_SMOOTH, _MU_CONVEX = _FIT_ORDER.index("L_smooth"), _FIT_ORDER.index("mu_convex")
+
+# The fit's search box [0, _FIT_BOX_UPPER] per coordinate, its golden-section
+# tolerance, its sweep limit and the residual at which it stops.
+_FIT_BOX_UPPER = 1e6
+_FIT_GOLDEN_TOL = 1e-8
+_FIT_MAX_SWEEPS = 60
+_FIT_RESIDUAL_TOL = 1e-9
 
 # The percentile at which `winsorize_upper` caps the stage-two plan's
 # per-client loss-gap estimates.
@@ -78,7 +92,9 @@ class StageOneLog:
 
     selected[t-1] is the set S_t; loss_current[t-1][n] is the distorted
     F_n at the incoming global model, loss_updated[t-1][n] the distorted F_n
-    at the client's locally updated model, both for n in S_t.
+    at the client's locally updated model, both for n in S_t. The three
+    lists have one entry per round and each round's maps are keyed by its
+    ids, as `from_rounds` builds them.
     """
 
     selected: tuple
@@ -92,13 +108,6 @@ class StageOneLog:
         object.__setattr__(self, "selected", sel)
         object.__setattr__(self, "loss_current", cur)
         object.__setattr__(self, "loss_updated", upd)
-        if not (len(sel) == len(cur) == len(upd)):
-            raise ParameterError("per-round record lists must have equal length")
-        for t, (s, c, u) in enumerate(zip(sel, cur, upd), start=1):
-            if set(c) != set(s) or set(u) != set(s):
-                raise ParameterError(f"round {t}: loss records do not match the selected set")
-            if any(i < 0 for i in s):
-                raise ParameterError(f"round {t}: negative client id")
 
     @classmethod
     def from_rounds(cls, losses) -> "StageOneLog":
@@ -119,8 +128,6 @@ class StageOneLog:
         counts = np.zeros(num_clients, dtype=int)
         for s in self.selected[:through_round]:
             for n in s:
-                if n >= num_clients:
-                    raise ParameterError(f"client id {n} out of range for {num_clients} clients")
                 counts[n] += 1
         return counts
 
@@ -149,22 +156,6 @@ class EstimatedParams:
         object.__setattr__(self, "gamma_hat_n", gh)
         object.__setattr__(self, "phi_n", ph)
         object.__setattr__(self, "residual_history", tuple(self.residual_history))
-        if gh.shape != ph.shape:
-            raise ParameterError("gamma_hat_n and phi_n length mismatch")
-        if np.any(~np.isfinite(gh)) or np.any(gh < 0):
-            raise ParameterError("gamma_hat_n must be finite and nonnegative")
-        if np.any(~np.isfinite(ph)) or np.any(ph < 0):
-            raise ParameterError("phi_n must be finite and nonnegative")
-        for name in ("rho_min_hat", "Lambda", "gamma", "L_smooth", "mu_convex",
-                     "sigma_sq", "init_dist_sq"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParameterError(f"{name} must be finite, got {v!r}")
-        if self.Lambda <= 0:
-            raise ParameterError("Lambda must be positive")
-        for name in ("gamma", "L_smooth", "mu_convex", "sigma_sq", "init_dist_sq"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
 
     @property
     def num_clients(self) -> int:
@@ -293,18 +284,8 @@ def approximate_plan(phi_n: np.ndarray, budget_rounds: int, z: int,
     remainder.
     """
     phi_n = np.asarray(phi_n, dtype=float)
-    if phi_n.ndim != 1 or len(phi_n) == 0:
-        raise ParameterError("phi_n must be a nonempty vector")
     if np.any(phi_n <= 0) or np.any(~np.isfinite(phi_n)):
         raise ParameterError("all phi_n must be positive and finite")
-    if budget_rounds < 1:
-        raise ParameterError("budget_rounds must be >= 1")
-    if z not in (1, 2):
-        raise ParameterError(f"z must be 1 or 2, got {z}")
-    if per_round_selected < 1:
-        raise ParameterError("per_round_selected must be >= 1")
-    if budget_rounds % per_round_selected != 0:
-        raise ParameterError("budget_rounds must be divisible by per_round_selected")
     weights = phi_n ** (-1.0 / z)
     cont = budget_rounds * weights / weights.sum()
     counts = largest_remainder_round(cont, budget_rounds)
@@ -318,18 +299,12 @@ def estimate_gamma_n(log: StageOneLog, num_clients: int) -> np.ndarray:
     |loss_current - loss_updated|; for everyone else, the arithmetic mean of
     the observed clients' values.
     """
-    if log.num_rounds == 0:
-        raise StateError("stage-one log is empty")
     best: dict[int, float] = {}
     for s, cur, upd in zip(log.selected, log.loss_current, log.loss_updated):
         for n in s:
-            if n >= num_clients:
-                raise ParameterError(f"client id {n} out of range for {num_clients} clients")
             gap = abs(cur[n] - upd[n])
             if n not in best or gap < best[n]:
                 best[n] = gap
-    if not best:
-        raise StateError("no client was ever selected during stage one")
     fallback = float(np.mean(list(best.values())))
     out = np.full(num_clients, fallback)
     for n, gap in best.items():
@@ -345,12 +320,6 @@ def estimate_rho_min(log: StageOneLog, K: int, T0: int) -> float:
     unreported clients assigned F_bar. Local optima are taken as 0. A
     nonpositive F_bar yields the neutral value 1.0 with a warning.
     """
-    if T0 < 2:
-        raise ParameterError(f"T0 must be >= 2, got {T0}")
-    if K < 1:
-        raise ParameterError("K must be >= 1")
-    if log.num_rounds < T0:
-        raise StateError(f"log has {log.num_rounds} rounds, need the full {T0} stage-one rounds")
     f_bar = observed_stage_loss(log, T0)
     if f_bar <= 0.0:
         logger.warning("nonpositive mean reported loss %.3g at round %d; "
@@ -456,14 +425,10 @@ def water_fill_continuous(phi_n, gamma_n, omega_a: float, omega_b: float,
     """
     phi_n = np.asarray(phi_n, dtype=float)
     gamma_n = np.asarray(gamma_n, dtype=float)
-    if np.any(phi_n <= 0):
-        raise ParameterError("all phi_n must be positive")
     if not (math.isfinite(omega_a) and omega_a > 0):
         raise ParameterError(f"omega_a must be positive and finite, got {omega_a}")
     if not (math.isfinite(omega_b) and omega_b >= 0):
         raise ParameterError(f"omega_b must be nonnegative and finite, got {omega_b}")
-    if total <= 0:
-        raise ParameterError("total must be positive")
 
     def unsolvable(why: str) -> ParameterError:
         return ParameterError(
@@ -513,8 +478,6 @@ def solve_plan(phi_n, gamma_n, omega_a: float, omega_b: float, horizon_rounds: i
 def optimal_plan(params: EstimatedParams, horizon_rounds: int, K: int, z: int) -> SelectionPlan:
     """Solve the integer plan problem on the given horizon, with Omega_A and
     Omega_B recomputed for that horizon (see `solve_plan`)."""
-    if np.any(params.phi_n <= 0):
-        raise ParameterError("optimal_plan needs strictly positive phi_n")
     omega_a, omega_b = convergence_coefficients(
         params.L_smooth, params.mu_convex, params.gamma, params.Lambda, K, horizon_rounds)
     return solve_plan(params.phi_n, params.gamma_hat_n, omega_a, omega_b, horizon_rounds,
@@ -538,8 +501,6 @@ def winsorize_upper(values: np.ndarray) -> np.ndarray:
     """Cap values above their `WINSORIZE_PERCENTILE`-th percentile (guards
     the plan solver against loss-noise outliers)."""
     values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        return values.copy()
     cap = float(np.percentile(values, WINSORIZE_PERCENTILE))
     return np.minimum(values, cap)
 
@@ -550,11 +511,7 @@ def observed_stage_loss(log: StageOneLog, T0: int) -> float:
     This is the observation the parameter fit targets; engine and offline
     replay both call it so the two agree bit for bit.
     """
-    if log.num_rounds < T0 or T0 < 1:
-        raise StateError(f"log has {log.num_rounds} rounds, need round {T0}")
     reporters = log.selected[T0 - 1]
-    if not reporters:
-        raise StateError(f"round {T0} has no reported losses")
     report = log.loss_current[T0 - 1]
     return float(np.mean([report[n] for n in reporters]))
 
@@ -596,8 +553,6 @@ def _coordinate_minimize(f, lo: float, hi: float, tol: float) -> tuple[float, fl
 
 def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: float,
                             phi_n, gamma_hat_n, rho_min_hat: float, K: int, z: int,
-                            *, box_upper: float = 1e6, golden_tol: float = 1e-8,
-                            max_sweeps: int = 60, residual_tol: float = 1e-9,
                             ) -> EstimatedParams:
     """Fit the unobservable bound parameters to the observed stage-one loss.
 
@@ -609,12 +564,7 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
     """
     phi_n = np.asarray(phi_n, dtype=float)
     gamma_hat_n = np.asarray(gamma_hat_n, dtype=float)
-    if phi_n.shape != gamma_hat_n.shape:
-        raise ParameterError("phi_n and gamma_hat_n length mismatch")
-    T0 = log.num_rounds
-    if T0 < 2:
-        raise StateError(f"stage-one log has {T0} rounds; estimation needs at least 2")
-    elapsed = T0 - 1
+    elapsed = log.num_rounds - 1
     num_clients = len(phi_n)
     counts = log.counters(elapsed, num_clients).astype(float)
     sums = _client_sums(counts, gamma_hat_n, phi_n, z)
@@ -624,17 +574,17 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
     fixed = (sums, rho_min_hat, Lambda, elapsed, K, num_clients)
     residual = abs(observed_loss - _bound_terms(*point, *fixed))
     history = [residual]
-    if residual > residual_tol:
-        for _ in range(max_sweeps):
+    if residual > _FIT_RESIDUAL_TOL:
+        for _ in range(_FIT_MAX_SWEEPS):
             improved = False
             for j in range(len(point)):
                 if j == _L_SMOOTH:
                     lo = point[_MU_CONVEX] * (1.0 + _LM_MARGIN)
-                    hi = max(box_upper, lo)
+                    hi = max(_FIT_BOX_UPPER, lo)
                 elif j == _MU_CONVEX:
                     lo, hi = 0.0, point[_L_SMOOTH] / (1.0 + _LM_MARGIN)
                 else:
-                    lo, hi = 0.0, box_upper
+                    lo, hi = 0.0, _FIT_BOX_UPPER
                 # the point with coordinate j at x, evaluated in place
                 trial = point.copy()
 
@@ -642,13 +592,13 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
                     _trial[_j] = x
                     return abs(observed_loss - _bound_terms(*_trial, *fixed))
 
-                x, fx = _coordinate_minimize(f, lo, hi, golden_tol)
+                x, fx = _coordinate_minimize(f, lo, hi, _FIT_GOLDEN_TOL)
                 if fx < residual:
                     point[j] = x
                     residual = fx
                     improved = True
             history.append(residual)
-            if residual <= residual_tol or not improved:
+            if residual <= _FIT_RESIDUAL_TOL or not improved:
                 break
 
     init_dist_sq, gamma, sigma_sq, L_smooth, mu_convex = point

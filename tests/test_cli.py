@@ -645,10 +645,10 @@ MALFORMED_HISTORIES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
-def test_estimate_rejects_malformed_history(tmp_path, capsys, stage_one_history, case):
-    index, keys, value = MALFORMED_HISTORIES[case]
-    lines = json.loads(json.dumps(stage_one_history))
+def _write_mutated(path, history, index, keys, value):
+    """Write the parsed `history` with the value at `keys` in line `index`
+    (the whole line for no keys) set to `value`, or dropped for _DROP."""
+    lines = json.loads(json.dumps(history))
     if not keys:
         lines[index] = value
     else:
@@ -660,13 +660,55 @@ def test_estimate_rejects_malformed_history(tmp_path, capsys, stage_one_history,
             del owner[last]
         else:
             owner[last] = value
-    path = tmp_path / "history.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
+def test_estimate_rejects_malformed_history(tmp_path, capsys, stage_one_history, case):
+    path = _write_mutated(tmp_path / "history.jsonl", stage_one_history,
+                          *MALFORMED_HISTORIES[case])
     with pytest.raises(ConfigError):
         estimate_from_history(read_history(path))
     assert main(["estimate", "--history", str(path), "--out", str(tmp_path / "e")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runtime failure" not in err
+    assert not (tmp_path / "e" / "estimated_params.json").exists()
+
+
+# well-formed histories that no run writes: (line index, key path, new value,
+# the start of the error line); the fixture's header has 6 clients, and line
+# 2 is the stage-one round t = 2
+IMPOSSIBLE_STAGE_ONE = {
+    "estimation_rounds_0": (0, ("estimation_rounds",), 0, "history header "
+                            "estimation_rounds must be >= 2 for the stage-one fit, got 0"),
+    "estimation_rounds_1": (0, ("estimation_rounds",), 1, "history header "
+                            "estimation_rounds must be >= 2 for the stage-one fit, got 1"),
+    "clients_per_round_0": (0, ("clients_per_round",), 0,
+                            "history header clients_per_round must be >= 1, got 0"),
+    "clients_empty": (0, ("clients",), [], "history header clients list is empty"),
+    "epsilon_phi_overflow": (0, ("clients", 1, "epsilon"), 1e-200,
+                             "client 1: its incoming budget gives Phi_n = inf"),
+    "loss_id_negative": (2, ("losses",), {"-1": [1.0, 0.5]},
+                         "history round 2: client id -1 lies outside 0..5"),
+    "loss_id_num_clients": (2, ("losses",), {"6": [1.0, 0.5]},
+                            "history round 2: client id 6 lies outside 0..5"),
+    "loss_nan": (2, ("losses",), {"0": [math.nan, 0.5]},
+                 "history round 2: client 0's losses must be finite, got [nan, 0.5]"),
+    "loss_infinity": (2, ("losses",), {"0": [1.0, math.inf]},
+                      "history round 2: client 0's losses must be finite, got [1.0, inf]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE_STAGE_ONE))
+def test_estimate_refuses_stage_one_facts_no_run_writes(tmp_path, capsys, stage_one_history,
+                                                         case):
+    assert stage_one_history[0]["num_clients"] == 6
+    *mutation, message = IMPOSSIBLE_STAGE_ONE[case]
+    path = _write_mutated(tmp_path / "history.jsonl", stage_one_history, *mutation)
+    assert main(["estimate", "--history", str(path), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "e" / "estimated_params.json").exists()
 
 

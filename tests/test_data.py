@@ -1,6 +1,7 @@
 """Data generation, partitioning, budget sampling, and CSV ingestion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from dpflsim.models import LinearRegression, LogisticRegression
 
 
 def test_dataset_validation():
+    with pytest.raises(ParameterError, match=re.escape("features must be 2-d, got shape (3,)")):
+        Dataset(np.zeros(3), np.zeros(3))
     with pytest.raises(ParameterError):
         Dataset(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ParameterError):

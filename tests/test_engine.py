@@ -62,10 +62,15 @@ def test_learning_rate_schedules():
     for t in (0, -1):
         with pytest.raises(ParameterError, match="round index must be >= 1"):
             settings.learning_rate(t)
-    for name in ("lr_initial", "lr_decay_horizon"):
-        for value in (0.0, -0.5, math.nan):
-            with pytest.raises(ParameterError, match=f"{name} must be positive"):
-                _settings(**{name: value})
+    refusals = [({name: value}, f"{name} must be positive")
+                for name in ("lr_initial", "lr_decay_horizon")
+                for value in (0.0, -0.5, math.nan)]
+    refusals += [({"mechanism": "gaussian"}, "mechanism must be a MechanismKind"),
+                 ({"clients_per_round": 0}, "clients_per_round must be >= 1"),
+                 ({"total_rounds": 0}, "total_rounds must be >= 1")]
+    for kw, message in refusals:
+        with pytest.raises(ParameterError, match=message):
+            _settings(**kw)
 
 
 # --------------------------------------------------------------------- streams
@@ -1052,6 +1057,10 @@ def test_lockstep_refuses_bad_algorithm_lists():
     with pytest.raises(ParameterError, match="estimation_rounds >= 2"):
         engine.run_lockstep_seeds([problem], [0], _settings(estimation_rounds=1),
                                   ["fedsgd", "dpfl_bcs"])
+    with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        engine.run_lockstep_seeds([problem], [-1], settings, ["fedsgd"])
+    with pytest.raises(ParameterError, match="clients_per_round 5 exceeds num_clients 4"):
+        engine.run_lockstep_seeds([problem], [0], _settings(clients_per_round=5), ["fedsgd"])
 
 
 def test_stacked_client_arrays_are_views_of_one_block():

@@ -188,3 +188,6 @@ def test_model_state_validation():
         ModelState(np.array([np.inf, 0.0, 0.0]), model)
     with pytest.raises(ParameterError):
         LogisticRegression(3, 1)
+    for make in (lambda: LinearRegression(0), lambda: LogisticRegression(0, 3)):
+        with pytest.raises(ParameterError, match="feature_dim must be >= 1, got 0"):
+            make()

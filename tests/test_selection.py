@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from dpflsim.errors import EvaluationError, ParameterError, StateError
+from dpflsim.errors import EvaluationError, ParameterError
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import (
     WINSORIZE_PERCENTILE,
@@ -85,9 +85,6 @@ def test_approximate_plan_symmetry():
     assert plan.counts.tolist() == [4] * 5
     with pytest.raises(ParameterError):
         approximate_plan(np.array([1.0, 0.0]), 8, 1)
-    for per_round in (0, -1):
-        with pytest.raises(ParameterError, match="per_round_selected must be >= 1"):
-            approximate_plan(np.ones(3), 10, 1, per_round_selected=per_round)
 
 
 def test_budget_only_closed_form_beats_fine_grid():
@@ -205,9 +202,6 @@ def test_stage_one_log_counters_and_validation():
         loss_updated=({0: 0.9, 1: 1.9}, {0: 1.4}, {2: 0.4}))
     assert log.counters(2, 3).tolist() == [2, 1, 0]
     assert log.counters(3, 3).tolist() == [2, 1, 1]
-    with pytest.raises(ParameterError):
-        StageOneLog(selected=((0,),), loss_current=({1: 1.0},),
-                    loss_updated=({0: 1.0},))
 
 
 # ------------------------------------------- loss-gap and skew estimators
@@ -236,10 +230,6 @@ def test_gamma_estimate_zero_gap_and_empty():
     log = StageOneLog(selected=((0,),), loss_current=({0: 1.0},),
                       loss_updated=({0: 1.0},))
     assert estimate_gamma_n(log, 1)[0] == 0.0
-    empty = StageOneLog(selected=((), ()), loss_current=({}, {}),
-                        loss_updated=({}, {}))
-    with pytest.raises(StateError):
-        estimate_gamma_n(empty, 2)
 
 
 def test_rho_estimate_all_equal_losses():
@@ -284,8 +274,6 @@ def test_observed_stage_loss_is_round_t0_mean():
         loss_current=({0: 9.0}, {0: 3.0, 1: 1.0}),
         loss_updated=({0: 9.0}, {0: 3.0, 1: 1.0}))
     assert observed_stage_loss(log, 2) == pytest.approx(2.0)
-    with pytest.raises(StateError):
-        observed_stage_loss(log, 3)
 
 
 # ---------------------------------------------------------------------- bound
