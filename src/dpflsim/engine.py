@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,9 +314,9 @@ class FederatedProblem:
         return len(self.num_samples)
 
 
-# slotted: a run keeps one per round, so a lock-step batch holds thousands
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
+# a named tuple: a run builds and keeps one per round, so a lock-step batch
+# builds thousands, and a tuple costs a fraction of a frozen dataclass
+class RoundRecord(NamedTuple):
     t: int
     stage: int
     selected: tuple
@@ -995,10 +996,12 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
                                            test_features, test_targets)
         losses = losses.ravel().tolist()
         accuracies = [None] * len(runs) if accuracies is None else accuracies.ravel().tolist()
+        # every run's selected entries as its client ids, in one list
+        local_ids = (ids % num_clients).tolist()
         for g in batch:
             run, lo, hi = runs[g], bounds[g], bounds[g + 1]
             try:
-                record = run.record(t, ids[lo:hi] - g * num_clients,
+                record = run.record(t, local_ids[lo:hi],
                                     None if release.losses is None else release.losses[lo:hi],
                                     losses[g], accuracies[g])
                 run.finish(t, record, on_round)
@@ -1106,18 +1109,17 @@ class _Run:
         """Whether round t's responders report their losses."""
         return self.two_stage and t <= self.settings.estimation_rounds
 
-    def record(self, t: int, responders: np.ndarray, losses: np.ndarray | None,
+    def record(self, t: int, responders: list, losses: np.ndarray | None,
                test_loss: float, test_accuracy: float | None) -> RoundRecord:
-        """Round t's record: its responders, their loss reports in a
+        """Round t's record: its responders' client ids, their loss reports in a
         loss-reporting round, and the test metrics at the updated weights."""
-        responders = tuple(responders.tolist())
+        responders = tuple(responders)
         if self.reports(t):
             losses = dict(zip(responders, map(tuple, losses.tolist())))
         else:
             losses = None
         stage = 1 if (not self.two_stage or t <= self.settings.estimation_rounds) else 2
-        return RoundRecord(t=t, stage=stage, selected=responders, losses=losses,
-                           test_loss=test_loss, test_accuracy=test_accuracy)
+        return RoundRecord(t, stage, responders, losses, test_loss, test_accuracy)
 
     def finish(self, t: int, record: RoundRecord, on_round) -> None:
         """Keep round t's record, pass it to `on_round` and, at T0, replan."""

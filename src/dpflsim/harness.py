@@ -306,12 +306,6 @@ def _write_text(fh, line: str) -> None:
     fh.write("\n")
 
 
-def _write_line(fh, obj) -> None:
-    """Write `obj` as one JSON line, as `_write_text` writes its text."""
-    fh.write(_ENCODER.encode(obj))
-    fh.write("\n")
-
-
 def _float_texts(**columns) -> dict:
     """Each float column's entries as lists of their JSON texts, spelled as
     `_ENCODER` spells them (`float.__repr__`, or NaN, Infinity, -Infinity).
@@ -404,19 +398,30 @@ def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.nda
     }, {"clients": _client_list(texts["epsilon"], texts["delta"], num_samples)})
 
 
-def round_to_json(record: RoundRecord) -> dict:
-    obj = {
-        "kind": "round",
-        "t": record.t,
-        "stage": record.stage,
-        "selected": list(record.selected),
-        "test_loss": record.test_loss,
-        "test_accuracy": record.test_accuracy,
-    }
-    if record.losses is not None:
-        # the encoder sorts the keys, as strings
-        obj["losses"] = {str(n): [cur, upd] for n, (cur, upd) in record.losses.items()}
-    return obj
+def _float_text(x: float) -> str:
+    """A float spelled as `_ENCODER` spells it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def round_line(record: RoundRecord) -> str:
+    """A round's history line: the text `_ENCODER` gives for the round's
+    object, built directly. The keys come in sorted order, the loss map's
+    keys sorted as strings ("10" before "2"); ints are spelled by `str` and
+    floats by `_float_text`."""
+    t, stage, selected, losses, test_loss, test_accuracy = record
+    if losses is None:
+        reports = ""
+    else:
+        # the string keys are distinct, so no pair is compared
+        reports = '"losses": {' + ", ".join(
+            f'"{key}": [{_float_text(cur)}, {_float_text(upd)}]'
+            for key, (cur, upd) in sorted(zip(map(str, losses), losses.values()))) + "}, "
+    accuracy = "null" if test_accuracy is None else _float_text(test_accuracy)
+    return (f'{{"kind": "round", {reports}"selected": [{", ".join(map(str, selected))}], '
+            f'"stage": {stage}, "t": {t}, "test_accuracy": {accuracy}, '
+            f'"test_loss": {_float_text(test_loss)}}}')
 
 
 # the summary's float columns written as arrays, where the run has them
@@ -486,7 +491,7 @@ class HistoryWriter:
         self._fh.flush()
 
     def write_round(self, record: RoundRecord) -> None:
-        self._line(_ENCODER.encode(round_to_json(record)))
+        self._line(round_line(record))
 
     def write_summary(self, result: RunResult) -> None:
         self._line(summary_line(result))
@@ -509,7 +514,7 @@ def write_history(path, result: RunResult) -> None:
                                        clients.delta, clients.num_samples, result.seed,
                                        texts))
         for record in result.rounds:
-            _write_line(fh, round_to_json(record))
+            _write_text(fh, round_line(record))
         _write_text(fh, summary_line(result, texts))
 
 
@@ -579,8 +584,9 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
     `fit_stage_one` the engine used at the re-planning round.
     Raises ConfigError, naming the field or the round and client, on a
     header or stage-one round that is malformed or that no run writes: T0 < 2,
-    K < 1, no clients, a loss report of an id outside 0..num_clients-1 or a
-    loss that is not finite. The fit checks none of these facts again.
+    K < 1, no clients, a loss report of an id outside 0..num_clients-1, two
+    reports of one id in a round ("3" and "03") or a loss that is not finite.
+    The fit checks none of these facts again.
     """
     h = parsed.header
     if not isinstance(h, dict):
@@ -651,6 +657,9 @@ def estimate_from_history(parsed: ParsedHistory) -> EstimatedParams:
             if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
                 raise ConfigError(f"history round {t}: client {n}'s losses must be "
                                   f"finite, got {value!r}")
+            if n in losses:
+                raise ConfigError(f"history round {t}: client id {n} has two loss "
+                                  f"entries, the second under key {key!r}")
             losses[n] = pair
         rounds.append(losses)
     log = StageOneLog.from_rounds(rounds)

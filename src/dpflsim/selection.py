@@ -14,9 +14,10 @@ water-filling bisection on the KKT multiplier otherwise.
 Its functions take values that their three callers have checked: the
 engine's replan, `dpflsim plan` and the offline replay
 (`harness.estimate_from_history`). They keep only the checks that depend on
-computed values or guard input no caller sees first: the budget columns in
-`compute_phi_lambda`, an overflowed Phi_n in `approximate_plan`, the plan
-counts, the fitted coefficients and the water-fill's omegas and scale.
+computed values or guard input no caller sees first: the budget columns,
+and the squares of epsilon, clip_bound and c2, in `compute_phi_lambda`, an
+overflowed Phi_n in `approximate_plan`, the plan counts, the fitted
+coefficients and the water-fill's omegas and scale.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _LM_MARGIN = 1e-6
 # The fit's coordinates, in the order it steps through them and passes them
 # to `_bound_terms`; L_smooth and mu_convex bound each other's box.
 _FIT_ORDER = ("init_dist_sq", "gamma", "sigma_sq", "L_smooth", "mu_convex")
-_L_SMOOTH, _MU_CONVEX = _FIT_ORDER.index("L_smooth"), _FIT_ORDER.index("mu_convex")
+_INIT_DIST_SQ, _GAMMA, _SIGMA_SQ, _L_SMOOTH, _MU_CONVEX = range(len(_FIT_ORDER))
 
 # The fit's search box [0, _FIT_BOX_UPPER] per coordinate, its golden-section
 # tolerance, its sweep limit and the residual at which it stops.
@@ -234,7 +235,8 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     bit for bit: numpy's vectorised log and square round differently from
     `math.log` and `pow` in the last bit for some inputs, so those two are
     applied one client at a time, and the rest is numpy's elementwise IEEE
-    arithmetic (sample counts below 2**26 square exactly in floats).
+    arithmetic (sample counts below 2**26 square exactly in floats). An
+    epsilon, clip_bound or c2 whose square overflows is refused, by name.
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
@@ -253,26 +255,47 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     gaussian = mechanism is MechanismKind.GAUSSIAN
     ok = np.isfinite(eps) & (eps > 0) & (samples >= 1) & (dlt < 1)
     ok &= (dlt > 0) if gaussian else (dlt >= 0)
+
+    def name(i: int):
+        return client_ids[i] if client_ids is not None else i
+
     if not ok.all():
         i = int(np.argmin(ok))
-        name = client_ids[i] if client_ids is not None else i
         if not (math.isfinite(eps[i]) and eps[i] > 0):
-            raise ParameterError(f"client {name}: epsilon must be positive, got {eps[i]}")
+            raise ParameterError(f"client {name(i)}: epsilon must be positive, got {eps[i]}")
         if not samples[i] >= 1:
-            raise ParameterError(f"client {name}: num_samples must be >= 1, "
+            raise ParameterError(f"client {name(i)}: num_samples must be >= 1, "
                                  f"got {samples[i]}")
         if gaussian:
             raise ParameterError(
-                f"client {name}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
-        raise ParameterError(f"client {name}: delta must lie in [0, 1), got {dlt[i]}")
-    # n**2 * e**2 with e**2 from libm's pow; the products and the quotients
-    # are IEEE operations, which numpy rounds as Python does
-    denominators = samples.astype(float)**2 * np.array(list(map(pow, eps.tolist(), repeat(2))))
+                f"client {name(i)}: Gaussian mechanism needs delta in (0,1), got {dlt[i]}")
+        raise ParameterError(f"client {name(i)}: delta must lie in [0, 1), got {dlt[i]}")
+    # n**2 * e**2 with e**2 from libm's pow, which raises OverflowError past
+    # float range; the products and the quotients are IEEE operations, which
+    # numpy rounds as Python does
+    try:
+        eps_sq = list(map(pow, eps.tolist(), repeat(2)))
+    except OverflowError:
+        # the largest epsilon's square overflows whenever any does
+        i = int(np.argmax(eps))
+        raise ParameterError(f"client {name(i)}: epsilon = {eps[i]} is too large, its "
+                             f"square overflows") from None
+    denominators = samples.astype(float)**2 * np.array(eps_sq)
+    clip_sq = _square(clip_bound, "clip_bound")
     if gaussian:
-        lam = 4.0 * clip_bound**2 * model_dim * c2**2
+        lam = 4.0 * clip_sq * model_dim * _square(c2, "c2")
         return lam, np.array(list(map(math.log, (1.0 / dlt).tolist()))) / denominators
-    lam = 8.0 * model_dim * clip_bound**2
+    lam = 8.0 * model_dim * clip_sq
     return lam, 1.0 / denominators
+
+
+def _square(value: float, name: str) -> float:
+    """value**2, refusing one whose square overflows, by name."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ParameterError(f"{name} = {value} is too large, its square "
+                             f"overflows") from None
 
 
 def approximate_plan(phi_n: np.ndarray, budget_rounds: int, z: int,
@@ -349,8 +372,9 @@ def _bound_terms(init_dist_sq: float, gamma: float, sigma_sq: float, L: float, m
                  sums: tuple[float, float, float], rho_min_hat: float, Lambda: float,
                  elapsed: int, K: int, num_clients: int) -> float:
     """Predicted global-loss bound after `elapsed` rounds from `_client_sums`;
-    inf when undefined. The fit calls it positionally, the five fitted
-    parameters first, in the order of `_FIT_ORDER`."""
+    inf when undefined. The five fitted parameters come first, in the order
+    of `_FIT_ORDER`; `_residual_along` evaluates the same expressions along
+    one of them."""
     if mu <= 0 or L <= 0:
         return math.inf
     g_tau = gamma + elapsed
@@ -364,6 +388,95 @@ def _bound_terms(init_dist_sq: float, gamma: float, sigma_sq: float, L: float, m
     bias_term = (bias_sum / elapsed
                  * (4.0 * L * L / (K * mu * mu * g_tau) + 3.0 * L / (2.0 * K * mu)))
     return init_term + skew_term + sgd_term + noise_term + bias_term
+
+
+def _residual_along(j: int, point: list, observed_loss: float,
+                    sums: tuple[float, float, float], rho_min_hat: float, Lambda: float,
+                    elapsed: int, K: int, num_clients: int):
+    """The fit's residual along coordinate j of `point`: the function
+    x -> abs(observed_loss - _bound_terms(point with coordinate j at x, ...)),
+    equal to it bit for bit, inf guards and ZeroDivisionError included.
+
+    The subexpressions of `_bound_terms` that do not involve x are computed
+    once, here; what remains is evaluated in `_bound_terms`' operation order,
+    left to right with the same int and float operands, so every term rounds
+    as it does there. Before a guard that `_bound_terms` checks first, the
+    only quotient formed is bias_sum / elapsed, with elapsed >= 1."""
+    init_dist_sq, gamma, sigma_sq, L, mu = point
+    gamma_sum, noise_sum, bias_sum = sums
+    undefined = abs(observed_loss - math.inf)
+    g_tau = gamma + elapsed
+    noise_4 = noise_sum * 4.0
+    bias_rate = bias_sum / elapsed
+
+    if j == _INIT_DIST_SQ or j == _SIGMA_SQ:
+        # neither moves a guard
+        if mu <= 0 or L <= 0 or g_tau <= 0:
+            return lambda x: undefined
+        init_scale = L * gamma / (2.0 * g_tau)
+        skew = -3.0 * L * rho_min_hat / (2.0 * mu * num_clients) * gamma_sum
+        noise = noise_4 * L * Lambda / (K * K * mu * mu * g_tau * elapsed)
+        bias = bias_rate * (4.0 * L * L / (K * mu * mu * g_tau) + 3.0 * L / (2.0 * K * mu))
+        if j == _INIT_DIST_SQ:
+            sgd = 4.0 * L * sigma_sq / (mu * mu * K * g_tau)
+            return lambda x: abs(observed_loss - (init_scale * x + skew + sgd + noise + bias))
+        head = init_scale * init_dist_sq + skew
+        sgd_num, sgd_den = 4.0 * L, mu * mu * K * g_tau
+        return lambda x: abs(observed_loss - (head + sgd_num * x / sgd_den + noise + bias))
+
+    if j == _GAMMA:
+        if mu <= 0 or L <= 0:
+            return lambda x: undefined
+        # mu > 0 and K, N >= 1, so neither quotient divides by zero
+        skew = -3.0 * L * rho_min_hat / (2.0 * mu * num_clients) * gamma_sum
+        linear = 3.0 * L / (2.0 * K * mu)
+        sgd_num, sgd_den = 4.0 * L * sigma_sq, mu * mu * K
+        noise_num, noise_den = noise_4 * L * Lambda, K * K * mu * mu
+        bias_num, bias_den = 4.0 * L * L, K * mu * mu
+
+        def along_gamma(x):
+            g_tau = x + elapsed
+            if g_tau <= 0:
+                return undefined
+            return abs(observed_loss - (
+                L * x / (2.0 * g_tau) * init_dist_sq + skew + sgd_num / (sgd_den * g_tau)
+                + noise_num / (noise_den * g_tau * elapsed)
+                + bias_rate * (bias_num / (bias_den * g_tau) + linear)))
+        return along_gamma
+
+    if j == _L_SMOOTH:
+        if mu <= 0 or g_tau <= 0:
+            return lambda x: undefined
+        init_den, skew_den = 2.0 * g_tau, 2.0 * mu * num_clients
+        sgd_den = mu * mu * K * g_tau
+        noise_den = K * K * mu * mu * g_tau * elapsed
+        bias_den, linear_den = K * mu * mu * g_tau, 2.0 * K * mu
+
+        def along_L(x):
+            if x <= 0:
+                return undefined
+            return abs(observed_loss - (
+                x * gamma / init_den * init_dist_sq
+                + -3.0 * x * rho_min_hat / skew_den * gamma_sum
+                + 4.0 * x * sigma_sq / sgd_den + noise_4 * x * Lambda / noise_den
+                + bias_rate * (4.0 * x * x / bias_den + 3.0 * x / linear_den)))
+        return along_L
+
+    if L <= 0 or g_tau <= 0:
+        return lambda x: undefined
+    init = L * gamma / (2.0 * g_tau) * init_dist_sq
+    skew_num, sgd_num = -3.0 * L * rho_min_hat, 4.0 * L * sigma_sq
+    noise_num, k_sq = noise_4 * L * Lambda, K * K
+    bias_num, linear_num, linear_k = 4.0 * L * L, 3.0 * L, 2.0 * K
+
+    def along_mu(x):
+        if x <= 0:
+            return undefined
+        return abs(observed_loss - (
+            init + skew_num / (2.0 * x * num_clients) * gamma_sum
+            + sgd_num / (x * x * K * g_tau) + noise_num / (k_sq * x * x * g_tau * elapsed)
+            + bias_rate * (bias_num / (K * x * x * g_tau) + linear_num / (linear_k * x))))
+    return along_mu
 
 
 def predicted_loss_bound(params: EstimatedParams, counts: np.ndarray,
@@ -585,14 +698,9 @@ def estimate_problem_params(observed_loss: float, log: StageOneLog, Lambda: floa
                     lo, hi = 0.0, point[_L_SMOOTH] / (1.0 + _LM_MARGIN)
                 else:
                     lo, hi = 0.0, _FIT_BOX_UPPER
-                # the point with coordinate j at x, evaluated in place
-                trial = point.copy()
-
-                def f(x, _trial=trial, _j=j):
-                    _trial[_j] = x
-                    return abs(observed_loss - _bound_terms(*_trial, *fixed))
-
-                x, fx = _coordinate_minimize(f, lo, hi, _FIT_GOLDEN_TOL)
+                x, fx = _coordinate_minimize(
+                    _residual_along(j, point, observed_loss, *fixed), lo, hi,
+                    _FIT_GOLDEN_TOL)
                 if fx < residual:
                     point[j] = x
                     residual = fx

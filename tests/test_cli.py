@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ def test_run_rejects_non_finite_override(tmp_path, capsys, override):
     assert main(["run", "--set", override, "--out", str(tmp_path / "o")]) == 1
     assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("epsilon_max=1e200", r"client \d+: epsilon = [\d.e+]+ is too large, its square overflows"),
+    ("clip_bound=1e200", r"clip_bound = 1e\+200 is too large, its square overflows"),
+])
+def test_run_refuses_a_budget_constant_whose_square_overflows(tmp_path, capsys, override,
+                                                              message):
+    # validate accepts both values; the parent exited 2 with Python's
+    # "(34, 'Numerical result out of range')" from the square in
+    # compute_phi_lambda
+    args = ["run", "--set", "algorithm=dpfl_bcs", "--set", override, "--set",
+            "total_rounds=4", "--set", "estimation_rounds=2", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {message}\n", err) and "runtime failure" not in err
 
 
 # N = 2, K = 1, T = 8, T0 = 3 with budgets in [1e-16, 1e-14]: a slice of
@@ -325,6 +342,15 @@ def test_plan_rejects_zero_epsilon_row(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err and "epsilon" in err
+
+
+def test_plan_refuses_an_epsilon_whose_square_overflows(tmp_path, capsys):
+    roster = _write_roster(tmp_path / "roster.csv",
+                           [(0, 1.0, 1e-5, 100), (1, 1e200, 1e-5, 100)])
+    assert main(_plan_args(tmp_path, roster=roster)) == 1
+    assert capsys.readouterr().err == (
+        "error: client 1: epsilon = 1e+200 is too large, its square overflows\n")
+    assert not (tmp_path / "o" / "plan.csv").exists()
 
 
 def test_plan_rejects_wrong_header(tmp_path, capsys):
@@ -697,6 +723,13 @@ IMPOSSIBLE_STAGE_ONE = {
                  "history round 2: client 0's losses must be finite, got [nan, 0.5]"),
     "loss_infinity": (2, ("losses",), {"0": [1.0, math.inf]},
                       "history round 2: client 0's losses must be finite, got [1.0, inf]"),
+    # "03" parses to the id of "3"; the replay kept only the last entry
+    "loss_id_repeated": (2, ("losses",), {"3": [1.0, 0.5], "03": [1.0, 0.25]},
+                         "history round 2: client id 3 has two loss entries, the second "
+                         "under key '03'"),
+    # the square of clip_bound overflowed in compute_phi_lambda (exit 2)
+    "clip_bound_overflow": (0, ("clip_bound",), 1e200,
+                            "clip_bound = 1e+200 is too large, its square overflows"),
 }
 
 

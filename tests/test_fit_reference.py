@@ -6,18 +6,24 @@ recomputes sum gamma_hat_n, sum C_n^{z+1} Phi_n and sum C_n gamma_hat_n. The
 current fit computes those sums once per fit, in the same operation order, so
 every field of its result must equal the reference's exactly. The line
 search `_coordinate_minimize` and `convergence_coefficients` are shared with
-the package, so this pins the bound evaluation, not the search.
+the package, so this pins the bound evaluation, not the search. The fit's
+coordinate steps evaluate the bound through `_residual_along`, which must
+equal the residual of `_bound_terms` bit for bit at every point.
 """
 
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpflsim.selection as selection
 from dpflsim.selection import (
     EstimatedParams,
     StageOneLog,
+    _bound_terms,
     _coordinate_minimize,
+    _residual_along,
     convergence_coefficients,
     estimate_problem_params,
     predicted_loss_bound,
@@ -192,3 +198,59 @@ def test_fit_computes_client_sums_once(monkeypatch):
         est = estimate_problem_params(-3.0, log, 8.0, [phi], [gamma_hat], 1.0, K=k, z=z)
         assert len(est.residual_history) - 1 >= 3
         assert len(calls) == 1
+
+
+# zeros of either sign, subnormals (whose squares underflow to 0, so that
+# `_bound_terms` divides by zero), the search box's ends and values near 1
+_EDGES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-9, 0.5, 1.0,
+          1.0 + 1e-6, 1e6, 1e300]
+_values = (st.sampled_from(_EDGES) | st.floats(-10.0, 1e6)
+           | st.floats(1e-12, 1e12) | st.floats(allow_nan=False, allow_infinity=True))
+
+
+def _outcome(evaluate):
+    """The bits of a residual, or the error it raises."""
+    try:
+        return evaluate().hex()
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(j=st.integers(0, 4), point=st.lists(_values, min_size=5, max_size=5), x=_values,
+       l_at_margin=st.booleans(), sums=st.tuples(_values, _values, _values),
+       rho=_values, lam=_values, elapsed=st.integers(1, 300), k=st.integers(1, 10),
+       num_clients=st.integers(1, 100),
+       observed=_values | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_residual_along_a_coordinate_is_the_bound_residual(j, point, x, l_at_margin, sums,
+                                                           rho, lam, elapsed, k,
+                                                           num_clients, observed):
+    if l_at_margin:
+        # L at the fit's lower end of its box, mu * (1 + 1e-6)
+        point[3] = point[4] * (1.0 + 1e-6)
+    fixed = (sums, rho, lam, elapsed, k, num_clients)
+    trial = list(point)
+    trial[j] = x
+    # float.hex spells every NaN "nan"
+    assert _outcome(lambda: _residual_along(j, point, observed, *fixed)(x)) == _outcome(
+        lambda: abs(observed - _bound_terms(*trial, *fixed)))
+
+
+def test_residual_along_a_coordinate_is_the_bound_residual_at_random_points():
+    # generic values, whose sums round in the last bit when reassociated,
+    # which the edge values above rarely do
+    rng = np.random.default_rng(31)
+    for _ in range(30_000):
+        point = (10.0 ** rng.uniform(-3.0, 3.0, 5)).tolist()
+        if rng.random() < 0.2:
+            point[3] = point[4] * (1.0 + 1e-6)
+        sums = tuple((10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist())
+        rho, lam, observed = (10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()
+        fixed = (sums, rho, lam, int(rng.integers(1, 300)), int(rng.integers(1, 10)),
+                 int(rng.integers(1, 100)))
+        j = int(rng.integers(0, 5))
+        x = float(10.0 ** rng.uniform(-3.0, 3.0))
+        trial = list(point)
+        trial[j] = x
+        assert (_residual_along(j, point, observed, *fixed)(x).hex()
+                == abs(observed - _bound_terms(*trial, *fixed)).hex()), (j, point, x, fixed)

@@ -5,19 +5,26 @@ a run kept lists of per-client records (`_Client` here) and `ClientLedger`
 entries: the header listed the clients from `FederatedProblem.metas`, built
 from a list of scalar budgets, the summary's budget dicts came from
 the ledger entries, and the plan and parameter dicts converted every element
-with `int()`/`float()`. The current writer builds the same records from the
-run's client columns, so on every run below `write_history` must produce
-exactly the reference's bytes.
+with `int()`/`float()`. Each line was one `json.dumps` of an object, a round
+line that of `_reference_round`'s. The current writer builds the same records
+from the run's client columns and renders each round line as text directly,
+so on every run below `write_history` must produce exactly the reference's
+bytes.
 """
 
+import itertools
 import json
+import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpflsim.config import ExperimentConfig
-from dpflsim.harness import build_problem, round_to_json, run_single, write_history
+from dpflsim.engine import RoundRecord
+from dpflsim.harness import _ENCODER, build_problem, round_line, run_single, write_history
 from dpflsim.mechanisms import PrivacyBudget, exhaustion_floor
 
 
@@ -59,6 +66,21 @@ def _reference_params_to_dict(params):
         "fit_residual": float(params.fit_residual),
         "residual_history": [float(r) for r in params.residual_history],
     }
+
+
+def _reference_round(record):
+    obj = {
+        "kind": "round",
+        "t": record.t,
+        "stage": record.stage,
+        "selected": list(record.selected),
+        "test_loss": record.test_loss,
+        "test_accuracy": record.test_accuracy,
+    }
+    if record.losses is not None:
+        # the encoder sorts the keys, as strings
+        obj["losses"] = {str(n): [cur, upd] for n, (cur, upd) in record.losses.items()}
+    return obj
 
 
 def _reference_metas(problem):
@@ -118,7 +140,7 @@ def _reference_history(result, problem) -> bytes:
     header = _reference_header(result.algorithm, result.settings,
                                result.final_state.model_kind, _reference_metas(problem),
                                result.seed)
-    records = [header] + [round_to_json(r) for r in result.rounds] + [
+    records = [header] + [_reference_round(r) for r in result.rounds] + [
         _reference_summary(result)]
     return "".join(json.dumps(obj, sort_keys=True, default=_reference_json_default) + "\n"
                    for obj in records).encode()
@@ -223,3 +245,37 @@ def test_reference_cases_cover_the_run_kinds():
         for m in ("gaussian", "laplace")}
     assert any(c.zero_noise for c in random)
     assert any(c.force_uniform_plan and c.algorithm == "dpfl_bcs" for c in random)
+
+
+# floats the encoder spells apart from `float.__repr__`, or whose repr
+# switches notation, and the smallest subnormal
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5,
+                  0.1, 1 / 3, 1.7976931348623157e308]
+
+
+def test_round_line_is_the_reference_rounds_encoding():
+    reports = [
+        None, {}, {0: (1.0, 2.0)},
+        # ids whose string order (10, 11, 2, 3) differs from their order
+        {2: (math.nan, -0.0), 10: (math.inf, -math.inf), 11: (5e-324, 1e16), 3: (0.1, -1.5)}]
+    for losses, test_accuracy, test_loss in itertools.product(
+            reports, [None, 0.75, math.nan], SPECIAL_FLOATS):
+        selected = () if losses is None else tuple(sorted(losses))
+        record = RoundRecord(3, 1 if losses is not None else 2, selected, losses, test_loss,
+                             test_accuracy)
+        assert round_line(record) == _ENCODER.encode(_reference_round(record)), record
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(1, 10_000), stage=st.sampled_from([1, 2]),
+       losses=st.none() | st.dictionaries(st.integers(0, 20_000), st.tuples(_floats, _floats),
+                                          max_size=12),
+       test_loss=_floats, test_accuracy=st.none() | _floats)
+def test_round_line_matches_the_encoder_on_any_record(t, stage, losses, test_loss,
+                                                      test_accuracy):
+    selected = tuple(sorted(losses)) if losses else (t % 7, t % 7 + 10)
+    record = RoundRecord(t, stage, selected, losses, test_loss, test_accuracy)
+    assert round_line(record) == _ENCODER.encode(_reference_round(record))
