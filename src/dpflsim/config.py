@@ -9,9 +9,9 @@ from dataclasses import dataclass, fields, replace
 
 from .engine import ALGORITHMS
 from .errors import ConfigError
-from .mechanisms import exhaustion_floor
+from .mechanisms import MechanismKind, exhaustion_floor
 
-MECHANISM_CHOICES = ("gaussian", "laplace")
+MECHANISM_CHOICES = tuple(kind.value for kind in MechanismKind)
 DATASET_CHOICES = ("synthetic_regression", "synthetic_classification", "csv")
 
 # loss_cap accepts the literal "auto": ln(num_classes) for classification

@@ -17,7 +17,10 @@ does the client work of every run's responders, over one `ClientArrays` that
 stacks the runs, and one call each to `sample_selection`, `aggregate` and the
 model's `metrics` selects, aggregates and evaluates for every run. Each of
 these takes the batch's (runs, ...) arrays only; a single run is a batch of
-one seed and one algorithm, so the engine has one loop.
+one seed and one algorithm, so the engine has one loop. `run_lockstep_seeds`
+checks its arguments and builds the batch, and the three round primitives
+trust its layout: a round does arithmetic only, and refuses only non-finite
+weights.
 
 The two-stage algorithm runs an approximate plan for the first T0 rounds while
 collecting noisy losses, then estimates the convergence-bound parameters once
@@ -625,12 +628,16 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     one batch.
 
     `clients` stacks the R runs on one or more problems (see
-    `ClientArrays.stacked`), `ids` are its entries, at least one, grouped
-    by run in run order, `model` is the runs' model kind and `weights` their
-    (R, d) weight matrix. `report_losses` and `noise_enabled` are (R,) bool arrays and
-    `generators` the R runs' noise generators; the runs that share a
-    generator are consecutive. Each run's rows come out as they would from a
-    round of its own on its generator.
+    `ClientArrays.stacked`), `ids` are its selected entries, `model` is the
+    runs' model kind and `weights` their (R, d) weight matrix. Each run's
+    rows come out as they would from a round of its own on its generator.
+
+    The round trusts the batch that `run_lockstep_seeds` builds and checks
+    none of its layout: `clients` holds N entries per run; `ids` are at least
+    one entry, sorted, so grouped by run in run order; `report_losses` and
+    `noise_enabled` are (R,) bool arrays; `generators` holds R noise
+    generators, and the runs that share one are consecutive. It refuses only
+    a loss report's non-finite locally updated weights.
 
     Every selected client responds: the selection is the responder set. The
     candidate mask (`ClientArrays.candidates`) keeps a noised run's exhausted
@@ -653,17 +660,9 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     in `clients` are updated in place.
     """
     num_runs = len(weights)
-    num_clients, rest = divmod(len(clients.num_samples), num_runs)
-    if rest:
-        raise ParameterError(f"{len(clients.num_samples)} client entries do not stack "
-                             f"{num_runs} runs")
-    if report_losses.shape != (num_runs,) or noise_enabled.shape != (num_runs,):
-        raise ParameterError(f"need one loss-report and one noise flag per run of {num_runs}, "
-                             f"got {report_losses.shape} and {noise_enabled.shape}")
+    num_clients = len(clients.num_samples) // num_runs
     ids = np.asarray(ids, dtype=int)
     run = ids // num_clients
-    if num_runs > 1 and (run[1:] < run[:-1]).any():
-        raise ParameterError("ids must be grouped by run, in run order")
     dim = model.dim
     reports = report_losses[run]
     any_report = bool(report_losses.any())
@@ -715,13 +714,7 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
             scale = _laplace_scale(sens, clients.stage_epsilon[own], planned)
         # one block per noised run, in run order, each drawn from its
         # generator's stream at its start, as a run of its own draws
-        if len(generators) != num_runs:
-            raise ParameterError(f"{len(generators)} noise generators for {num_runs} runs")
         drawing = [generators[r] for r in noised_runs]
-        # the first run of each stretch of runs that share a generator
-        firsts = [gen for i, gen in enumerate(drawing) if not i or gen is not drawing[i - 1]]
-        if len(set(map(id, firsts))) < len(firsts):
-            raise ParameterError("runs that share a noise generator must be consecutive")
         blocks = [(bounds[r + 1] - bounds[r], dim + 2 if report_losses[r] else dim)
                   for r in noised_runs]
         spec, = _unchecked(NoiseSpec, [(mech, sens, scale, slice_eps, slice_delta, planned)])
@@ -776,17 +769,16 @@ def aggregate(gradients, k, starts=(0,)) -> np.ndarray:
     run's own (rows, d) block over its first axis, so each run's sum has
     the bits of a call of its own. (`np.add.reduceat` does not: it adds a
     run's first row to the sum of the others.)
+
+    It trusts its caller, `run_lockstep_seeds`: `gradients` has at least one
+    row, and `starts` rise from 0 with at least one row per run, as the
+    starts of the runs that selected someone do.
     """
-    if len(gradients) == 0:
-        raise ParameterError("cannot aggregate an empty gradient list")
     gradients = np.asarray(gradients)
     divisors = np.asarray(k)
     # few runs, so their bounds are Python ints
     bounds = [int(start) for start in starts] + [len(gradients)]
     counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    if not counts or bounds[0] != 0 or min(counts) < 1:
-        raise ParameterError(f"starts {bounds[:-1]} must rise from 0 through the "
-                             f"{len(gradients)} rows, one nonempty run each")
     shape = (len(counts), max(counts)) + gradients.shape[1:]
     if min(counts) == shape[1]:
         block = gradients.reshape(shape)
@@ -819,24 +811,19 @@ def sample_selection(probabilities: np.ndarray, candidates: np.ndarray, k: int,
     Each row is sampled as it would be alone from its generator's state on
     entry: the rows that share a generator share its N uniforms, drawn once,
     and a generator that no row draws from is left as it is.
+
+    It trusts its caller, `run_lockstep_seeds`: the mask has the matrix's
+    shape, there is one generator per row, and the candidates' weights are
+    nonnegative and not NaN, as a `SelectionPlan`'s counts / (K * H) are.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     mask = np.asarray(candidates, dtype=bool)
-    if probabilities.ndim != 2 or mask.shape != probabilities.shape:
-        raise ParameterError(f"need a (G, N) probability matrix and a candidate mask of its "
-                             f"shape, got {probabilities.shape} and {mask.shape}")
     num_rows, num_clients = probabilities.shape
-    if len(generators) != num_rows:
-        raise ParameterError(f"{len(generators)} generators for {num_rows} rows")
     # a row within the first shortcut selects every candidate; past it, its
-    # positive-weight candidates, or draws among them when it has more than
-    # k. Its candidates' weights must then be nonnegative (a NaN fails too).
+    # positive-weight candidates, or draws among them when it has more than k
     past = mask.sum(axis=1) > k
     chosen, drawing = mask, []
     if past.any():
-        if (not probabilities.min(initial=0.0) >= 0
-                and (mask[past] & ~(probabilities[past] >= 0)).any()):
-            raise ParameterError("selection probabilities must be nonnegative")
         chosen = mask & (probabilities > 0)
         if not past.all():
             chosen[~past] = mask[~past]

@@ -50,9 +50,8 @@ class MechanismKind(enum.Enum):
         try:
             return cls(str(name).strip().lower())
         except ValueError:
-            raise ParameterError(
-                f"unknown mechanism {name!r}; expected 'gaussian' or 'laplace'"
-            ) from None
+            expected = " or ".join(repr(kind.value) for kind in cls)
+            raise ParameterError(f"unknown mechanism {name!r}; expected {expected}") from None
 
 
 # kind -> (lowest allowed value, whether that value itself is excluded,

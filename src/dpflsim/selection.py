@@ -236,7 +236,8 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     `math.log` and `pow` in the last bit for some inputs, so those two are
     applied one client at a time, and the rest is numpy's elementwise IEEE
     arithmetic (sample counts below 2**26 square exactly in floats). An
-    epsilon, clip_bound or c2 whose square overflows is refused, by name.
+    epsilon, clip_bound or c2 whose square overflows is refused, by name, as
+    is a Lambda that overflows.
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
@@ -284,9 +285,13 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     clip_sq = _square(clip_bound, "clip_bound")
     if gaussian:
         lam = 4.0 * clip_sq * model_dim * _square(c2, "c2")
-        return lam, np.array(list(map(math.log, (1.0 / dlt).tolist()))) / denominators
-    lam = 8.0 * model_dim * clip_sq
-    return lam, 1.0 / denominators
+        phi = np.array(list(map(math.log, (1.0 / dlt).tolist()))) / denominators
+    else:
+        lam, phi = 8.0 * model_dim * clip_sq, 1.0 / denominators
+    if not math.isfinite(lam):
+        raise ParameterError(f"Lambda overflows at clip_bound = {clip_bound}, c2 = {c2} and "
+                             f"model_dim = {model_dim}")
+    return lam, phi
 
 
 def _square(value: float, name: str) -> float:

@@ -143,6 +143,24 @@ def test_run_refuses_a_budget_constant_whose_square_overflows(tmp_path, capsys, 
     assert re.match(rf"error: {message}\n", err) and "runtime failure" not in err
 
 
+@pytest.mark.parametrize("force_uniform_plan, round_lines", [("false", 0), ("true", 2)])
+def test_run_refuses_a_lambda_that_overflows(tmp_path, capsys, force_uniform_plan,
+                                             round_lines):
+    # clip_bound's square is finite but Lambda = 4 * clip_bound**2 * d * c2**2
+    # is not: the parent ran stage one and then exited 1 at the replan with
+    # "omega_a must be positive and finite, got inf", naming no field. The
+    # run now fails where it first needs Lambda: at set-up, before any round
+    # line, or at the replan under the uniform plan.
+    out = tmp_path / "o"
+    assert main(["run", "--set", "clip_bound=1e154", "--set", "total_rounds=4",
+                 "--set", "estimation_rounds=2", "--set",
+                 f"force_uniform_plan={force_uniform_plan}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: Lambda overflows at clip_bound = 1e+154, c2 = 1.0 and model_dim = 6\n")
+    lines = (out / "history.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["header"] + ["round"] * round_lines
+
+
 # N = 2, K = 1, T = 8, T0 = 3 with budgets in [1e-16, 1e-14]: a slice of
 # epsilon_min / (K * T) = 1.25e-17 lies under the 1e-15 exhaustion floor, and
 # dpfl_bcs ran out of budget before its plan, ending at round 6 or 7
@@ -730,6 +748,9 @@ IMPOSSIBLE_STAGE_ONE = {
     # the square of clip_bound overflowed in compute_phi_lambda (exit 2)
     "clip_bound_overflow": (0, ("clip_bound",), 1e200,
                             "clip_bound = 1e+200 is too large, its square overflows"),
+    # a finite square, but Lambda = 4 * clip_bound**2 * d * c2**2 overflows
+    "lambda_overflow": (0, ("clip_bound",), 1e154,
+                        "Lambda overflows at clip_bound = 1e+154, c2 = 1.0 and model_dim = 4"),
 }
 
 
@@ -839,10 +860,13 @@ def _plan_args(tmp_path, *extra, roster=None):
     ("--clients-per-round", "0", "--clients-per-round must lie in 1..2, the roster's clients"),
     ("--clients-per-round", "3", "--clients-per-round must lie in 1..2, the roster's clients"),
     ("--rounds", "0", "--rounds must be >= 1, got 0"),
-], ids=["no-clients-per-round", "more-clients-per-round-than-clients", "no-rounds"])
+    ("--model-dim", "0", "model_dim must be >= 1"),
+], ids=["no-clients-per-round", "more-clients-per-round-than-clients", "no-rounds",
+        "no-model-dim"])
 def test_plan_refuses_flags_out_of_range(tmp_path, capsys, flag, value, message):
     # the plan's own flags are checked against the roster, not left to the
-    # plan solver or to a plan that no sampler can carry out
+    # plan solver or to a plan that no sampler can carry out; the model
+    # dimension is checked where Lambda is computed
     assert main(_plan_args(tmp_path, flag, value)) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "plan.csv").exists()

@@ -681,15 +681,11 @@ def test_aggregate_examples():
     # nominal-K divisor shrinks the update when responders are missing
     short = aggregate([np.array([3.0, 3.0])], 2)
     assert np.array_equal(short, np.array([[1.5, 1.5]]))
-    with pytest.raises(ParameterError):
-        aggregate([], 2)
 
 
 def test_aggregate_stacked_array_matches_list():
     grads = np.random.default_rng(3).normal(size=(5, 4))
     assert np.array_equal(aggregate(grads, 7), aggregate(list(grads), 7))
-    with pytest.raises(ParameterError):
-        aggregate(np.zeros((0, 4)), 2)
 
 
 def test_aggregate_of_several_runs_equals_their_own_sums():
@@ -712,12 +708,6 @@ def test_aggregate_of_several_runs_equals_their_own_sums():
             [np.sum(rows[a:a + c], axis=0) / 3 for a, c in zip(starts, counts)]).tobytes()
 
 
-@pytest.mark.parametrize("starts", [[], [1, 3], [0, 2, 2], [0, 4]])
-def test_aggregate_refuses_starts_that_leave_a_run_empty(starts):
-    with pytest.raises(ParameterError, match="must rise from 0"):
-        aggregate(np.ones((4, 2)), 2, starts)
-
-
 # -------------------------------------------------------------------- sampling
 
 def _select_one(p, candidates, k, rng):
@@ -732,13 +722,6 @@ def test_sample_selection_degenerate_weight():
     p = np.array([1.0, 0.0, 0.0])
     for seed in range(20):
         assert _select_one(p, [0, 1, 2], 1, np.random.default_rng(seed)) == [0]
-
-
-@pytest.mark.parametrize("bad", [math.nan, -0.1])
-def test_sample_selection_rejects_nan_and_negative_weights(bad):
-    p = np.array([bad, 0.2, 0.3, 0.1, 0.4])
-    with pytest.raises(ParameterError, match="nonnegative"):
-        _select_one(p, range(5), 2, np.random.default_rng(0))
 
 
 def test_sample_selection_small_candidate_set():
@@ -925,18 +908,9 @@ def test_sample_selection_never_picks_a_non_candidate_over_an_infinite_key():
 def test_stacked_sample_selection_checks_its_rows():
     p, mask = np.full((2, 4), 0.25), np.ones((2, 4), dtype=bool)
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="candidate mask of its shape"):
-        sample_selection(p, mask[:, :3], 2, [rng] * 2)
-    with pytest.raises(ParameterError, match="3 generators for 2 rows"):
-        sample_selection(p, mask, 2, [rng] * 3)
-    # one run is a batch of one row, not a bare row
-    with pytest.raises(ParameterError, match=r"\(G, N\) probability matrix"):
-        sample_selection(p[0], mask[0], 1, [rng])
-    # a negative weight fails only where a row draws or looks past its
-    # first shortcut, as a call of its own does
+    # a weight that a row does not read, a non-candidate's or one within the
+    # row's first shortcut, leaves the rows' selections as they are
     p[1, 3] = -0.5
-    with pytest.raises(ParameterError, match="nonnegative"):
-        sample_selection(p, mask, 2, [rng] * 2)
     mask[1, 3] = False
     assert len(sample_selection(p, mask, 2, [rng] * 2)) == 4
     mask[1] = [True, False, False, True]
@@ -1081,27 +1055,6 @@ def test_stacked_client_arrays_are_views_of_one_block():
     assert views[1].stage == 1 and views[0].stage == 0
 
 
-def test_stacked_round_refuses_ids_out_of_run_order():
-    problem = _problem(num_clients=3)
-    settings = _settings()
-    block, views = ClientArrays.stacked([problem], 2)
-    for view in views:
-        view.install([2, 2, 2], settings)
-    model, rng = problem.model, np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="grouped by run"):
-        client_round(block, [4, 0], model, np.zeros((2, model.dim)), 0.1, [rng] * 2, settings,
-                     np.zeros(2, bool), np.ones(2, bool))
-    with pytest.raises(ParameterError, match="do not stack 4 runs"):
-        client_round(block, [0], model, np.zeros((4, model.dim)), 0.1, [rng] * 4, settings,
-                     np.zeros(4, bool), np.ones(4, bool))
-    # one flag of each kind per run
-    for report, noised in ((np.zeros(3, bool), np.ones(2, bool)),
-                           (np.zeros(2, bool), np.ones(1, bool))):
-        with pytest.raises(ParameterError, match="one loss-report and one noise flag per run"):
-            client_round(block, [0, 4], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
-                         settings, report, noised)
-
-
 def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
     # run 0 reports but selects no client, as a run that ended early; run 1
     # does not report, so its responder's loss row is NaN
@@ -1115,6 +1068,23 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
                        settings, np.array([True, False]), np.ones(2, bool))
     assert out.gradients.shape == (1, model.dim)
     assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
+
+
+def test_stacked_round_refuses_a_loss_reports_non_finite_updated_weights():
+    # every row's residual is 10 at w = 0, so each per-sample gradient is
+    # (10, 10), clipped to about (2.83, 2.83): their mean times a rate of
+    # 1e308 overflows, and the locally updated model of the loss report is
+    # not finite
+    data = [Dataset(np.ones((3, 1)), np.full(3, -10.0)), Dataset(np.ones((2, 1)), np.zeros(2))]
+    problem = FederatedProblem(LinearRegression(1), *_block(data), _budgets([1.0, 1.0], 1e-4),
+                               data[1])
+    settings = _settings(clip_bound=4.0)
+    block, _ = ClientArrays.stacked([problem], 1)
+    block.install([2, 2], None)
+    with np.errstate(over="ignore"), pytest.raises(ParameterError,
+                                                   match="weights must be finite"):
+        client_round(block, [0], problem.model, np.zeros((1, 2)), 1e308,
+                     [np.random.default_rng(0)], settings, np.ones(1, bool), np.zeros(1, bool))
 
 
 def _loss_problem(seed, classification):
@@ -1285,21 +1255,8 @@ def test_stacked_refuses_problems_of_other_shapes():
             engine.run_lockstep_seeds([problem, other], [0, 1], _settings(), ["fedsgd"])
     with pytest.raises(ParameterError, match="2 problems for 1 seeds"):
         engine.run_lockstep_seeds([problem, problem], [0], _settings(), ["fedsgd"])
-
-
-def test_stacked_round_refuses_generators_out_of_run_order():
-    problem = _problem(num_clients=3)
-    settings = _settings()
-    block, views = ClientArrays.stacked([problem], 3)
-    for view in views:
-        view.install([2, 2, 2], settings)
-    model, weights = problem.model, np.zeros((3, problem.model.dim))
-    flags = np.zeros(3, bool), np.ones(3, bool)
-    a, b = np.random.default_rng(0), np.random.default_rng(1)
-    with pytest.raises(ParameterError, match="must be consecutive"):
-        client_round(block, [0, 3, 6], model, weights, 0.1, [a, b, a], settings, *flags)
-    with pytest.raises(ParameterError, match="2 noise generators for 3 runs"):
-        client_round(block, [0, 3, 6], model, weights, 0.1, [a, b], settings, *flags)
+    with pytest.raises(ParameterError, match="no problem to stack"):
+        engine.run_lockstep_seeds([], [], _settings(), ["fedsgd"])
 
 
 def test_zero_noise_uniform_plan_reduces_to_fedsgd():

@@ -1,6 +1,7 @@
 """Noise calibration, clipping, and budget accounting oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def test_mechanism_kind_constants():
     assert LM.clip_norm == "l1"
     assert MechanismKind.parse("gaussian") is GM
     assert MechanismKind.parse("laplace") is LM
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape(
+            "unknown mechanism 'exponential'; expected 'gaussian' or 'laplace'")):
         MechanismKind.parse("exponential")
 
 

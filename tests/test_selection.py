@@ -66,6 +66,18 @@ def test_phi_lambda_symmetry_and_delta_check():
         compute_phi_lambda(GM, 4, 1.0, 1.0, [1.0], [0.0], [10])
 
 
+@pytest.mark.parametrize("mechanism, clip_bound, c2", [
+    (GM, 1e154, 1.0), (GM, 1.0, 1e154), (LM, 1e154, 1.0)])
+def test_phi_lambda_refuses_a_lambda_that_overflows(mechanism, clip_bound, c2):
+    # each square is finite, but Lambda's product of them with d is not
+    delta = [1e-5] if mechanism is GM else [0.0]
+    with pytest.raises(ParameterError, match=re.escape(
+            f"Lambda overflows at clip_bound = {clip_bound}, c2 = {c2} and model_dim = 6")):
+        compute_phi_lambda(mechanism, 6, clip_bound, c2, [1.0], delta, [10])
+    lam, _ = compute_phi_lambda(mechanism, 6, clip_bound / 10, c2 / 10, [1.0], delta, [10])
+    assert math.isfinite(lam)
+
+
 # ------------------------------------------------------------ approximate plan
 
 def test_approximate_plan_ratio_three_to_one():
