@@ -5,6 +5,7 @@ flags, validation with field-level messages, and reproducible snapshots."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .engine import ALGORITHMS
@@ -92,6 +93,11 @@ class ExperimentConfig:
         for name in ("clip_bound", "c2", "lr_initial", "lr_decay_horizon", "dirichlet_alpha"):
             if not getattr(self, name) > 0:
                 fail(f"{name} must be positive, got {getattr(self, name)}")
+        # at a subnormal bound a rescale's quotient keeps too few bits to land
+        # a row inside the ball (`mechanisms._refine_clipped`)
+        if self.clip_bound < sys.float_info.min:
+            fail(f"clip_bound must be at least the smallest normal float "
+                 f"{sys.float_info.min!r}, got {self.clip_bound!r}")
         if self.loss_cap != _AUTO and self.loss_cap < 0:
             fail(f"loss_cap must be nonnegative or 'auto', got {self.loss_cap}")
         if not 0 < self.epsilon_min <= self.epsilon_max:

@@ -658,6 +658,16 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     and the locally updated model, then divide by eta_t. Otherwise d
     coordinates at the gradient-only sensitivity. Budgets and stage counts
     in `clients` are updated in place.
+
+    The model work is two `model.outputs` calls a round: the output
+    gradients, one segment per run at its weights, and in a loss-reporting
+    round the losses, one segment per reporting responder at its incoming
+    and one at its updated weights. Each makes one BLAS call per weight
+    vector and row slice, the slice a run or a responder would have in a
+    round of its own, since the product's bits depend on the slice it is
+    computed in (see `models`); the rest runs once over all segments. One
+    [0, loss_cap] clip and one division follow, and each segment's loss sum
+    is its own `.sum()`.
     """
     num_runs = len(weights)
     num_clients = len(clients.num_samples) // num_runs
@@ -678,13 +688,12 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
     targets = clients.train.targets.take(rows)
     bounds = run.searchsorted(np.arange(num_runs + 1)).tolist()
     present = [r for r in range(num_runs) if bounds[r] < bounds[r + 1]]
-    # output gradients with each run's weights, one call per run; run r's
-    # rows are edges[bounds[r]]:edges[bounds[r + 1]]
+    # output gradients in one call, one segment per run at the run's
+    # weights: run r's rows are edges[bounds[r]]:edges[bounds[r + 1]]
     edges = [0] + ends.tolist()
-    factors = [model.output_gradients(weights[r], features[edges[bounds[r]]:edges[bounds[r + 1]]],
-                                      targets[edges[bounds[r]]:edges[bounds[r + 1]]])
-               for r in present]
-    factors = factors[0] if len(factors) == 1 else np.concatenate(factors)
+    factors = model.outputs(weights[present], features, targets,
+                            [edges[bounds[r]] for r in present],
+                            [edges[bounds[r + 1]] for r in present])
     # per-sample gradients are rank one, so they are clipped from their factors
     clipped = clip_outer_rows(factors, with_intercept(features), settings.clip)
     means = np.add.reduceat(clipped, starts, axis=0) / counts[:, None]
@@ -729,18 +738,25 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
         if len(reporting):
             # each reporting responder's mean of its per-sample losses, each
             # capped to [0, loss_cap], at its run's weights and at its
-            # locally updated model, on rows cut from the gathered ones; one
-            # check covers every updated model, as `ModelState` checks one
+            # locally updated model: one `outputs` call with two segments per
+            # responder, both over its rows of the gathered ones; one check
+            # covers every updated model, as `ModelState` checks one
             incoming = weights[run[reporting]]
             updated = incoming - steps[reporting]
             if not np.isfinite(updated).all():
                 raise ParameterError("weights must be finite")
-            mean_losses = np.empty((len(reporting), 2))
-            for j, i in enumerate(reporting.tolist()):
-                x, y = features[edges[i]:edges[i + 1]], targets[edges[i]:edges[i + 1]]
-                for m, w in enumerate((incoming[j], updated[j])):
-                    capped = np.clip(model.per_sample_losses(w, x, y), 0.0, loss_cap)
-                    mean_losses[j, m] = capped.sum() / len(capped)
+            sizes = counts[reporting].repeat(2)
+            lows = starts[reporting].repeat(2)
+            # segment s's losses are capped[tops[s] - sizes[s]:tops[s]]
+            tops = sizes.cumsum()
+            seg_targets = targets.take(np.arange(tops[-1]) + (lows - tops + sizes).repeat(sizes))
+            capped = model.outputs(np.stack([incoming, updated], axis=1).reshape(-1, dim),
+                                   features, seg_targets, lows.tolist(), (lows + sizes).tolist(),
+                                   losses=True)
+            np.clip(capped, 0.0, loss_cap, out=capped)
+            # each segment's own sum; np.add.reduceat would add in another order
+            sums = [capped[top - n:top].sum() for top, n in zip(tops.tolist(), sizes.tolist())]
+            mean_losses = np.reshape(sums, (-1, 2)) / counts[reporting, None]
             losses[reporting] = (eta * mean_losses + noise[reporting, dim:]) / eta
 
     if noised_runs:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, StateError
 from .models import outer_rows
 
 
@@ -452,18 +452,23 @@ def _refine_clipped(out: np.ndarray, config: ClipConfig) -> np.ndarray:
     """Rescale, in place, the rows that rounding left just outside the ball.
 
     A rescale can itself land an ulp outside, so the rows still over the
-    bound are rescaled again, at most four times.
+    bound are rescaled again, at most four times. A row still over the bound
+    after that raises a `StateError` rather than leave the clip unsound: at a
+    subnormal bound, where a quotient keeps few bits, l1 rows stayed over it
+    by up to 1e-13 of it.
     """
     norms = _row_norms(out, config.norm_kind)
     rows = np.arange(len(out))
-    for _ in range(4):
+    for rescales in range(5):
         over = norms > config.bound
         if not over.any():
-            break
+            return out
+        if rescales == 4:
+            raise StateError(f"{int(over.sum())} clipped rows are still over the "
+                             f"{config.norm_kind} bound {config.bound!r} after four rescales")
         rows = rows[over]
         out[rows] *= (config.bound / norms[over])[:, None]
         norms = _row_norms(out[rows], config.norm_kind)
-    return out
 
 
 def consume_budget(budget: PrivacyBudget, per_round_epsilon: float,

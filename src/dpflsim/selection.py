@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -237,12 +238,16 @@ def compute_phi_lambda(mechanism: MechanismKind, model_dim: int, clip_bound: flo
     applied one client at a time, and the rest is numpy's elementwise IEEE
     arithmetic (sample counts below 2**26 square exactly in floats). An
     epsilon, clip_bound or c2 whose square overflows is refused, by name, as
-    is a Lambda that overflows.
+    are a model_dim past the float range and a Lambda that overflows.
     """
     if not isinstance(mechanism, MechanismKind):
         raise ParameterError("mechanism must be a MechanismKind")
     if model_dim < 1:
         raise ParameterError("model_dim must be >= 1")
+    if model_dim > sys.float_info.max:
+        # Lambda multiplies it as a float, and int-to-float conversion overflows
+        raise ParameterError(f"model_dim must be at most {sys.float_info.max!r}, the largest "
+                             f"float, got {model_dim}")
     if not (math.isfinite(clip_bound) and clip_bound > 0 and math.isfinite(c2) and c2 > 0):
         raise ParameterError(f"clip_bound and c2 must be positive and finite, got "
                              f"clip_bound={clip_bound}, c2={c2}")

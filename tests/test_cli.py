@@ -861,12 +861,15 @@ def _plan_args(tmp_path, *extra, roster=None):
     ("--clients-per-round", "3", "--clients-per-round must lie in 1..2, the roster's clients"),
     ("--rounds", "0", "--rounds must be >= 1, got 0"),
     ("--model-dim", "0", "model_dim must be >= 1"),
+    ("--model-dim", "1" + "0" * 400,
+     "model_dim must be at most 1.7976931348623157e+308, the largest float, got 1" + "0" * 400),
 ], ids=["no-clients-per-round", "more-clients-per-round-than-clients", "no-rounds",
-        "no-model-dim"])
+        "no-model-dim", "model-dim-past-float-range"])
 def test_plan_refuses_flags_out_of_range(tmp_path, capsys, flag, value, message):
     # the plan's own flags are checked against the roster, not left to the
     # plan solver or to a plan that no sampler can carry out; the model
-    # dimension is checked where Lambda is computed
+    # dimension is checked where Lambda is computed, and one past the float
+    # range exits 1 by name, not 2 from the int-to-float conversion
     assert main(_plan_args(tmp_path, flag, value)) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "plan.csv").exists()

@@ -23,6 +23,9 @@ CSV = dict(dataset="csv", csv_path="data.csv", csv_target_column="y",
 REFUSALS = [
     ("clip_bound-clip_bound", "clip_bound", dict(clip_bound=math.inf),
      "clip_bound must be finite, got inf"),
+    ("clip_bound-mechanism-delta_min-delta_max-clip_bound", "clip_bound",
+     dict(mechanism="laplace", delta_min=0.0, delta_max=0.0, clip_bound=1e-310),
+     "clip_bound must be at least the smallest normal float 2.2250738585072014e-308"),
     ("algorithm-algorithm", "algorithm", dict(algorithm="sgd"), "algorithm must be one of"),
     ("estimation_rounds-estimation_rounds0", "estimation_rounds",
      dict(estimation_rounds=200), "need 1 <= estimation_rounds < total"),

@@ -528,6 +528,32 @@ def test_runs_never_materialize_per_sample_gradients(monkeypatch):
     assert calls == {"gradients": 1, "clip": 1}
 
 
+@pytest.mark.parametrize("dataset", ["synthetic_regression", "synthetic_classification"])
+def test_lockstep_rounds_make_two_outputs_calls_and_no_per_sample_losses(monkeypatch, dataset):
+    # a lock-step round's model work is one segmented `outputs` call for the
+    # output gradients and, in a loss-reporting round, one for the losses;
+    # the one-segment `per_sample_losses` and `output_gradients` stay off it
+    calls = {"outputs": 0, "losses": 0, "gradients": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for kind in (LinearRegression, LogisticRegression):
+        for key, name in (("outputs", "outputs"), ("losses", "per_sample_losses"),
+                          ("gradients", "output_gradients")):
+            monkeypatch.setattr(kind, name, counting(key, getattr(kind, name)))
+    cfg = ExperimentConfig(dataset=dataset, num_clients=8, clients_per_round=3,
+                           total_rounds=6, estimation_rounds=3, num_samples=240,
+                           test_samples=40, seed=4)
+    summary = run_comparison(cfg, ["dpfl_bcs", "uniform_dp"], num_seeds=2)
+    assert len(summary.rows) == 2
+    # every round selects someone, and the first T0 rounds report losses
+    assert calls == {"outputs": 6 + 3, "losses": 0, "gradients": 0}
+
+
 def test_randomness_is_drawn_per_round_not_per_responder(monkeypatch):
     # at most one selection and one noise generator installed per round, and
     # one noise draw call for all responders together

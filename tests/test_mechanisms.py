@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dpflsim.errors import ParameterError
+from dpflsim.errors import ParameterError, StateError
 from dpflsim.models import outer_rows, with_intercept
 from dpflsim.mechanisms import (
     ClipConfig,
@@ -290,6 +290,19 @@ def test_clip_outer_rows_validation():
     with pytest.raises(ParameterError):
         clip_outer_rows(np.ones((3, 1)), inputs, cfg)
     assert clip_outer_rows(np.zeros((0, 2)), np.zeros((0, 3)), cfg).shape == (0, 6)
+
+
+def test_clip_outer_rows_refuses_rows_left_over_a_subnormal_bound():
+    # at a subnormal l1 bound a rescale's quotient keeps too few bits, and
+    # rows stay over the bound after the refinement's passes: the clip raises
+    # rather than release them (the config refuses such a bound first)
+    rng = np.random.default_rng(0)
+    factors = rng.normal(size=(200, 1))
+    inputs = with_intercept(rng.normal(size=(200, 3)))
+    with pytest.raises(StateError, match=r"still over the l1 bound 1e-310 after four"):
+        clip_outer_rows(factors, inputs, ClipConfig(1e-310, "l1"))
+    clipped = clip_outer_rows(factors, inputs, ClipConfig(1e-310, "l2"))
+    assert np.all(_row_norms(clipped, "l2") <= 1e-310)
 
 
 def test_consume_budget_exact_division():

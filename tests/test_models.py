@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpflsim.errors import ParameterError
 from dpflsim.models import LinearRegression, LogisticRegression, ModelState, with_intercept
@@ -87,6 +89,51 @@ def test_gradients_are_outer_products_of_output_gradients():
         assert np.array_equal(outer, expected)
         assert np.array_equal(model.per_sample_gradients(weights, features, targets),
                               expected)
+
+
+def _slice_outputs(model, weights, features, targets):
+    """(output gradients, per-sample losses) of one weight vector on one row
+    slice, written out as a plain expression of that slice."""
+    if isinstance(model, LinearRegression):
+        resid = features @ weights[:-1] + weights[-1] - targets
+        return 2.0 * resid[:, None], resid * resid
+    picked = (np.arange(len(targets)), targets.astype(int))
+    probs = model._probs(weights, features)
+    losses = -np.log(np.maximum(probs[picked], 1e-12))
+    probs[picked] -= 1.0
+    return probs, losses
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.integers(1, 8), st.integers(2, 11), st.integers(1, 400),
+       st.lists(st.tuples(st.integers(0, 399), st.integers(0, 120)), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_segmented_outputs_equal_per_slice_expressions(classification, feature_dim, classes,
+                                                       rows, segments, seed):
+    # segments at any row offset, odd ones included, and overlapping: each
+    # segment's rows have the bits of the plain expression on its own slice,
+    # whose BLAS product a product over more rows would not reproduce
+    gen = np.random.default_rng(seed)
+    if classification:
+        model = LogisticRegression(feature_dim, classes)
+        targets = gen.integers(0, classes, size=rows).astype(float)
+    else:
+        model = LinearRegression(feature_dim)
+        targets = gen.normal(scale=3.0, size=rows)
+    features = gen.normal(scale=gen.uniform(0.1, 10.0), size=(rows, feature_dim))
+    starts = [min(lo, rows - 1) for lo, _ in segments]
+    ends = [min(lo + size, rows) for lo, (_, size) in zip(starts, segments)]
+    weights = gen.normal(scale=gen.uniform(0.1, 30.0), size=(len(starts), model.dim))
+    seg_targets = np.concatenate([targets[lo:hi] for lo, hi in zip(starts, ends)])
+    gradients = model.outputs(weights, features, seg_targets, starts, ends)
+    losses = model.outputs(weights, features, seg_targets, starts, ends, losses=True)
+    at = 0
+    for w, lo, hi in zip(weights, starts, ends):
+        expected = _slice_outputs(model, w, features[lo:hi], targets[lo:hi])
+        assert gradients[at:at + hi - lo].tobytes() == expected[0].tobytes()
+        assert losses[at:at + hi - lo].tobytes() == expected[1].tobytes()
+        at += hi - lo
+    assert at == len(gradients) == len(losses)
 
 
 def _metrics_of_one(model, weights, features, targets) -> tuple:
