@@ -579,18 +579,22 @@ class ClientArrays:
         learning rate with the public primitives, whose checks raise unless
         each stage epsilon is positive, each stage delta in (0, 1) for the
         Gaussian mechanism or in [0, 1) for the Laplace one, each planned
-        count and sample count at least 1 and each slice nonnegative.
+        count and sample count at least 1 and each slice nonnegative, and
+        refuse a sensitivity or scale that overflows (`_refuse_overflow`).
         """
         mech = settings.mechanism
-        sens = gradient_sensitivity(mech, 1.0, settings.clip_bound, self.num_samples[ids],
-                                    settings.loss_cap, include_loss_terms=True)
-        epsilon, delta, planned = (self.stage_epsilon[ids], self.stage_delta[ids],
-                                   self.planned[ids])
-        if mech is MechanismKind.GAUSSIAN:
-            scale = gaussian_sigma(sens, epsilon, delta, planned, settings.c2)
-        else:
-            _check("stage delta", delta, "in [0, 1)")
-            scale = laplace_scale(sens, epsilon, planned)
+        with np.errstate(over="ignore"):
+            sens = gradient_sensitivity(mech, 1.0, settings.clip_bound, self.num_samples[ids],
+                                        settings.loss_cap, include_loss_terms=True)
+            _refuse_overflow("sensitivity", sens, ids, settings)
+            epsilon, delta, planned = (self.stage_epsilon[ids], self.stage_delta[ids],
+                                       self.planned[ids])
+            if mech is MechanismKind.GAUSSIAN:
+                scale = gaussian_sigma(sens, epsilon, delta, planned, settings.c2)
+            else:
+                _check("stage delta", delta, "in [0, 1)")
+                scale = laplace_scale(sens, epsilon, planned)
+        _refuse_overflow("scale", scale, ids, settings)
         NoiseSpec(mech, sens, scale, self.slice_epsilon[ids], self.slice_delta[ids], planned)
 
     def _calibrates(self, n: int, settings: RunSettings) -> bool:
@@ -604,6 +608,17 @@ class ClientArrays:
         """Mask of the entries a DP run may select: not exhausted and still
         under the stage's plan."""
         return ~self.exhausted & (self.stage_count < self.planned)
+
+
+def _refuse_overflow(name: str, values: np.ndarray, ids: np.ndarray,
+                     settings: RunSettings) -> None:
+    """Refuse a noise `name` of clients `ids` past float range, naming the
+    first such client and the settings that scale every client's noise."""
+    if not np.isfinite(values).all():
+        n = ids[np.argmin(np.isfinite(values))]
+        raise ParameterError(f"client {n}'s noise {name} overflows at clip_bound = "
+                             f"{settings.clip_bound}, loss_cap = {settings.loss_cap} and "
+                             f"c2 = {settings.c2}")
 
 
 @dataclass(frozen=True)
@@ -908,10 +923,9 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     call for every run to each of `sample_selection`, `client_round`,
     `aggregate` and the model's `metrics`, then each run records the round
     and, at T0, replans on its own. An exception of any run ends the whole
-    call. One raised in a run's own step (its set-up, round record, replan
-    or ledger check), and the non-finite weights of a run's update, carry
-    `failed_run = (seed, algorithm)` naming that run; one raised in a shared
-    call carries none.
+    call and names no run. A run alone is byte-identical to its run here,
+    so `harness.run_comparison` names one by rerunning the runs one by one,
+    seeds in order and then algorithms: the first that fails alone.
     `on_round(record)`, if given, is called with each run's `RoundRecord` as
     the run finishes the round, seeds in order and each seed's runs in the
     order of `algorithms`.
@@ -944,15 +958,8 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     num_seeds, width = len(seeds), len(algorithms)
     probabilities = np.empty((len(views), num_clients))
     weights = np.empty((len(views), model.dim))
-    runs = []
-    for g, view in enumerate(views):
-        seed, algorithm = seeds[g // width], algorithms[g % width]
-        try:
-            runs.append(_Run(problems[g // width], settings, algorithm, seed, view,
-                             probabilities[g], weights[g]))
-        except Exception as exc:
-            exc.failed_run = (seed, algorithm)
-            raise
+    runs = [_Run(problems[g // width], settings, algorithms[g % width], seeds[g // width],
+                 view, probabilities[g], weights[g]) for g, view in enumerate(views)]
     seed_of = [g // width for g in range(len(runs))]
     dp = np.array([run.dp for run in runs])
     two_stage = np.array([run.two_stage for run in runs])
@@ -992,9 +999,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
             _weighted(ids, release.gradients, block.epsilon, num_clients, weiavg, batch,
                       bounds), divisors[rows], [bounds[g] for g in batch])
         if not np.isfinite(weights[rows]).all():
-            exc = ParameterError("weights must be finite")
-            runs[next(g for g in batch if not np.isfinite(weights[g]).all())].blame(exc)
-            raise exc
+            raise ParameterError("weights must be finite")
         losses, accuracies = model.metrics(weights.reshape(num_seeds, width, model.dim),
                                            test_features, test_targets)
         losses = losses.ravel().tolist()
@@ -1003,21 +1008,11 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
         local_ids = (ids % num_clients).tolist()
         for g in batch:
             run, lo, hi = runs[g], bounds[g], bounds[g + 1]
-            try:
-                record = run.record(t, local_ids[lo:hi],
-                                    None if release.losses is None else release.losses[lo:hi],
-                                    losses[g], accuracies[g])
-                run.finish(t, record, on_round)
-            except Exception as exc:
-                run.blame(exc)
-                raise
-    results = []
-    for run in runs:
-        try:
-            results.append(run.result())
-        except Exception as exc:
-            run.blame(exc)
-            raise
+            record = run.record(t, local_ids[lo:hi],
+                                None if release.losses is None else release.losses[lo:hi],
+                                losses[g], accuracies[g])
+            run.finish(t, record, on_round)
+    results = [run.result() for run in runs]
     return [results[p * width:(p + 1) * width] for p in range(num_seeds)]
 
 
@@ -1099,10 +1094,6 @@ class _Run:
         self.records = []
         self.plan2 = self.est_params = None
         self.ended = self.ended_early = False
-
-    def blame(self, exc: Exception) -> None:
-        """Name this run as the one whose own step raised `exc`."""
-        exc.failed_run = (self.seed, self.algorithm)
 
     def _end_early(self, reason: str, *args) -> None:
         logger.info(reason, *args)

@@ -221,7 +221,7 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
         try:
             batch_results = run_lockstep_seeds(problems, batch_seeds, settings, algorithms)
         except Exception as exc:
-            _name_failed_run(exc, algorithms, batch, settings)
+            _name_failing_run(exc, algorithms, batch, settings)
         for seed_done, results in zip(batch_seeds, batch_results):
             for alg, result in zip(algorithms, results):
                 if out_dir:
@@ -244,17 +244,13 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     return summary
 
 
-def _name_failed_run(exc: Exception, algorithms, batch: list, settings: RunSettings):
-    """Raise a StateError naming the run whose failure ended the lock-step
-    batch of (seed, problem) pairs `batch` with `exc`. A failure in a run's
-    own step names its run (`failed_run`). One in the batch's shared client
-    round names none, so the batch's seeds rerun in order, each algorithm
-    alone, and the first to fail is named; a failure of no run alone names
-    the batch's seeds and algorithms."""
-    failed = getattr(exc, "failed_run", None)
-    if failed is not None:
-        seed, alg = failed
-        raise StateError(f"algorithm {alg!r} failed at seed {seed}: {exc}") from exc
+def _name_failing_run(exc: Exception, algorithms, batch: list, settings: RunSettings):
+    """Raise a StateError naming a failed run of the lock-step batch of
+    (seed, problem) pairs `batch`, which ended with `exc`. A run alone is
+    byte-identical to its run in the batch, so the batch's runs rerun one by
+    one, seeds in order and each seed's algorithms in the order of
+    `algorithms`, and the first to fail alone is named with its own error;
+    a failure of no run alone names the batch's seeds and algorithms."""
     for seed, problem in batch:
         for alg in algorithms:
             try:

@@ -161,6 +161,26 @@ def test_run_refuses_a_lambda_that_overflows(tmp_path, capsys, force_uniform_pla
     assert [json.loads(line)["kind"] for line in lines] == ["header"] + ["round"] * round_lines
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["loss_cap=1e308"], "noise sensitivity overflows at clip_bound = 1.0, "
+                         "loss_cap = 1e+308 and c2 = 1.0"),
+    (["algorithm=uniform_dp", "c2=1e300", "clip_bound=1e300"],
+     "noise scale overflows at clip_bound = 1e+300, loss_cap = 10.0 and c2 = 1e+300"),
+])
+def test_run_refuses_noise_that_overflows(tmp_path, capsys, overrides, message):
+    # a noise calibration past float range names the fields that scale the
+    # noise, not the inf it computed; every RuntimeWarning fails a test, so
+    # the calibration leaks none
+    args = ["run", "--set", "total_rounds=4", "--set", "estimation_rounds=2",
+            "--out", str(tmp_path / "o")]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: stage 1: clients \[0, [\d, ]+\] cannot be noised: client 0's "
+                    + re.escape(message) + "\n$", err)
+
+
 # N = 2, K = 1, T = 8, T0 = 3 with budgets in [1e-16, 1e-14]: a slice of
 # epsilon_min / (K * T) = 1.25e-17 lies under the 1e-15 exhaustion floor, and
 # dpfl_bcs ran out of budget before its plan, ending at round 6 or 7

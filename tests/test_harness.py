@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,13 +314,9 @@ def test_comparison_batch_failure_names_the_seed_and_writes_no_history(monkeypat
         batches.append(list(seeds))
         return real_seeds(problems, seeds, *args)
 
-    def no_rerun(*args, **kwargs):
-        raise AssertionError("a failure in a run's own step needs no rerun")
-
     monkeypatch.setattr(harness, "build_problem", recording_build)
     monkeypatch.setattr(engine._Run, "finish", flaky)
     monkeypatch.setattr(harness, "run_lockstep_seeds", recording_seeds)
-    monkeypatch.setattr(harness, "dispatch_run", no_rerun)
     with pytest.raises(StateError, match="algorithm 'weiavg' failed at seed 43: boom"):
         run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "out")
     assert batches == [[42, 43]]
@@ -359,6 +356,47 @@ def test_comparison_client_round_failure_reruns_the_batch_to_name_the_seed(monke
     with pytest.raises(StateError, match=r"failed together at seeds \[42, 43\]: boom"):
         run_comparison(_config(), ["fedsgd", "weiavg"], num_seeds=2, out_dir=tmp_path / "two")
     assert list((tmp_path / "two").iterdir()) == []
+
+
+def test_comparison_names_the_run_whose_weights_turn_non_finite(monkeypatch, tmp_path):
+    # an infinite release reaches seed 43's uniform_dp run only, in its batch
+    # and alone: the engine names no run, and the rerun names this one
+    built = []
+    real_build = harness.build_problem
+
+    def recording_build(config):
+        built.append(real_build(config))
+        return built[-1]
+
+    real_round = engine.client_round
+
+    def poisoning(clients, ids, model, weights, eta, streams, settings, report, dp):
+        release = real_round(clients, ids, model, weights, eta, streams, settings, report, dp)
+        # run g of the batch is algorithm g % 2 at seed 42 + g // 2; a lone
+        # problem's block reads its problem's rows as they are
+        runs = np.asarray(ids) // 6
+        alone = [p for p, problem in enumerate(built) if clients.train is problem.train]
+        seeds = 42 + (alone[0] if alone else runs // 2)
+        release.gradients[(seeds == 43) & np.asarray(dp)[runs]] = np.inf
+        return release
+
+    monkeypatch.setattr(harness, "build_problem", recording_build)
+    monkeypatch.setattr(engine, "client_round", poisoning)
+    with pytest.raises(StateError, match="algorithm 'uniform_dp' failed at seed 43: "
+                                         "weights must be finite"):
+        run_comparison(_config(), ["fedsgd", "uniform_dp"], num_seeds=2,
+                       out_dir=tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_comparison_names_the_first_seed_whose_lambda_overflows(tmp_path):
+    # a real input: at clip_bound = 1e154 dpfl_bcs's Lambda overflows at set-up
+    # for every seed, so the rerun names the first seed's dpfl_bcs
+    with pytest.raises(StateError, match=re.escape(
+            "algorithm 'dpfl_bcs' failed at seed 42: Lambda overflows at clip_bound = 1e+154")):
+        run_comparison(_config(clip_bound=1e154), ["dpfl_bcs", "uniform_dp"], num_seeds=2,
+                       out_dir=tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_comparison_derives_each_round_stream_once_per_seed(monkeypatch):
