@@ -15,10 +15,6 @@ from .mechanisms import MechanismKind, exhaustion_floor
 MECHANISM_CHOICES = tuple(kind.value for kind in MechanismKind)
 DATASET_CHOICES = ("synthetic_regression", "synthetic_classification", "csv")
 
-# loss_cap accepts the literal "auto": ln(num_classes) for classification
-# (the capped loss of a uniform guess), 10.0 for regression.
-_AUTO = -1.0
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -29,7 +25,9 @@ class ExperimentConfig:
     total_rounds: int = 200
     estimation_rounds: int = 10
     clip_bound: float = 1.0
-    loss_cap: float = _AUTO
+    # "auto", the literal the config text takes too: ln(num_classes) for
+    # classification (the capped loss of a uniform guess), 10.0 for regression
+    loss_cap: float | str = "auto"
     c2: float = 1.0
     lr_initial: float = 0.05
     lr_decay_horizon: float = 200.0
@@ -56,7 +54,7 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def resolved_loss_cap(self) -> float:
-        if self.loss_cap != _AUTO:
+        if self.loss_cap != "auto":
             return self.loss_cap
         if self.dataset == "synthetic_classification":
             return math.log(self.num_classes)
@@ -70,7 +68,7 @@ class ExperimentConfig:
         # are written as `x < 0`; infinities overflow the run's arithmetic
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type.startswith("float") and value != "auto" and not math.isfinite(value):
                 fail(f"{f.name} must be finite, got {value}")
         if self.algorithm not in ALGORITHMS:
             fail(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
@@ -98,7 +96,7 @@ class ExperimentConfig:
         if self.clip_bound < sys.float_info.min:
             fail(f"clip_bound must be at least the smallest normal float "
                  f"{sys.float_info.min!r}, got {self.clip_bound!r}")
-        if self.loss_cap != _AUTO and self.loss_cap < 0:
+        if self.loss_cap != "auto" and self.loss_cap < 0:
             fail(f"loss_cap must be nonnegative or 'auto', got {self.loss_cap}")
         if not 0 < self.epsilon_min <= self.epsilon_max:
             fail(f"need 0 < epsilon_min <= epsilon_max, got "
@@ -215,10 +213,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     for key, raw in mapping.items():
         if key not in by_name:
             raise ConfigError(f"unknown config key {key!r}")
-        ftype = by_name[key].type
+        # loss_cap's "float | str" parses as a float, but for "auto"
+        ftype = by_name[key].type.removesuffix(" | str")
         try:
             if key == "loss_cap" and str(raw).strip().lower() == "auto":
-                kwargs[key] = _AUTO
+                kwargs[key] = "auto"
             elif ftype == "bool":
                 kwargs[key] = _parse_bool(key, str(raw))
             elif ftype == "int":

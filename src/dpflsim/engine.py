@@ -1052,7 +1052,9 @@ def _weighted(ids: np.ndarray, gradients: np.ndarray, epsilon: np.ndarray, num_c
 class _Run:
     """One algorithm's run inside `run_lockstep_seeds`: its plans, records
     and stages, over its own view of the block's client columns and its own
-    rows of the batch's selection probabilities and weights."""
+    rows of the batch's selection probabilities and weights. A dpfl_bcs run
+    replans on its own at T0 (`_replan`), from its stage-one records and its
+    clients' remaining budgets."""
 
     def __init__(self, problem: FederatedProblem, settings: RunSettings, algorithm: str,
                  seed: int, clients: ClientArrays, select_probs: np.ndarray,
@@ -1068,19 +1070,14 @@ class _Run:
         self.dp = settings.dp_enabled and algorithm != "fedsgd"
         self.epsilon_at_start = clients.epsilon_remaining.copy()
 
-        # (Lambda, Phi_n) at the incoming budgets, computed once when a plan
-        # first needs them
-        self.initial_constants = None
-        self.uniform_probs = np.full(num_clients, 1.0 / num_clients)
         if self.two_stage and not settings.force_uniform_plan:
-            self.initial_constants = _initial_constants(clients, settings, model.dim)
-            self.plan1 = approximate_plan(self.initial_constants[1], k * total_rounds,
+            self.plan1 = approximate_plan(self.incoming_constants[1], k * total_rounds,
                                           settings.mechanism.noise_exponent,
                                           per_round_selected=k)
             select_probs[:] = self.plan1.probabilities
         else:
             self.plan1 = _uniform_plan(num_clients, total_rounds, k)
-            select_probs[:] = self.uniform_probs
+            select_probs[:] = 1.0 / num_clients
         # the batch's row, which a replan rewrites
         self.select_probs = select_probs
         clients.install(self.plan1.counts, settings if self.dp else None)
@@ -1099,20 +1096,24 @@ class _Run:
         logger.info(reason, *args)
         self.ended = self.ended_early = True
 
-    def reports(self, t: int) -> bool:
-        """Whether round t's responders report their losses."""
-        return self.two_stage and t <= self.settings.estimation_rounds
+    @cached_property
+    def incoming_constants(self) -> tuple[float, np.ndarray]:
+        """(Lambda, Phi_n) of every client at its incoming budget, computed
+        where a plan first needs them: at set-up for a fitted stage-one plan,
+        else at the replan's fit."""
+        settings, clients = self.settings, self.clients
+        return compute_phi_lambda(settings.mechanism, self.problem.model.dim,
+                                  settings.clip_bound, settings.c2, clients.epsilon,
+                                  clients.delta, clients.num_samples)
 
     def record(self, t: int, responders: list, losses: np.ndarray | None,
                test_loss: float, test_accuracy: float | None) -> RoundRecord:
         """Round t's record: its responders' client ids, their loss reports in a
         loss-reporting round, and the test metrics at the updated weights."""
         responders = tuple(responders)
-        if self.reports(t):
-            losses = dict(zip(responders, map(tuple, losses.tolist())))
-        else:
-            losses = None
-        stage = 1 if (not self.two_stage or t <= self.settings.estimation_rounds) else 2
+        reporting = self.two_stage and t <= self.settings.estimation_rounds
+        losses = dict(zip(responders, map(tuple, losses.tolist()))) if reporting else None
+        stage = 2 if self.two_stage and not reporting else 1
         return RoundRecord(t, stage, responders, losses, test_loss, test_accuracy)
 
     def finish(self, t: int, record: RoundRecord, on_round) -> None:
@@ -1121,23 +1122,53 @@ class _Run:
         if self.trajectory is not None:
             self.trajectory.append(self.weights.copy())
         self.records.append(record)
-        logger.info("round %d stage %d |S|=%d test_loss=%.6f", t, record.stage,
+        logger.info("round %d stage %d |S|=%d test_loss=%.6g", t, record.stage,
                     len(record.selected), record.test_loss)
         if on_round is not None:
             on_round(record)
 
         if self.two_stage and t == settings.estimation_rounds:
             self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
-            self.plan2, self.est_params, self.select_probs[:] = _replan(
-                self.problem, settings, clients, self.initial_constants,
-                StageOneLog.from_rounds(r.losses for r in self.records), self.dp,
-                self.uniform_probs)
+            self.plan2, self.est_params = self._replan(
+                StageOneLog.from_rounds(r.losses for r in self.records))
             if self.plan2 is None:
                 self._end_early("no client can fund stage two, ending run early")
                 return
+            if not settings.force_uniform_plan:
+                self.select_probs[:] = self.plan2.probabilities
             clients.install(self.plan2.counts, settings if self.dp else None)
             self.stage2_slices = clients.slice_epsilon.copy()
             self.epsilon_at_replan = clients.epsilon_remaining.copy()
+
+    def _replan(self, log: StageOneLog) -> tuple:
+        """(plan, fit) at t = T0: the bound's parameters fitted to the
+        stage-one log, and the stage-two plan over the clients that can still
+        be noised, or no plan when there are none. Under `force_uniform_plan`
+        the plan is the uniform one."""
+        settings, clients = self.settings, self.clients
+        mech = settings.mechanism
+        z, k = mech.noise_exponent, settings.clients_per_round
+        num_clients = self.problem.num_clients
+        horizon = settings.total_rounds - settings.estimation_rounds
+        lam, phi = self.incoming_constants
+        est = fit_stage_one(log, lam, phi, k, z)
+        if settings.force_uniform_plan:
+            return _uniform_plan(num_clients, horizon, k), est
+
+        active = np.arange(num_clients)
+        if self.dp:
+            funded = mech is MechanismKind.LAPLACE or clients.delta_remaining > 0
+            active = np.flatnonzero(~clients.exhausted & funded)
+            if len(active) == 0:
+                return None, est
+            _, phi = compute_phi_lambda(
+                mech, self.problem.model.dim, settings.clip_bound, settings.c2,
+                clients.epsilon_remaining[active], clients.delta_remaining[active],
+                clients.num_samples[active], client_ids=active)
+        params = replace(est, phi_n=phi, gamma_hat_n=winsorize_upper(est.gamma_hat_n)[active])
+        counts = np.zeros(num_clients, dtype=int)
+        counts[active] = optimal_plan(params, horizon, k, z).counts
+        return SelectionPlan(counts, horizon, k), est
 
     def result(self) -> RunResult:
         """The run's result, after checking its privacy ledger."""
@@ -1194,19 +1225,11 @@ def _check_ledger(clients: ClientArrays, epsilon_at_start: np.ndarray,
         raise StateError(f"clients {bad.tolist()} trained after exhausting their budget")
 
 
-def _initial_constants(clients: ClientArrays, settings: RunSettings,
-                       model_dim: int) -> tuple[float, np.ndarray]:
-    """(Lambda, Phi_n) of every client at its incoming budget."""
-    return compute_phi_lambda(settings.mechanism, model_dim, settings.clip_bound,
-                              settings.c2, clients.epsilon, clients.delta,
-                              clients.num_samples)
-
-
 def fit_stage_one(log: StageOneLog, lam: float, phi: np.ndarray, k: int,
                   z: int) -> EstimatedParams:
     """Fit the bound's parameters to a stage-one log of T0 = log.num_rounds
     rounds over N = len(phi) clients, with (Lambda, Phi_n) at the incoming
-    budgets. The run's replan and the offline replay both call it, so the two
+    budgets. `_Run._replan` and the offline replay both call it, so the two
     agree bit for bit. Both give it T0 >= 2, K >= 1, a nonempty report per
     round, ids in 0..N-1 and finite losses, and it checks none of them. It
     refuses a Phi_n that overflowed (an epsilon whose square underflows),
@@ -1220,47 +1243,3 @@ def fit_stage_one(log: StageOneLog, lam: float, phi: np.ndarray, k: int,
     rho_hat = estimate_rho_min(log, k, t0)
     observed = observed_stage_loss(log, t0)
     return estimate_problem_params(observed, log, lam, phi, gamma_hat, rho_hat, k, z)
-
-
-def _replan(problem: FederatedProblem, settings: RunSettings, clients: ClientArrays,
-            initial_constants, log: StageOneLog, dp: bool, uniform_probs: np.ndarray):
-    """Estimate bound parameters and solve the stage-two plan at t = T0.
-
-    `initial_constants` is (Lambda, Phi_n) at the incoming budgets, or None
-    when stage one did not need them."""
-    model = problem.model
-    mech = settings.mechanism
-    z = mech.noise_exponent
-    k = settings.clients_per_round
-    num_clients = problem.num_clients
-    horizon = settings.total_rounds - settings.estimation_rounds
-
-    lam, phi_initial = initial_constants or _initial_constants(clients, settings, model.dim)
-    est = fit_stage_one(log, lam, phi_initial, k, z)
-
-    if settings.force_uniform_plan:
-        plan2 = _uniform_plan(num_clients, horizon, k)
-        return plan2, est, uniform_probs
-
-    if dp:
-        funded = mech is MechanismKind.LAPLACE or clients.delta_remaining > 0
-        active = np.flatnonzero(~clients.exhausted & funded)
-    else:
-        active = np.arange(num_clients)
-    if len(active) == 0:
-        return None, est, uniform_probs
-
-    if dp:
-        _, phi_active = compute_phi_lambda(
-            mech, model.dim, settings.clip_bound, settings.c2,
-            clients.epsilon_remaining[active], clients.delta_remaining[active],
-            clients.num_samples[active], client_ids=active)
-    else:
-        phi_active = phi_initial[active]
-    gamma_for_plan = winsorize_upper(est.gamma_hat_n)
-    params_active = replace(est, phi_n=phi_active, gamma_hat_n=gamma_for_plan[active])
-    sub = optimal_plan(params_active, horizon, k, z)
-    counts = np.zeros(num_clients, dtype=int)
-    counts[active] = sub.counts
-    plan2 = SelectionPlan(counts, horizon, k)
-    return plan2, est, plan2.probabilities

@@ -233,9 +233,13 @@ def run_comparison(config: ExperimentConfig, algorithms, num_seeds: int,
     rows = []
     for alg in algorithms:
         values = np.asarray(finals[alg], dtype=float)
-        std = float(np.std(values, ddof=1)) if num_seeds > 1 else 0.0
-        rows.append(ComparisonRow(alg, config.mechanism, float(values.mean()), std,
-                                  num_seeds))
+        # the summary of values / 2**e scaled back by 2**e, with 2**e past the
+        # largest |final|: exact, and the std's squares cannot overflow
+        e = math.frexp(float(np.abs(values).max()))[1]
+        scaled = np.ldexp(values, -e)
+        std = float(np.ldexp(np.std(scaled, ddof=1), e)) if num_seeds > 1 else 0.0
+        rows.append(ComparisonRow(alg, config.mechanism, float(np.ldexp(scaled.mean(), e)),
+                                  std, num_seeds))
     summary = ComparisonSummary(
         rows=rows, finals={a: np.asarray(v, dtype=float) for a, v in finals.items()},
         seeds=seeds)

@@ -100,7 +100,9 @@ def test_run_rejects_estimation_rounds_at_total(tmp_path, capsys):
     assert "estimation_rounds" in err and "total_rounds" in err
 
 
-FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
+# loss_cap is "float | str", its one string being "auto"
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)
+                if f.type.startswith("float")]
 
 
 def test_float_fields_cover_the_config():
@@ -124,6 +126,15 @@ def test_run_rejects_non_finite_override(tmp_path, capsys, override):
     name, _, value = override.partition("=")
     assert main(["run", "--set", override, "--out", str(tmp_path / "o")]) == 1
     assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_refuses_a_negative_loss_cap(tmp_path, capsys):
+    # -1 is a negative cap, refused before any output is written, not "auto"
+    # (whose sentinel was once -1.0, so the run went ahead with a cap of 10.0)
+    assert main(["run", "--set", "loss_cap=-1", "--out", str(tmp_path / "o")]) == 1
+    assert ("error: loss_cap must be nonnegative or 'auto', got -1.0"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

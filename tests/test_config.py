@@ -41,6 +41,9 @@ REFUSALS = [
      "lr_initial must be positive"),
     ("loss_cap-loss_cap", "loss_cap", dict(loss_cap=-2.0),
      "loss_cap must be nonnegative or 'auto'"),
+    # -1.0 is a negative cap, not "auto"
+    ("loss_cap-loss_cap1", "loss_cap", dict(loss_cap=-1.0),
+     "loss_cap must be nonnegative or 'auto', got -1.0"),
     ("epsilon_min-epsilon_min0", "epsilon_min", dict(epsilon_min=4.0),
      "need 0 < epsilon_min <= epsilon_max"),
     ("epsilon_min-epsilon_min1", "epsilon_min", dict(epsilon_min=1e-16),

@@ -1054,6 +1054,30 @@ def test_lockstep_runs_equal_runs_of_their_own(mechanism):
         assert got.weight_trajectory.tobytes() == alone.weight_trajectory.tobytes()
 
 
+@pytest.mark.parametrize("force_uniform_plan", [False, True])
+def test_lockstep_dpfl_bcs_run_computes_its_incoming_constants_once(monkeypatch,
+                                                                    force_uniform_plan):
+    # (Lambda, Phi_n) at the incoming budgets is the call with no client ids:
+    # each dpfl_bcs run makes it once, where a plan first needs it (at set-up
+    # for a fitted plan, at the replan's fit under the uniform plan), and a
+    # baseline never; a fitted replan adds one call over its active clients
+    real, calls = engine.compute_phi_lambda, []
+
+    def counting(*args, client_ids=None):
+        calls.append(client_ids)
+        return real(*args, client_ids=client_ids)
+
+    monkeypatch.setattr(engine, "compute_phi_lambda", counting)
+    problems = [_problem(num_clients=6, seed=seed) for seed in (0, 1)]
+    settings = _settings(force_uniform_plan=force_uniform_plan)
+    batch = engine.run_lockstep_seeds(problems, [4, 5], settings, engine.ALGORITHMS)
+    bcs = [result for results in batch for result in results if result.algorithm == "dpfl_bcs"]
+    assert len(bcs) == 2 and all(r.estimated_params is not None for r in bcs)
+    assert all(r.plan_stage2 is not None for r in bcs)
+    assert sum(ids is None for ids in calls) == 2
+    assert sum(ids is not None for ids in calls) == (0 if force_uniform_plan else 2)
+
+
 def test_lockstep_run_that_ends_leaves_the_others_running():
     # every client arrives with its budget spent: the DP runs end in round 1
     # with nothing selected, and fedsgd, which ignores budgets, runs on alone

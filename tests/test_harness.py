@@ -235,6 +235,22 @@ def test_comparison_single_row_std_zero(tmp_path):
     assert len(lines) == 2
 
 
+def test_comparison_summary_of_finals_near_the_float_range_is_finite():
+    # uniform_dp at clip_bound = 1e154 trains to finite test losses near
+    # 1e306, whose deviations' squares overflow in np.std (std = inf, and a
+    # RuntimeWarning, which fails a test here) unless the summary scales them
+    summary = run_comparison(ExperimentConfig(
+        num_clients=6, clients_per_round=2, total_rounds=10, estimation_rounds=3,
+        num_samples=300, test_samples=80, feature_dim=3, seed=42, clip_bound=1e154),
+        ["uniform_dp"], num_seeds=2)
+    a, b = summary.finals["uniform_dp"]
+    row, = summary.rows
+    assert max(abs(a), abs(b)) > 1e300
+    assert math.isfinite(row.mean_final_metric) and math.isfinite(row.std_final_metric)
+    assert row.mean_final_metric == pytest.approx(a / 2 + b / 2, rel=1e-15)
+    assert row.std_final_metric == pytest.approx(abs(a - b) / math.sqrt(2), rel=1e-15)
+
+
 def test_comparison_paired_and_deterministic(tmp_path):
     cfg = _config(total_rounds=8)
     a = run_comparison(cfg, ["fedsgd", "uniform_dp"], num_seeds=2)
