@@ -25,7 +25,6 @@ from .harness import (
     HistoryWriter,
     build_problem,
     estimate_from_history,
-    history_header,
     read_history,
     run_single,
     settings_from_config,
@@ -56,11 +55,9 @@ def cmd_run(args) -> int:
     with open(snapshot_path, "w") as fh:
         fh.write(config.snapshot_text())
     problem = build_problem(config)
-    header = history_header(config.algorithm, settings_from_config(config), problem.model,
-                            problem.budgets.epsilon, problem.budgets.delta,
-                            problem.num_samples, config.seed)
     history_path = os.path.join(out, "history.jsonl")
-    writer = HistoryWriter(history_path, header)
+    writer = HistoryWriter(history_path, config.algorithm, settings_from_config(config),
+                           problem, config.seed)
     try:
         result = run_single(config, problem, on_round=writer.write_round)
         writer.write_summary(result)

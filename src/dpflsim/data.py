@@ -78,7 +78,12 @@ def generate_synthetic_regression(num_samples: int, feature_dim: int, noise_std:
     rng = np.random.default_rng(seed)
     true_weights = rng.standard_normal(feature_dim)
     features = rng.standard_normal((num_samples, feature_dim))
-    targets = features @ true_weights + noise_std * rng.standard_normal(num_samples)
+    targets = features @ true_weights
+    # the same draw and the same two operations as
+    # features @ w + noise_std * noise, with two row-sized temporaries fewer
+    noise = rng.standard_normal(num_samples)
+    noise *= noise_std
+    targets += noise
     return Dataset(features, targets), true_weights
 
 
@@ -106,7 +111,11 @@ def generate_synthetic_classification(num_samples: int, num_classes: int, featur
         np.full(num_classes, num_samples / num_classes), num_samples)
     labels = np.repeat(np.arange(num_classes), counts)
     labels = labels[rng.permutation(num_samples)]
-    features = centers.take(labels, axis=0) + rng.standard_normal((num_samples, feature_dim))
+    # the centers added in place to the drawn normals: IEEE addition
+    # commutes, so the bits are those of centers + normals, with one
+    # block-sized temporary fewer
+    features = rng.standard_normal((num_samples, feature_dim))
+    features += centers.take(labels, axis=0)
     return Dataset(features, labels.astype(int))
 
 
@@ -134,7 +143,9 @@ def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float,
         groups = [np.flatnonzero(dataset.targets == label)
                   for label in np.unique(dataset.targets)]
     else:
-        groups = [np.arange(dataset.num_samples)]
+        # every row: rng.permutation(n) shuffles np.arange(n) as it would
+        # shuffle a copy of it, without holding the uncopied one
+        groups = [dataset.num_samples]
     for _ in range(100):
         draws = []
         for group in groups:

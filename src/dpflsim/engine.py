@@ -81,6 +81,10 @@ ALGORITHMS = ("dpfl_bcs",) + BASELINE_KINDS
 LEDGER_TOL = 1e-9
 
 
+# A stage whose noise cannot be calibrated names at most this many of the
+# clients that fail, in id order: finding each costs a calibration of its own.
+NAMED_FAILURES = 10
+
 # Rounds per block of a `RoundStreams` table: its memory is bounded by the
 # batch's seeds, not by total_rounds.
 STREAM_BLOCK = 256
@@ -554,7 +558,7 @@ class ClientArrays:
         exhausted. Their stage columns are checked here, once per stage, by
         calibrating their noise (see `_calibrate`), so a round only does
         arithmetic on them. A failure raises ParameterError naming the stage
-        and the clients that fail.
+        and the clients that fail, the first `NAMED_FAILURES` of them.
         """
         # in place, as every column, so a stacked run's view stays a view
         self.planned[:] = counts
@@ -570,8 +574,14 @@ class ClientArrays:
         try:
             self._calibrate(fresh, settings)
         except ParameterError as err:
-            bad = [n for n in fresh.tolist() if not self._calibrates(n, settings)]
-            raise ParameterError(f"stage {self.stage}: clients {bad} cannot be "
+            bad, more = [], ""
+            for i, n in enumerate(fresh.tolist()):
+                if not self._calibrates(n, settings):
+                    bad.append(n)
+                    if len(bad) == NAMED_FAILURES and i + 1 < len(fresh):
+                        more = f" and maybe others after {n}"
+                        break
+            raise ParameterError(f"stage {self.stage}: clients {bad}{more} cannot be "
                                  f"noised: {err}") from None
 
     def _calibrate(self, ids: np.ndarray, settings: RunSettings) -> None:

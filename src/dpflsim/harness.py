@@ -282,21 +282,42 @@ def write_summary_csv(path, rows) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 # A string "\x00name" in an object stands for text rendered apart, as JSON,
-# and `_render` puts that text in its place. The encoder writes the string as
-# "\u0000name", which no other string of a history line is.
+# and `_write_line` puts that text in its place. The encoder writes the
+# string as "\u0000name", which no other string of a history line is.
 _HOLE = re.compile(r'"\\u0000(\w+)"')
+
+# A history's per-client parts (the header's client list, the summary's
+# budget objects and arrays) are rendered and written this many clients at a
+# time, so that no line of a wide run is held whole. A smaller chunk renders
+# more often a value that many clients share (a plan's probability, a zero
+# spent budget). At N = 10,000 (2 vCPUs, numpy 2.4.6) a chunked write took
+# as long as one of whole lines, 45-47 ms against 44-46 ms (best of 60), and
+# raised the process's peak RSS 1.8-2.1 MB above what the run left, against
+# 4.2-5.6 MB.
+CHUNK = 1024
+
+# the summary's budget objects, client id to value; its other float columns
+# are arrays
+_BUDGET_COLUMNS = ("epsilon_consumed", "epsilon_remaining")
 
 
 def _hole(name: str) -> str:
     return "\x00" + name
 
 
-def _render(obj, texts: dict) -> str:
-    """The encoder's JSON text of `obj`, with each hole `_hole(name)` in it
-    replaced by texts[name]."""
+def _write_line(fh, obj, pieces: dict) -> None:
+    """Write the encoder's JSON text of `obj` and a newline, each hole
+    `_hole(name)` in it replaced by the text pieces that pieces[name], an
+    iterable of str, yields. Each piece is written as soon as it is made, so
+    a long line is never held whole."""
     parts = _HOLE.split(_ENCODER.encode(obj))
-    parts[1::2] = [texts[name] for name in parts[1::2]]
-    return "".join(parts)
+    for i, part in enumerate(parts):
+        if i % 2:
+            for piece in pieces[part]:
+                fh.write(piece)
+        else:
+            fh.write(part)
+    fh.write("\n")
 
 
 def _write_text(fh, line: str) -> None:
@@ -329,14 +350,32 @@ def _float_texts(**columns) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _client_ids(n: int) -> tuple:
-    """(ids, order, keys) of an n-client history: the client ids as text, the
-    ids in the order the encoder sorts a budget object's keys ("0", "1",
-    "10", ...), and their texts in that order."""
-    ids = tuple(map(str, range(n)))
-    order = tuple(sorted(range(n), key=ids.__getitem__))
-    return ids, order, tuple(ids[i] for i in order)
+def _chunk_texts(columns: dict, kept: dict):
+    """Render `columns`, float columns of one length by name, CHUNK entries
+    at a time, one `_float_texts` call per chunk, and yield each chunk's
+    start and texts. The texts of the columns named in `kept` are kept as
+    they go by: a budget column's (`_BUDGET_COLUMNS`) into kept[name], one
+    list indexed by client id, since a budget object takes its entries in
+    key order across chunks; any other column's as one ", "-joined text per
+    chunk, the pieces of an array."""
+    n = len(next(iter(columns.values())))
+    for lo in range(0, n, CHUNK):
+        texts = _float_texts(**{name: column[lo:lo + CHUNK]
+                                for name, column in columns.items()})
+        for name, into in kept.items():
+            if name in _BUDGET_COLUMNS:
+                into.extend(texts[name])
+            else:
+                into.append(", ".join(texts[name]))
+        yield lo, texts
+
+
+def _kept_texts(columns: dict) -> dict:
+    """What `_chunk_texts` keeps of every column of `columns`."""
+    kept = {name: [] for name in columns}
+    for _ in _chunk_texts(columns, kept):
+        pass
+    return kept
 
 
 def _join_rows(n: int, *pieces) -> str:
@@ -348,35 +387,66 @@ def _join_rows(n: int, *pieces) -> str:
     return "".join(parts[:-1])
 
 
-def _client_list(epsilon: list, delta: list, num_samples: np.ndarray) -> str:
-    """The header's client list from the epsilon and delta columns' texts."""
-    n = len(epsilon)
-    return "[" + _join_rows(n, '{"client_id": ', _client_ids(n)[0], ', "delta": ', delta,
-                            ', "epsilon": ', epsilon, ', "num_samples": ',
-                            list(map(str, num_samples.tolist())), "}") + "]"
+def _client_list(chunks, num_samples: np.ndarray):
+    """The header's client list as text pieces, one per chunk of `chunks`
+    (`_chunk_texts` of columns that hold epsilon and delta)."""
+    yield "["
+    for lo, texts in chunks:
+        n = len(texts["epsilon"])
+        if lo:
+            yield ", "
+        yield _join_rows(n, '{"client_id": ', list(map(str, range(lo, lo + n))),
+                         ', "delta": ', texts["delta"], ', "epsilon": ', texts["epsilon"],
+                         ', "num_samples": ', list(map(str, num_samples[lo:lo + n].tolist())),
+                         "}")
+    yield "]"
 
 
-def _budget_object(texts: list) -> str:
-    """A budget object, client id to value, from one column's texts."""
-    n = len(texts)
-    _, order, keys = _client_ids(n)
-    return "{" + _join_rows(n, '"', keys, '": ', list(map(texts.__getitem__, order))) + "}"
+@functools.lru_cache(maxsize=4)
+def _key_order(n: int) -> np.ndarray:
+    """The client ids 0..n-1 in the order the encoder sorts a budget
+    object's keys: "0", "1", "10", ..."""
+    order = np.fromiter(sorted(range(n), key=str), dtype=np.intp, count=n)
+    order.flags.writeable = False
+    return order
 
 
-def _array(texts: list) -> str:
-    return "[" + ", ".join(texts) + "]"
+def _budget_object(texts: list):
+    """A budget object, client id to value, as text pieces of CHUNK entries
+    in key order, from one column's texts indexed by client id."""
+    order = _key_order(len(texts))
+    yield "{"
+    for lo in range(0, len(texts), CHUNK):
+        ids = order[lo:lo + CHUNK].tolist()
+        if lo:
+            yield ", "
+        yield _join_rows(len(ids), '"', list(map(str, ids)), '": ',
+                         list(map(texts.__getitem__, ids)))
+    yield "}"
 
 
-def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.ndarray,
-                   delta: np.ndarray, num_samples: np.ndarray, seed: int,
-                   texts: dict | None = None) -> str:
-    """The header line: the run's settings, and a client list whose entries
-    give each client's budget and sample count. `texts` holds the epsilon
-    and delta columns' texts (`_float_texts`) when the caller has rendered
-    them already."""
-    if texts is None:
-        texts = _float_texts(epsilon=epsilon, delta=delta)
-    return _render({
+def _array(chunks: list):
+    """An array as text pieces, from its chunks' joined texts."""
+    yield "["
+    for i, chunk in enumerate(chunks):
+        if i:
+            yield ", "
+        yield chunk
+    yield "]"
+
+
+def _write_header(fh, algorithm: str, settings: RunSettings, model, epsilon: np.ndarray,
+                  delta: np.ndarray, num_samples: np.ndarray, seed: int,
+                  summary: dict | None = None) -> dict:
+    """Write the header line: the run's settings, and a client list whose
+    entries give each client's budget and sample count. With `summary`, the
+    summary's float columns (`_summary_columns`), render those in the same
+    chunks as epsilon and delta, so a value the two lines share is rendered
+    once, and return what `_chunk_texts` keeps of them."""
+    summary = summary or {}
+    kept = {name: [] for name in summary}
+    chunks = _chunk_texts({"epsilon": epsilon, "delta": delta, **summary}, kept)
+    _write_line(fh, {
         "kind": "header",
         "format_version": HISTORY_FORMAT_VERSION,
         "algorithm": algorithm,
@@ -395,7 +465,8 @@ def history_header(algorithm: str, settings: RunSettings, model, epsilon: np.nda
         "c2": settings.c2,
         "seed": int(seed),
         "clients": _hole("clients"),
-    }, {"clients": _client_list(texts["epsilon"], texts["delta"], num_samples)})
+    }, {"clients": _client_list(chunks, num_samples)})
+    return kept
 
 
 def _float_text(x: float) -> str:
@@ -424,10 +495,6 @@ def round_line(record: RoundRecord) -> str:
             f'"test_loss": {_float_text(test_loss)}}}')
 
 
-# the summary's float columns written as arrays, where the run has them
-_ARRAY_COLUMNS = ("plan_stage1", "plan_stage2", "gamma_hat_n", "phi_n")
-
-
 def _summary_columns(result: RunResult) -> dict:
     """The summary's float columns, by name."""
     columns = {"epsilon_consumed": result.clients.epsilon_consumed,
@@ -450,18 +517,12 @@ def _plan(plan: SelectionPlan | None, name: str) -> dict | None:
             "per_round_selected": int(plan.per_round_selected)}
 
 
-def summary_line(result: RunResult, texts: dict | None = None) -> str:
-    """The summary line: final metrics, both plans, the estimated parameters
-    and each client's epsilon consumed and remaining. `texts` holds the
-    summary's float columns' texts (`_float_texts` of `_summary_columns`)
-    when the caller has rendered them already."""
-    if texts is None:
-        texts = _float_texts(**_summary_columns(result))
+def _write_summary(fh, result: RunResult, kept: dict) -> None:
+    """Write the summary line: final metrics, both plans, the estimated
+    parameters and each client's epsilon consumed and remaining, from what
+    `_chunk_texts` kept of the summary's float columns."""
     params = result.estimated_params
-    columns = {name: _budget_object(texts[name])
-               for name in ("epsilon_consumed", "epsilon_remaining")}
-    columns.update((name, _array(texts[name])) for name in _ARRAY_COLUMNS if name in texts)
-    return _render({
+    _write_line(fh, {
         "kind": "summary",
         "final_test_loss": result.final_test_loss,
         "final_test_accuracy": result.final_test_accuracy,
@@ -473,28 +534,30 @@ def summary_line(result: RunResult, texts: dict | None = None) -> str:
         "ended_early": result.ended_early,
         "budget": {"epsilon_consumed": _hole("epsilon_consumed"),
                    "epsilon_remaining": _hole("epsilon_remaining")},
-    }, columns)
+    }, {name: (_budget_object if name in _BUDGET_COLUMNS else _array)(texts)
+        for name, texts in kept.items()})
 
 
 class HistoryWriter:
-    """Streams one run to a line-delimited JSON file: the header line
-    (`history_header`) first, one round object per line as rounds complete,
-    one summary line at the end. Flushed per line so a crashed run leaves a
-    readable partial history."""
+    """Streams one run of `problem` to a line-delimited JSON file: the header
+    line first, one round object per line as rounds complete, one summary
+    line at the end. Flushed per line so a crashed run leaves a readable
+    partial history."""
 
-    def __init__(self, path, header: str):
+    def __init__(self, path, algorithm: str, settings: RunSettings,
+                 problem: FederatedProblem, seed: int):
         self._fh = open(path, "w")
-        self._line(header)
-
-    def _line(self, line: str) -> None:
-        _write_text(self._fh, line)
+        _write_header(self._fh, algorithm, settings, problem.model, problem.budgets.epsilon,
+                      problem.budgets.delta, problem.num_samples, seed)
         self._fh.flush()
 
     def write_round(self, record: RoundRecord) -> None:
-        self._line(round_line(record))
+        _write_text(self._fh, round_line(record))
+        self._fh.flush()
 
     def write_summary(self, result: RunResult) -> None:
-        self._line(summary_line(result))
+        _write_summary(self._fh, result, _kept_texts(_summary_columns(result)))
+        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()
@@ -502,20 +565,18 @@ class HistoryWriter:
 
 def write_history(path, result: RunResult) -> None:
     """Write a finished run's history, the lines `HistoryWriter` streams, in
-    one buffered pass with no per-line flush. The header's and the summary's
-    float columns are rendered together, so a value both lines hold is
-    rendered once."""
+    one buffered pass with no per-line flush. The header's chunks of clients
+    render the summary's float columns too, so a value both lines hold is
+    rendered once, and keep their texts for the summary (see
+    `_chunk_texts`)."""
     clients = result.clients
-    texts = _float_texts(epsilon=clients.epsilon, delta=clients.delta,
-                         **_summary_columns(result))
     with open(path, "w") as fh:
-        _write_text(fh, history_header(result.algorithm, result.settings,
-                                       result.final_state.model_kind, clients.epsilon,
-                                       clients.delta, clients.num_samples, result.seed,
-                                       texts))
+        kept = _write_header(fh, result.algorithm, result.settings,
+                             result.final_state.model_kind, clients.epsilon, clients.delta,
+                             clients.num_samples, result.seed, _summary_columns(result))
         for record in result.rounds:
             _write_text(fh, round_line(record))
-        _write_text(fh, summary_line(result, texts))
+        _write_summary(fh, result, kept)
 
 
 @dataclass

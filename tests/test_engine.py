@@ -17,6 +17,7 @@ from dpflsim.data import Dataset
 from dpflsim.engine import (
     ClientArrays,
     FederatedProblem,
+    NAMED_FAILURES,
     RunSettings,
     RoundStreams,
     _check_ledger,
@@ -398,6 +399,22 @@ def test_stage_install_refuses_noise_that_overflows(mechanism, overrides, messag
     with pytest.raises(ParameterError, match=re.escape(
             f"stage 1: clients [1, 2] cannot be noised: client 1's noise {message}")):
         clients.install([PLANNED] * 3, _settings(mechanism=mechanism, **overrides))
+
+
+@pytest.mark.parametrize("num_clients, named", [
+    (NAMED_FAILURES, str(list(range(NAMED_FAILURES)))),
+    (NAMED_FAILURES + 2, f"{list(range(NAMED_FAILURES))} and maybe others after "
+                         f"{NAMED_FAILURES - 1}"),
+])
+def test_stage_install_names_at_most_ten_failing_clients(num_clients, named):
+    # every one-sample client's sensitivity overflows; the rescan stops at the
+    # tenth, and says so when clients remain unchecked
+    data = [Dataset(np.ones((1, 1)), np.ones(1))] * num_clients
+    clients = _clients(data, _budgets([1.0] * num_clients, 1e-3))
+    with pytest.raises(ParameterError, match=re.escape(
+            f"stage 1: clients {named} cannot be noised: client 0's noise sensitivity")):
+        clients.install([PLANNED] * num_clients,
+                        _settings(clip_bound=8e307, loss_cap=8e307))
 
 
 def test_client_round_monte_carlo_unbiased():

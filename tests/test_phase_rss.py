@@ -40,6 +40,18 @@ def test_smoke_prints_each_phase_in_order(workload, phases):
         assert 0 < figures["vm_rss_mb"] <= figures["vm_hwm_mb"]
         peaks.append(figures["vm_hwm_mb"])
     assert peaks == sorted(peaks)
+    assert result["peak_phase"] == phases[peaks.index(peaks[-1])]
+
+
+def test_peak_phase_is_the_first_to_reach_the_last_peak():
+    tool = _load_tool()
+
+    def phases(*peaks):
+        return {f"p{i}": {"vm_rss_mb": 1.0, "vm_hwm_mb": hwm} for i, hwm in enumerate(peaks)}
+
+    assert tool.peak_phase(phases(40.0, 55.0, 55.0, 55.0)) == "p1"
+    assert tool.peak_phase(phases(40.0, 50.0, 58.5)) == "p2"
+    assert tool.peak_phase(phases(36.0)) == "p0"
 
 
 def test_refuses_unknown_workloads_and_systems_without_the_status_file(tmp_path,

@@ -6,9 +6,10 @@ Runs one repetition of a workload of ``perfbench/bench.py``'s ``WORKLOADS``
 table, at seed ``K`` and at its smoke size with ``--smoke``, in a fresh child
 process, and prints one JSON line: for each phase in order, the child's VmRSS
 (resident now) and VmHWM (the peak so far) in MB, read from
-``/proc/self/status`` when the phase ends. A single-run workload's phases are
-``import`` (numpy, dpflsim and perfbench), ``build_problem``, ``run`` and
-``write_history``. A paired workload's are ``import``, ``run_comparison``
+``/proc/self/status`` when the phase ends, and ``peak_phase``, the phase that
+set the run's peak: the first phase whose VmHWM reaches the last phase's. A
+single-run workload's phases are ``import`` (numpy, dpflsim and perfbench),
+``build_problem``, ``run`` and ``write_history``. A paired workload's are ``import``, ``run_comparison``
 (every seed's build, runs and history writes) and ``read_history`` (every
 ``dpfl_bcs`` history read back and replayed, as perfbench does).
 
@@ -67,7 +68,14 @@ def measure(workload: str, seed: int, smoke: bool) -> dict:
             phases["run"] = memory()
             dpflsim.write_history(Path(out) / "history.jsonl", result)
             phases["write_history"] = memory()
-    return {"workload": workload, "seed": seed, "smoke": smoke, "phases": phases}
+    return {"workload": workload, "seed": seed, "smoke": smoke, "phases": phases,
+            "peak_phase": peak_phase(phases)}
+
+
+def peak_phase(phases: dict) -> str:
+    """The first of `phases`, in order, whose VmHWM reaches the last one's."""
+    peak = list(phases.values())[-1]["vm_hwm_mb"]
+    return next(name for name, figures in phases.items() if figures["vm_hwm_mb"] >= peak)
 
 
 def main(argv=None) -> int:
