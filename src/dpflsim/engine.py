@@ -375,7 +375,6 @@ class RunResult:
     settings: RunSettings
     clients: ClientArrays
     stage_realised: tuple
-    stage2_slices: np.ndarray | None
     epsilon_at_replan: np.ndarray | None
     weight_trajectory: np.ndarray | None = None
 
@@ -388,7 +387,7 @@ class RunResult:
         if self.plan_stage2 is not None:
             stage2_planned = self.plan_stage2.counts.tolist()
             stage2_per_round = [e if p else None for e, p in
-                                zip(self.stage2_slices.tolist(), stage2_planned)]
+                                zip(clients.slice_epsilon.tolist(), stage2_planned)]
             at_replan = self.epsilon_at_replan.tolist()
         else:
             stage2_planned = stage2_per_round = at_replan = [None] * num_clients
@@ -416,9 +415,8 @@ class RunResult:
 
 def local_gradient(model: ModelState, data: Dataset, learning_rate: float,
                    clip: ClipConfig) -> np.ndarray:
-    """eta_t times the mean of per-sample-clipped gradients; norm <= eta_t * bound."""
-    if data.num_samples == 0:
-        raise ParameterError("empty dataset")
+    """eta_t times the mean of per-sample-clipped gradients; norm <= eta_t * bound.
+    A `Dataset` holds at least one sample."""
     if data.feature_dim != model.model_kind.feature_dim:
         raise ParameterError(
             f"data feature_dim {data.feature_dim} != model {model.model_kind.feature_dim}")
@@ -541,15 +539,6 @@ class ClientArrays:
     def epsilon_consumed(self) -> np.ndarray:
         return self.epsilon - self.epsilon_remaining
 
-    def budget(self, ids: np.ndarray) -> PrivacyBudget:
-        """The budgets of clients `ids`, built from the run's columns without
-        a second check: they start from the problem's checked budgets and
-        only `consume_budget` moves them."""
-        budget, = _unchecked(PrivacyBudget, [(
-            self.epsilon[ids], self.delta[ids],
-            self.epsilon_remaining[ids], self.delta_remaining[ids])])
-        return budget
-
     def install(self, counts, settings: RunSettings | None = None) -> None:
         """Start a stage: planned counts and, in a DP run (given the run's
         `settings`), the stage budgets and slices of the funded clients.
@@ -631,26 +620,16 @@ def _refuse_overflow(name: str, values: np.ndarray, ids: np.ndarray,
                              f"c2 = {settings.c2}")
 
 
-@dataclass(frozen=True)
-class RoundRelease:
-    """What the responders of one round release: row i for entry ids[i] of
-    the round's selection, every selected client being a responder.
-
-    losses[i] holds the distorted losses at the incoming and at the locally
-    updated model, in loss-reporting rounds only: `losses` is None when no
-    run of the round reports, and NaN in the rows of a run that does not.
-    """
-
-    gradients: np.ndarray
-    losses: np.ndarray | None
-
-
 def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticRegression,
                  weights: np.ndarray, learning_rate: float, generators: list,
                  settings: RunSettings, report_losses: np.ndarray,
-                 noise_enabled: np.ndarray) -> RoundRelease:
+                 noise_enabled: np.ndarray) -> tuple:
     """The selected clients' contributions to one round of R runs, computed as
-    one batch.
+    one batch: (gradients, losses), row i of each for entry ids[i] of the
+    round's selection, every selected client being a responder. losses[i]
+    holds the distorted losses at the incoming and at the locally updated
+    model, in loss-reporting rounds only: `losses` is None when no run of the
+    round reports, and NaN in the rows of a run that does not.
 
     `clients` stacks the R runs on one or more problems (see
     `ClientArrays.stacked`), `ids` are its selected entries, `model` is the
@@ -786,14 +765,18 @@ def client_round(clients: ClientArrays, ids, model: LinearRegression | LogisticR
 
     if noised_runs:
         before = clients.epsilon_remaining[own]
-        budget, exhausted = consume_budget(clients.budget(own), slice_eps, slice_delta)
+        # not checked again: the columns start from the problem's checked
+        # budgets and only `consume_budget` moves them
+        budget, = _unchecked(PrivacyBudget, [(clients.epsilon[own], clients.delta[own], before,
+                                              clients.delta_remaining[own])])
+        budget, exhausted = consume_budget(budget, slice_eps, slice_delta)
         clients.epsilon_remaining[own] = budget.epsilon_remaining
         clients.delta_remaining[own] = budget.delta_remaining
         clients.slice_sum[own] += before - np.maximum(0.0, before - slice_eps)
         clients.trained_after_exhaustion[own] |= clients.exhausted[own]
         clients.exhausted[own] |= exhausted
     clients.stage_count[ids] += 1
-    return RoundRelease(gradients, losses)
+    return gradients, losses
 
 
 def aggregate(gradients, k, starts=(0,)) -> np.ndarray:
@@ -932,7 +915,9 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     copied once into one (seeds, rows, feature_dim) block. A round makes one
     call for every run to each of `sample_selection`, `client_round`,
     `aggregate` and the model's `metrics`, then each run records the round
-    and, at T0, replans on its own. An exception of any run ends the whole
+    and, at T0, replans on its own. One more `metrics` call, before round 1,
+    gives each run's initial test loss, which its result compares with its
+    final one (see `_Run.result`). An exception of any run ends the whole
     call and names no run. A run alone is byte-identical to its run here,
     so `harness.run_comparison` names one by rerunning the runs one by one,
     seeds in order and then algorithms: the first that fails alone.
@@ -981,6 +966,7 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
     # run g's client n is entry g * N + n of the block
     offsets = np.arange(len(runs) + 1) * num_clients
     generators = RoundStreams(seeds, settings.total_rounds)
+    initial = _test_metrics(model, weights, test_features, test_targets)
 
     for t in range(1, settings.total_rounds + 1):
         candidates = block.candidates().reshape(len(runs), num_clients)
@@ -994,36 +980,44 @@ def run_lockstep_seeds(problems, seeds, settings: RunSettings, algorithms,
                    else None for p in range(num_seeds)]
         ids = sample_selection(probabilities, candidates, k, [streams[p] for p in seed_of])
         # run g's selected entries are bounds[g]:bounds[g + 1] of ids, and
-        # rows bounds[g]:bounds[g + 1] of the release
+        # rows bounds[g]:bounds[g + 1] of the round's gradients and reports
         bounds = ids.searchsorted(offsets).tolist()
         batch = [g for g in range(len(runs)) if bounds[g] < bounds[g + 1]]
         if not batch:
             break
         streams = [generators.install(2, p, t) if bounds[p * width] < bounds[(p + 1) * width]
                    else None for p in range(num_seeds)]
-        release = client_round(block, ids, model, weights, settings.learning_rate(t),
-                               [streams[p] for p in seed_of], settings,
-                               two_stage & (t <= settings.estimation_rounds), dp)
+        gradients, reports = client_round(block, ids, model, weights, settings.learning_rate(t),
+                                          [streams[p] for p in seed_of], settings,
+                                          two_stage & (t <= settings.estimation_rounds), dp)
         rows = slice(None) if len(batch) == len(runs) else batch
         weights[rows] -= aggregate(
-            _weighted(ids, release.gradients, block.epsilon, num_clients, weiavg, batch,
+            _weighted(ids, gradients, block.epsilon, num_clients, weiavg, batch,
                       bounds), divisors[rows], [bounds[g] for g in batch])
         if not np.isfinite(weights[rows]).all():
             raise ParameterError("weights must be finite")
-        losses, accuracies = model.metrics(weights.reshape(num_seeds, width, model.dim),
-                                           test_features, test_targets)
-        losses = losses.ravel().tolist()
-        accuracies = [None] * len(runs) if accuracies is None else accuracies.ravel().tolist()
+        metrics = _test_metrics(model, weights, test_features, test_targets)
         # every run's selected entries as its client ids, in one list
         local_ids = (ids % num_clients).tolist()
         for g in batch:
             run, lo, hi = runs[g], bounds[g], bounds[g + 1]
             record = run.record(t, local_ids[lo:hi],
-                                None if release.losses is None else release.losses[lo:hi],
-                                losses[g], accuracies[g])
+                                None if reports is None else reports[lo:hi], *metrics[g])
             run.finish(t, record, on_round)
-    results = [run.result() for run in runs]
+    results = [run.result(*metrics) for run, metrics in zip(runs, initial)]
     return [results[p * width:(p + 1) * width] for p in range(num_seeds)]
+
+
+def _test_metrics(model, weights: np.ndarray, test_features: np.ndarray,
+                  test_targets: np.ndarray) -> list:
+    """Every run's (test loss, test accuracy or None) at its row of
+    `weights`, in one `metrics` call: a seed's runs are consecutive rows, and
+    seed p's test block is `test_features[p]`."""
+    losses, accuracies = model.metrics(weights.reshape(len(test_features), -1, model.dim),
+                                       test_features, test_targets)
+    losses = losses.ravel().tolist()
+    return list(zip(losses, [None] * len(losses) if accuracies is None
+                    else accuracies.ravel().tolist()))
 
 
 def _test_blocks(problems) -> tuple:
@@ -1093,18 +1087,18 @@ class _Run:
         clients.install(self.plan1.counts, settings if self.dp else None)
         # (realised, planned) participations per stage, filled as stages end
         self.stages = []
-        self.stage2_slices = self.epsilon_at_replan = None
+        self.epsilon_at_replan = None
         weights[:] = model.init_weights()
         # the batch's row, which the batch's update moves in place
         self.weights = weights
         self.trajectory = [weights.copy()] if settings.record_weights else None
         self.records = []
         self.plan2 = self.est_params = None
-        self.ended = self.ended_early = False
+        self.ended = False
 
     def _end_early(self, reason: str, *args) -> None:
         logger.info(reason, *args)
-        self.ended = self.ended_early = True
+        self.ended = True
 
     @cached_property
     def incoming_constants(self) -> tuple[float, np.ndarray]:
@@ -1147,7 +1141,6 @@ class _Run:
             if not settings.force_uniform_plan:
                 self.select_probs[:] = self.plan2.probabilities
             clients.install(self.plan2.counts, settings if self.dp else None)
-            self.stage2_slices = clients.slice_epsilon.copy()
             self.epsilon_at_replan = clients.epsilon_remaining.copy()
 
     def _replan(self, log: StageOneLog) -> tuple:
@@ -1180,31 +1173,31 @@ class _Run:
         counts[active] = optimal_plan(params, horizon, k, z).counts
         return SelectionPlan(counts, horizon, k), est
 
-    def result(self) -> RunResult:
-        """The run's result, after checking its privacy ledger."""
+    def result(self, initial_loss: float, initial_accuracy: float | None) -> RunResult:
+        """The run's result, after checking its privacy ledger, given its test
+        metrics at its initial weights. A run whose final test loss is higher
+        than its initial one, or NaN, logs a warning."""
         clients, model = self.clients, self.problem.model
         if self.plan2 is not None or not self.stages:
             # close the stage in progress; a replan that found no plan closed it
             self.stages.append((clients.stage_count.copy(), clients.planned.copy()))
         _check_ledger(clients, self.epsilon_at_start, self.stages if self.dp else [])
         weights = self.weights.copy()
+        final_loss, final_accuracy = initial_loss, initial_accuracy
         if self.records:
-            final_loss = self.records[-1].test_loss
-            final_accuracy = self.records[-1].test_accuracy
-        else:
-            test = self.problem.test_data
-            loss, accuracy = model.metrics(weights[None, None], test.features[None],
-                                           test.targets[None])
-            final_loss = float(loss[0, 0])
-            final_accuracy = None if accuracy is None else float(accuracy[0, 0])
+            last = self.records[-1]
+            final_loss, final_accuracy = last.test_loss, last.test_accuracy
+        if not final_loss <= initial_loss:
+            logger.warning("%s seed %d: final test loss %.6g is higher than the initial %.6g",
+                           self.algorithm, self.seed, final_loss, initial_loss)
         return RunResult(
             algorithm=self.algorithm, seed=self.seed, rounds=self.records,
             final_state=ModelState(weights, model), final_test_loss=final_loss,
             final_test_accuracy=final_accuracy, plan_stage1=self.plan1,
             plan_stage2=self.plan2, estimated_params=self.est_params,
-            ended_early=self.ended_early, settings=self.settings, clients=clients,
+            ended_early=self.ended, settings=self.settings, clients=clients,
             stage_realised=tuple(realised for realised, _ in self.stages),
-            stage2_slices=self.stage2_slices, epsilon_at_replan=self.epsilon_at_replan,
+            epsilon_at_replan=self.epsilon_at_replan,
             weight_trajectory=(np.array(self.trajectory) if self.trajectory is not None
                                else None))
 

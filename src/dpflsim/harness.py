@@ -320,13 +320,6 @@ def _write_line(fh, obj, pieces: dict) -> None:
     fh.write("\n")
 
 
-def _write_text(fh, line: str) -> None:
-    """Write one line of JSON text; the newline is a write of its own, so a
-    long line is not copied to append it."""
-    fh.write(line)
-    fh.write("\n")
-
-
 def _float_texts(**columns) -> dict:
     """Each float column's entries as lists of their JSON texts, spelled as
     `_ENCODER` spells them (`float.__repr__`, or NaN, Infinity, -Infinity).
@@ -378,27 +371,17 @@ def _kept_texts(columns: dict) -> dict:
     return kept
 
 
-def _join_rows(n: int, *pieces) -> str:
-    """Join n rows with ", ", row i being the i-th entry of each sequence
-    piece and each str piece itself, in the order given."""
-    parts = [", "] * ((len(pieces) + 1) * n)
-    for k, piece in enumerate(pieces):
-        parts[k::len(pieces) + 1] = [piece] * n if isinstance(piece, str) else piece
-    return "".join(parts[:-1])
-
-
 def _client_list(chunks, num_samples: np.ndarray):
     """The header's client list as text pieces, one per chunk of `chunks`
     (`_chunk_texts` of columns that hold epsilon and delta)."""
     yield "["
     for lo, texts in chunks:
-        n = len(texts["epsilon"])
         if lo:
             yield ", "
-        yield _join_rows(n, '{"client_id": ', list(map(str, range(lo, lo + n))),
-                         ', "delta": ', texts["delta"], ', "epsilon": ', texts["epsilon"],
-                         ', "num_samples": ', list(map(str, num_samples[lo:lo + n].tolist())),
-                         "}")
+        yield ", ".join(
+            f'{{"client_id": {n}, "delta": {delta}, "epsilon": {eps}, "num_samples": {m}}}'
+            for n, delta, eps, m in zip(range(lo, lo + CHUNK), texts["delta"], texts["epsilon"],
+                                        num_samples[lo:lo + CHUNK].tolist()))
     yield "]"
 
 
@@ -417,11 +400,9 @@ def _budget_object(texts: list):
     order = _key_order(len(texts))
     yield "{"
     for lo in range(0, len(texts), CHUNK):
-        ids = order[lo:lo + CHUNK].tolist()
         if lo:
             yield ", "
-        yield _join_rows(len(ids), '"', list(map(str, ids)), '": ',
-                         list(map(texts.__getitem__, ids)))
+        yield ", ".join(f'"{n}": {texts[n]}' for n in order[lo:lo + CHUNK].tolist())
     yield "}"
 
 
@@ -552,7 +533,7 @@ class HistoryWriter:
         self._fh.flush()
 
     def write_round(self, record: RoundRecord) -> None:
-        _write_text(self._fh, round_line(record))
+        self._fh.write(round_line(record) + "\n")
         self._fh.flush()
 
     def write_summary(self, result: RunResult) -> None:
@@ -575,7 +556,7 @@ def write_history(path, result: RunResult) -> None:
                              result.final_state.model_kind, clients.epsilon, clients.delta,
                              clients.num_samples, result.seed, _summary_columns(result))
         for record in result.rounds:
-            _write_text(fh, round_line(record))
+            fh.write(round_line(record) + "\n")
         _write_summary(fh, result, kept)
 
 

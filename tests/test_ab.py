@@ -45,6 +45,33 @@ def test_differing_files_names_what_one_tree_changes(tmp_path):
                                           "BENCHMARK.json"]
 
 
+def _verdict(base: list, change: list, better: str = "higher", bound: float = 0.2) -> tuple:
+    """(unresolved, worse_beyond_bound) of `summarise` over pairs of one
+    metric's base and change values."""
+    pairs = [{"base": {"metrics": {"m": b}}, "change": {"metrics": {"m": c}}}
+             for b, c in zip(base, change)]
+    entry = _load_tool().summarise(pairs, [{"name": "m", "unit": "u", "better": better,
+                                            "bound": bound}])["m"]
+    return entry["unresolved"], entry["worse_beyond_bound"]
+
+
+@pytest.mark.parametrize("base, change, better, verdict", [
+    # a tight base: within the bound either way, then 30% worse
+    ([100, 101, 99, 100, 102], [95, 96, 94, 97, 95], "higher", (False, False)),
+    ([100, 101, 99, 100, 102], [70, 71, 69, 70, 72], "higher", (False, True)),
+    ([10, 10.1, 9.9, 10, 10.2], [13, 13.1, 12.9, 13, 13.2], "lower", (False, True)),
+    ([10, 10.1, 9.9, 10, 10.2], [11, 11.1, 10.9, 11, 11.2], "lower", (False, False)),
+    # a base whose IQR over its median exceeds the bound: unresolved, however
+    # worse the change's median, unless every change run beats every base run
+    ([50, 150, 60, 140, 100], [45, 140, 40, 130, 60], "higher", (True, False)),
+    ([50, 150, 60, 140, 100], [151, 160, 155, 170, 152], "higher", (False, False)),
+    ([5, 15, 6, 14, 10], [4.9, 4, 3, 2, 1], "lower", (False, False)),
+    ([5, 15, 6, 14, 10], [16, 20, 15.5, 14, 12], "lower", (True, False)),
+])
+def test_summarise_states_the_no_regression_verdict(base, change, better, verdict):
+    assert _verdict(base, change, better) == verdict
+
+
 def _tracked(*paths) -> list:
     out = subprocess.run(["git", "ls-files", "-z", *paths], cwd=ROOT, capture_output=True,
                          check=True).stdout.decode()
@@ -110,4 +137,6 @@ def test_smoke_pair_against_head_writes_a_bench_file(tmp_path):
         line = printed[name]
         assert f"base {entry['base']['median']:.6g} [IQR " in line
         assert f"change wins {entry['change_wins']}/1, ratio_median " in line
-        assert line.endswith(f"gain_exceeds_base_iqr {entry['gain_exceeds_base_iqr']}")
+        assert line.endswith(f"gain_exceeds_base_iqr {entry['gain_exceeds_base_iqr']}, "
+                             f"unresolved {entry['unresolved']}, "
+                             f"worse_beyond_bound {entry['worse_beyond_bound']}")

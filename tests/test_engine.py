@@ -230,6 +230,12 @@ def test_local_gradient_zero_rate_and_fd():
     assert np.allclose(g, 0.5 * np.array([-12.0, -6.0]), rtol=1e-12)
 
 
+def test_local_gradient_refuses_data_of_another_feature_dim():
+    data = Dataset(np.ones((2, 2)), np.ones(2))
+    with pytest.raises(ParameterError, match="^data feature_dim 2 != model 1$"):
+        local_gradient(_regression_state(), data, 0.5, ClipConfig(1.0, "l2"))
+
+
 def test_local_gradient_boundary_norm():
     # identical feature rows give parallel per-sample gradients, both far
     # outside the ball, so the clipped mean sits exactly on the boundary
@@ -298,13 +304,13 @@ def test_client_round_zero_noise_exact():
     data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                        report_losses=True, noise_enabled=False)
+    gradients, losses = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0),
+                                      settings, report_losses=True, noise_enabled=False)
     g = local_gradient(state, data, ETA, settings.clip)
-    assert out.gradients.shape == (1, 2)
-    assert np.array_equal(out.gradients[0], g)
-    assert out.losses[0, 0] == local_loss(state, data, 10.0)
-    assert out.losses[0, 1] == local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
+    assert gradients.shape == (1, 2)
+    assert np.array_equal(gradients[0], g)
+    assert losses[0, 0] == local_loss(state, data, 10.0)
+    assert losses[0, 1] == local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
     assert clients.epsilon_remaining[0] == 1.0 and clients.delta_remaining[0] == 1e-3
     assert clients.slice_sum[0] == 0.0
     assert clients.stage_count[0] == 1
@@ -315,8 +321,8 @@ def test_client_round_loss_distortion_rule():
     data = Dataset(np.array([[0.0]]), np.array([-math.sqrt(2.0)]))
     state = _regression_state()
     clients, settings = _one_client(data)
-    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(77), settings,
-                        report_losses=True)
+    gradients, losses = _round_of_one(clients, [0], state, ETA, np.random.default_rng(77),
+                                      settings, report_losses=True)
     f = local_loss(state, data, 10.0)  # = 2.0
     assert f == pytest.approx(2.0)
     # replay the identical stream to recover the drawn noise
@@ -324,10 +330,10 @@ def test_client_round_loss_distortion_rule():
     scale = gaussian_sigma(sens, 1.0, 1e-3, PLANNED, 1.0)
     noise = np.random.default_rng(77).normal(0.0, scale, size=4)
     g = local_gradient(state, data, ETA, settings.clip)
-    assert np.array_equal(out.gradients[0], g + noise[:2])
-    assert out.losses[0, 0] == (ETA * f + noise[2]) / ETA
+    assert np.array_equal(gradients[0], g + noise[:2])
+    assert losses[0, 0] == (ETA * f + noise[2]) / ETA
     f_updated = local_loss(ModelState(state.weights - g, state.model_kind), data, 10.0)
-    assert out.losses[0, 1] == (ETA * f_updated + noise[3]) / ETA
+    assert losses[0, 1] == (ETA * f_updated + noise[3]) / ETA
     # one slice charged
     assert clients.epsilon_remaining[0] == 1.0 - 0.25
     assert clients.slice_sum[0] == 0.25
@@ -344,10 +350,10 @@ def test_client_round_without_noise_trains_an_exhausted_client():
     data = Dataset(np.array([[1.0]]), np.array([1.0]))
     state = _regression_state()
     clients, settings = _one_client(data, spent=True)
-    out = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
-                        report_losses=False, noise_enabled=False)
-    assert out.gradients.shape == (1, 2) and clients.stage_count[0] == 1
-    assert np.array_equal(out.gradients[0], local_gradient(state, data, ETA, settings.clip))
+    gradients, _ = _round_of_one(clients, [0], state, ETA, np.random.default_rng(0), settings,
+                                 report_losses=False, noise_enabled=False)
+    assert gradients.shape == (1, 2) and clients.stage_count[0] == 1
+    assert np.array_equal(gradients[0], local_gradient(state, data, ETA, settings.clip))
 
 
 def test_budget_arriving_exhausted_is_never_eligible():
@@ -425,11 +431,11 @@ def test_client_round_monte_carlo_unbiased():
     clients = _clients([data] * n, _budgets([1.0] * n, 1e-3))
     settings = _settings(clip_bound=1.0, loss_cap=10.0, c2=1.0)
     clients.install(np.full(n, PLANNED), settings)
-    out = _round_of_one(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
-                        settings, report_losses=False)
+    gradients, _ = _round_of_one(clients, np.arange(n), state, ETA, np.random.default_rng(1000),
+                                 settings, report_losses=False)
     g = local_gradient(state, data, ETA, settings.clip)
     scale = gaussian_sigma(gradient_sensitivity(GM, ETA, 1.0, 2), 1.0, 1e-3, PLANNED)
-    mean = out.gradients.mean(axis=0)
+    mean = gradients.mean(axis=0)
     tol = 3.0 * scale / math.sqrt(n)
     assert np.all(np.abs(mean - g) <= tol)
     assert np.all(clients.epsilon_remaining == 0.75)
@@ -464,22 +470,20 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
     for t, eta in enumerate([0.3, 0.2], start=1):
         # client 3 plans one round, so round two no longer selects it
         ids = [n for n in (0, 1, 3, 4, 5) if t == 1 or n != 3]
-        batch = _round_of_one(batch_clients, ids, state, eta, _stream(9, 2, t), settings,
-                              report_losses)
+        gradients, losses = _round_of_one(batch_clients, ids, state, eta, _stream(9, 2, t),
+                                          settings, report_losses)
         # the one-responder rounds draw in turn from one generator keyed like
         # the batch's, so they see the batch's noise rows in order
         rng = _stream(9, 2, t)
         singles = [_round_of_one(single_clients, [n], state, eta, rng, settings,
                                  report_losses) for n in ids]
-        assert len(batch.gradients) == len(ids)
-        for i, single in enumerate(singles):
-            np.testing.assert_allclose(batch.gradients[i], single.gradients[0],
-                                       rtol=1e-12, atol=0)
+        assert len(gradients) == len(ids)
+        for i, (single_gradients, single_losses) in enumerate(singles):
+            np.testing.assert_allclose(gradients[i], single_gradients[0], rtol=1e-12, atol=0)
             if report_losses:
-                np.testing.assert_allclose(batch.losses[i], single.losses[0],
-                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(losses[i], single_losses[0], rtol=1e-12, atol=0)
             else:
-                assert batch.losses is None and single.losses is None
+                assert losses is None and single_losses is None
         # identical noise draws: each responder's step plus its replayed noise
         sens = gradient_sensitivity(mechanism, eta, 0.8,
                                     batch_clients.num_samples[ids], 2.0,
@@ -495,7 +499,7 @@ def test_client_round_batch_equals_single_rounds(mechanism, report_losses):
                 scale = plan[n] * sens[i] / budgets.epsilon[n]
                 noise = rng.laplace(0.0, scale, size=width)
             step = local_gradient(state, data[n], eta, settings.clip)
-            np.testing.assert_allclose(batch.gradients[i], step + noise[:dim],
+            np.testing.assert_allclose(gradients[i], step + noise[:dim],
                                        rtol=1e-12, atol=0)
     for name in ("epsilon_remaining", "delta_remaining", "slice_sum", "stage_count",
                  "exhausted"):
@@ -528,12 +532,13 @@ def test_client_round_matches_local_gradient(classification, mechanism, bound_qu
     settings = _settings(mechanism=mechanism, clip_bound=bound)
     clients.install([3] * len(data), settings)
     eta = 0.3
-    out = _round_of_one(clients, np.arange(len(data)), state, eta, np.random.default_rng(0),
-                        settings, report_losses=False, noise_enabled=False)
-    assert len(out.gradients) == len(data)
+    gradients, _ = _round_of_one(clients, np.arange(len(data)), state, eta,
+                                 np.random.default_rng(0), settings, report_losses=False,
+                                 noise_enabled=False)
+    assert len(gradients) == len(data)
     for i, d in enumerate(data):
         expected = local_gradient(state, d, eta, settings.clip)
-        assert np.all(np.abs(out.gradients[i] - expected) <= 1e-13 * eta * bound)
+        assert np.all(np.abs(gradients[i] - expected) <= 1e-13 * eta * bound)
 
 
 def test_runs_never_materialize_per_sample_gradients(monkeypatch):
@@ -1151,10 +1156,11 @@ def test_stacked_round_reports_losses_in_the_reporting_runs_rows_only():
     for view in views:
         view.install([2, 2, 2], settings)
     model, rng = problem.model, np.random.default_rng(0)
-    out = client_round(block, [5], model, np.zeros((2, model.dim)), 0.1, [rng] * 2,
-                       settings, np.array([True, False]), np.ones(2, bool))
-    assert out.gradients.shape == (1, model.dim)
-    assert out.losses.shape == (1, 2) and np.isnan(out.losses).all()
+    gradients, losses = client_round(block, [5], model, np.zeros((2, model.dim)), 0.1,
+                                     [rng] * 2, settings, np.array([True, False]),
+                                     np.ones(2, bool))
+    assert gradients.shape == (1, model.dim)
+    assert losses.shape == (1, 2) and np.isnan(losses).all()
 
 
 def test_stacked_round_refuses_a_loss_reports_non_finite_updated_weights():
@@ -1215,7 +1221,7 @@ def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
                             np.full(6, noised))
 
     # the unnoised round's releases are the responders' steps
-    steps = round_of(False).gradients
+    steps, _ = round_of(False)
     drawn = []
     real_noise = engine.sample_noise
 
@@ -1224,22 +1230,22 @@ def test_stacked_round_losses_equal_local_loss(monkeypatch, classification):
         return drawn[-1]
 
     monkeypatch.setattr(engine, "sample_noise", recording_noise)
-    out = round_of(True)
+    gradients, losses = round_of(True)
     noise, = drawn
-    assert len(out.gradients) == len(ids)
+    assert len(gradients) == len(ids)
     dim = model.dim
     for i, entry in enumerate(ids):
         g, n = divmod(entry, 5)
         if not report[g]:
-            assert np.isnan(out.losses[i]).all()
+            assert np.isnan(losses[i]).all()
             continue
         state, rows = states[g], data[g // 3][n]
         current = local_loss(state, rows, settings.loss_cap)
         updated = local_loss(ModelState(state.weights - steps[i], state.model_kind), rows,
                              settings.loss_cap)
-        assert out.losses[i, 0] == (eta * current + noise[i, dim]) / eta
-        assert out.losses[i, 1] == (eta * updated + noise[i, dim + 1]) / eta
-        assert out.gradients[i].tolist() == (steps[i] + noise[i, :dim]).tolist()
+        assert losses[i, 0] == (eta * current + noise[i, dim]) / eta
+        assert losses[i, 1] == (eta * updated + noise[i, dim + 1]) / eta
+        assert gradients[i].tolist() == (steps[i] + noise[i, :dim]).tolist()
 
 
 @pytest.mark.parametrize("mechanism", [GM, LM], ids=["gaussian", "laplace"])
@@ -1290,13 +1296,13 @@ def test_lockstep_seeds_name_the_first_run_whose_weights_turn_non_finite(monkeyp
         rounds = [0]
 
         def poisoning(clients, ids, *args):
-            release = real(clients, ids, *args)
+            gradients, losses = real(clients, ids, *args)
             rounds[0] += 1
             if rounds[0] == 4:
                 run = np.asarray(ids) // 4
                 for g in poisoned:
-                    release.gradients[run == g] = np.inf
-            return release
+                    gradients[run == g] = np.inf
+            return gradients, losses
 
         monkeypatch.setattr(engine, "client_round", poisoning)
         with pytest.raises(ParameterError, match="weights must be finite"):

@@ -251,6 +251,30 @@ def test_comparison_summary_of_finals_near_the_float_range_is_finite():
     assert row.std_final_metric == pytest.approx(abs(a - b) / math.sqrt(2), rel=1e-15)
 
 
+@pytest.mark.parametrize("clip_bound, algorithms, diverged", [
+    (1e154, ["uniform_dp"], [("uniform_dp", 42), ("uniform_dp", 43)]),
+    (1.0, list(ALGORITHMS), []),
+])
+def test_comparison_warns_of_a_run_that_ends_worse_than_it_started(caplog, clip_bound,
+                                                                   algorithms, diverged):
+    # at clip_bound = 1e154 both seeds' uniform_dp runs start near 0.888 and
+    # 2.34 and end near 1e306 and 1e304; at clip_bound = 1 every run ends
+    # below its start
+    config = ExperimentConfig(
+        num_clients=6, clients_per_round=2, total_rounds=10, estimation_rounds=3,
+        num_samples=300, test_samples=80, feature_dim=3, seed=42, clip_bound=clip_bound)
+    with caplog.at_level("WARNING", logger="dpflsim.engine"):
+        summary = run_comparison(config, algorithms, num_seeds=2)
+    warned = [r.getMessage() for r in caplog.records if r.name == "dpflsim.engine"]
+    assert len(warned) == len(diverged)
+    for message, (algorithm, seed), final in zip(warned, diverged,
+                                                 summary.finals.get("uniform_dp", [])):
+        match = re.fullmatch(rf"{algorithm} seed {seed}: final test loss (\S+) is higher "
+                             r"than the initial (\S+)", message)
+        assert match and float(match[1]) == pytest.approx(final, rel=1e-5)
+        assert float(match[2]) < 3
+
+
 def test_comparison_paired_and_deterministic(tmp_path):
     cfg = _config(total_rounds=8)
     a = run_comparison(cfg, ["fedsgd", "uniform_dp"], num_seeds=2)
@@ -387,14 +411,15 @@ def test_comparison_names_the_run_whose_weights_turn_non_finite(monkeypatch, tmp
     real_round = engine.client_round
 
     def poisoning(clients, ids, model, weights, eta, streams, settings, report, dp):
-        release = real_round(clients, ids, model, weights, eta, streams, settings, report, dp)
+        gradients, losses = real_round(clients, ids, model, weights, eta, streams, settings,
+                                       report, dp)
         # run g of the batch is algorithm g % 2 at seed 42 + g // 2; a lone
         # problem's block reads its problem's rows as they are
         runs = np.asarray(ids) // 6
         alone = [p for p, problem in enumerate(built) if clients.train is problem.train]
         seeds = 42 + (alone[0] if alone else runs // 2)
-        release.gradients[(seeds == 43) & np.asarray(dp)[runs]] = np.inf
-        return release
+        gradients[(seeds == 43) & np.asarray(dp)[runs]] = np.inf
+        return gradients, losses
 
     monkeypatch.setattr(harness, "build_problem", recording_build)
     monkeypatch.setattr(engine, "client_round", poisoning)

@@ -143,6 +143,29 @@ def test_expected_noise_sq_norm_hand_evaluated():
     assert expected_noise_sq_norm(GM, 0.0, 1.0, 3, 5, budget, 10) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: NoiseSpec("gaussian", 1.0, 1.0, 0.1, 1e-6, 2),
+    lambda: gradient_sensitivity("gaussian", 0.1, 1.0, 10),
+    lambda: expected_noise_sq_norm("gaussian", 0.1, 1.0, 2, 4, PrivacyBudget.fresh(1.0, 1e-5),
+                                   10),
+], ids=["NoiseSpec", "gradient_sensitivity", "expected_noise_sq_norm"])
+def test_a_mechanism_name_is_refused(call):
+    with pytest.raises(ParameterError, match="^mechanism must be a MechanismKind$"):
+        call()
+
+
+def test_round_counts_must_be_whole_numbers():
+    # a scalar count and an array of counts are checked alike; a float array
+    # of whole numbers is taken as ints
+    with pytest.raises(ParameterError, match=re.escape(
+            "num_samples must be a whole number, got 2.5")):
+        gradient_sensitivity(GM, 0.1, 1.0, 2.5)
+    with pytest.raises(ParameterError, match="^num_samples must be whole numbers$"):
+        gradient_sensitivity(GM, 0.1, 1.0, np.array([2.0, 3.5]))
+    got = gradient_sensitivity(GM, 0.1, 1.0, np.array([2.0, 4.0]))
+    assert got.tolist() == gradient_sensitivity(GM, 0.1, 1.0, np.array([2, 4])).tolist()
+
+
 def test_expected_noise_sq_norm_budget_consistency_checks():
     with pytest.raises(ParameterError):
         expected_noise_sq_norm(GM, 0.1, 1.0, 2, 4, PrivacyBudget.fresh(1.0, 0.0), 10)
@@ -275,6 +298,16 @@ def test_clip_outer_rows_matches_materialized_clip():
         assert np.all(_row_norms(got, norm_kind) <= bound)
         assert np.all(_row_norms(expected, norm_kind) <= bound)
     assert inside_rows > 1000
+
+
+def test_clip_validation():
+    with pytest.raises(ParameterError, match="^norm_kind must be 'l1' or 'l2', got 'linf'$"):
+        ClipConfig(1.0, "linf")
+    cfg = ClipConfig(1.0, "l2")
+    with pytest.raises(ParameterError, match=re.escape("gradients must be 2-d, got shape (3,)")):
+        clip_gradient_matrix(np.ones(3), cfg)
+    with pytest.raises(ParameterError, match="^gradients have non-finite entries$"):
+        clip_gradient_matrix(np.array([[1.0, np.inf]]), cfg)
 
 
 def test_clip_outer_rows_validation():

@@ -127,7 +127,7 @@ def test_lazy_ledger_matches_reference(cfg):
         np.add.at(realised[r.stage], list(r.selected), 1)
     stages = [(realised[1], None)] + ([(realised[2], None)] if res.plan_stage2 else [])
     expected = _reference_ledger(res.clients, stages, res.plan_stage1, res.plan_stage2,
-                                 res.stage2_slices, res.epsilon_at_replan, n)
+                                 res.clients.slice_epsilon, res.epsilon_at_replan, n)
     ledger = res.ledger
     assert len(ledger) == len(expected) == n
     for got, want in zip(ledger, expected):

@@ -11,6 +11,7 @@ from dpflsim.errors import EvaluationError, ParameterError
 from dpflsim.mechanisms import MechanismKind
 from dpflsim.selection import (
     WINSORIZE_PERCENTILE,
+    _coordinate_minimize,
     EstimatedParams,
     SelectionPlan,
     StageOneLog,
@@ -50,6 +51,11 @@ def test_phi_lambda_gaussian_example():
     lam, phi = compute_phi_lambda(GM, 2, 1.0, 1.0, [1.0], [math.exp(-1.0)], [10])
     assert lam == pytest.approx(8.0)
     assert phi[0] == pytest.approx(0.01)
+
+
+def test_phi_lambda_refuses_a_mechanism_name():
+    with pytest.raises(ParameterError, match="^mechanism must be a MechanismKind$"):
+        compute_phi_lambda("gaussian", 2, 1.0, 1.0, [1.0], [1e-5], [10])
 
 
 def test_phi_lambda_laplace_example():
@@ -183,6 +189,11 @@ def test_selection_plan_validation():
     assert plan.probabilities.tolist() == [0.75, 0.25]
     with pytest.raises(ParameterError):
         SelectionPlan(np.array([6, 1]), horizon_rounds=4, per_round_selected=2)
+    for counts, horizon, k, message in (([0], 0, 1, "horizon_rounds must be >= 1"),
+                                        ([0], 1, 0, "per_round_selected must be >= 1"),
+                                        ([-1, 3], 1, 2, "plan counts must be nonnegative")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SelectionPlan(np.array(counts), horizon_rounds=horizon, per_round_selected=k)
 
 
 def test_selection_plan_refuses_counts_that_are_not_whole_numbers():
@@ -324,6 +335,16 @@ def test_bound_rejects_degenerate_inputs():
     good = _params(phi=[0.1], gamma_hat=[0.1])
     with pytest.raises(ParameterError):
         predicted_loss_bound(good, np.array([1]), 0, 1, 1)
+    with pytest.raises(ParameterError, match="counts length must match"):
+        predicted_loss_bound(good, np.array([1, 1]), 2, 1, 1)
+    with pytest.raises(EvaluationError, match=re.escape("gamma + elapsed_rounds <= 0")):
+        predicted_loss_bound(_params(phi=[0.1], gamma_hat=[0.1], gamma=-5.0),
+                             np.array([1]), 2, 1, 1)
+    # a negative mu, and an initial term that overflows, both evaluate to inf
+    for kw in (dict(mu_convex=-1.0), dict(init_dist_sq=1e308, L_smooth=10.0, gamma=8.0)):
+        with pytest.raises(EvaluationError, match="degenerate"):
+            predicted_loss_bound(_params(phi=[0.1], gamma_hat=[0.1], **kw),
+                                 np.array([1]), 2, 1, 1)
 
 
 # -------------------------------------------------------------- parameter fit
@@ -486,6 +507,8 @@ def test_objective_examples_and_convexity():
         bound = (lam * objective_value(t1, phi, gam, oa, ob, z)
                  + (1 - lam) * objective_value(t2, phi, gam, oa, ob, z))
         assert mix <= bound + 1e-9
+    with pytest.raises(ParameterError, match="length mismatch"):
+        objective_value(np.ones(2), np.ones(3), np.ones(2), 1.0, 1.0, 1)
 
 
 # -------------------------------------------------------------- selection skew
@@ -497,6 +520,13 @@ def test_selection_skew_values():
                           np.zeros(2), 1.0) == pytest.approx(2.0)
     with pytest.raises(EvaluationError):
         selection_skew(np.array([0.5, 0.5]), np.ones(2), np.ones(2), 1.0)
+    with pytest.raises(ParameterError, match="length mismatch"):
+        selection_skew(np.ones(2), np.ones(2), np.ones(3), 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 1.0)])
+def test_coordinate_minimize_on_an_empty_box_evaluates_its_low_end(lo, hi):
+    assert _coordinate_minimize(lambda x: x * x + 1.0, lo, hi, 1e-9) == (lo, lo * lo + 1.0)
 
 
 def test_winsorize_upper_caps_only_top_tail():

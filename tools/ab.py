@@ -24,10 +24,11 @@ both commits, each side's ``source_sha256`` (perfbench's hash of the
 change's first run, and for every workload and every end-to-end metric of
 ``BENCHMARK.json``: the per-pair values, each side's median and quartiles, how
 many pairs the change won, the median per-pair ratio change/base, and whether
-the medians differ by more than the base's interquartile range. After the
-file's path it prints one line per workload and metric with those figures. The
-exit status is 1 when a run failed or reported itself incorrect, 2 when the
-tool refused to run.
+the medians differ by more than the base's interquartile range, and the
+no-regression verdict against the metric's ``bound``: ``unresolved`` and
+``worse_beyond_bound`` (see `summarise`). After the file's path it prints one
+line per workload and metric with those figures. The exit status is 1 when a
+run failed or reported itself incorrect, 2 when the tool refused to run.
 """
 
 from __future__ import annotations
@@ -136,7 +137,13 @@ def _stats(values: list) -> dict:
 
 def summarise(pairs: list, metrics: list) -> dict:
     """Per metric: each side's values and statistics, the change's wins and
-    the median per-pair ratio, over the pairs where both sides ran."""
+    the median per-pair ratio, over the pairs where both sides ran, and the
+    verdict against the metric's relative `bound`:
+
+    - `unresolved`: the base's interquartile range over its median exceeds
+      `bound`, and not every change run beats every base run;
+    - `worse_beyond_bound`: the metric is resolved, and the change's median is
+      worse than the base's by more than `bound` times the base's median."""
     summary = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -156,14 +163,19 @@ def summarise(pairs: list, metrics: list) -> dict:
             entry["median_gain"] = gain if higher else -gain
             entry["base_iqr"] = iqr
             entry["gain_exceeds_base_iqr"] = entry["median_gain"] > iqr
+            base_median, bound = entry["base"]["median"], metric["bound"]
+            beats_all = (min(change) > max(base)) if higher else (max(change) < min(base))
+            entry["unresolved"] = iqr > bound * base_median and not beats_all
+            entry["worse_beyond_bound"] = (not entry["unresolved"]
+                                           and -entry["median_gain"] > bound * base_median)
         summary[name] = entry
     return summary
 
 
 def summary_lines(workloads: dict) -> list:
     """One line per workload and metric: the base's median and interquartile
-    range, the change's median, its wins, the median per-pair ratio and
-    whether the gain exceeds the base's interquartile range."""
+    range, the change's median, its wins, the median per-pair ratio, whether
+    the gain exceeds the base's interquartile range and the verdict."""
     lines = []
     for workload, entry in workloads.items():
         for name, m in entry["metrics"].items():
@@ -177,7 +189,8 @@ def summary_lines(workloads: dict) -> list:
                 f"change {m['change']['median']:.6g}, "
                 f"change wins {m['change_wins']}/{m['pairs']}, ratio_median "
                 f"{'n/a' if ratio is None else f'{ratio:.4f}'}, "
-                f"gain_exceeds_base_iqr {m['gain_exceeds_base_iqr']}")
+                f"gain_exceeds_base_iqr {m['gain_exceeds_base_iqr']}, "
+                f"unresolved {m['unresolved']}, worse_beyond_bound {m['worse_beyond_bound']}")
     return lines
 
 
